@@ -38,6 +38,7 @@ from .analysis import (
 )
 from .trojan import (
     InsertionError,
+    InsufficientRareNetsError,
     TrojanRecord,
     TrojanSpec,
     activation_estimate,

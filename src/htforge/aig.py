@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netlist import CONST0, CONST1, Gate, Netlist, NetlistError
+from .netlist import CONST0, CONST1, Gate, Netlist, NetlistError, tt_var
 
 TRUE = 0
 FALSE = 1
@@ -241,25 +241,6 @@ def exhaustive_signatures(g: AigGraph):
     period 2^k).  Only sensible for small PI counts."""
     m = g.n_pis
     return aig_simulate(g, [tt_var(k, m) for k in range(m)], 1 << m)
-
-
-_TT_VAR_CACHE = {}
-
-
-def tt_var(j, m):
-    """Truth-table pattern of variable j over 2^m rows (bit i = (i>>j)&1)."""
-    if m <= 16:
-        hit = _TT_VAR_CACHE.get((j, m))
-        if hit is not None:
-            return hit
-    half = 1 << j
-    chunk = ((1 << half) - 1) << half
-    period = half * 2
-    reps = ((1 << (1 << m)) - 1) // ((1 << period) - 1)
-    out = chunk * reps
-    if m <= 16:
-        _TT_VAR_CACHE[(j, m)] = out
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,9 @@ partition that drives trigger selection.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
-from .aig import tt_var
-from .netlist import CONST0, CONST1, Netlist, simulate_packed
+from .netlist import CONST0, CONST1, Netlist, simulate_packed, stimuli
 
 SCOAP_CAP = 2**31 - 1
 
@@ -120,39 +118,24 @@ def signal_prob(n: Netlist, vectors: int, seed: int = 0) -> NetStats:
     """
     if vectors < 1:
         raise ValueError("vectors must be >= 1")
-    rng = random.Random(seed)
-    ones = {net: 0 for net in n.nets}
-    remaining = vectors
-    while remaining > 0:
-        width = min(remaining, 1 << 16)
-        remaining -= width
-        patterns = {p: rng.getrandbits(width) for p in n.inputs}
-        vals = simulate_packed(n, patterns, width)
-        for net in n.nets:
-            ones[net] += vals[net].bit_count()
-    return NetStats({net: c / vectors for net, c in ones.items()}, vectors)
+    return _ones_fraction(n, vectors, seed)
 
 
 def exact_signal_prob(n: Netlist) -> NetStats:
     """Exact probability over all 2^PI vectors (PI count capped at 24)."""
-    npi = len(n.inputs)
-    if npi > 24:
+    if len(n.inputs) > 24:
         raise ValueError("exact signal probability is limited to 24 PIs")
-    chunk_vars = min(npi, 16)
-    width = 1 << chunk_vars
-    mask = (1 << width) - 1
+    return _ones_fraction(n, None, 0)
+
+
+def _ones_fraction(n, vectors, seed):
+    """Per-net share of ones over stimuli(n.inputs, vectors, seed)."""
     ones = {net: 0 for net in n.nets}
-    for chunk_base in range(1 << (npi - chunk_vars)):
-        patterns = {}
-        for k, p in enumerate(n.inputs):
-            if k < chunk_vars:
-                patterns[p] = tt_var(k, chunk_vars)
-            else:
-                patterns[p] = mask if (chunk_base >> (k - chunk_vars)) & 1 else 0
+    for patterns, width in stimuli(n.inputs, vectors, seed, chunk_bits=16):
         vals = simulate_packed(n, patterns, width)
         for net in n.nets:
             ones[net] += vals[net].bit_count()
-    total = 1 << npi
+    total = 1 << len(n.inputs) if vectors is None else vectors
     return NetStats({net: c / total for net, c in ones.items()}, total)
 
 

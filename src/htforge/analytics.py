@@ -69,7 +69,8 @@ def extract_features(n: Netlist) -> np.ndarray:
     vec += [float(sum(and_fanins) / len(and_fanins)) if and_fanins else 0.0,
             (counts["XOR"] + counts["XNOR"]) / n_gates if n_gates else 0.0]
     out = np.asarray(vec, dtype=float)
-    assert out.shape == (FEATURE_DIM,) and np.isfinite(out).all()
+    if out.shape != (FEATURE_DIM,) or not np.isfinite(out).all():
+        raise RuntimeError(f"feature vector is not {FEATURE_DIM} finite values")
     return out
 
 

@@ -9,11 +9,10 @@ returned.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .aig import tt_var
-from .netlist import CONST0, CONST1, Gate, Netlist, simulate, simulate_packed
+from .netlist import (CONST0, CONST1, Gate, Netlist, decode, simulate,
+                      simulate_packed, stimuli, trigger_word)
 
 
 class InterfaceMismatchError(Exception):
@@ -84,39 +83,27 @@ def build_miter(a: Netlist, b: Netlist) -> Miter:
     return Miter(m, acc)
 
 
-def _assignment(pis, chunk_base, bit_index, chunk_vars):
-    stim = {}
-    for k, p in enumerate(pis):
-        if k < chunk_vars:
-            stim[p] = (bit_index >> k) & 1
-        else:
-            stim[p] = (chunk_base >> (k - chunk_vars)) & 1
-    return stim
-
-
-def exhaustive_po_diff(a: Netlist, b: Netlist, chunk_bits=14, extra_nets=()):
-    """Yield (chunk_base, chunk_vars, width, vals_a, vals_b, diff_word) per
-    chunk of the full input space."""
-    pis = a.inputs
-    n = len(pis)
-    chunk_vars = min(n, chunk_bits)
-    width = 1 << chunk_vars
-    hi = n - chunk_vars
-    base_patterns = [tt_var(k, chunk_vars) for k in range(chunk_vars)]
-    mask = (1 << width) - 1
-    for chunk_base in range(1 << hi):
-        patterns = {}
-        for k, p in enumerate(pis):
-            if k < chunk_vars:
-                patterns[p] = base_patterns[k]
-            else:
-                patterns[p] = mask if (chunk_base >> (k - chunk_vars)) & 1 else 0
+def _first_divergence(a: Netlist, b: Netlist, cfg: CheckConfig, trigger=None):
+    """Search the input space for the first assignment on which a PO of
+    ``a`` and ``b`` differs; with a ``trigger``, only where that trigger is
+    inactive in ``b``.  Exhaustive up to the configured PI bound, seeded
+    sampling above it.  Returns (mode, vectors checked, assignment or None).
+    """
+    if len(a.inputs) <= cfg.exhaustive_bound:
+        mode, vectors, total = "exhaustive", None, 1 << len(a.inputs)
+    else:
+        mode, vectors, total = "sampled", cfg.sample_vectors, cfg.sample_vectors
+    for patterns, width in stimuli(a.inputs, vectors, cfg.seed, cfg.chunk_bits):
         va = simulate_packed(a, patterns, width)
         vb = simulate_packed(b, patterns, width)
         diff = 0
         for po in a.outputs:
             diff |= va[po] ^ vb[po]
-        yield chunk_base, chunk_vars, width, va, vb, diff
+        if trigger is not None:
+            diff &= ~trigger_word(vb, trigger, width)
+        if diff:
+            return mode, total, decode(patterns, (diff & -diff).bit_length() - 1)
+    return mode, total, None
 
 
 def check_equivalence(a: Netlist, b: Netlist, config: CheckConfig = None) -> EquivVerdict:
@@ -124,43 +111,14 @@ def check_equivalence(a: Netlist, b: Netlist, config: CheckConfig = None) -> Equ
     sampled (non-definitive) above it."""
     cfg = config or CheckConfig()
     _check_interface(a, b)
-    pis = a.inputs
-    n = len(pis)
-    if n <= cfg.exhaustive_bound:
-        total = 1 << n
-        for chunk_base, chunk_vars, width, _, _, diff in exhaustive_po_diff(
-                a, b, cfg.chunk_bits):
-            if diff:
-                bit = (diff & -diff).bit_length() - 1
-                stim = _assignment(pis, chunk_base, bit, chunk_vars)
-                assert _po_mismatch(a, b, stim)
-                return EquivVerdict("exhaustive", "counterexample", stim, total)
-        return EquivVerdict("exhaustive", "equivalent", None, total)
-
-    rng = random.Random(cfg.seed)
-    remaining = cfg.sample_vectors
-    while remaining > 0:
-        width = min(remaining, 1 << cfg.chunk_bits)
-        remaining -= width
-        patterns = {p: rng.getrandbits(width) for p in pis}
-        va = simulate_packed(a, patterns, width)
-        vb = simulate_packed(b, patterns, width)
-        diff = 0
-        for po in a.outputs:
-            diff |= va[po] ^ vb[po]
-        if diff:
-            bit = (diff & -diff).bit_length() - 1
-            stim = {p: (patterns[p] >> bit) & 1 for p in pis}
-            assert _po_mismatch(a, b, stim)
-            return EquivVerdict("sampled", "counterexample", stim,
-                                cfg.sample_vectors)
-    return EquivVerdict("sampled", "no-mismatch-found", None, cfg.sample_vectors)
-
-
-def _po_mismatch(a, b, stim):
-    va = simulate(a, stim)
-    vb = simulate(b, stim)
-    return any(va[po] != vb[po] for po in a.outputs)
+    mode, total, stim = _first_divergence(a, b, cfg)
+    if stim is None:
+        result = "equivalent" if mode == "exhaustive" else "no-mismatch-found"
+        return EquivVerdict(mode, result, None, total)
+    va, vb = simulate(a, stim), simulate(b, stim)
+    if all(va[po] == vb[po] for po in a.outputs):
+        raise RuntimeError("counterexample does not reproduce in simulate()")
+    return EquivVerdict(mode, "counterexample", stim, total)
 
 
 @dataclass
@@ -169,15 +127,6 @@ class TrojanVerdict:
     reason: str = ""
     offending: dict = None
     mode: str = ""
-
-
-def _trigger_word(vals, trigger, width):
-    mask = (1 << width) - 1
-    act = mask
-    for net, pol in trigger:
-        w = vals[net]
-        act &= w if pol else (~w & mask)
-    return act
 
 
 def check_trojan_semantics(golden: Netlist, infected: Netlist, rec,
@@ -193,10 +142,7 @@ def check_trojan_semantics(golden: Netlist, infected: Netlist, rec,
     _check_interface(golden, infected)
     if rec.witness is None:
         return TrojanVerdict(False, "unproven HT: record carries no witness")
-    pis = golden.inputs
-    n = len(pis)
-
-    wit = {p: rec.witness[p] & 1 for p in pis}
+    wit = {p: rec.witness[p] & 1 for p in golden.inputs}
     vg = simulate(golden, wit)
     vi = simulate(infected, wit)
     act = all((vi[net] if pol else 1 - vi[net]) for net, pol in rec.trigger)
@@ -205,37 +151,8 @@ def check_trojan_semantics(golden: Netlist, infected: Netlist, rec,
     if all(vg[po] == vi[po] for po in golden.outputs):
         return TrojanVerdict(False, "witness does not flip any output", wit)
 
-    if n <= cfg.exhaustive_bound:
-        for chunk_base, chunk_vars, width, _, vi_vals, diff in exhaustive_po_diff(
-                golden, infected, cfg.chunk_bits):
-            inactive = (~_trigger_word(vi_vals, rec.trigger, width)
-                        & ((1 << width) - 1))
-            bad = diff & inactive
-            if bad:
-                bit = (bad & -bad).bit_length() - 1
-                stim = _assignment(pis, chunk_base, bit, chunk_vars)
-                return TrojanVerdict(
-                    False, "infected diverges while trigger inactive", stim,
-                    "exhaustive")
-        return TrojanVerdict(True, "", None, "exhaustive")
-
-    rng = random.Random(cfg.seed)
-    remaining = cfg.sample_vectors
-    while remaining > 0:
-        width = min(remaining, 1 << cfg.chunk_bits)
-        remaining -= width
-        patterns = {p: rng.getrandbits(width) for p in pis}
-        vgv = simulate_packed(golden, patterns, width)
-        viv = simulate_packed(infected, patterns, width)
-        diff = 0
-        for po in golden.outputs:
-            diff |= vgv[po] ^ viv[po]
-        inactive = ~_trigger_word(viv, rec.trigger, width) & ((1 << width) - 1)
-        bad = diff & inactive
-        if bad:
-            bit = (bad & -bad).bit_length() - 1
-            stim = {p: (patterns[p] >> bit) & 1 for p in pis}
-            return TrojanVerdict(
-                False, "infected diverges while trigger inactive", stim,
-                "sampled")
-    return TrojanVerdict(True, "", None, "sampled")
+    mode, _, stim = _first_divergence(golden, infected, cfg, rec.trigger)
+    if stim is not None:
+        return TrojanVerdict(
+            False, "infected diverges while trigger inactive", stim, mode)
+    return TrojanVerdict(True, "", None, mode)

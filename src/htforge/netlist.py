@@ -10,6 +10,7 @@ bit-blasted at parse time into scalar nets ``name[i]`` with bit 0 the LSB.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -199,6 +200,67 @@ def simulate_packed(n: Netlist, patterns: dict, width: int) -> dict:
     for g in n.topo_gates:
         values[g.output] = _fold(g.kind, [values[i] for i in g.inputs], width)
     return values
+
+
+_TT_VAR_CACHE = {}
+
+
+def tt_var(j, m):
+    """Truth-table pattern of variable j over 2^m rows (bit i = (i>>j)&1)."""
+    if m <= 16:
+        hit = _TT_VAR_CACHE.get((j, m))
+        if hit is not None:
+            return hit
+    half = 1 << j
+    chunk = ((1 << half) - 1) << half
+    period = half * 2
+    reps = ((1 << (1 << m)) - 1) // ((1 << period) - 1)
+    out = chunk * reps
+    if m <= 16:
+        _TT_VAR_CACHE[(j, m)] = out
+    return out
+
+
+def stimuli(pis, vectors=None, seed=0, chunk_bits=14):
+    """Yield ``(patterns, width)`` chunks of packed PI stimuli.
+
+    With ``vectors`` None the chunks enumerate all 2^len(pis) assignments:
+    the first ``chunk_bits`` PIs vary within a chunk (bit i of PI k is
+    ``(i >> k) & 1``), the others are constant per chunk and count up from
+    chunk to chunk.  Otherwise ``vectors`` seeded random assignments are
+    drawn, ``getrandbits(width)`` per PI in ``pis`` order and chunk by chunk.
+    Either way, decode(patterns, bit) is the assignment of one bit.
+    """
+    if vectors is None:
+        chunk_vars = min(len(pis), chunk_bits)
+        width = 1 << chunk_vars
+        mask = (1 << width) - 1
+        low = {p: tt_var(k, chunk_vars) for k, p in enumerate(pis[:chunk_vars])}
+        for base in range(1 << (len(pis) - chunk_vars)):
+            patterns = dict(low)
+            for k, p in enumerate(pis[chunk_vars:]):
+                patterns[p] = mask if (base >> k) & 1 else 0
+            yield patterns, width
+        return
+    rng = random.Random(seed)
+    remaining = vectors
+    while remaining > 0:
+        width = min(remaining, 1 << chunk_bits)
+        remaining -= width
+        yield {p: rng.getrandbits(width) for p in pis}, width
+
+
+def decode(patterns, bit):
+    """The PI assignment carried by bit ``bit`` of a stimuli() chunk."""
+    return {p: (w >> bit) & 1 for p, w in patterns.items()}
+
+
+def trigger_word(vals, trigger, width):
+    """Packed word that is 1 where every ``(net, polarity)`` pair holds."""
+    act = (1 << width) - 1
+    for net, pol in trigger:
+        act &= vals[net] if pol else ~vals[net]
+    return act
 
 
 def validate(n: Netlist) -> list:

@@ -465,7 +465,8 @@ def isop(f, m):
             return [], 0
         if up == full:
             return [(0, 0)], full
-        assert var < m
+        if var >= m:
+            raise RestructureError("isop ran out of variables")
         lo0, lo1 = _cofactors(lo, var, m)
         up0, up1 = _cofactors(up, var, m)
         c0, cov0 = rec(lo0 & ~up1, up0, var + 1)
@@ -481,7 +482,8 @@ def isop(f, m):
         return cubes, cover
 
     cubes, cover = rec(f, f, 0)
-    assert cover == f
+    if cover != f:
+        raise RestructureError("isop: cover differs from the function")
     return cubes
 
 
@@ -689,7 +691,8 @@ def balance(g: AigGraph, seed=0) -> AigGraph:
     for nm, l in g.pos:
         b.add_po(nm, mapped(l))
     out = strip_unreachable(b.build())
-    assert out.max_level <= g.max_level
+    if out.max_level > g.max_level:
+        raise RestructureError("balance increased the logic depth")
     return out
 
 
@@ -726,7 +729,8 @@ def rewrite(g: AigGraph, cut_size=4, max_cuts=8, seed=0) -> AigGraph:
         top = [c for c in cand if c[0] == best]
         _, plan = top[rng.randrange(len(top))] if len(top) > 1 else top[0]
         w.commit(node, plan)
-    assert w.live <= before
+    if w.live > before:
+        raise RestructureError("rewrite grew the AND count")
     return w.rebuild()
 
 
@@ -770,7 +774,8 @@ def refactor(g: AigGraph, max_cone_inputs=10, seed=0) -> AigGraph:
         gain, plan = res
         if gain >= 0:
             w.commit(node, plan)
-    assert w.live <= before
+    if w.live > before:
+        raise RestructureError("refactor grew the AND count")
     return w.rebuild()
 
 
@@ -827,7 +832,9 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
             tt_d = w.cone_tt(d, pi_nodes)
             if tt_d is None or tt_n is None:
                 continue
-            if (tt_d ^ (full if comp else 0)) == tt_n:
+            # after a replace() a divisor may lie in node's fanout: skip it
+            if ((tt_d ^ (full if comp else 0)) == tt_n
+                    and not w._in_cone(node, d)):
                 w.replace(node, lit(d, comp))
                 done = True
                 break
@@ -874,15 +881,16 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
                     w.commit(node, plan)
                     done = True
                     break
-    assert w.live <= before
+    if w.live > before:
+        raise RestructureError("resubstitute grew the AND count")
     return w.rebuild()
 
 
-def fraig(g: AigGraph, sim_words=16, seed=0, exact_budget=4096) -> AigGraph:
+def fraig(g: AigGraph, sim_words=16, seed=0) -> AigGraph:
     """Functionally reduce: group nodes into candidate classes by random
-    simulation, prove merges exactly (exhaustive when the pair's PI support
-    is at most 20, bounded random search otherwise), and rebuild with
-    proven-equivalent nodes shared.  Unresolved candidates stay unmerged."""
+    simulation, prove merges exactly over the pair's PI support, and rebuild
+    with proven-equivalent nodes shared.  Pairs over more than 20 PIs are
+    left unresolved and never merged."""
     g = strash(g)
     rng = random.Random(seed)
     width = 64 * max(1, sim_words)
@@ -913,20 +921,15 @@ def fraig(g: AigGraph, sim_words=16, seed=0, exact_budget=4096) -> AigGraph:
         return out
 
     def proven_equal(a, b_, comp):
-        """True / False / None(unresolved) for f_a == f_b ^ comp."""
-        union = supp(a) | supp(b_)
-        pis = tuple(1 + k for k in _bits(union))
-        if len(pis) <= 20:
-            ta = cone_tt(g, a, pis)
-            tb = cone_tt(g, b_, pis)
-            full = (1 << (1 << len(pis))) - 1
-            return ta == (tb ^ (full if comp else 0))
-        words = [rng.getrandbits(exact_budget) for _ in range(g.n_pis)]
-        ss = aig_simulate(g, words, exact_budget)
-        m2 = (1 << exact_budget) - 1
-        if ss[a] != (ss[b_] ^ (m2 if comp else 0)):
-            return False
-        return None
+        """True / False for f_a == f_b ^ comp, None (unresolved) when the
+        pair's PI support exceeds 20."""
+        pis = tuple(1 + k for k in _bits(supp(a) | supp(b_)))
+        if len(pis) > 20:
+            return None
+        ta = cone_tt(g, a, pis)
+        tb = cone_tt(g, b_, pis)
+        full = (1 << (1 << len(pis))) - 1
+        return ta == (tb ^ (full if comp else 0))
 
     b = AigBuilder(g.pi_names, hashing=True)
     node_map = {0: TRUE}
@@ -958,7 +961,8 @@ def fraig(g: AigGraph, sim_words=16, seed=0, exact_budget=4096) -> AigGraph:
     for nm, l in g.pos:
         b.add_po(nm, node_map[l >> 1] ^ (l & 1))
     out = strip_unreachable(b.build())
-    assert out.n_ands <= g.n_ands
+    if out.n_ands > g.n_ands:
+        raise RestructureError("fraig grew the AND count")
     return out
 
 
@@ -1077,8 +1081,7 @@ def _run_step(aig, step, eff_seed):
         return resubstitute(aig, max_divisors=p.get("max_divisors", 20),
                             seed=eff_seed)
     if step.name == "fraig":
-        return fraig(aig, sim_words=p.get("sim_words", 16), seed=eff_seed,
-                     exact_budget=p.get("exact_budget", 4096))
+        return fraig(aig, sim_words=p.get("sim_words", 16), seed=eff_seed)
     if step.name == "gate_size":
         return aig  # grouping applies at netlist emission
     raise ValueError(f"unknown pass '{step.name}'")

@@ -13,13 +13,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .aig import tt_var
 from .analysis import NetStats, ScoapValues, rare_nets, scoap, signal_prob
-from .netlist import CONST0, CONST1, Gate, Netlist, simulate, simulate_packed
+from .netlist import (CONST0, CONST1, Gate, Netlist, decode, simulate,
+                      simulate_packed, stimuli, trigger_word)
 
 
 class InsertionError(Exception):
     pass
+
+
+class InsufficientRareNetsError(InsertionError):
+    """The rare-net partition holds fewer nets than the spec's rare_count."""
 
 
 @dataclass(frozen=True)
@@ -120,15 +124,6 @@ def _po_reachable(n: Netlist):
     return reach
 
 
-def _trigger_word(vals, trigger, width):
-    mask = (1 << width) - 1
-    act = mask
-    for net, pol in trigger:
-        w = vals[net]
-        act &= w if pol else (~w & mask)
-    return act
-
-
 # ---------------------------------------------------------------------------
 # activation search
 
@@ -177,34 +172,23 @@ def _conflict(vals, trigger):
                for net, pol in trigger)
 
 
+def _activations(patterns, act, limit):
+    """Decode up to ``limit`` set bits of ``act``, lowest first."""
+    found = []
+    while act and len(found) < limit:
+        found.append(decode(patterns, (act & -act).bit_length() - 1))
+        act &= act - 1
+    return found
+
+
 def _search_exhaustive(cone, trigger, limit):
     """Exhaustively scan the cone's support; returns up to ``limit``
     activating assignments over the cone PIs."""
-    pis = cone.inputs
-    npi = len(pis)
-    chunk_vars = min(npi, 14)
-    width = 1 << chunk_vars
-    mask = (1 << width) - 1
     found = []
-    for chunk_base in range(1 << (npi - chunk_vars)):
-        patterns = {}
-        for k, p in enumerate(pis):
-            if k < chunk_vars:
-                patterns[p] = tt_var(k, chunk_vars)
-            else:
-                patterns[p] = mask if (chunk_base >> (k - chunk_vars)) & 1 else 0
+    for patterns, width in stimuli(cone.inputs):
         vals = simulate_packed(cone, patterns, width)
-        act = _trigger_word(vals, trigger, width)
-        while act and len(found) < limit:
-            bit = (act & -act).bit_length() - 1
-            act &= act - 1
-            stim = {}
-            for k, p in enumerate(pis):
-                if k < chunk_vars:
-                    stim[p] = (bit >> k) & 1
-                else:
-                    stim[p] = (chunk_base >> (k - chunk_vars)) & 1
-            found.append(stim)
+        found += _activations(patterns, trigger_word(vals, trigger, width),
+                              limit - len(found))
         if len(found) >= limit:
             break
     return found
@@ -274,17 +258,10 @@ def _probe_activation(n: Netlist, trigger, seed, width=PROBE_VECTORS,
     cone = _cone_netlist(n, [net for net, _ in trigger])
     if not cone.inputs:
         return cone, 0, []
-    rng = random.Random(seed)
-    patterns = {p: rng.getrandbits(width) for p in cone.inputs}
-    vals = simulate_packed(cone, patterns, width)
-    act = _trigger_word(vals, trigger, width)
-    hits = act.bit_count()
-    found = []
-    while act and len(found) < limit:
-        bit = (act & -act).bit_length() - 1
-        act &= act - 1
-        found.append({p: (patterns[p] >> bit) & 1 for p in cone.inputs})
-    return cone, hits, found
+    patterns, _ = next(stimuli(cone.inputs, width, seed,
+                               chunk_bits=width.bit_length()))
+    act = trigger_word(simulate_packed(cone, patterns, width), trigger, width)
+    return cone, act.bit_count(), _activations(patterns, act, limit)
 
 
 def _rare_activations(cone, trigger, limit, seed):
@@ -314,22 +291,18 @@ def find_trigger_witness(n: Netlist, rec: TrojanRecord, budget: int = 100_000):
             return None
     full = {p: stim.get(p, 0) for p in n.inputs}
     vals = simulate(n, full)
-    assert all(vals[net] == pol for net, pol in rec.trigger)
+    if not all(vals[net] == pol for net, pol in rec.trigger):
+        raise RuntimeError("trigger witness does not reproduce in simulate()")
     return full
 
 
 def activation_estimate(n: Netlist, rec: TrojanRecord, vectors: int,
                         seed: int = 0) -> float:
     """Fraction of uniform random input vectors that activate the trigger."""
-    rng = random.Random(seed)
     hits = 0
-    remaining = vectors
-    while remaining > 0:
-        width = min(remaining, 1 << 14)
-        remaining -= width
-        patterns = {p: rng.getrandbits(width) for p in n.inputs}
+    for patterns, width in stimuli(n.inputs, vectors, seed):
         vals = simulate_packed(n, patterns, width)
-        hits += _trigger_word(vals, rec.trigger, width).bit_count()
+        hits += trigger_word(vals, rec.trigger, width).bit_count()
     return hits / vectors
 
 
@@ -400,7 +373,7 @@ def insert_trojan(n: Netlist, spec: TrojanSpec, stats=None):
         raise InsertionError(
             f"trigger width {spec.q} exceeds usable net count {total_nets}")
     if len(rare) < spec.rare_count:
-        raise InsertionError(
+        raise InsufficientRareNetsError(
             f"insufficient rare nets: need {spec.rare_count}, have {len(rare)}")
     if len(regular) < spec.q - spec.rare_count:
         raise InsertionError(

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from htforge.netlist import (
@@ -8,9 +11,11 @@ from htforge.netlist import (
     NetlistError,
     ParseError,
     ValidationError,
+    decode,
     parse_netlist,
     simulate,
     simulate_packed,
+    stimuli,
     to_json_dict,
     validate,
     write_netlist,
@@ -249,3 +254,22 @@ def test_json_dump_shape(full_adder):
     assert d["inputs"] == ["a", "b", "cin"]
     assert len(d["gates"]) == 5
     assert all({"kind", "name", "output", "inputs"} <= set(g) for g in d["gates"])
+
+
+def test_stimuli_exhaustive_decodes_every_assignment_once():
+    pis = ("a", "b", "c", "d", "e")
+    seen = []
+    for patterns, width in stimuli(pis, chunk_bits=3):
+        assert width == 8
+        seen.extend(tuple(decode(patterns, bit).values()) for bit in range(width))
+    assert sorted(seen) == sorted(itertools.product((0, 1), repeat=5))
+
+
+def test_stimuli_random_draw_order():
+    pis = ("a", "b", "c")
+    got = list(stimuli(pis, vectors=20, seed=5, chunk_bits=3))
+    rng = random.Random(5)
+    want = []
+    for width in (8, 8, 4):
+        want.append(({p: rng.getrandbits(width) for p in pis}, width))
+    assert got == want

@@ -1,4 +1,5 @@
 import itertools
+import signal
 
 import pytest
 
@@ -26,7 +27,7 @@ from htforge.restructure import (
     synth_tree,
 )
 
-from conftest import random_netlist, truth_signature
+from conftest import random_netlist, rarity_netlist, truth_signature
 
 
 def _sig(g):
@@ -389,3 +390,24 @@ def test_passes_monotone_on_random_corpus():
             assert out.n_ands <= g.n_ands, fn.__name__
             assert _sig(out) == ref, fn.__name__
         assert balance(g, seed=seed).max_level <= g.max_level
+
+
+def test_resub_skips_divisor_in_node_fanout():
+    # once replace() has run, node indices are no longer topological; a
+    # 0-resub onto a divisor in the node's own fanout closed a cycle that
+    # rebuild() then walked forever
+    def hang(signum, frame):
+        raise TimeoutError("resubstitute did not terminate")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(30)
+    try:
+        n = rarity_netlist(0, pis_per_branch=5)
+        out, reports = apply_recipe(n, RECIPES[9], seed=0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    # apply_recipe raises on a counterexample, so this is an exhaustive
+    # equivalent verdict
+    assert len(out.inputs) == 20
+    assert all(r.check_mode == "exhaustive" for r in reports)

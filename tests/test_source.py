@@ -1,0 +1,30 @@
+"""Source-level invariants of the htforge package."""
+
+import ast
+from pathlib import Path
+
+import htforge
+
+SRC = Path(htforge.__file__).parent
+
+
+def _asserts(node, scope=()):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Assert):
+            yield scope, child.lineno
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = scope + (child.name,)
+        yield from _asserts(child, inner)
+
+
+def test_no_assert_guards_a_result():
+    # python -O strips asserts; only the test-only consistency helper
+    # _Work.check may use them
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope, line in _asserts(tree):
+            if scope != ("_Work", "check"):
+                found.append(f"{path.name}:{line} in {'.'.join(scope) or '<module>'}")
+    assert not found, found

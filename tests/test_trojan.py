@@ -5,6 +5,7 @@ from htforge.equiv import CheckConfig, check_trojan_semantics
 from htforge.netlist import parse_netlist, simulate, validate
 from htforge.trojan import (
     InsertionError,
+    InsufficientRareNetsError,
     TrojanRecord,
     TrojanSpec,
     activation_estimate,
@@ -75,7 +76,8 @@ def test_insert_insufficient_rare_nets():
         "module m(a,b,y); input a,b; output y; xor g(y,a,b); endmodule")
     spec = TrojanSpec(q=2, rare_count=2, threshold=0.01, seed=0,
                       sample_vectors=4096)
-    with pytest.raises(InsertionError, match="insufficient rare nets"):
+    with pytest.raises(InsufficientRareNetsError,
+                       match="insufficient rare nets"):
         insert_trojan(n, spec)
 
 
