@@ -14,6 +14,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import and_, or_, xor
 
 GATE_KINDS = ("BUF", "NOT", "AND", "OR", "XOR", "NAND", "NOR", "XNOR")
 
@@ -137,6 +138,12 @@ class Netlist:
         return tuple(order)
 
     @cached_property
+    def _program(self):
+        """The netlist lowered for simulate_packed: ``(op, out, a, b)`` steps
+        over a value list that holds the nets in ``nets`` order."""
+        return _lower(self)
+
+    @cached_property
     def _gate_out_set(self):
         return frozenset(g.output for g in self.gates)
 
@@ -148,13 +155,11 @@ class Netlist:
         return lv
 
 
-def _fold(kind, values, width=None):
-    mask = None if width is None else (1 << width) - 1
-    inv = (lambda v: ~v & mask) if mask is not None else (lambda v: v ^ 1)
+def _fold(kind, values):
     if kind == "BUF":
         return values[0]
     if kind == "NOT":
-        return inv(values[0])
+        return values[0] ^ 1
     acc = values[0]
     base = {"AND": "AND", "NAND": "AND", "OR": "OR", "NOR": "OR",
             "XOR": "XOR", "XNOR": "XOR"}[kind]
@@ -166,7 +171,7 @@ def _fold(kind, values, width=None):
         else:
             acc ^= v
     if kind in ("NAND", "NOR", "XNOR"):
-        acc = inv(acc)
+        acc ^= 1
     return acc
 
 
@@ -191,15 +196,52 @@ def simulate(n: Netlist, stimulus: dict) -> dict:
     return values
 
 
-def simulate_packed(n: Netlist, patterns: dict, width: int) -> dict:
-    """Bit-parallel simulation: each net carries ``width`` stimuli packed in an int."""
-    mask = (1 << width) - 1
-    values = {CONST0: 0, CONST1: mask}
-    for p in n.inputs:
-        values[p] = patterns[p] & mask
+# gate kind -> (2-input operator, complemented); BUF/NOT read one input
+_LOWERING = {"BUF": (None, 0), "NOT": (None, 1), "AND": (and_, 0),
+             "NAND": (and_, 1), "OR": (or_, 0), "NOR": (or_, 1),
+             "XOR": (xor, 0), "XNOR": (xor, 1)}
+
+
+def _lower(n: Netlist):
+    """One ``(op, out, a, b)`` step per input pair of every gate, in
+    topological order.  Slots index ``n.nets``: slot 0 is constant 0, slot 1
+    the all-ones mask, then the PIs and the gate outputs.  An n-ary gate
+    folds in its own output slot; complements xor with slot 1 and a single
+    input is copied by an xor with slot 0.
+    """
+    if len(set(n.inputs)) != len(n.inputs):
+        raise NetlistError("simulate_packed needs distinct primary inputs")
+    slot = {net: k for k, net in enumerate(n.nets)}
+    prog = []
     for g in n.topo_gates:
-        values[g.output] = _fold(g.kind, [values[i] for i in g.inputs], width)
-    return values
+        op, inv = _LOWERING[g.kind]
+        out = slot[g.output]
+        ins = [slot[i] for i in g.inputs]
+        if op is None or len(ins) == 1:
+            prog.append((xor, out, ins[0], inv))
+            continue
+        prog.append((op, out, ins[0], ins[1]))
+        for b in ins[2:]:
+            prog.append((op, out, out, b))
+        if inv:
+            prog.append((xor, out, out, 1))
+    return tuple(prog)
+
+
+def simulate_packed(n: Netlist, patterns: dict, width: int) -> dict:
+    """Bit-parallel simulation: each net carries ``width`` stimuli packed in an int.
+
+    Runs the netlist's lowered program (built on first use, then cached on
+    the netlist) over one value list.
+    """
+    mask = (1 << width) - 1
+    v = [0] * len(n.nets)
+    v[1] = mask
+    for k, p in enumerate(n.inputs, 2):
+        v[k] = patterns[p] & mask
+    for f, o, a, b in n._program:
+        v[o] = f(v[a], v[b])
+    return dict(zip(n.nets, v))
 
 
 _TT_VAR_CACHE = {}
@@ -211,11 +253,15 @@ def tt_var(j, m):
         hit = _TT_VAR_CACHE.get((j, m))
         if hit is not None:
             return hit
-    half = 1 << j
-    chunk = ((1 << half) - 1) << half
-    period = half * 2
-    reps = ((1 << (1 << m)) - 1) // ((1 << period) - 1)
-    out = chunk * reps
+    if j < 3:
+        block = (b"\xaa", b"\xcc", b"\xf0")[j]
+    else:
+        half = 1 << (j - 3)
+        block = b"\0" * half + b"\xff" * half
+    nbytes = max(1, (1 << m) >> 3)
+    out = int.from_bytes(block * (nbytes // len(block)), "little")
+    if m < 3:
+        out &= (1 << (1 << m)) - 1
     if m <= 16:
         _TT_VAR_CACHE[(j, m)] = out
     return out

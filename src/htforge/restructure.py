@@ -969,8 +969,10 @@ def fraig(g: AigGraph, sim_words=16, seed=0) -> AigGraph:
 # ---------------------------------------------------------------------------
 # recipes
 
-PASS_NAMES = ("strash", "balance", "rewrite", "refactor", "resub", "fraig",
-              "gate_size")
+# pass name -> the keyword params its pass function takes (see _run_step)
+PASS_PARAMS = {"strash": (), "balance": (), "rewrite": ("cut_size", "max_cuts"),
+               "refactor": ("max_cone_inputs",), "resub": ("max_divisors",),
+               "fraig": ("sim_words",), "gate_size": ()}
 
 
 @dataclass(frozen=True)
@@ -992,8 +994,11 @@ class Recipe:
         if not self.steps or self.steps[0].name != "strash":
             raise ValueError("every recipe must begin with strash")
         for s in self.steps:
-            if s.name not in PASS_NAMES:
+            if s.name not in PASS_PARAMS:
                 raise ValueError(f"unknown pass '{s.name}'")
+            for key, _ in s.params:
+                if key not in PASS_PARAMS[s.name]:
+                    raise ValueError(f"unknown param '{key}' for pass '{s.name}'")
 
 
 @dataclass
@@ -1072,16 +1077,13 @@ def _run_step(aig, step, eff_seed):
     if step.name == "balance":
         return balance(aig, seed=eff_seed)
     if step.name == "rewrite":
-        return rewrite(aig, cut_size=p.get("cut_size", 4),
-                       max_cuts=p.get("max_cuts", 8), seed=eff_seed)
+        return rewrite(aig, seed=eff_seed, **p)
     if step.name == "refactor":
-        return refactor(aig, max_cone_inputs=p.get("max_cone_inputs", 10),
-                        seed=eff_seed)
+        return refactor(aig, seed=eff_seed, **p)
     if step.name == "resub":
-        return resubstitute(aig, max_divisors=p.get("max_divisors", 20),
-                            seed=eff_seed)
+        return resubstitute(aig, seed=eff_seed, **p)
     if step.name == "fraig":
-        return fraig(aig, sim_words=p.get("sim_words", 16), seed=eff_seed)
+        return fraig(aig, seed=eff_seed, **p)
     if step.name == "gate_size":
         return aig  # grouping applies at netlist emission
     raise ValueError(f"unknown pass '{step.name}'")

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .analysis import NetStats, ScoapValues, rare_nets, scoap, signal_prob
-from .netlist import (CONST0, CONST1, Gate, Netlist, decode, simulate,
+from .netlist import (CONST0, CONST1, Gate, Netlist, simulate,
                       simulate_packed, stimuli, trigger_word)
 
 
@@ -173,11 +173,29 @@ def _conflict(vals, trigger):
 
 
 def _activations(patterns, act, limit):
-    """Decode up to ``limit`` set bits of ``act``, lowest first."""
-    found = []
-    while act and len(found) < limit:
-        found.append(decode(patterns, (act & -act).bit_length() - 1))
-        act &= act - 1
+    """Decode up to ``limit`` set bits of ``act``, lowest first.
+
+    Same result as decode() per bit, but a probe word can be 2^18 bits
+    wide, so each word is converted once: one bin() of ``act`` locates the
+    bits, one to_bytes() per PI word reads them.
+    """
+    s = bin(act)
+    bits = []
+    k = len(s)
+    while len(bits) < limit:
+        k = s.rfind("1", 2, k)
+        if k < 0:
+            break
+        bits.append(len(s) - 1 - k)
+    if not bits:
+        return []
+    nbytes = (bits[-1] >> 3) + 1
+    low = (1 << 8 * nbytes) - 1
+    found = [{} for _ in bits]
+    for p, w in patterns.items():
+        wb = (w & low).to_bytes(nbytes, "little")
+        for row, bit in zip(found, bits):
+            row[p] = wb[bit >> 3] >> (bit & 7) & 1
     return found
 
 
@@ -246,22 +264,21 @@ def _search_backtrack(cone, trigger, budget, seed):
 PROBE_VECTORS = 1 << 18
 
 
-def _probe_activation(n: Netlist, trigger, seed, width=PROBE_VECTORS,
+def _probe_activation(cone: Netlist, trigger, seed, width=PROBE_VECTORS,
                       limit=48):
-    """Random-probe a trigger's joint activation over its support cone.
+    """Random-probe a trigger's joint activation over its support cone
+    (see _cone_netlist).
 
-    Returns (cone, hit count over ``width`` vectors, activating
-    assignments found, capped at ``limit``).  The probe is wide so
-    candidate ranking can tell truly rare joint triggers from merely
-    uncommon ones.
+    Returns (hit count over ``width`` vectors, activating assignments
+    found, capped at ``limit``).  The probe is wide so candidate ranking
+    can tell truly rare joint triggers from merely uncommon ones.
     """
-    cone = _cone_netlist(n, [net for net, _ in trigger])
     if not cone.inputs:
-        return cone, 0, []
+        return 0, []
     patterns, _ = next(stimuli(cone.inputs, width, seed,
                                chunk_bits=width.bit_length()))
     act = trigger_word(simulate_packed(cone, patterns, width), trigger, width)
-    return cone, act.bit_count(), _activations(patterns, act, limit)
+    return act.bit_count(), _activations(patterns, act, limit)
 
 
 def _rare_activations(cone, trigger, limit, seed):
@@ -404,30 +421,31 @@ def insert_trojan(n: Netlist, spec: TrojanSpec, stats=None):
         if trigger in seen:
             continue
         seen.add(trigger)
-        cone, hits, probes = _probe_activation(n, trigger,
-                                               seed=spec.seed + attempt)
+        cone = _cone_netlist(n, [net for net, _ in trigger])
+        hits, probes = _probe_activation(cone, trigger,
+                                         seed=spec.seed + attempt)
         if hits == 0:
-            _, hits2, _ = _probe_activation(n, trigger,
-                                            seed=spec.seed ^ 0x7F4A ^ attempt)
+            hits2, _ = _probe_activation(cone, trigger,
+                                         seed=spec.seed ^ 0x7F4A ^ attempt)
             key = (0, hits2, attempt)
         else:
             key = (1, hits, attempt)
-        candidates.append((key, attempt, trigger, cone, probes))
+        candidates.append((key, attempt, trigger, probes))
     candidates.sort(key=lambda c: c[0])
 
-    for _key, attempt, trigger, cone, probes in candidates:
+    for _key, attempt, trigger, probes in candidates:
+        roots = [net for net, _ in trigger]
         activations = probes or _rare_activations(
-            cone, trigger, 48, seed=spec.seed + attempt)
+            _cone_netlist(n, roots), trigger, 48, seed=spec.seed + attempt)
         if not activations:
             continue  # unsatisfiable or not found within budget
-        support = cone.inputs
-        tfi = _tfi_nets(n, [net for net, _ in trigger])
+        tfi = _tfi_nets(n, roots)
         victims = [v for v in gate_outs if v not in tfi and v in po_reach]
         if not victims:
             continue
         rng.shuffle(victims)
         fresh = _fresh_namer(n)
-        side_pis = [p for p in n.inputs if p not in support]
+        side_pis = [p for p in n.inputs if p not in tfi]
         for victim in victims[:40]:
             infected, trig_net, pre, payload_name, rec_gates = _build_infected(
                 n, trigger, victim, fresh)

@@ -17,6 +17,7 @@ from htforge.netlist import (
     simulate_packed,
     stimuli,
     to_json_dict,
+    tt_var,
     validate,
     write_netlist,
 )
@@ -237,6 +238,61 @@ def test_simulate_packed_agrees_with_scalar():
             vals = simulate(n, stim)
             for net in n.nets:
                 assert (packed[net] >> row) & 1 == vals[net]
+
+
+def _kernel_netlist():
+    """Every gate kind at arities 1-5, constants and a repeated input as
+    gate inputs, a PO driven straight by a PI, gates out of topological
+    order.  Built directly, so validate()'s arity rule does not apply."""
+    srcs = ("a", "b", "c", "d", CONST0, "a", "e", CONST1)
+    gates = []
+    for kind in ("BUF", "NOT", "AND", "OR", "XOR", "NAND", "NOR", "XNOR"):
+        for k in range(1, 6):
+            ins = tuple(srcs[(k + j) % len(srcs)] for j in range(k))
+            gates.append(Gate(kind, f"{kind.lower()}{k}", ins))
+    outs = tuple(g.output for g in gates)
+    gates.append(Gate("AND", "rep", ("a", "a")))
+    gates.append(Gate("XNOR", "mix", ("rep", "nand3", "nor5")))
+    gates.append(Gate("OR", "top", ("mix", "xor4", CONST0)))
+    gates.reverse()
+    return Netlist("kernel", ("a", "b", "c", "d", "e"),
+                   ("top", "b") + outs, tuple(gates))
+
+
+def test_simulate_packed_kernel_matches_scalar_at_two_widths():
+    n = _kernel_netlist()
+    patterns, width = next(stimuli(n.inputs))
+    assert width == 32
+    rng = random.Random(7)
+    # bits above the chunk width must be ignored
+    dirty = {p: w | rng.getrandbits(64) << width for p, w in patterns.items()}
+    for w in (width, 12):
+        packed = simulate_packed(n, dirty, w)
+        assert set(packed) == set(n.nets)
+        for bit in range(w):
+            vals = simulate(n, decode(patterns, bit))
+            for net in n.nets:
+                assert (packed[net] >> bit) & 1 == vals[net], (w, bit, net)
+        assert all(v >> w == 0 for v in packed.values())
+
+
+def test_simulate_packed_rejects_duplicate_inputs():
+    n = Netlist("dup", ("a", "b", "a"), ("y",), (Gate("AND", "y", ("a", "b")),))
+    with pytest.raises(NetlistError, match="distinct primary inputs"):
+        simulate_packed(n, {"a": 1, "b": 1}, 1)
+
+
+def _tt_var_formula(j, m):
+    half = 1 << j
+    chunk = ((1 << half) - 1) << half
+    reps = ((1 << (1 << m)) - 1) // ((1 << 2 * half) - 1)
+    return chunk * reps
+
+
+def test_tt_var_matches_formula_up_to_20_vars():
+    for m in range(1, 21):
+        for j in range(m):
+            assert tt_var(j, m) == _tt_var_formula(j, m), (j, m)
 
 
 def test_validate_soundness_simulate_never_fails():

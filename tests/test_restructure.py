@@ -327,6 +327,15 @@ def test_recipe_validation():
         Recipe(0, (PassStep("strash"), PassStep("optimize")))
 
 
+def test_recipe_rejects_unknown_params():
+    with pytest.raises(ValueError, match="'cut_sise' for pass 'rewrite'"):
+        recipe_from_steps([{"pass": "rewrite", "params": {"cut_sise": 5}}])
+    with pytest.raises(ValueError, match="'exact_budget' for pass 'fraig'"):
+        recipe_from_steps([{"pass": "fraig", "params": {"exact_budget": 9}}])
+    r = recipe_from_steps([{"pass": "rewrite", "params": {"cut_size": 5}}])
+    assert r.steps[1].param_dict() == {"cut_size": 5}
+
+
 def test_apply_recipe_full_adder_depth(full_adder):
     out, reports = apply_recipe(full_adder, RECIPES[1], seed=0)
     assert truth_signature(out) == truth_signature(full_adder)

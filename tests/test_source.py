@@ -28,3 +28,16 @@ def test_no_assert_guards_a_result():
             if scope != ("_Work", "check"):
                 found.append(f"{path.name}:{line} in {'.'.join(scope) or '<module>'}")
     assert not found, found
+
+
+def test_no_exec_eval_or_compile():
+    # simulation runs a lowered data program; no code is generated from
+    # netlist names, which come from user Verilog
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("exec", "eval", "compile")):
+                found.append(f"{path.name}:{node.lineno} {node.func.id}()")
+    assert not found, found

@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
 from htforge.analysis import exact_signal_prob
 from htforge.equiv import CheckConfig, check_trojan_semantics
-from htforge.netlist import parse_netlist, simulate, validate
+from htforge.netlist import decode, parse_netlist, simulate, stimuli, validate
 from htforge.trojan import (
+    PROBE_VECTORS,
     InsertionError,
     InsufficientRareNetsError,
     TrojanRecord,
     TrojanSpec,
+    _activations,
     activation_estimate,
     find_trigger_witness,
     insert_trojan,
@@ -187,3 +191,30 @@ def test_stealth_exhaustive_on_seeded_insertions():
             continue
         verdict = check_trojan_semantics(n, infected, rec, cfg)
         assert verdict.ok, verdict.reason
+
+
+def _activations_per_bit(patterns, act, limit):
+    found = []
+    while act and len(found) < limit:
+        found.append(decode(patterns, (act & -act).bit_length() - 1))
+        act &= act - 1
+    return found
+
+
+def test_activations_match_per_bit_decode_on_probe_word():
+    pis = tuple(f"x{k}" for k in range(9))
+    patterns, width = next(stimuli(pis, PROBE_VECTORS, seed=4,
+                                   chunk_bits=PROBE_VECTORS.bit_length()))
+    assert width == PROBE_VECTORS
+    rng = random.Random(1)
+    sparse = 0
+    for bit in rng.sample(range(width), 60):
+        sparse |= 1 << bit
+    dense = patterns["x0"] & patterns["x3"] & ~patterns["x5"]
+    top = 1 << (width - 1) | 1 << (width - 9)
+    for act in (0, 1, top, sparse, dense):
+        for limit in (1, 48, 100):
+            got = _activations(patterns, act, limit)
+            want = _activations_per_bit(patterns, act, limit)
+            assert got == want
+            assert [list(d) for d in got] == [list(d) for d in want]
