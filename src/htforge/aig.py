@@ -8,8 +8,6 @@ strictly smaller than the node's own index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .netlist import CONST0, CONST1, Gate, Netlist, NetlistError, tt_var
 
 TRUE = 0
@@ -30,6 +28,18 @@ def lit_comp(l):
 
 def lit_not(l):
     return l ^ 1
+
+
+def and_key(a, b):
+    """AND(a, b) under the constant and idempotence rules: the result
+    literal when they decide it, else the fanin pair in hash-key order."""
+    if a == b or b == TRUE:
+        return a
+    if a == TRUE:
+        return b
+    if a == b ^ 1 or a == FALSE or b == FALSE:
+        return FALSE
+    return (a, b) if a < b else (b, a)
 
 
 class AigGraph:
@@ -70,6 +80,8 @@ class AigGraph:
 
     def fanins(self, node):
         j = node - 1 - len(self.pi_names)
+        if j < 0:
+            raise ValueError(f"node {node} is a PI or the constant, not an AND")
         return self.fan0[j], self.fan1[j]
 
     def pi_lit(self, k):
@@ -96,21 +108,13 @@ class AigBuilder:
 
     def and2(self, a, b):
         if self.table is not None:
-            if a == b:
-                return a
-            if a == lit_not(b):
-                return FALSE
-            if a == TRUE:
-                return b
-            if b == TRUE:
-                return a
-            if a == FALSE or b == FALSE:
-                return FALSE
-            if a > b:
-                a, b = b, a
-            hit = self.table.get((a, b))
+            key = and_key(a, b)
+            if type(key) is int:
+                return key
+            hit = self.table.get(key)
             if hit is not None:
                 return hit
+            a, b = key
         node = 1 + len(self.pi_names) + len(self.fan0)
         self.fan0.append(a)
         self.fan1.append(b)
@@ -167,24 +171,24 @@ def to_aig(n: Netlist) -> AigGraph:
     return b.build()
 
 
-def strash(g: AigGraph) -> AigGraph:
-    """Structurally hash: merge identical ordered-fanin nodes, normalize
-    fanin order, and propagate constants.  Idempotent."""
-    b = AigBuilder(g.pi_names, hashing=True)
-    node_map = list(range(0, 2 * (1 + g.n_pis), 2))  # const + PIs map to themselves
-
-    def mapped(l):
-        return node_map[l >> 1] ^ (l & 1)
-
-    for j in range(g.n_ands):
-        node_map.append(b.and2(mapped(g.fan0[j]), mapped(g.fan1[j])))
-    for name, l in g.pos:
-        b.add_po(name, mapped(l))
+def _rehash(pi_names, fan0, fan1, base, order, pos):
+    """Re-add the AND nodes in ``order`` (fanins first) through a hashing
+    builder; node v's fanins are ``fan0[v - base]``, ``fan1[v - base]``.
+    The constant and the PIs map to themselves; ``pos`` holds (name,
+    literal) pairs."""
+    b = AigBuilder(pi_names, hashing=True)
+    node_map = list(range(0, 2 * (base + len(fan0)), 2))
+    for v in order:
+        f0, f1 = fan0[v - base], fan1[v - base]
+        node_map[v] = b.and2(node_map[f0 >> 1] ^ (f0 & 1),
+                             node_map[f1 >> 1] ^ (f1 & 1))
+    for nm, l in pos:
+        b.add_po(nm, node_map[l >> 1] ^ (l & 1))
     return b.build()
 
 
-def strip_unreachable(g: AigGraph) -> AigGraph:
-    """Drop nodes with no path to any PO (function unchanged)."""
+def _live_ands(g: AigGraph):
+    """The AND nodes with a path to some PO."""
     live = set()
     stack = [l >> 1 for _, l in g.pos]
     while stack:
@@ -195,20 +199,20 @@ def strip_unreachable(g: AigGraph) -> AigGraph:
         f0, f1 = g.fanins(node)
         stack.append(f0 >> 1)
         stack.append(f1 >> 1)
-    b = AigBuilder(g.pi_names, hashing=True)
-    node_map = {v: lit(v) for v in range(1 + g.n_pis)}
-    node_map[0] = TRUE
+    return live
+
+
+def strash(g: AigGraph) -> AigGraph:
+    """Structurally hash: merge identical ordered-fanin nodes, normalize
+    fanin order, and propagate constants.  Idempotent."""
     base = 1 + g.n_pis
-    for j in range(g.n_ands):
-        node = base + j
-        if node not in live:
-            continue
-        f0, f1 = g.fan0[j], g.fan1[j]
-        node_map[node] = b.and2(node_map[f0 >> 1] ^ (f0 & 1),
-                                node_map[f1 >> 1] ^ (f1 & 1))
-    for nm, l in g.pos:
-        b.add_po(nm, node_map[l >> 1] ^ (l & 1))
-    return b.build()
+    return _rehash(g.pi_names, g.fan0, g.fan1, base, range(base, g.n_nodes), g.pos)
+
+
+def strip_unreachable(g: AigGraph) -> AigGraph:
+    """Drop nodes with no path to any PO (function unchanged)."""
+    return _rehash(g.pi_names, g.fan0, g.fan1, 1 + g.n_pis,
+                   sorted(_live_ands(g)), g.pos)
 
 
 def aig_simulate(g: AigGraph, pi_words, width):
@@ -246,65 +250,30 @@ def exhaustive_signatures(g: AigGraph):
 # ---------------------------------------------------------------------------
 # cut enumeration
 
-@dataclass(frozen=True)
-class Cut:
-    leaves: tuple  # ascending node indices
-    tt: int        # truth table over the leaves, leaf j = variable j
-
-
-def cone_tt(g: AigGraph, root, leaves):
-    """Truth table of ``root`` over ``leaves``, by simulating the cone with
-    the leaves pinned to the standard variable patterns."""
-    m = len(leaves)
-    width = 1 << m
-    mask = (1 << width) - 1
-    val = {0: mask}
-    for j, leaf in enumerate(leaves):
-        val[leaf] = tt_var(j, m)
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node in val:
-            stack.pop()
-            continue
-        f0, f1 = g.fanins(node)
-        deps = [v for v in (f0 >> 1, f1 >> 1) if v not in val]
-        if deps:
-            stack.extend(deps)
-            continue
-        a = val[f0 >> 1] ^ (mask if f0 & 1 else 0)
-        b = val[f1 >> 1] ^ (mask if f1 & 1 else 0)
-        val[node] = a & b
-        stack.pop()
-    return val[root]
-
-
 def enumerate_cuts(g: AigGraph, k=6, max_cuts=8):
-    """K-feasible cuts per node with truth tables, smallest cuts first.
+    """K-feasible cuts per node as ascending leaf-node tuples, smallest first.
 
     Every node keeps its trivial cut (listed last) plus up to max_cuts-1
-    merged cuts, prioritized by leaf count.
+    merged cuts, prioritized by leaf count; the constant node has none.
+    Truth tables over a cut come from ``restructure._Work.cone_tt``.
     """
-    cuts = [[] for _ in range(g.n_nodes)]
+    cuts = [()] * g.n_nodes
     for node in range(1, 1 + g.n_pis):
-        cuts[node] = [Cut((node,), 0b10)]
+        cuts[node] = ((node,),)
     base = 1 + g.n_pis
     for j in range(g.n_ands):
         node = base + j
-        f0, f1 = g.fan0[j] >> 1, g.fan1[j] >> 1
         seen = set()
         merged = []
-        for c0 in cuts[f0]:
-            for c1 in cuts[f1]:
-                leaves = tuple(sorted(set(c0.leaves) | set(c1.leaves)))
+        for c0 in cuts[g.fan0[j] >> 1]:
+            for c1 in cuts[g.fan1[j] >> 1]:
+                leaves = tuple(sorted(set(c0) | set(c1)))
                 if len(leaves) > k or leaves in seen:
                     continue
                 seen.add(leaves)
                 merged.append(leaves)
         merged.sort(key=lambda ls: (len(ls), ls))
-        out = [Cut(ls, cone_tt(g, node, ls)) for ls in merged[:max_cuts - 1]]
-        out.append(Cut((node,), 0b10))
-        cuts[node] = out
+        cuts[node] = tuple(merged[:max_cuts - 1]) + ((node,),)
     return cuts
 
 
@@ -319,17 +288,7 @@ def from_aig(g: AigGraph, group_multi_input_and=False, name="aig") -> Netlist:
     PI and PO names and order are preserved; internal nets are renamed
     n0, n1, ... in emission order.
     """
-    live = set()
-    stack = [l >> 1 for _, l in g.pos]
-    while stack:
-        node = stack.pop()
-        if node in live or not g.is_and(node):
-            continue
-        live.add(node)
-        f0, f1 = g.fanins(node)
-        stack.append(f0 >> 1)
-        stack.append(f1 >> 1)
-
+    live = _live_ands(g)
     refs = {node: 0 for node in live}
     comp_ref = set()
     for node in live:

@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,22 +45,6 @@ from .judge import (
 from .netlist import NetlistError, parse_netlist, to_json_dict, write_netlist
 from .restructure import RECIPES, RestructureError, apply_recipe, recipe_from_steps
 from .trojan import InsertionError, TrojanSpec, insert_trojan
-
-
-@dataclass
-class GlobalConfig:
-    seed: int = 0
-    threads: int = 1
-    exhaustive_bound: int = 24
-    sample_vectors: int = 100_000
-    out_dir: str = "."
-    log_level: str = "info"
-
-    def as_dict(self):
-        return {"seed": self.seed, "threads": self.threads,
-                "exhaustive_bound": self.exhaustive_bound,
-                "sample_vectors": self.sample_vectors,
-                "out_dir": self.out_dir, "log_level": self.log_level}
 
 
 def _seed_from(args):

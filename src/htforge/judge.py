@@ -243,7 +243,7 @@ def confidence_value(fp_rate, fn_rate, alpha) -> float:
 
 def forge_benchmark(cfg: ForgeConfig):
     """Produce (BenchmarkSet, AnswerKey); a pure function of the config."""
-    variants = []   # (golden_name, j, k, recipe_id, text, key_entry)
+    variants = []   # _forge_variant tuples, in forging order
     for gi, (gname, golden) in enumerate(cfg.golden):
         infected_js = _infection_plan(cfg, gi, gname)
         for j in range(cfg.nb):
@@ -264,11 +264,10 @@ def forge_benchmark(cfg: ForgeConfig):
 
     entries = []
     key_entries = {}
-    for var_index, (gname, j, k, recipe_id, netlist, trojan_rec, seeds) in \
+    for var_index, (gname, j, k, recipe_id, ports_gates, trojan_rec, seeds) in \
             enumerate(variants):
         eid = assigned[var_index]
-        renamed = Netlist(eid, netlist.inputs, netlist.outputs, netlist.gates)
-        text = write_netlist(renamed)
+        text = write_netlist(Netlist(eid, *ports_gates))
         entries.append((eid, text))
         key_entries[eid] = {
             "golden": gname, "recipe_id": recipe_id, "k": 1 if k else 0,
@@ -374,7 +373,9 @@ def _forge_variant(cfg, gname, golden, j, infected, recipe_id):
         if all(vg[po] == vv[po] for po in golden.outputs):
             raise JudgeError(f"generation bug: witness for {gname}/{j} no "
                              "longer flips an output after restructuring")
-    return (gname, j, infected, recipe_id, variant, trojan_rec, seeds)
+    # keep only what emission needs, not the netlist's cached views
+    return (gname, j, infected, recipe_id,
+            (variant.inputs, variant.outputs, variant.gates), trojan_rec, seeds)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ treats a failure as an internal bug, not a user condition.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -20,8 +21,10 @@ from .aig import (
     TRUE,
     AigBuilder,
     AigGraph,
+    _rehash,
     aig_simulate,
-    cone_tt,
+    and_key,
+    enumerate_cuts,
     from_aig,
     lit,
     lit_not,
@@ -67,6 +70,7 @@ class _Work:
         self.po_names = [nm for nm, _ in g.pos]
         self.sim_width = 64 * sim_words
         self.sig = None
+        self._supports = {}
         if sim_words:
             rng = random.Random(seed)
             self.sig = [(1 << self.sim_width) - 1]
@@ -97,21 +101,13 @@ class _Work:
 
     def and2(self, a, b):
         """Hashed AND with the constant rules; creates a node on miss."""
-        if a == b:
-            return a
-        if a == lit_not(b):
-            return FALSE
-        if a == TRUE:
-            return b
-        if b == TRUE:
-            return a
-        if a == FALSE or b == FALSE:
-            return FALSE
-        if a > b:
-            a, b = b, a
-        hit = self.table.get((a, b))
+        key = and_key(a, b)
+        if type(key) is int:
+            return key
+        hit = self.table.get(key)
         if hit is not None:
             return lit(hit)
+        a, b = key
         node = len(self.fan0)
         self.fan0.append(a)
         self.fan1.append(b)
@@ -177,6 +173,7 @@ class _Work:
                     nf0 = nl ^ (nf0 & 1)
                 if (nf1 >> 1) == old:
                     nf1 = nl ^ (nf1 & 1)
+                key = and_key(nf0, nf1)
                 if nf0 > nf1:
                     nf0, nf1 = nf1, nf0
                 self.nref[of0 >> 1] -= 1
@@ -188,20 +185,11 @@ class _Work:
                 self.nref[nf1 >> 1] += 1
                 self.fanouts[nf0 >> 1].add(m)
                 self.fanouts[nf1 >> 1].add(m)
-                t = None
-                if nf0 == nf1:
-                    t = nf0
-                elif nf0 == lit_not(nf1):
-                    t = FALSE
-                elif nf0 == TRUE:
-                    t = nf1
-                elif nf0 == FALSE:
-                    t = FALSE
-                if t is not None:
-                    self.nref[t >> 1] += 1  # pin
-                    queue.append((m, t))
+                if type(key) is int:
+                    self.nref[key >> 1] += 1  # pin
+                    queue.append((m, key))
                     continue
-                other = self.table.get((nf0, nf1))
+                other = self.table.get(key)
                 if other is not None and other != m:
                     self.nref[other] += 1  # pin
                     queue.append((m, lit(other)))
@@ -212,26 +200,9 @@ class _Work:
 
     # -- analysis helpers
 
-    def mffc_size(self, root, pins=None):
-        """Nodes that would die if root's consumers vanished, honoring
-        extra pin references on some nodes."""
-        dec = {}
-        count = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            count += 1
-            for f in (self.fan0[v], self.fan1[v]):
-                u = f >> 1
-                if u < self.first_and or self.dead[u]:
-                    continue
-                dec[u] = dec.get(u, 0) + 1
-                need = self.nref[u] + (pins.get(u, 0) if pins else 0)
-                if dec[u] == need:
-                    stack.append(u)
-        return count
-
-    def mffc_set(self, root):
+    def mffc(self, root, pins=None):
+        """Nodes that would die if root's consumers vanished (root
+        included), honoring extra pin references on some nodes."""
         dec = {}
         out = {root}
         stack = [root]
@@ -242,14 +213,17 @@ class _Work:
                 if u < self.first_and or self.dead[u]:
                     continue
                 dec[u] = dec.get(u, 0) + 1
-                if dec[u] == self.nref[u]:
+                need = self.nref[u] + (pins.get(u, 0) if pins else 0)
+                if dec[u] == need:
                     out.add(u)
                     stack.append(u)
         return out
 
-    def cone_tt(self, root, leaves):
+    def cone_tt(self, root, leaves, max_steps=512):
         """Truth table of root over the leaf nodes, or None when the cone
-        escapes the leaves (stale cut) or grows past 512 nodes."""
+        escapes the leaves (stale cut) or takes more than ``max_steps``
+        walk steps.  Local passes keep the default cap; fraig's proofs
+        pass ``math.inf``."""
         m = len(leaves)
         mask = (1 << (1 << m)) - 1
         val = {0: mask}
@@ -267,7 +241,7 @@ class _Work:
             if nd < self.first_and or self.dead[nd]:
                 return None
             steps += 1
-            if steps > 512:
+            if steps > max_steps:
                 return None
             f0, f1 = self.fan0[nd], self.fan1[nd]
             deps = [u for u in (f0 >> 1, f1 >> 1) if u not in val]
@@ -284,7 +258,12 @@ class _Work:
         return val[root]
 
     def support(self, node):
-        """PI-index bitmask of the structural support of a node."""
+        """PI-index bitmask of the structural support of a node, walked on
+        the first call and memoized from then on (replace() does not
+        refresh it)."""
+        hit = self._supports.get(node)
+        if hit is not None:
+            return hit
         out = 0
         seen = set()
         stack = [node]
@@ -298,6 +277,7 @@ class _Work:
             else:
                 stack.append(self.fan0[v] >> 1)
                 stack.append(self.fan1[v] >> 1)
+        self._supports[node] = out
         return out
 
     # -- candidate evaluation
@@ -324,19 +304,10 @@ class _Work:
             a = walk(t[1])
             b = walk(t[2])
             if isinstance(a, int) and isinstance(b, int):
-                if a == b:
-                    return a
-                if a == lit_not(b):
-                    return FALSE
-                if a == TRUE:
-                    return b
-                if b == TRUE:
-                    return a
-                if a == FALSE or b == FALSE:
-                    return FALSE
-                if a > b:
-                    a, b = b, a
-                hit = self.table.get((a, b))
+                key = and_key(a, b)
+                if type(key) is int:
+                    return key
+                hit = self.table.get(key)
                 if hit is not None:
                     return lit(hit)
             ka, kb = sorted((a, b), key=_vkey)
@@ -357,8 +328,7 @@ class _Work:
             if (out >> 1) == root:
                 return None
             pins[out >> 1] = pins.get(out >> 1, 0) + self.nref[root]
-        freed = self.mffc_size(root, pins)
-        return freed - added, tree
+        return len(self.mffc(root, pins)) - added, tree
 
     def commit(self, root, tree):
         def build(t):
@@ -395,29 +365,28 @@ class _Work:
         """Compact the live reachable structure into a fresh AigGraph.
 
         Node indices stop being topologically ordered once replace() has
-        run, so the cones are walked depth-first from the POs.
+        run, so the nodes are re-added in depth-first post-order from the
+        POs.
         """
-        b = AigBuilder(self.pi_names, hashing=True)
-        node_map = {0: TRUE}
-        for k in range(self.n_pis):
-            node_map[1 + k] = b.pi(k)
-        for nm, pl in zip(self.po_names, self.pos):
+        done = set(range(self.first_and))
+        order = []
+        for pl in self.pos:
             stack = [pl >> 1]
             while stack:
                 u = stack[-1]
-                if u in node_map:
+                if u in done:
                     stack.pop()
                     continue
-                f0, f1 = self.fan0[u], self.fan1[u]
-                deps = [x for x in (f0 >> 1, f1 >> 1) if x not in node_map]
+                deps = [x for x in (self.fan0[u] >> 1, self.fan1[u] >> 1)
+                        if x not in done]
                 if deps:
                     stack.extend(deps)
                     continue
-                node_map[u] = b.and2(node_map[f0 >> 1] ^ (f0 & 1),
-                                     node_map[f1 >> 1] ^ (f1 & 1))
+                done.add(u)
+                order.append(u)
                 stack.pop()
-            b.add_po(nm, node_map[pl >> 1] ^ (pl & 1))
-        return b.build()
+        return _rehash(self.pi_names, self.fan0, self.fan1, 0, order,
+                       zip(self.po_names, self.pos))
 
     def check(self):
         """Internal consistency assertions (used by tests)."""
@@ -595,36 +564,6 @@ def synth_tree(tt, m, leaf_lits):
 
 
 # ---------------------------------------------------------------------------
-# light cut enumeration (leaf sets only)
-
-def _cut_leaves(g: AigGraph, k, max_cuts):
-    cuts = [((),)] * g.n_nodes
-    for node in range(1, 1 + g.n_pis):
-        cuts[node] = ((node,),)
-    base = 1 + g.n_pis
-    out = [()] * g.n_nodes
-    for j in range(g.n_ands):
-        node = base + j
-        f0, f1 = g.fan0[j] >> 1, g.fan1[j] >> 1
-        seen = set()
-        merged = []
-        for c0 in cuts[f0]:
-            for c1 in cuts[f1]:
-                if not c0 or not c1:
-                    continue
-                leaves = tuple(sorted(set(c0) | set(c1)))
-                if len(leaves) > k or leaves in seen:
-                    continue
-                seen.add(leaves)
-                merged.append(leaves)
-        merged.sort(key=lambda ls: (len(ls), ls))
-        merged = merged[:max_cuts - 1]
-        cuts[node] = tuple(merged) + ((node,),)
-        out[node] = tuple(merged)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # passes
 
 def balance(g: AigGraph, seed=0) -> AigGraph:
@@ -701,7 +640,7 @@ def rewrite(g: AigGraph, cut_size=4, max_cuts=8, seed=0) -> AigGraph:
     its truth table; replacements accepted only with non-negative gain."""
     g = strash(g)
     rng = random.Random(seed)
-    node_cuts = _cut_leaves(g, cut_size, max_cuts)
+    node_cuts = enumerate_cuts(g, cut_size, max_cuts)
     w = _Work(g)
     before = w.live
     for node in range(1 + g.n_pis, g.n_nodes):
@@ -709,7 +648,7 @@ def rewrite(g: AigGraph, cut_size=4, max_cuts=8, seed=0) -> AigGraph:
             continue
         cand = []
         for leaves in node_cuts[node]:
-            if len(leaves) < 2:
+            if len(leaves) < 2:  # the trivial cut
                 continue
             if any(v >= w.first_and and w.dead[v] for v in leaves):
                 continue
@@ -787,18 +726,11 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
     w = _Work(g, sim_words=2, seed=seed ^ 0x5EED)
     mask = (1 << w.sim_width) - 1
     before = w.live
-    supports = {}
-
-    def supp(v):
-        if v not in supports:
-            supports[v] = w.support(v)
-        return supports[v]
-
     for node in range(1 + g.n_pis, g.n_nodes):
         if w.dead[node] or w.nref[node] == 0:
             continue
-        mffc = w.mffc_set(node)
-        s_node = supp(node)
+        mffc = w.mffc(node)
+        s_node = w.support(node)
         pi_nodes = tuple(1 + k for k in _bits(s_node))
         if not pi_nodes or len(pi_nodes) > 20:
             continue
@@ -809,7 +741,7 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
                 continue
             if d in mffc:
                 continue
-            if supp(d) & ~s_node:
+            if w.support(d) & ~s_node:
                 continue
             divs.append(d)
             if len(divs) >= max_divisors:
@@ -897,37 +829,16 @@ def fraig(g: AigGraph, sim_words=16, seed=0) -> AigGraph:
     mask = (1 << width) - 1
     pi_words = [rng.getrandbits(width) for _ in range(g.n_pis)]
     sigs = aig_simulate(g, pi_words, width)
-
-    supports = {}
-
-    def supp(v):
-        if v in supports:
-            return supports[v]
-        out = 0
-        seen = set()
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if u in seen or u == 0:
-                continue
-            seen.add(u)
-            if u <= g.n_pis:
-                out |= 1 << (u - 1)
-            else:
-                f0, f1 = g.fanins(u)
-                stack.append(f0 >> 1)
-                stack.append(f1 >> 1)
-        supports[v] = out
-        return out
+    w = _Work(g)
 
     def proven_equal(a, b_, comp):
         """True / False for f_a == f_b ^ comp, None (unresolved) when the
         pair's PI support exceeds 20."""
-        pis = tuple(1 + k for k in _bits(supp(a) | supp(b_)))
+        pis = tuple(1 + k for k in _bits(w.support(a) | w.support(b_)))
         if len(pis) > 20:
             return None
-        ta = cone_tt(g, a, pis)
-        tb = cone_tt(g, b_, pis)
+        ta = w.cone_tt(a, pis, max_steps=math.inf)
+        tb = w.cone_tt(b_, pis, max_steps=math.inf)
         full = (1 << (1 << len(pis))) - 1
         return ta == (tb ^ (full if comp else 0))
 

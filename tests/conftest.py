@@ -120,6 +120,62 @@ def rarity_netlist(seed, n_branches=4, pis_per_branch=6, branch_gates=22):
     return Netlist(f"rar{seed}", tuple(pis), tuple(outs), tuple(gates))
 
 
+def array_multiplier(n):
+    """p = a * b over n-bit operands, summed row by row with ripple-carry
+    rows (the structure of ISCAS-85 c6288); outputs p0..p(2n-1)."""
+    a = [f"a{k}" for k in range(n)]
+    b = [f"b{k}" for k in range(n)]
+    gates = []
+
+    def gate(kind, *ins):
+        out = f"n{len(gates)}"
+        gates.append(Gate(kind, out, ins, f"g{len(gates)}"))
+        return out
+
+    def adder(x, y, c=None):
+        t = gate("XOR", x, y)
+        if c is None:
+            return t, gate("AND", x, y)
+        return gate("XOR", t, c), gate("OR", gate("AND", x, y), gate("AND", t, c))
+
+    pp = [[gate("AND", a[j], b[i]) for j in range(n)] for i in range(n)]
+    outs = [("p0", pp[0][0])]
+    acc, top = pp[0][1:], None
+    for i in range(1, n):
+        row, carry = [], None
+        for j in range(n):
+            x = acc[j] if j < n - 1 else top
+            y = pp[i][j]
+            if x is None and carry is None:
+                s, carry = y, None
+            elif x is None or carry is None:
+                s, carry = adder(y, x if x is not None else carry)
+            else:
+                s, carry = adder(x, y, carry)
+            row.append(s)
+        outs.append((f"p{i}", row[0]))
+        acc, top = row[1:], carry
+    outs += [(f"p{n + k}", s) for k, s in enumerate(acc)]
+    outs.append((f"p{2 * n - 1}", top))
+    ren = {net: port for port, net in outs}
+    gates = tuple(Gate(g.kind, ren.get(g.output, g.output),
+                       tuple(ren.get(i, i) for i in g.inputs), g.name)
+                  for g in gates)
+    return Netlist(f"mul{n}", tuple(a + b), tuple(p for p, _ in outs), gates)
+
+
+def twin_netlist(n, copy):
+    """``n`` and a function-preserving ``copy`` of it side by side on the
+    same PIs; the copy's nets, gates and POs get a ``c_`` prefix."""
+    def ren(x):
+        return x if x in n.inputs else "c_" + x
+    gates = n.gates + tuple(Gate(g.kind, ren(g.output),
+                                 tuple(ren(i) for i in g.inputs), "c_" + g.name)
+                            for g in copy.gates)
+    return Netlist(n.name + "_twin", n.inputs,
+                   n.outputs + tuple(ren(o) for o in copy.outputs), gates)
+
+
 def brute_eval(n, stimulus):
     """Independent recursive evaluator used as the simulation oracle."""
     memo = {CONST0: 0, CONST1: 1}

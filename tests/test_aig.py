@@ -1,3 +1,6 @@
+import math
+import signal
+
 import pytest
 
 from htforge.aig import (
@@ -15,6 +18,7 @@ from htforge.aig import (
     tt_var,
 )
 from htforge.netlist import Gate, Netlist, parse_netlist, simulate
+from htforge.restructure import _Work
 
 from conftest import all_stimuli, random_netlist, truth_signature
 
@@ -188,15 +192,17 @@ def test_cut_truth_tables_match_cone_oracle():
     n = random_netlist(13, n_pis=6, n_gates=25)
     g = strash(to_aig(n))
     cuts = enumerate_cuts(g, k=4, max_cuts=6)
+    w = _Work(g)
     checked = 0
     for node in range(1 + g.n_pis, g.n_nodes):
-        for cut in cuts[node]:
-            m = len(cut.leaves)
-            for row in range(1 << m):
+        for leaves in cuts[node]:
+            tt = w.cone_tt(node, leaves)
+            assert tt is not None
+            for row in range(1 << len(leaves)):
                 assignment = {leaf: (row >> j) & 1
-                              for j, leaf in enumerate(cut.leaves)}
-                expect = _cut_oracle_value(g, node, cut.leaves, assignment)
-                assert (cut.tt >> row) & 1 == expect
+                              for j, leaf in enumerate(leaves)}
+                expect = _cut_oracle_value(g, node, leaves, assignment)
+                assert (tt >> row) & 1 == expect
                 checked += 1
     assert checked > 100
 
@@ -204,10 +210,49 @@ def test_cut_truth_tables_match_cone_oracle():
 def test_cut_leaf_bound_respected():
     g = strash(to_aig(random_netlist(21, n_pis=8, n_gates=40)))
     cuts = enumerate_cuts(g, k=4, max_cuts=8)
+    assert cuts[0] == ()
+    for node in range(1, 1 + g.n_pis):
+        assert cuts[node] == ((node,),)
     for node in range(1 + g.n_pis, g.n_nodes):
         assert 1 <= len(cuts[node]) <= 8
-        assert all(len(c.leaves) <= 4 for c in cuts[node])
-        assert cuts[node][-1].leaves == (node,)
+        assert all(len(c) <= 4 and list(c) == sorted(c) for c in cuts[node])
+        assert cuts[node][-1] == (node,)
+
+
+def test_fanins_rejects_pi_and_constant():
+    # a PI or constant node used to index fan0/fan1 from the end and
+    # return some later node's fanins
+    g = strash(to_aig(random_netlist(3, n_pis=6, n_gates=20)))
+    for node in range(1 + g.n_pis):
+        with pytest.raises(ValueError):
+            g.fanins(node)
+    assert g.fanins(1 + g.n_pis) == (g.fan0[0], g.fan1[0])
+
+
+def test_cone_walk_returns_none_when_leaves_miss_a_pi():
+    # with the wrong fanins of a PI the cone walk never reached the
+    # missing leaf and ran without bound
+    def hang(signum, frame):
+        raise TimeoutError("cone walk did not terminate")
+
+    g = strash(to_aig(random_netlist(3, n_pis=6, n_gates=20)))
+    w = _Work(g)
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(30)
+    try:
+        for _, l in g.pos:
+            root = l >> 1
+            if not g.is_and(root):
+                continue
+            pis = tuple(1 + k for k in range(g.n_pis)
+                        if w.support(root) >> k & 1)
+            assert w.cone_tt(root, pis, max_steps=math.inf) is not None
+            for drop in pis:
+                leaves = tuple(p for p in pis if p != drop)
+                assert w.cone_tt(root, leaves, max_steps=math.inf) is None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_strip_unreachable_drops_dangling():

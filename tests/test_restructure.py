@@ -1,4 +1,6 @@
+import copy
 import itertools
+import math
 import signal
 
 import pytest
@@ -16,6 +18,7 @@ from htforge.restructure import (
     RECIPES,
     Recipe,
     RestructureError,
+    _Work,
     apply_recipe,
     balance,
     fraig,
@@ -27,7 +30,7 @@ from htforge.restructure import (
     synth_tree,
 )
 
-from conftest import random_netlist, rarity_netlist, truth_signature
+from conftest import array_multiplier, random_netlist, rarity_netlist, truth_signature
 
 
 def _sig(g):
@@ -43,6 +46,51 @@ def _and_chain(k):
         prev = out
     return Netlist("chain", tuple(f"i{j}" for j in range(k)), (prev,),
                    tuple(gates))
+
+
+# ---------------------------------------------------------------------------
+# work-graph helpers
+
+def test_cone_tt_cap_applies_to_local_passes_only():
+    # the top product bit of an 8x8 multiplier over all 16 PIs: fraig's
+    # uncapped proofs get its truth table, the 512-step cap of rewrite,
+    # refactor and resub gives up
+    g = strash(to_aig(array_multiplier(8)))
+    name, l = g.pos[-1]
+    assert name == "p15" and g.is_and(l >> 1)
+    w = _Work(g)
+    pis = tuple(range(1, 1 + g.n_pis))
+    tt = w.cone_tt(l >> 1, pis, max_steps=math.inf)
+    assert tt ^ (l & 1) * ((1 << (1 << 16)) - 1) == _sig(g)[-1]
+    assert w.cone_tt(l >> 1, pis) is None
+
+
+def _mffc_oracle(w, root, pins):
+    """Nodes the delete cascade kills once root loses its consumers."""
+    c = copy.deepcopy(w)
+    for u, k in pins.items():
+        c.nref[u] += k
+    c.nref[root] = 0
+    c._delete_cascade(root)
+    return {v for v in range(c.first_and, len(c.fan0))
+            if c.dead[v] and not w.dead[v]}
+
+
+def test_mffc_matches_delete_cascade_with_and_without_pins():
+    g = strash(to_aig(random_netlist(23, n_pis=9, n_gates=70)))
+    w = _Work(g)
+    checked = pinned = 0
+    for root in range(w.first_and, len(w.fan0)):
+        assert w.mffc(root) == _mffc_oracle(w, root, {})
+        inner = sorted(w.mffc(root) - {root})
+        if inner:
+            pins = {inner[0]: 1, w.fan0[root] >> 1: 2}
+            got = w.mffc(root, pins)
+            assert got == _mffc_oracle(w, root, pins)
+            assert inner[0] not in got
+            pinned += 1
+        checked += 1
+    assert checked > 50 and pinned > 10
 
 
 # ---------------------------------------------------------------------------
