@@ -541,26 +541,42 @@ def _to_lit_tree(tree, leaf_lits):
                     ("not", _to_lit_tree(tree[2], leaf_lits))))
 
 
-def synth_tree(tt, m, leaf_lits):
-    """Candidate structure for a truth table: the cheaper of the factored
-    ISOP of the function and of its complement."""
+def _factored(tt, m):
+    """The leaf-independent half of synth_tree: (inverted, tree over leaf
+    indices), the cheaper of the factored ISOP of tt and of its complement."""
     full = (1 << (1 << m)) - 1
-    tt &= full
     if tt == 0:
-        return ("lit", FALSE)
+        return False, ("const", 0)
     if tt == full:
-        return ("lit", TRUE)
+        return False, ("const", 1)
     for v in range(m):
         pv = tt_var(v, m)
         if tt == pv:
-            return ("lit", leaf_lits[v])
+            return False, ("literal", v, 1)
         if tt == (~pv & full):
-            return ("lit", lit_not(leaf_lits[v]))
+            return False, ("literal", v, 0)
     pos = _factor(isop(tt, m))
     neg = _factor(isop(~tt & full, m))
     if _tree_cost(neg) < _tree_cost(pos):
-        return ("not", _to_lit_tree(neg, leaf_lits))
-    return _to_lit_tree(pos, leaf_lits)
+        return True, neg
+    return False, pos
+
+
+def synth_tree(tt, m, leaf_lits, memo):
+    """Candidate structure for a truth table over leaf_lits: the cheaper of
+    the factored ISOP of the function and of its complement.
+
+    memo maps (tt, m) to _factored's result; a pass passes one dict to all
+    its calls, so each function it meets is synthesized once.
+    """
+    tt &= (1 << (1 << m)) - 1
+    key = (tt, m)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _factored(tt, m)
+    inverted, tree = hit
+    out = _to_lit_tree(tree, leaf_lits)
+    return ("not", out) if inverted else out
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +659,7 @@ def rewrite(g: AigGraph, cut_size=4, max_cuts=8, seed=0) -> AigGraph:
     node_cuts = enumerate_cuts(g, cut_size, max_cuts)
     w = _Work(g)
     before = w.live
+    memo = {}
     for node in range(1 + g.n_pis, g.n_nodes):
         if w.dead[node] or w.nref[node] == 0:
             continue
@@ -655,7 +672,7 @@ def rewrite(g: AigGraph, cut_size=4, max_cuts=8, seed=0) -> AigGraph:
             tt = w.cone_tt(node, leaves)
             if tt is None:
                 continue
-            tree = synth_tree(tt, len(leaves), [lit(v) for v in leaves])
+            tree = synth_tree(tt, len(leaves), [lit(v) for v in leaves], memo)
             res = w.trial(node, tree)
             if res is None:
                 continue
@@ -681,6 +698,7 @@ def refactor(g: AigGraph, max_cone_inputs=10, seed=0) -> AigGraph:
     g = strash(g)
     w = _Work(g)
     before = w.live
+    memo = {}
     n_orig = g.n_nodes
     for node in range(1 + g.n_pis, n_orig):
         if w.dead[node] or w.nref[node] == 0:
@@ -706,7 +724,7 @@ def refactor(g: AigGraph, max_cone_inputs=10, seed=0) -> AigGraph:
         tt = w.cone_tt(node, leaves)
         if tt is None:
             continue
-        tree = synth_tree(tt, len(leaves), [lit(v) for v in leaves])
+        tree = synth_tree(tt, len(leaves), [lit(v) for v in leaves], memo)
         res = w.trial(node, tree)
         if res is None:
             continue
@@ -967,10 +985,36 @@ RECIPES = {
 }
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def recipe_from_steps(steps) -> Recipe:
-    """Build a user recipe from [{'pass': name, 'params': {...}, 'seed': n}]."""
-    parsed = [PassStep(d["pass"], tuple(sorted(d.get("params", {}).items())),
-                       d.get("seed", 0)) for d in steps]
+    """Build a user recipe from [{'pass': name, 'params': {...}, 'seed': n}].
+
+    'params' maps names to ints and 'seed' is an int, both optional; any
+    other shape raises ValueError naming the step index.
+    """
+    if not isinstance(steps, list):
+        raise ValueError("a recipe must be a list of steps")
+    parsed = []
+    for i, d in enumerate(steps):
+        if not isinstance(d, dict) or not isinstance(d.get("pass"), str):
+            raise ValueError(f"recipe step {i}: needs a string 'pass'")
+        extra = set(d) - {"pass", "params", "seed"}
+        if extra:
+            raise ValueError(
+                f"recipe step {i}: unknown keys {sorted(extra, key=str)}")
+        params = d.get("params", {})
+        if not (isinstance(params, dict)
+                and all(isinstance(k, str) and _is_int(v)
+                        for k, v in params.items())):
+            raise ValueError(
+                f"recipe step {i}: 'params' must map names to ints")
+        seed = d.get("seed", 0)
+        if not _is_int(seed):
+            raise ValueError(f"recipe step {i}: 'seed' must be an int")
+        parsed.append(PassStep(d["pass"], tuple(sorted(params.items())), seed))
     if not parsed or parsed[0].name != "strash":
         parsed.insert(0, PassStep("strash"))
     return Recipe(0, tuple(parsed))

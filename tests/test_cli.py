@@ -81,6 +81,22 @@ def test_recipe_file(adder_file, tmp_path):
     assert run(["equiv", adder_file, out_v]) == 0
 
 
+@pytest.mark.parametrize("steps, message", [
+    ([{"params": {}}], "recipe step 0: needs a string 'pass'"),
+    (["rewrite"], "recipe step 0: needs a string 'pass'"),
+    ({"pass": "rewrite"}, "a recipe must be a list of steps"),
+    ([{"pass": "rewrite", "params": {"cut_size": "x"}}],
+     "recipe step 0: 'params' must map names to ints"),
+])
+def test_recipe_file_malformed_is_a_usage_error(adder_file, tmp_path, capsys,
+                                                 steps, message):
+    rf = tmp_path / "recipe.json"
+    rf.write_text(json.dumps(steps))
+    assert run(["restructure", adder_file, "--recipe-file", str(rf),
+                "-o", str(tmp_path / "out.v")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_equiv_exit_codes(adder_file, c17_file, tmp_path, capsys):
     assert run(["equiv", adder_file, adder_file]) == 0
     capsys.readouterr()

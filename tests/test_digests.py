@@ -2,7 +2,8 @@
 
 A given config must keep producing byte-identical set and key files, so
 the bytes each recipe emits are pinned here, on one random and one
-rarity golden, together with the graph fraig leaves behind on an 8x8
+rarity golden and, for the recipes that refactor wide cones, on a 6x6
+multiplier, together with the graph fraig leaves behind on an 8x8
 multiplier paired with its recipe-3 copy.  A digest that moves means a
 pass changed behaviour, not just its speed.
 """
@@ -61,6 +62,16 @@ RECIPE_DIGESTS = {
     ],
 }
 
+# recipes whose refactor reaches 10- and 12-input cones on a 6x6 multiplier,
+# whose cones are copies of one cell
+MULTIPLIER_DIGESTS = {
+    4: "99d4e8c396927d4cc97472c3968c00041a96a388453bfa33edb7b6f5ca7f935a",
+    7: "67920d0b6b7836bd9c3df3f02923cd1ad09163438ba57eef8e8dce1a738ca191",
+    10: "865e1526f9c49bf5cffb98fd6a398bde2c99f99b7ebb4bb7c86b6f3ceeed44b3",
+    15: "5d32423640a33835ed33d2fb574d5a98a9cc3c9bcbc3d137ec1e1c77f3983fe2",
+    17: "98eded87230a9076a1ca1d27aed942f2c4e63f052ed046fa3cb47208ea313ded",
+}
+
 FRAIG_TWIN_DIGEST = "75e5972cf390c20c9299abbab5c8e04562c0097718d0462e6150fda3307321f9"
 
 
@@ -81,6 +92,14 @@ def test_recipe_output_bytes_pinned(name):
            for r in sorted(RECIPES)]
     moved = [r for r, (a, b) in enumerate(zip(got, RECIPE_DIGESTS[name]), 1)
              if a != b]
+    assert not moved, f"recipes whose output bytes changed: {moved}"
+
+
+def test_multiplier_recipe_bytes_pinned():
+    m = array_multiplier(6)
+    got = {r: _sha(write_netlist(apply_recipe(m, RECIPES[r], seed=7)[0]))
+           for r in MULTIPLIER_DIGESTS}
+    moved = [r for r, want in MULTIPLIER_DIGESTS.items() if got[r] != want]
     assert not moved, f"recipes whose output bytes changed: {moved}"
 
 

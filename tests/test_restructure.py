@@ -333,10 +333,14 @@ def test_fraig_on_random_circuits_equivalent():
 def test_isop_covers_function_exactly():
     import random
     rng = random.Random(0)
-    for m in (2, 3, 4):
+    # small widths, then the cone widths refactor uses (10 by default, 12
+    # in recipe 15), dense and sparse
+    for m, count in ((2, 40), (3, 40), (4, 40), (10, 6), (12, 6)):
         full = (1 << (1 << m)) - 1
-        for _ in range(40):
+        for i in range(count):
             f = rng.randrange(full + 1)
+            if m > 4 and i % 2:
+                f &= rng.randrange(full + 1) & rng.randrange(full + 1)
             cubes = isop(f, m)
             cover = 0
             from htforge.aig import tt_var
@@ -352,10 +356,53 @@ def test_isop_covers_function_exactly():
 
 
 def test_synth_tree_constant_and_literal_shortcuts():
-    assert synth_tree(0, 2, [2, 4]) == ("lit", 1)
-    assert synth_tree(0b1111, 2, [2, 4]) == ("lit", 0)
-    assert synth_tree(0b1010, 2, [2, 4]) == ("lit", 2)
-    assert synth_tree(0b0101, 2, [2, 4]) == ("lit", 3)
+    assert synth_tree(0, 2, [2, 4], {}) == ("lit", 1)
+    assert synth_tree(0b1111, 2, [2, 4], {}) == ("lit", 0)
+    assert synth_tree(0b1010, 2, [2, 4], {}) == ("lit", 2)
+    assert synth_tree(0b0101, 2, [2, 4], {}) == ("lit", 3)
+
+
+def test_synth_tree_memo_gives_the_uncached_tree(monkeypatch):
+    # one memo shared by many calls builds what a fresh memo per call does,
+    # also where one integer is a table at two widths
+    shared = {}
+    for m in (2, 3):
+        lits = [2, 4, 6][:m]
+        for tt in range(1 << (1 << m)):
+            assert synth_tree(tt, m, lits, shared) == synth_tree(tt, m, lits, {})
+    import htforge.restructure as rs
+    calls = []
+
+    def recording(tt, m, leaf_lits, memo):
+        calls.append((tt, m, list(leaf_lits)))
+        return synth_tree(tt, m, leaf_lits, memo)
+
+    monkeypatch.setattr(rs, "synth_tree", recording)
+    apply_recipe(array_multiplier(6), RECIPES[15], seed=7)
+    monkeypatch.undo()
+    wide = [c for c in calls if c[1] >= 10]
+    assert {10, 12} <= {m for _, m, _ in wide}
+    assert len({(tt, m) for tt, m, _ in wide}) < len(wide)  # the memo hits
+    shared = {}
+    for tt, m, leaf_lits in wide:
+        assert (synth_tree(tt, m, leaf_lits, shared)
+                == synth_tree(tt, m, leaf_lits, {}))
+
+
+def test_synth_tree_memo_maps_onto_each_calls_leaves():
+    memo = {}
+    maj = 0b11101000  # majority of three
+    a = synth_tree(maj, 3, [2, 4, 6], memo)
+    b = synth_tree(maj, 3, [10, 12, 14], memo)
+    assert len(memo) == 1
+    assert a == synth_tree(maj, 3, [2, 4, 6], {})
+    assert b == synth_tree(maj, 3, [10, 12, 14], {})
+
+    def lits(t):
+        return {t[1]} if t[0] == "lit" else set().union(*map(lits, t[1:]))
+
+    assert {l >> 1 for l in lits(a)} == {1, 2, 3}
+    assert {l >> 1 for l in lits(b)} == {5, 6, 7}
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +429,22 @@ def test_recipe_rejects_unknown_params():
         recipe_from_steps([{"pass": "fraig", "params": {"exact_budget": 9}}])
     r = recipe_from_steps([{"pass": "rewrite", "params": {"cut_size": 5}}])
     assert r.steps[1].param_dict() == {"cut_size": 5}
+
+
+@pytest.mark.parametrize("steps, message", [
+    ([{"pass": "balance"}, {"pass": "rewrite", "params": {"cut_size": True}}],
+     "step 1: 'params' must map names to ints"),
+    ([{"pass": "rewrite", "params": [["cut_size", 5]]}],
+     "step 0: 'params' must map names to ints"),
+    ([{"pass": "balance", "seed": "3"}], "step 0: 'seed' must be an int"),
+    ([{"pass": "balance", "seed": False}], "step 0: 'seed' must be an int"),
+    ([{"pass": "balance", "sede": 3}], "step 0: unknown keys \\['sede'\\]"),
+    ([{"pass": 4}], "step 0: needs a string 'pass'"),
+    ("strash", "must be a list of steps"),
+])
+def test_recipe_from_steps_rejects_malformed_steps(steps, message):
+    with pytest.raises(ValueError, match=message):
+        recipe_from_steps(steps)
 
 
 def test_apply_recipe_full_adder_depth(full_adder):

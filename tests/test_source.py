@@ -41,3 +41,23 @@ def test_no_exec_eval_or_compile():
                     and node.func.id in ("exec", "eval", "compile")):
                 found.append(f"{path.name}:{node.lineno} {node.func.id}()")
     assert not found, found
+
+
+def test_no_process_wide_cache():
+    # caches live in an object a caller creates and passes (a pass's synthesis
+    # memo, a netlist's lowered program), so no state outlives the call that
+    # built it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = (target.attr if isinstance(target, ast.Attribute)
+                        else getattr(target, "id", None))
+                if name in ("lru_cache", "cache"):
+                    found.append(f"{path.name}:{dec.lineno} @{name}")
+    assert not found, found
