@@ -462,7 +462,7 @@ def run(argv=None) -> int:
     try:
         return args.fn(args)
     except (NetlistError, InsertionError, JudgeError, InterfaceMismatchError,
-            RestructureError, ValueError, FileNotFoundError) as e:
+            RestructureError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -10,8 +10,10 @@ bit-blasted at parse time into scalar nets ``name[i]`` with bit 0 the LSB.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
+import string
 from dataclasses import dataclass
 from functools import cached_property
 from operator import and_, or_, xor
@@ -365,170 +367,155 @@ def is_valid(n: Netlist) -> bool:
 # ---------------------------------------------------------------------------
 # parsing
 
+# One findall pass: whitespace and comments are skipped as a prefix and the
+# token text is captured; the empty match at the end of the source (two of
+# them after trailing whitespace) is EOF.  A token's kind is read off its
+# text by _Parser.kind.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>//[^\n]*|/\*.*?\*/)
-      | (?P<escaped>\\[^\s]+)
-      | (?P<literal>1'[bB][01])
-      | (?P<number>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
-      | (?P<punct>[()\[\],;:])
-      | (?P<other>.)
+    r"""(?:\s+|//[^\n]*|/\*.*?\*/)*
+        ( \\\S+                    # escaped identifier
+        | 1'[bB][01]               # literal
+        | \d+                      # number
+        | [A-Za-z_][A-Za-z0-9_$]*  # identifier
+        | .                        # punctuation or any other character
+        | \Z )
     """,
     re.VERBOSE | re.DOTALL,
 )
 
-
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(source):
-    toks = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if not m:
-            raise ParseError(f"unexpected character {source[pos]!r}",
-                             line, pos - line_start + 1)
-        kind = m.lastgroup
-        text = m.group()
-        col = pos - line_start + 1
-        if kind not in ("ws", "comment"):
-            if kind == "escaped":
-                toks.append(_Tok("ident", text[1:], line, col))
-            else:
-                toks.append(_Tok(kind, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            line_start = pos + text.rindex("\n") + 1
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, pos - line_start + 1))
-    return toks
+_IDENT_START = frozenset(string.ascii_letters + "_")
 
 
 class _Parser:
     def __init__(self, source):
-        self.toks = _tokenize(source)
+        self.source = source
+        self.toks = _TOKEN_RE.findall(source)
+        self.escaped = set()  # indices of escaped identifiers, backslash stripped
+        if "\\" in source:
+            for k, t in enumerate(self.toks):
+                if t[:1] == "\\" and len(t) > 1:
+                    self.escaped.add(k)
+                    self.toks[k] = t[1:]
         self.i = 0
+
+    def kind(self, k):
+        t = self.toks[k]
+        if k in self.escaped or t[:1] in _IDENT_START:
+            return "ident"
+        if not t:
+            return "eof"
+        if t[0].isdecimal():
+            return "literal" if "'" in t else "number"
+        return "other"
+
+    def error(self, message, k):
+        """ParseError at token k; only now is the source re-scanned for its
+        offset, which gives the line and column."""
+        m = next(itertools.islice(_TOKEN_RE.finditer(self.source), k, None))
+        pos = m.start(1)
+        return ParseError(message, self.source.count("\n", 0, pos) + 1,
+                          pos - self.source.rfind("\n", 0, pos))
 
     def peek(self):
         return self.toks[self.i]
 
     def next(self):
-        t = self.toks[self.i]
         self.i += 1
-        return t
+        return self.toks[self.i - 1]
 
     def expect(self, text=None, kind=None):
         t = self.next()
-        if text is not None and t.text != text:
-            raise ParseError(f"expected '{text}', found '{t.text or 'EOF'}'",
-                             t.line, t.col)
-        if kind is not None and t.kind != kind:
-            raise ParseError(f"expected {kind}, found '{t.text or 'EOF'}'",
-                             t.line, t.col)
+        if text is not None and t != text:
+            raise self.error(f"expected '{text}', found '{t or 'EOF'}'", self.i - 1)
+        if kind is not None and self.kind(self.i - 1) != kind:
+            raise self.error(f"expected {kind}, found '{t or 'EOF'}'", self.i - 1)
         return t
 
     def parse_module(self):
         self.expect(text="module")
-        name = self.expect(kind="ident").text
-        if self.peek().text == "(":
+        name = self.expect(kind="ident")
+        if self.peek() == "(":
             self.next()
-            while self.peek().text != ")":
+            while self.peek() != ")":
                 t = self.next()
-                if t.kind not in ("ident",) and t.text not in (",",):
-                    # ranged header entries like ``input [3:0] a`` are rare in
-                    # the supported subset; tolerate brackets and numbers here
-                    if t.kind not in ("number",) and t.text not in ("[", "]", ":"):
-                        raise ParseError(f"unexpected token '{t.text}' in port list",
-                                         t.line, t.col)
+                # ranged header entries like ``input [3:0] a`` are rare in the
+                # supported subset; tolerate brackets and numbers here
+                if (self.kind(self.i - 1) not in ("ident", "number")
+                        and t not in (",", "[", "]", ":")):
+                    raise self.error(f"unexpected token '{t}' in port list",
+                                     self.i - 1)
             self.expect(text=")")
         self.expect(text=";")
 
         inputs, outputs, wires, gates = [], [], [], []
-        declared = set()
         auto_idx = 0
         while True:
-            t = self.peek()
-            if t.kind == "eof":
-                raise ParseError("missing 'endmodule'", t.line, t.col)
-            if t.text == "endmodule":
+            k = self.i
+            t = self.toks[k]
+            if not t:
+                raise self.error("missing 'endmodule'", k)
+            if t == "endmodule":
                 self.next()
                 break
-            if t.text in ("input", "output", "wire"):
+            if t in ("input", "output", "wire"):
                 self.next()
-                names = self._decl_names(t.text)
-                target = {"input": inputs, "output": outputs, "wire": wires}[t.text]
+                names = self._decl_names(t)
+                target = {"input": inputs, "output": outputs, "wire": wires}[t]
                 target.extend(names)
-                declared.update(names)
                 continue
-            if t.text in _BEHAVIORAL_KEYWORDS:
-                raise ParseError(
-                    f"sequential/behavioral construct '{t.text}' not supported",
-                    t.line, t.col)
-            if t.kind == "ident":
-                kind = t.text.upper()
+            if t in _BEHAVIORAL_KEYWORDS:
+                raise self.error(
+                    f"sequential/behavioral construct '{t}' not supported", k)
+            if self.kind(k) == "ident":
+                kind = t.upper()
                 if kind not in GATE_KINDS:
-                    if t.text.lower() in ("dff", "dffr", "dlatch", "latch", "sdff"):
-                        raise ParseError(
-                            f"sequential/behavioral construct '{t.text}' not supported",
-                            t.line, t.col)
-                    raise ParseError(
-                        f"unsupported construct: instance of '{t.text}' "
-                        "(only the eight combinational primitives are allowed)",
-                        t.line, t.col)
+                    if t.lower() in ("dff", "dffr", "dlatch", "latch", "sdff"):
+                        raise self.error(
+                            f"sequential/behavioral construct '{t}' not supported", k)
+                    raise self.error(
+                        f"unsupported construct: instance of '{t}' "
+                        "(only the eight combinational primitives are allowed)", k)
                 self.next()
-                inst = ""
-                if self.peek().text != "(":
-                    inst = self.expect(kind="ident").text
-                if not inst:
+                if self.peek() != "(":
+                    inst = self.expect(kind="ident")
+                else:
                     inst = f"g{auto_idx}"
                     auto_idx += 1
                 self.expect(text="(")
                 conns = [self._connection()]
-                while self.peek().text == ",":
+                while self.peek() == ",":
                     self.next()
                     conns.append(self._connection())
                 self.expect(text=")")
                 self.expect(text=";")
                 if len(conns) < 2:
-                    raise ParseError(f"gate '{inst}' needs an output and at least "
-                                     "one input", t.line, t.col)
+                    raise self.error(f"gate '{inst}' needs an output and at least "
+                                     "one input", k)
                 out, ins = conns[0], tuple(conns[1:])
                 if out in (CONST0, CONST1):
-                    raise ParseError(f"gate '{inst}' drives a constant literal",
-                                     t.line, t.col)
+                    raise self.error(f"gate '{inst}' drives a constant literal", k)
                 gates.append(Gate(kind, out, ins, inst))
                 continue
-            raise ParseError(f"unexpected token '{t.text}'", t.line, t.col)
+            raise self.error(f"unexpected token '{t}'", k)
 
-        t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"trailing content after endmodule: '{t.text}'",
-                             t.line, t.col)
+        if self.peek():
+            raise self.error(f"trailing content after endmodule: '{self.peek()}'",
+                             self.i)
         return name, inputs, outputs, wires, gates
 
     def _decl_names(self, decl_kind):
         """Parse ``[msb:lsb] a, b, c ;`` and bit-blast ranges (LSB-0)."""
         rng = None
-        if self.peek().text == "[":
+        if self.peek() == "[":
             self.next()
-            msb = int(self.expect(kind="number").text)
+            msb = int(self.expect(kind="number"))
             self.expect(text=":")
-            lsb = int(self.expect(kind="number").text)
+            lsb = int(self.expect(kind="number"))
             self.expect(text="]")
             rng = (msb, lsb)
         names = []
         while True:
-            ident = self.expect(kind="ident").text
+            ident = self.expect(kind="ident")
             if rng is None:
                 names.append(ident)
             else:
@@ -536,25 +523,25 @@ class _Parser:
                 lo, hi = min(msb, lsb), max(msb, lsb)
                 names.extend(f"{ident}[{i}]" for i in range(lo, hi + 1))
             t = self.next()
-            if t.text == ";":
+            if t == ";":
                 return names
-            if t.text != ",":
-                raise ParseError(f"expected ',' or ';' in {decl_kind} declaration, "
-                                 f"found '{t.text}'", t.line, t.col)
+            if t != ",":
+                raise self.error(f"expected ',' or ';' in {decl_kind} declaration, "
+                                 f"found '{t}'", self.i - 1)
 
     def _connection(self):
         t = self.next()
-        if t.kind == "literal":
-            return CONST1 if t.text[-1] == "1" else CONST0
-        if t.kind != "ident":
-            raise ParseError(f"expected net name, found '{t.text}'", t.line, t.col)
-        name = t.text
-        if self.peek().text == "[":
+        kind = self.kind(self.i - 1)
+        if kind == "literal":
+            return CONST1 if t[-1] == "1" else CONST0
+        if kind != "ident":
+            raise self.error(f"expected net name, found '{t}'", self.i - 1)
+        if self.peek() == "[":
             self.next()
-            idx = self.expect(kind="number").text
+            idx = self.expect(kind="number")
             self.expect(text="]")
-            name = f"{name}[{idx}]"
-        return name
+            return f"{t}[{idx}]"
+        return t
 
 
 def parse_netlist(source: str) -> Netlist:

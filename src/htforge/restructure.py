@@ -898,10 +898,13 @@ def fraig(g: AigGraph, sim_words=16, seed=0) -> AigGraph:
 # ---------------------------------------------------------------------------
 # recipes
 
-# pass name -> the keyword params its pass function takes (see _run_step)
-PASS_PARAMS = {"strash": (), "balance": (), "rewrite": ("cut_size", "max_cuts"),
-               "refactor": ("max_cone_inputs",), "resub": ("max_divisors",),
-               "fraig": ("sim_words",), "gate_size": ()}
+# pass name -> {keyword param its pass function takes: least value} (see
+# _run_step); below it a pass changes nothing (a cut or a cone needs two
+# leaves, one cut slot is the trivial cut) or reads the value as the least
+PASS_PARAMS = {"strash": {}, "balance": {},
+               "rewrite": {"cut_size": 2, "max_cuts": 2},
+               "refactor": {"max_cone_inputs": 2}, "resub": {"max_divisors": 1},
+               "fraig": {"sim_words": 1}, "gate_size": {}}
 
 
 @dataclass(frozen=True)
@@ -925,9 +928,12 @@ class Recipe:
         for s in self.steps:
             if s.name not in PASS_PARAMS:
                 raise ValueError(f"unknown pass '{s.name}'")
-            for key, _ in s.params:
+            for key, value in s.params:
                 if key not in PASS_PARAMS[s.name]:
                     raise ValueError(f"unknown param '{key}' for pass '{s.name}'")
+                if value < PASS_PARAMS[s.name][key]:
+                    raise ValueError(f"param '{key}' for pass '{s.name}' must be "
+                                     f">= {PASS_PARAMS[s.name][key]}, got {value}")
 
 
 @dataclass

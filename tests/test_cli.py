@@ -250,3 +250,8 @@ def test_game_command(capsys):
 
 def test_missing_file_is_usage_error(capsys):
     assert run(["parse", "/nonexistent/x.v"]) == 2
+
+
+def test_directory_path_is_usage_error(tmp_path, capsys):
+    assert run(["parse", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

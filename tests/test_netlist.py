@@ -1,8 +1,12 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from htforge.judge import ForgeConfig, forge_benchmark
 from htforge.netlist import (
     CONST0,
     CONST1,
@@ -22,7 +26,7 @@ from htforge.netlist import (
     write_netlist,
 )
 
-from conftest import all_stimuli, brute_eval, random_netlist
+from conftest import C17, FULL_ADDER, all_stimuli, brute_eval, random_netlist
 
 
 def test_parse_two_gate_module():
@@ -120,6 +124,183 @@ def test_parse_escaped_identifiers_and_constants():
     assert n.gates[1].inputs == ("a[3]", CONST1)
     vals = simulate(n, {"a[3]": 1})
     assert vals["z"] == 1
+
+
+HEADER = "module m (a, y);\n  input a;\n  output y;\n"
+
+# Every malformed input pins its exception type, message, line and col.
+MALFORMED = [
+    pytest.param(HEADER + "  \\\n  buf g (y, a);\nendmodule\n",
+                 ParseError, "unexpected token '\\'", 4, 3, id="lone-backslash"),
+    pytest.param(HEADER + "  buf g (y, a); // no newline",
+                 ParseError, "missing 'endmodule'", 4, 30,
+                 id="line-comment-at-eof"),
+    pytest.param(HEADER + "  /* never closed\n  buf g (y, a);\nendmodule\n",
+                 ParseError, "unexpected token '/'", 4, 3,
+                 id="unterminated-block-comment"),
+    pytest.param(HEADER + "  buf g (y, a);\n",
+                 ParseError, "missing 'endmodule'", 5, 1, id="missing-endmodule"),
+    pytest.param(HEADER + "  buf g (y, a);\nendmodule\nmodule n (b); endmodule\n",
+                 ParseError, "trailing content after endmodule: 'module'", 6, 1,
+                 id="content-after-endmodule"),
+    pytest.param("module m (a, b);\n  input a b;\nendmodule\n",
+                 ParseError, "expected ',' or ';' in input declaration, found 'b'",
+                 2, 11, id="bad-declaration-separator"),
+    pytest.param("module m (input [3-0] a, y);\nendmodule\n",
+                 ParseError, "unexpected token '-' in port list", 1, 19,
+                 id="ranged-port-list-illegal-token"),
+    pytest.param("module m (a, b", ParseError, "unexpected token '' in port list",
+                 1, 15, id="port-list-never-closed"),
+    pytest.param("module m (a)\n  input a;\nendmodule\n",
+                 ParseError, "expected ';', found 'input'", 2, 3,
+                 id="missing-semicolon-after-header"),
+    pytest.param(HEADER + "  buf g (1'b0, a);\nendmodule\n",
+                 ParseError, "gate 'g' drives a constant literal", 4, 3,
+                 id="gate-drives-constant"),
+    pytest.param(HEADER + "  and g (y);\nendmodule\n",
+                 ParseError, "gate 'g' needs an output and at least one input", 4, 3,
+                 id="gate-with-one-connection"),
+    pytest.param(HEADER + "  buf g (y, a);\n  \\endmodule \nendmodule\n",
+                 ParseError, "trailing content after endmodule: 'endmodule'", 6, 1,
+                 id="escaped-endmodule"),
+    pytest.param(HEADER + "  buf g (\\1'b0 , a);\nendmodule\n",
+                 ParseError, "gate 'g' drives a constant literal", 4, 3,
+                 id="escaped-constant-driven"),
+    pytest.param("module m (c, d, q);\n  input c, d;\n  output q;\n"
+                 "  dff f1 (q, c, d);\nendmodule\n",
+                 ParseError, "sequential/behavioral construct 'dff' not supported",
+                 4, 3, id="dff-instance"),
+    pytest.param("module m (c, d, q);\n  input c, d;\n  output q;\n"
+                 "  always @(posedge c) q <= d;\nendmodule\n",
+                 ParseError, "sequential/behavioral construct 'always' not supported",
+                 4, 3, id="always-block"),
+    pytest.param(HEADER + "  assign y = a;\nendmodule\n",
+                 ParseError, "sequential/behavioral construct 'assign' not supported",
+                 4, 3, id="assign"),
+    pytest.param(HEADER + "  foo u1 (y, a);\nendmodule\n",
+                 ParseError, "unsupported construct: instance of 'foo' (only the "
+                 "eight combinational primitives are allowed)", 4, 3,
+                 id="unknown-instance"),
+    pytest.param("", ParseError, "expected 'module', found 'EOF'", 1, 1,
+                 id="empty-source"),
+    pytest.param("module", ParseError, "expected ident, found 'EOF'", 1, 7,
+                 id="module-keyword-only"),
+    pytest.param("module 1x (a); endmodule", ParseError,
+                 "expected ident, found '1'", 1, 8, id="module-name-is-a-number"),
+    pytest.param("module m (x);\n  input [a:0] x;\nendmodule\n",
+                 ParseError, "expected number, found 'a'", 2, 10,
+                 id="range-bound-not-a-number"),
+    pytest.param(HEADER + "  and g (y, ;\nendmodule\n",
+                 ParseError, "expected net name, found ';'", 4, 13,
+                 id="connection-not-a-net"),
+    pytest.param(HEADER + "  and g (y, a[0, a);\nendmodule\n",
+                 ParseError, "expected ']', found ','", 4, 16,
+                 id="bit-select-not-closed"),
+    pytest.param(HEADER + "  and g (y, a, 1'b01);\nendmodule\n",
+                 ParseError, "expected ')', found '1'", 4, 20,
+                 id="literal-followed-by-digit"),
+    pytest.param(HEADER + "  and g (y, a, 2'b1);\nendmodule\n",
+                 ParseError, "expected net name, found '2'", 4, 16,
+                 id="sized-literal-other-than-1"),
+    pytest.param(HEADER + "  é buf g (y, a);\nendmodule\n",
+                 ParseError, "unexpected token 'é'", 4, 3, id="non-ascii-letter"),
+    pytest.param("module ٣ (a); endmodule", ParseError,
+                 "expected ident, found '٣'", 1, 8, id="unicode-digit-name"),
+    pytest.param("module m (x);\n  input [²:0] x;\nendmodule\n",
+                 ParseError, "expected number, found '²'", 2, 10,
+                 id="superscript-digit-in-range"),
+    pytest.param("module m (a);\r\n\tinput a\r\n\tendmodule\r\n",
+                 ParseError, "expected ',' or ';' in input declaration, found "
+                 "'endmodule'", 3, 2, id="crlf-and-tabs"),
+    pytest.param("module m (a); /* x\ny\n*/ input a; foo u (a); endmodule",
+                 ParseError, "unsupported construct: instance of 'foo' (only the "
+                 "eight combinational primitives are allowed)", 3, 13,
+                 id="block-comment-spanning-lines"),
+    pytest.param(HEADER + "  buf g (y, a);\nendmodule   \n\n  x",
+                 ParseError, "trailing content after endmodule: 'x'", 7, 3,
+                 id="trailing-content-after-blank-lines"),
+    pytest.param("module m (a);\x0c\x0b input a;\x0c\n\x0b wire ; endmodule",
+                 ParseError, "expected ident, found ';'", 2, 8,
+                 id="form-feed-and-vertical-tab"),
+    pytest.param(HEADER + "  buf g1 (y, a);\n  not g2 (y, a);\nendmodule\n",
+                 ValidationError, "net 'y' has multiple drivers", None, None,
+                 id="multiply-driven-net"),
+    pytest.param(HEADER + "  and g (y, a, b);\nendmodule\n",
+                 ValidationError, "gate input 'b' is not driven", None, None,
+                 id="undriven-gate-input"),
+    pytest.param(HEADER + "  wire w;\n  and g1 (w, a, y);\n  and g2 (y, a, w);\n"
+                 "endmodule\n",
+                 ValidationError, "combinational cycle through nets ['w', 'y']",
+                 None, None, id="combinational-cycle"),
+]
+
+
+@pytest.mark.parametrize("src, exc, message, line, col", MALFORMED)
+def test_parse_error_table(src, exc, message, line, col):
+    with pytest.raises(NetlistError) as info:
+        parse_netlist(src)
+    e = info.value
+    if line is not None:
+        message = f"{message} (line {line}, col {col})"
+    assert (type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)) \
+        == (exc, message, line, col)
+
+
+def test_escaped_identifier_is_an_ident_whose_text_still_matches_keywords():
+    n = parse_netlist("module m (a, \\7 , y);\n  \\input a, \\7 ;\n  output y;\n"
+                      "  and g (y, a, \\7 );\nendmodule\n")
+    assert n.inputs == ("a", "7")
+    assert n.gates == (Gate("AND", "y", ("a", "7"), "g"),)
+
+
+# sha256 of the parsed forms of every circuit of a small forged set
+PARSED_SET_DIGEST = "e69cc0e78f5ba9243f975b8f014a6634e2cb16c95d0ea71923415fc49faae944"
+
+
+def test_parsed_set_digest_pinned():
+    cfg = ForgeConfig(
+        golden=(("adder", parse_netlist(FULL_ADDER)), ("c17", parse_netlist(C17)),
+                ("r", random_netlist(8300, n_pis=6, n_gates=24, name="r"))),
+        nb=4, infection_rate=0.5, master_seed=6, set_name="parse",
+        threshold=0.2, sample_vectors=4096, release_date="2026-03-01")
+    bench, _ = forge_benchmark(cfg)
+    assert len(bench.entries) == 12
+    blob = json.dumps([to_json_dict(parse_netlist(t)) for _, t in bench.entries],
+                      sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == PARSED_SET_DIGEST
+
+
+# Fuzzing: mutate seed modules by replacing a span with a snippet.  Only the
+# two documented errors may escape, and whatever parses must survive
+# write_netlist unchanged.
+FUZZ_SEEDS = (
+    FULL_ADDER,
+    C17,
+    "// vectors, escapes and constants\nmodule v (a, \\b[1] , y);\n"
+    "  input [1:0] a; input \\b[1] ;\n  output [1:0] y; /* two\n bits */\n"
+    "  and (y[0], a[0], \\b[1] , 1'b1);\n  xnor x1 (y[1], a[1], 1'b0);\n"
+    "endmodule\n",
+)
+SNIPPETS = ("", " ", "\n", ";", ",", "(", ")", "[", "]", ":", "0", "1", "7",
+            "1'b0", "1'b1", "2'b1", "'", "\\", "\\esc ", "\\1'b0 ", "\\endmodule ",
+            "//", "/*", "*/", "a", "y", "w", "and", "not", "nand", "buf", "wire",
+            "input", "output", "module", "endmodule", "dff", "always", "é", "$")
+MUTATION = st.tuples(st.integers(0, 400), st.integers(0, 6), st.sampled_from(SNIPPETS))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.sampled_from(FUZZ_SEEDS), st.lists(MUTATION, min_size=1, max_size=4))
+def test_fuzzed_parse_raises_only_documented_errors(seed, mutations):
+    src = seed
+    for pos, cut, snippet in mutations:
+        pos %= len(src) + 1
+        src = src[:pos] + snippet + src[pos + cut:]
+    try:
+        n = parse_netlist(src)
+    except (ParseError, ValidationError):
+        return
+    m = parse_netlist(write_netlist(n))
+    assert (m.inputs, m.outputs, m.gates) == (n.inputs, n.outputs, n.gates)
 
 
 def test_write_round_trip_two_gates():

@@ -431,6 +431,26 @@ def test_recipe_rejects_unknown_params():
     assert r.steps[1].param_dict() == {"cut_size": 5}
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("rewrite", "cut_size", 1), ("rewrite", "cut_size", -3),
+    ("rewrite", "max_cuts", 1), ("rewrite", "max_cuts", 0),
+    ("refactor", "max_cone_inputs", 1), ("refactor", "max_cone_inputs", 0),
+    ("resub", "max_divisors", 0), ("resub", "max_divisors", -1),
+    ("fraig", "sim_words", 0),
+])
+def test_recipe_rejects_params_below_their_bound(name, key, value):
+    with pytest.raises(ValueError, match=f"'{key}' for pass '{name}' must be"):
+        recipe_from_steps([{"pass": name, "params": {key: value}}])
+
+
+def test_recipe_accepts_params_at_their_bound():
+    r = recipe_from_steps([
+        {"pass": "rewrite", "params": {"cut_size": 2, "max_cuts": 2}},
+        {"pass": "refactor", "params": {"max_cone_inputs": 2}},
+        {"pass": "resub", "params": {"max_divisors": 1}}])
+    assert len(r.steps) == 4
+
+
 @pytest.mark.parametrize("steps, message", [
     ([{"pass": "balance"}, {"pass": "rewrite", "params": {"cut_size": True}}],
      "step 1: 'params' must map names to ints"),
