@@ -18,14 +18,6 @@ def lit(node, comp=0):
     return node * 2 + comp
 
 
-def lit_node(l):
-    return l >> 1
-
-
-def lit_comp(l):
-    return l & 1
-
-
 def lit_not(l):
     return l ^ 1
 
@@ -83,9 +75,6 @@ class AigGraph:
         if j < 0:
             raise ValueError(f"node {node} is a PI or the constant, not an AND")
         return self.fan0[j], self.fan1[j]
-
-    def pi_lit(self, k):
-        return lit(1 + k)
 
     def __repr__(self):
         return (f"AigGraph(pis={self.n_pis}, ands={self.n_ands}, "
@@ -202,6 +191,36 @@ def _live_ands(g: AigGraph):
     return live
 
 
+def tree_roots(g: AigGraph, nodes):
+    """The AND nodes among ``nodes`` that root an AND tree: referenced by a
+    PO, referenced complemented, or referenced other than exactly once by
+    the ANDs in ``nodes``.  Every other node is internal to a single-fanout,
+    uncomplemented tree (balance's operands, gate_size's multi-input ANDs)."""
+    refs = dict.fromkeys(nodes, 0)
+    roots = {l >> 1 for _, l in g.pos if l >> 1 in refs}
+    for node in nodes:
+        for f in g.fanins(node):
+            if f >> 1 in refs:
+                refs[f >> 1] += 1
+                if f & 1:
+                    roots.add(f >> 1)
+    roots.update(v for v, r in refs.items() if r != 1)
+    return roots
+
+
+def tree_leaves(g: AigGraph, node, roots):
+    """Leaf literals, left to right, of the AND tree at ``node``: an
+    uncomplemented fanin that is an AND outside ``roots`` is expanded."""
+    leaves = []
+    for f in g.fanins(node):
+        v = f >> 1
+        if not (f & 1) and g.is_and(v) and v not in roots:
+            leaves.extend(tree_leaves(g, v, roots))
+        else:
+            leaves.append(f)
+    return leaves
+
+
 def strash(g: AigGraph) -> AigGraph:
     """Structurally hash: merge identical ordered-fanin nodes, normalize
     fanin order, and propagate constants.  Idempotent."""
@@ -289,27 +308,7 @@ def from_aig(g: AigGraph, group_multi_input_and=False, name="aig") -> Netlist:
     n0, n1, ... in emission order.
     """
     live = _live_ands(g)
-    refs = {node: 0 for node in live}
-    comp_ref = set()
-    for node in live:
-        for f in g.fanins(node):
-            v = f >> 1
-            if v in refs:
-                refs[v] += 1
-                if f & 1:
-                    comp_ref.add(v)
-    po_ref = set()
-    for _, l in g.pos:
-        v = l >> 1
-        if v in refs:
-            refs[v] += 1
-            po_ref.add(v)
-
-    if group_multi_input_and:
-        emit = {node for node in live
-                if refs[node] != 1 or node in comp_ref or node in po_ref}
-    else:
-        emit = set(live)
+    emit = tree_roots(g, live) if group_multi_input_and else live
 
     reserved = set(g.pi_names) | {nm for nm, _ in g.pos}
     name_of = {}
@@ -350,22 +349,11 @@ def from_aig(g: AigGraph, group_multi_input_and=False, name="aig") -> Netlist:
             inv_net[l] = out
         return inv_net[l]
 
-    def tree_leaves(node):
-        leaves = []
-        for f in g.fanins(node):
-            v = f >> 1
-            if not (f & 1) and g.is_and(v) and v not in emit:
-                leaves.extend(tree_leaves(v))
-            else:
-                leaves.append(f)
-        return leaves
-
     for node in sorted(emit):
         if node not in name_of:
             name_of[node] = fresh()
     for node in sorted(emit):
-        leaves = tree_leaves(node) if group_multi_input_and else list(g.fanins(node))
-        ins = tuple(net_for(l) for l in leaves)
+        ins = tuple(net_for(l) for l in tree_leaves(g, node, emit))
         gates.append(Gate("AND", name_of[node], ins, inst()))
 
     outputs = []
@@ -388,7 +376,7 @@ def from_aig(g: AigGraph, group_multi_input_and=False, name="aig") -> Netlist:
 # ---------------------------------------------------------------------------
 # AIGER export
 
-def export_aiger(g: AigGraph, comments=()) -> str:
+def export_aiger(g: AigGraph) -> str:
     """ASCII AIGER (aag) dump.  Our constant-TRUE literal 0 maps to AIGER's
     literal 1; all other literals coincide."""
 
@@ -410,7 +398,4 @@ def export_aiger(g: AigGraph, comments=()) -> str:
         lines.append(f"i{k} {nm}")
     for k, (nm, _) in enumerate(g.pos):
         lines.append(f"o{k} {nm}")
-    if comments:
-        lines.append("c")
-        lines.extend(comments)
     return "\n".join(lines) + "\n"

@@ -15,9 +15,6 @@ from .netlist import CONST0, CONST1, Netlist, simulate_packed, stimuli
 
 SCOAP_CAP = 2**31 - 1
 
-_AND_LIKE = {"AND": ("CC1", "CC0"), "NAND": ("CC1", "CC0"),
-             "OR": ("CC0", "CC1"), "NOR": ("CC0", "CC1")}
-
 
 @dataclass
 class ScoapValues:

@@ -13,6 +13,7 @@ The FORGE_SEED environment variable overrides any --seed flag.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -195,32 +196,28 @@ def _cmd_equiv(args):
 
 
 def _cmd_bench(args):
-    seed = _seed_from(args)
     with open(args.config) as f:
         raw = json.load(f)
-    golden = []
+    if not isinstance(raw, dict):
+        raise ValueError("bench config must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(ForgeConfig)}
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown bench config keys {unknown}")
+    missing = [k for k, f in fields.items()
+               if f.default is dataclasses.MISSING and k not in raw]
+    if missing:
+        raise ValueError(f"bench config needs keys {missing}")
+    entries = raw["golden"]
+    if not (isinstance(entries, list) and all(
+            isinstance(e, dict) and set(e) == {"name", "file"}
+            and all(isinstance(v, str) for v in e.values()) for e in entries)):
+        raise ValueError('golden must be a list of {"name": ..., "file": ...}')
     base = os.path.dirname(os.path.abspath(args.config))
-    for entry in raw["golden"]:
-        path = entry["file"]
-        if not os.path.isabs(path):
-            path = os.path.join(base, path)
-        golden.append((entry["name"], _load_netlist(path)))
-    cfg = ForgeConfig(
-        golden=tuple(golden),
-        nb=raw["nb"],
-        infection_rate=raw.get("infection_rate"),
-        infected_counts=raw.get("infected_counts"),
-        recipe_pool=tuple(raw.get("recipe_pool", range(1, 19))),
-        trigger_widths=tuple(raw.get("trigger_widths", (2, 3, 4))),
-        metric=raw.get("metric", "signal-prob-low"),
-        threshold=raw.get("threshold", 0.05),
-        sample_vectors=raw.get("sample_vectors", 100_000),
-        master_seed=raw.get("master_seed", seed),
-        set_name=raw.get("set_name", "set"),
-        release_date=raw.get("release_date", "2026-01-01"),
-        exhaustive_bound=raw.get("exhaustive_bound", 24),
-        equiv_vectors=raw.get("equiv_vectors", 100_000),
-    )
+    raw["golden"] = [(e["name"], _load_netlist(os.path.join(base, e["file"])))
+                     for e in entries]
+    raw.setdefault("master_seed", _seed_from(args))
+    cfg = ForgeConfig(**raw)
     bench, key = forge_benchmark(cfg)
     bench.write_dir(args.output)
     key_path = args.key or os.path.join(

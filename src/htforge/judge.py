@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 # check_equivalence stays bound here; bench/test_bench.py checks its patching
 from .equiv import CheckConfig, check_equivalence, check_trojan_semantics  # noqa: F401
 from .netlist import Netlist, simulate, write_netlist
-from .restructure import RECIPES, apply_recipe
+from .restructure import RECIPES, _is_int, apply_recipe
 from .trojan import (InsertionError, InsufficientRareNetsError, TrojanSpec,
                      insert_trojan)
 
@@ -80,13 +80,37 @@ class ForgeConfig:
 
     def __post_init__(self):
         self.golden = tuple((nm, nl) for nm, nl in self.golden)
-        if self.nb < 1:
-            raise ValueError("nb must be >= 1")
+        if not _is_int(self.nb) or self.nb < 1:
+            raise ValueError(f"nb must be an int >= 1, got {self.nb!r}")
         if self.infection_rate is None and self.infected_counts is None:
             raise ValueError("set infection_rate or infected_counts")
-        if self.infection_rate is not None and not 0 <= self.infection_rate <= 1:
+        if self.infection_rate is not None and not (
+                isinstance(self.infection_rate, (int, float))
+                and 0 <= self.infection_rate <= 1):
             raise ValueError("infection_rate must lie in [0, 1]")
         self.recipe_pool = tuple(self.recipe_pool)
+        if not self.recipe_pool or not all(_is_int(r) and r in RECIPES
+                                           for r in self.recipe_pool):
+            raise ValueError(f"recipe_pool must list recipe ids in "
+                             f"{min(RECIPES)}..{max(RECIPES)}, "
+                             f"got {list(self.recipe_pool)}")
+        self.trigger_widths = tuple(self.trigger_widths)
+        if not self.trigger_widths or not all(_is_int(q) and q >= 2
+                                              for q in self.trigger_widths):
+            raise ValueError(f"trigger_widths must list ints >= 2, "
+                             f"got {list(self.trigger_widths)}")
+        if self.infected_counts is not None and not (
+                isinstance(self.infected_counts, dict)
+                and set(self.infected_counts) <= {nm for nm, _ in self.golden}
+                and all(_is_int(c) for c in self.infected_counts.values())):
+            raise ValueError("infected_counts must map golden names to ints")
+        for name, kind in (("threshold", (int, float)), ("sample_vectors", int),
+                           ("master_seed", int), ("exhaustive_bound", int),
+                           ("equiv_vectors", int), ("metric", str),
+                           ("set_name", str), ("release_date", str)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} has the wrong type: {value!r}")
 
     @property
     def expiry_date(self):

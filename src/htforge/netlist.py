@@ -360,10 +360,6 @@ def validate(n: Netlist) -> list:
     return diags
 
 
-def is_valid(n: Netlist) -> bool:
-    return not any(d.severity == "error" for d in validate(n))
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -390,17 +386,13 @@ class _Parser:
     def __init__(self, source):
         self.source = source
         self.toks = _TOKEN_RE.findall(source)
-        self.escaped = set()  # indices of escaped identifiers, backslash stripped
-        if "\\" in source:
-            for k, t in enumerate(self.toks):
-                if t[:1] == "\\" and len(t) > 1:
-                    self.escaped.add(k)
-                    self.toks[k] = t[1:]
         self.i = 0
 
     def kind(self, k):
         t = self.toks[k]
-        if k in self.escaped or t[:1] in _IDENT_START:
+        # an escaped identifier keeps its backslash, so it never equals a
+        # keyword or punctuation; ident() strips it when the name is taken
+        if t[:1] in _IDENT_START or (t[:1] == "\\" and len(t) > 1):
             return "ident"
         if not t:
             return "eof"
@@ -431,9 +423,18 @@ class _Parser:
             raise self.error(f"expected {kind}, found '{t or 'EOF'}'", self.i - 1)
         return t
 
+    def ident(self):
+        """Consume an identifier; an escaped one loses its backslash here."""
+        t = self.next()
+        if t[:1] in _IDENT_START:
+            return t
+        if self.kind(self.i - 1) != "ident":
+            raise self.error(f"expected ident, found '{t or 'EOF'}'", self.i - 1)
+        return t[1:]
+
     def parse_module(self):
         self.expect(text="module")
-        name = self.expect(kind="ident")
+        name = self.ident()
         if self.peek() == "(":
             self.next()
             while self.peek() != ")":
@@ -477,7 +478,7 @@ class _Parser:
                         "(only the eight combinational primitives are allowed)", k)
                 self.next()
                 if self.peek() != "(":
-                    inst = self.expect(kind="ident")
+                    inst = self.ident()
                 else:
                     inst = f"g{auto_idx}"
                     auto_idx += 1
@@ -515,7 +516,7 @@ class _Parser:
             rng = (msb, lsb)
         names = []
         while True:
-            ident = self.expect(kind="ident")
+            ident = self.ident()
             if rng is None:
                 names.append(ident)
             else:
@@ -536,6 +537,8 @@ class _Parser:
             return CONST1 if t[-1] == "1" else CONST0
         if kind != "ident":
             raise self.error(f"expected net name, found '{t}'", self.i - 1)
+        if t[0] == "\\":
+            t = t[1:]
         if self.peek() == "[":
             self.next()
             idx = self.expect(kind="number")

@@ -31,6 +31,8 @@ from .aig import (
     strash,
     strip_unreachable,
     to_aig,
+    tree_leaves,
+    tree_roots,
     tt_var,
 )
 from .netlist import Netlist
@@ -53,51 +55,28 @@ class _Work:
     trivialize, merges hash collisions, and deletes dead cones, keeping the
     live-node count exact at all times."""
 
-    def __init__(self, g: AigGraph, sim_words=0, seed=0):
-        base = 1 + g.n_pis
-        n = g.n_nodes
-        self.n_pis = g.n_pis
+    def __init__(self, g: AigGraph):
+        """Load a strashed graph; every AND keeps its node index, so a graph
+        that was not strashed (a constant fanin or a duplicate) raises
+        ValueError."""
         self.pi_names = g.pi_names
-        self.first_and = base
-        self.fan0 = [0] * n
-        self.fan1 = [0] * n
-        self.dead = [False] * n
-        self.nref = [0] * n
-        self.fanouts = [set() for _ in range(n)]
+        self.first_and = 1 + g.n_pis
+        self.fan0 = [0] * self.first_and
+        self.fan1 = [0] * self.first_and
+        self.dead = [False] * self.first_and
+        self.nref = [0] * self.first_and
+        self.fanouts = [set() for _ in range(self.first_and)]
         self.table = {}
         self.live = 0
         self.pos = [l for _, l in g.pos]
         self.po_names = [nm for nm, _ in g.pos]
-        self.sim_width = 64 * sim_words
-        self.sig = None
         self._supports = {}
-        if sim_words:
-            rng = random.Random(seed)
-            self.sig = [(1 << self.sim_width) - 1]
-            self.sig.extend(rng.getrandbits(self.sim_width)
-                            for _ in range(g.n_pis))
-        for j in range(g.n_ands):
-            node = base + j
-            f0, f1 = g.fan0[j], g.fan1[j]
-            if f0 > f1:
-                f0, f1 = f1, f0
-            self.fan0[node] = f0
-            self.fan1[node] = f1
-            self.table[(f0, f1)] = node
-            self.live += 1
-            for f in (f0, f1):
-                self.nref[f >> 1] += 1
-                self.fanouts[f >> 1].add(node)
-            if self.sig is not None:
-                self.sig.append(self._sig_of(f0, f1))
+        for node in range(self.first_and, g.n_nodes):
+            if self.and2(*g.fanins(node)) != lit(node):
+                raise ValueError(f"node {node} does not keep its index; "
+                                 "strash the graph first")
         for l in self.pos:
             self.nref[l >> 1] += 1
-
-    def _sig_of(self, f0, f1):
-        mask = (1 << self.sim_width) - 1
-        a = self.sig[f0 >> 1] ^ (mask if f0 & 1 else 0)
-        b = self.sig[f1 >> 1] ^ (mask if f1 & 1 else 0)
-        return a & b
 
     def and2(self, a, b):
         """Hashed AND with the constant rules; creates a node on miss."""
@@ -119,8 +98,6 @@ class _Work:
         for f in (a, b):
             self.nref[f >> 1] += 1
             self.fanouts[f >> 1].add(node)
-        if self.sig is not None:
-            self.sig.append(self._sig_of(a, b))
         return lit(node)
 
     def _delete_cascade(self, v):
@@ -587,18 +564,7 @@ def balance(g: AigGraph, seed=0) -> AigGraph:
     operands are seeded, which varies structure without affecting depth."""
     g = strash(g)
     rng = random.Random(seed)
-    nref = [0] * g.n_nodes
-    comp_ref = set()
-    po_ref = set()
-    for j in range(g.n_ands):
-        for f in (g.fan0[j], g.fan1[j]):
-            nref[f >> 1] += 1
-            if f & 1:
-                comp_ref.add(f >> 1)
-    for _, l in g.pos:
-        nref[l >> 1] += 1
-        po_ref.add(l >> 1)
-
+    roots = tree_roots(g, range(1 + g.n_pis, g.n_nodes))
     b = AigBuilder(g.pi_names, hashing=True)
     levels = {v: 0 for v in range(1 + g.n_pis)}
     balanced = {}
@@ -609,23 +575,9 @@ def balance(g: AigGraph, seed=0) -> AigGraph:
             return f
         return balanced[v] ^ (f & 1)
 
-    def operands(node, acc):
-        for f in g.fanins(node):
-            v = f >> 1
-            if not (f & 1) and g.is_and(v) and nref[v] == 1 and v not in po_ref:
-                operands(v, acc)
-            else:
-                acc.append(mapped(f))
-
-    base = 1 + g.n_pis
-    for j in range(g.n_ands):
-        node = base + j
-        if nref[node] == 1 and node not in comp_ref and node not in po_ref:
-            continue  # internal to some tree
-        ops = []
-        operands(node, ops)
+    for node in sorted(roots):
         groups = {}
-        for l in ops:
+        for l in map(mapped, tree_leaves(g, node, roots)):
             groups.setdefault(levels.get(l >> 1, 0), []).append(l)
         pool = []
         for lv in sorted(groups):
@@ -651,34 +603,30 @@ def balance(g: AigGraph, seed=0) -> AigGraph:
     return out
 
 
-def rewrite(g: AigGraph, cut_size=4, max_cuts=8, seed=0) -> AigGraph:
-    """Cut-based local rewriting: resynthesize each node's cut function from
-    its truth table; replacements accepted only with non-negative gain."""
-    g = strash(g)
+def _resynthesize(g: AigGraph, seed, name, leaf_sets) -> AigGraph:
+    """The loop rewrite and refactor share: for each live node of the input
+    graph, take the truth table of every leaf set ``leaf_sets(w, node)``
+    yields, synthesize it, and commit the candidate of best non-negative
+    gain (ties broken by the seeded rng)."""
     rng = random.Random(seed)
-    node_cuts = enumerate_cuts(g, cut_size, max_cuts)
     w = _Work(g)
     before = w.live
     memo = {}
-    for node in range(1 + g.n_pis, g.n_nodes):
+    for node in range(w.first_and, g.n_nodes):
         if w.dead[node] or w.nref[node] == 0:
             continue
         cand = []
-        for leaves in node_cuts[node]:
-            if len(leaves) < 2:  # the trivial cut
-                continue
-            if any(v >= w.first_and and w.dead[v] for v in leaves):
+        for leaves in leaf_sets(w, node):
+            if len(leaves) < 2 or any(v >= w.first_and and w.dead[v]
+                                      for v in leaves):
                 continue
             tt = w.cone_tt(node, leaves)
             if tt is None:
                 continue
             tree = synth_tree(tt, len(leaves), [lit(v) for v in leaves], memo)
             res = w.trial(node, tree)
-            if res is None:
-                continue
-            gain, plan = res
-            if gain >= 0:
-                cand.append((gain, plan))
+            if res is not None and res[0] >= 0:
+                cand.append(res)
         if not cand:
             continue
         best = max(c[0] for c in cand)
@@ -686,8 +634,37 @@ def rewrite(g: AigGraph, cut_size=4, max_cuts=8, seed=0) -> AigGraph:
         _, plan = top[rng.randrange(len(top))] if len(top) > 1 else top[0]
         w.commit(node, plan)
     if w.live > before:
-        raise RestructureError("rewrite grew the AND count")
+        raise RestructureError(f"{name} grew the AND count")
     return w.rebuild()
+
+
+def rewrite(g: AigGraph, cut_size=4, max_cuts=8, seed=0) -> AigGraph:
+    """Cut-based local rewriting: resynthesize each node's cut function from
+    its truth table; replacements accepted only with non-negative gain."""
+    g = strash(g)
+    node_cuts = enumerate_cuts(g, cut_size, max_cuts)
+    return _resynthesize(g, seed, "rewrite", lambda w, node: node_cuts[node])
+
+
+def _greedy_cone(w, node, max_cone_inputs):
+    """Leaves of a reconvergent cone: starting from node's fanins, expand
+    the leaf whose fanins give the smallest leaf set, while it fits."""
+    leaves = {w.fan0[node] >> 1, w.fan1[node] >> 1}
+    for _ in range(4 * max_cone_inputs):
+        best_leaf, best_sz = None, None
+        for v in sorted(leaves):
+            if v < w.first_and or w.dead[v]:
+                continue
+            nxt = (leaves - {v}) | {w.fan0[v] >> 1, w.fan1[v] >> 1}
+            if len(nxt) > max_cone_inputs:
+                continue
+            if best_sz is None or len(nxt) < best_sz:
+                best_leaf, best_sz = v, len(nxt)
+        if best_leaf is None:
+            break
+        leaves = ((leaves - {best_leaf})
+                  | {w.fan0[best_leaf] >> 1, w.fan1[best_leaf] >> 1})
+    return tuple(sorted(leaves - {0}))
 
 
 def refactor(g: AigGraph, max_cone_inputs=10, seed=0) -> AigGraph:
@@ -695,45 +672,9 @@ def refactor(g: AigGraph, max_cone_inputs=10, seed=0) -> AigGraph:
     factored irredundant SOP; accepted only when node count does not grow."""
     if max_cone_inputs > 16:
         raise ValueError("max_cone_inputs is capped at 16 (truth-table width)")
-    g = strash(g)
-    w = _Work(g)
-    before = w.live
-    memo = {}
-    n_orig = g.n_nodes
-    for node in range(1 + g.n_pis, n_orig):
-        if w.dead[node] or w.nref[node] == 0:
-            continue
-        leaves = {w.fan0[node] >> 1, w.fan1[node] >> 1}
-        for _ in range(4 * max_cone_inputs):
-            best_leaf, best_sz = None, None
-            for v in sorted(leaves):
-                if v < w.first_and or w.dead[v]:
-                    continue
-                nxt = (leaves - {v}) | {w.fan0[v] >> 1, w.fan1[v] >> 1}
-                if len(nxt) > max_cone_inputs:
-                    continue
-                if best_sz is None or len(nxt) < best_sz:
-                    best_leaf, best_sz = v, len(nxt)
-            if best_leaf is None:
-                break
-            leaves = ((leaves - {best_leaf})
-                      | {w.fan0[best_leaf] >> 1, w.fan1[best_leaf] >> 1})
-        leaves = tuple(sorted(leaves - {0}))
-        if len(leaves) < 2:
-            continue
-        tt = w.cone_tt(node, leaves)
-        if tt is None:
-            continue
-        tree = synth_tree(tt, len(leaves), [lit(v) for v in leaves], memo)
-        res = w.trial(node, tree)
-        if res is None:
-            continue
-        gain, plan = res
-        if gain >= 0:
-            w.commit(node, plan)
-    if w.live > before:
-        raise RestructureError("refactor grew the AND count")
-    return w.rebuild()
+    return _resynthesize(
+        strash(g), seed, "refactor",
+        lambda w, node: (_greedy_cone(w, node, max_cone_inputs),))
 
 
 def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
@@ -741,8 +682,10 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
     node count.  Candidates are filtered by simulation signatures and
     validated by an exact check over the local PI support."""
     g = strash(g)
-    w = _Work(g, sim_words=2, seed=seed ^ 0x5EED)
-    mask = (1 << w.sim_width) - 1
+    rng = random.Random(seed ^ 0x5EED)
+    mask = (1 << 128) - 1
+    sig = aig_simulate(g, [rng.getrandbits(128) for _ in range(g.n_pis)], 128)
+    w = _Work(g)
     before = w.live
     for node in range(1 + g.n_pis, g.n_nodes):
         if w.dead[node] or w.nref[node] == 0:
@@ -766,14 +709,14 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
                 break
         if not divs:
             continue
-        sig_n = w.sig[node]
+        sig_n = sig[node]
         tt_n = None
         done = False
         for d in divs:  # 0-resub
             comp = None
-            if w.sig[d] == sig_n:
+            if sig[d] == sig_n:
                 comp = 0
-            elif (w.sig[d] ^ mask) == sig_n:
+            elif (sig[d] ^ mask) == sig_n:
                 comp = 1
             if comp is None:
                 continue
@@ -795,7 +738,7 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
                 break
             for i2 in range(i1 + 1, len(divs)):
                 d1, d2 = divs[i1], divs[i2]
-                s1, s2 = w.sig[d1], w.sig[d2]
+                s1, s2 = sig[d1], sig[d2]
                 found = None
                 for c1 in (0, 1):
                     for c2 in (0, 1):

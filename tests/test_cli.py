@@ -216,6 +216,60 @@ def test_bench_byte_identical_reruns(tmp_path):
     assert open(tmp_path / "k1.json").read() == open(tmp_path / "k2.json").read()
 
 
+_GOLDEN = [{"name": "adder", "file": "adder.v"}]
+
+
+@pytest.mark.parametrize("cfg, message", [
+    pytest.param({"golden": _GOLDEN, "infection_rate": 0.5},
+                 "bench config needs keys ['nb']", id="missing-nb"),
+    pytest.param({"golden": [{"name": "adder"}], "nb": 2, "infection_rate": 0.5},
+                 'golden must be a list of {"name": ..., "file": ...}',
+                 id="golden-without-file"),
+    pytest.param({"golden": _GOLDEN, "nb": "2", "infection_rate": 0.5},
+                 "nb must be an int >= 1, got '2'", id="nb-string"),
+    pytest.param([{"golden": _GOLDEN, "nb": 2}],
+                 "bench config must be a JSON object", id="top-level-list"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
+                  "recipe_pool": [99]},
+                 "recipe_pool must list recipe ids in 1..18, got [99]",
+                 id="unknown-recipe"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
+                  "trigger_widths": []},
+                 "trigger_widths must list ints >= 2, got []",
+                 id="no-trigger-widths"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
+                  "trigger_widths": [1]},
+                 "trigger_widths must list ints >= 2, got [1]",
+                 id="trigger-width-1"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
+                  "recipe_pol": [1]},
+                 "unknown bench config keys ['recipe_pol']", id="misspelled-key"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": "0.5"},
+                 "infection_rate must lie in [0, 1]", id="rate-string"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infected_counts": {"adder": "1"}},
+                 "infected_counts must map golden names to ints",
+                 id="count-string"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infected_counts": {"addr": 1}},
+                 "infected_counts must map golden names to ints",
+                 id="count-unknown-golden"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
+                  "threshold": "0.05"},
+                 "threshold has the wrong type: '0.05'", id="threshold-string"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
+                  "sample_vectors": 1e5},
+                 "sample_vectors has the wrong type: 100000.0",
+                 id="sample-vectors-float"),
+])
+def test_bench_malformed_config_is_a_usage_error(tmp_path, capsys, cfg, message):
+    (tmp_path / "adder.v").write_text(FULL_ADDER)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["bench", "--config", str(path), "-o", str(tmp_path / "set"),
+                "--key", str(tmp_path / "k.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "set").exists()
+
+
 def test_features_pca_pipeline(tmp_path, capsys):
     cfg = _bench_config(tmp_path)
     set_dir = str(tmp_path / "set")

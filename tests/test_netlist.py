@@ -161,7 +161,8 @@ MALFORMED = [
                  ParseError, "gate 'g' needs an output and at least one input", 4, 3,
                  id="gate-with-one-connection"),
     pytest.param(HEADER + "  buf g (y, a);\n  \\endmodule \nendmodule\n",
-                 ParseError, "trailing content after endmodule: 'endmodule'", 6, 1,
+                 ParseError, "unsupported construct: instance of '\\endmodule' "
+                 "(only the eight combinational primitives are allowed)", 5, 3,
                  id="escaped-endmodule"),
     pytest.param(HEADER + "  buf g (\\1'b0 , a);\nendmodule\n",
                  ParseError, "gate 'g' drives a constant literal", 4, 3,
@@ -246,11 +247,33 @@ def test_parse_error_table(src, exc, message, line, col):
         == (exc, message, line, col)
 
 
-def test_escaped_identifier_is_an_ident_whose_text_still_matches_keywords():
-    n = parse_netlist("module m (a, \\7 , y);\n  \\input a, \\7 ;\n  output y;\n"
+def test_escaped_identifier_is_an_ident_never_a_keyword():
+    # an escaped name keeps its backslash until it is taken as a name, so
+    # ``\\input`` starts an instance statement, not a declaration
+    with pytest.raises(ParseError) as info:
+        parse_netlist("module m (a, \\7 , y);\n  \\input a, \\7 ;\n  output y;\n"
                       "  and g (y, a, \\7 );\nendmodule\n")
+    assert (str(info.value), info.value.line, info.value.col) == (
+        "unsupported construct: instance of '\\input' (only the eight "
+        "combinational primitives are allowed) (line 2, col 3)", 2, 3)
+    n = parse_netlist("module m (a, \\7 , y);\n  input a, \\7 ;\n  output y;\n"
+                      "  and \\and (y, a, \\7 );\nendmodule\n")
     assert n.inputs == ("a", "7")
-    assert n.gates == (Gate("AND", "y", ("a", "7"), "g"),)
+    assert n.gates == (Gate("AND", "y", ("a", "7"), "and"),)
+
+
+@pytest.mark.parametrize("name", [")", "[", "]", ";", "input", "endmodule", "a[3]"])
+def test_write_parse_round_trips_awkward_names(name):
+    # the name as module, PI and instance; as a wire; as a PO
+    for n in (Netlist(name, (name, "b"), ("y",),
+                      (Gate("AND", "y", (name, "b"), name),)),
+              Netlist("m", ("a",), ("y",), (Gate("NOT", name, ("a",), "g0"),
+                                            Gate("BUF", "y", (name,), "g1"))),
+              Netlist("m", ("a", "b"), (name,),
+                      (Gate("OR", name, ("a", "b"), "g0"),))):
+        back = parse_netlist(write_netlist(n))
+        assert (back.name, back.inputs, back.outputs, back.gates) \
+            == (n.name, n.inputs, n.outputs, n.gates)
 
 
 # sha256 of the parsed forms of every circuit of a small forged set

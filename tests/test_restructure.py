@@ -65,6 +65,18 @@ def test_cone_tt_cap_applies_to_local_passes_only():
     assert w.cone_tt(l >> 1, pis) is None
 
 
+def test_work_graph_rejects_a_graph_that_was_not_strashed():
+    # a constant fanin and a duplicate AND: neither keeps its node index
+    # when loaded through the hashing and2
+    for text in ("and g1 (y, a, 1'b1);", "and g1 (t, a, b);\n  and g2 (u, a, b);"
+                 "\n  or g3 (y, t, u);"):
+        n = parse_netlist("module m (a, b, y);\n  input a, b;\n  output y;\n"
+                          f"  wire t, u;\n  {text}\nendmodule\n")
+        with pytest.raises(ValueError, match="does not keep its index"):
+            _Work(to_aig(n))
+        _Work(strash(to_aig(n))).check()
+
+
 def _mffc_oracle(w, root, pins):
     """Nodes the delete cascade kills once root loses its consumers."""
     c = copy.deepcopy(w)
@@ -506,18 +518,25 @@ def test_recipe_from_steps_inserts_strash():
     assert r.steps[1].name == "balance"
 
 
-def test_apply_recipe_bug_trap_names_pass(full_adder, monkeypatch):
+@pytest.mark.parametrize("fn, recipe, step", [
+    ("balance", 1, "balance"), ("rewrite", 2, "rewrite"),
+    ("refactor", 4, "refactor"), ("resubstitute", 6, "resub"),
+    ("fraig", 8, "fraig")], ids=["balance", "rewrite", "refactor",
+                                 "resubstitute", "fraig"])
+def test_apply_recipe_bug_trap_names_pass(full_adder, monkeypatch, fn, recipe,
+                                          step):
     import htforge.restructure as rs
 
-    def broken_balance(g, seed=0):
+    def broken(g, seed=0, **params):
         b = AigBuilder(g.pi_names, hashing=True)
         for name, _ in g.pos:
             b.add_po(name, 1)  # constant-false everything
         return b.build()
 
-    monkeypatch.setattr(rs, "balance", broken_balance)
-    with pytest.raises(RestructureError, match="balance"):
-        rs.apply_recipe(full_adder, RECIPES[1], seed=0)
+    # _run_step finds the pass through the module global
+    monkeypatch.setattr(rs, fn, broken)
+    with pytest.raises(RestructureError, match=f"pass '{step}'"):
+        rs.apply_recipe(full_adder, RECIPES[recipe], seed=0)
 
 
 def test_passes_monotone_on_random_corpus():

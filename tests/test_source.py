@@ -1,6 +1,7 @@
 """Source-level invariants of the htforge package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import htforge
@@ -61,3 +62,18 @@ def test_no_process_wide_cache():
                 if name in ("lru_cache", "cache"):
                     found.append(f"{path.name}:{dec.lineno} @{name}")
     assert not found, found
+
+
+def test_tracer_wrapped_names_resolve():
+    # the benchmark tracer reports a missing function as absent and drops
+    # its layer metric; read its WRAPPED table without importing bench/
+    tracer = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(), filename=str(tracer))
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "WRAPPED"
+                           for t in node.targets))
+    assert wrapped
+    missing = [f"{mod}.{fn}" for mod, fn in wrapped.values()
+               if not callable(getattr(importlib.import_module(mod), fn, None))]
+    assert not missing, missing
