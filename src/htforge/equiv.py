@@ -26,6 +26,13 @@ class CheckConfig:
     seed: int = 0
     chunk_bits: int = 14
 
+    def __post_init__(self):
+        for name, low in (("sample_vectors", 1), ("exhaustive_bound", 0),
+                          ("chunk_bits", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, "
+                                 f"got {getattr(self, name)}")
+
 
 @dataclass
 class Miter:

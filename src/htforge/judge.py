@@ -80,6 +80,12 @@ class ForgeConfig:
 
     def __post_init__(self):
         self.golden = tuple((nm, nl) for nm, nl in self.golden)
+        names = [nm for nm, _ in self.golden]
+        if not names:
+            raise ValueError("golden must list at least one circuit")
+        dup = sorted({nm for nm in names if names.count(nm) > 1})
+        if dup:
+            raise ValueError(f"golden names must be distinct, repeated: {dup}")
         if not _is_int(self.nb) or self.nb < 1:
             raise ValueError(f"nb must be an int >= 1, got {self.nb!r}")
         if self.infection_rate is None and self.infected_counts is None:
@@ -111,6 +117,11 @@ class ForgeConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{name} has the wrong type: {value!r}")
+        for name, low in (("sample_vectors", 1), ("equiv_vectors", 1),
+                          ("exhaustive_bound", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, "
+                                 f"got {getattr(self, name)}")
 
     @property
     def expiry_date(self):

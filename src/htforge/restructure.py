@@ -1004,6 +1004,8 @@ def apply_recipe(n: Netlist, recipe: Recipe, seed=0, exhaustive_bound=24,
     """
     from .equiv import CheckConfig, check_equivalence
 
+    cfg = CheckConfig(exhaustive_bound=exhaustive_bound,
+                      sample_vectors=sample_vectors, seed=seed)
     aig = to_aig(n)
     group = any(s.name == "gate_size" for s in recipe.steps)
     reports = []
@@ -1018,9 +1020,6 @@ def apply_recipe(n: Netlist, recipe: Recipe, seed=0, exhaustive_bound=24,
         aig = nxt
         stages.append(aig)
     out = from_aig(aig, group_multi_input_and=group, name=n.name)
-
-    cfg = CheckConfig(exhaustive_bound=exhaustive_bound,
-                      sample_vectors=sample_vectors, seed=seed)
     verdict = check_equivalence(n, out, cfg)
     if verdict.result == "counterexample":
         culprit = _find_culprit(recipe, stages, len(n.inputs))

@@ -175,7 +175,7 @@ def _conflict(vals, trigger):
 def _activations(patterns, act, limit):
     """Decode up to ``limit`` set bits of ``act``, lowest first.
 
-    Same result as decode() per bit, but a probe word can be 2^18 bits
+    Same result as decode() per bit, but a chunk word is thousands of bits
     wide, so each word is converted once: one bin() of ``act`` locates the
     bits, one to_bytes() per PI word reads them.
     """
@@ -264,21 +264,34 @@ def _search_backtrack(cone, trigger, budget, seed):
 PROBE_VECTORS = 1 << 18
 
 
-def _probe_activation(cone: Netlist, trigger, seed, width=PROBE_VECTORS,
-                      limit=48):
-    """Random-probe a trigger's joint activation over its support cone
-    (see _cone_netlist).
+def _probe(n: Netlist, triggers, seed, limit=48):
+    """Count every trigger's joint activations over one seeded stream of
+    PROBE_VECTORS vectors through one simulation of ``n``.
 
-    Returns (hit count over ``width`` vectors, activating assignments
-    found, capped at ``limit``).  The probe is wide so candidate ranking
-    can tell truly rare joint triggers from merely uncommon ones.
+    Returns (hits, kept): ``hits[k]`` is the number of vectors activating
+    ``triggers[k]``, ``kept[k]`` the ``(patterns, act)`` chunk pieces that
+    hold its first ``limit`` activations (see _decode).  The probe is wide
+    so candidate ranking can tell truly rare joint triggers from merely
+    uncommon ones; memory is bounded by the chunk, plus the kept chunks.
     """
-    if not cone.inputs:
-        return 0, []
-    patterns, _ = next(stimuli(cone.inputs, width, seed,
-                               chunk_bits=width.bit_length()))
-    act = trigger_word(simulate_packed(cone, patterns, width), trigger, width)
-    return act.bit_count(), _activations(patterns, act, limit)
+    hits = [0] * len(triggers)
+    kept = [[] for _ in triggers]
+    for patterns, width in stimuli(n.inputs, PROBE_VECTORS, seed):
+        vals = simulate_packed(n, patterns, width)
+        for k, trigger in enumerate(triggers):
+            act = trigger_word(vals, trigger, width)
+            if act and hits[k] < limit:
+                kept[k].append((patterns, act))
+            hits[k] += act.bit_count()
+    return hits, kept
+
+
+def _decode(kept, limit=48):
+    """The first ``limit`` activating assignments held by _probe's pieces."""
+    found = []
+    for patterns, act in kept:
+        found += _activations(patterns, act, limit - len(found))
+    return found
 
 
 def _rare_activations(cone, trigger, limit, seed):
@@ -408,34 +421,28 @@ def insert_trojan(n: Netlist, spec: TrojanSpec, stats=None):
     po_reach = _po_reachable(n)
     gate_outs = [g.output for g in n.gates]
 
-    # draw candidate triggers and rank them by probed joint activation rate
-    # (the stealthiest satisfiable candidate wins); zero-hit candidates get
-    # an independent confirmation probe so near-misses rank behind truly
+    # draw candidate triggers, then rank them by probed joint activation
+    # rate (the stealthiest satisfiable candidate wins); zero-hit candidates
+    # get an independent confirmation probe so near-misses rank behind truly
     # rare ones
-    candidates = []
-    seen = set()
+    drawn = {}   # trigger -> attempt that first drew it
     for attempt in range(64):
         trig_nets = (rng.sample(rare, spec.rare_count)
                      + rng.sample(regular, spec.q - spec.rare_count))
         trigger = tuple(sorted((net, polarity(net)) for net in trig_nets))
-        if trigger in seen:
-            continue
-        seen.add(trigger)
-        cone = _cone_netlist(n, [net for net, _ in trigger])
-        hits, probes = _probe_activation(cone, trigger,
-                                         seed=spec.seed + attempt)
-        if hits == 0:
-            hits2, _ = _probe_activation(cone, trigger,
-                                         seed=spec.seed ^ 0x7F4A ^ attempt)
-            key = (0, hits2, attempt)
-        else:
-            key = (1, hits, attempt)
-        candidates.append((key, attempt, trigger, probes))
-    candidates.sort(key=lambda c: c[0])
+        drawn.setdefault(trigger, attempt)
+    triggers = list(drawn)
+    hits, kept = _probe(n, triggers, spec.seed)
+    silent = [t for t, h in zip(triggers, hits) if h == 0]
+    hits2 = (dict(zip(silent, _probe(n, silent, spec.seed ^ 0x7F4A)[0]))
+             if silent else {})
+    candidates = sorted(
+        ((1, h, drawn[t]) if h else (0, hits2[t], drawn[t]), t, pieces)
+        for t, h, pieces in zip(triggers, hits, kept))
 
-    for _key, attempt, trigger, probes in candidates:
+    for (_, _, attempt), trigger, pieces in candidates:
         roots = [net for net, _ in trigger]
-        activations = probes or _rare_activations(
+        activations = _decode(pieces) or _rare_activations(
             _cone_netlist(n, roots), trigger, 48, seed=spec.seed + attempt)
         if not activations:
             continue  # unsatisfiable or not found within budget

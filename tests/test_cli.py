@@ -120,6 +120,27 @@ def test_equiv_inconclusive_above_bound(adder_file, capsys):
     assert verdict["vectors"] == 500
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["equiv", "{a}", "{a}", "--exhaustive-bound", "2", "--vectors", "0"],
+     "sample_vectors must be >= 1, got 0"),
+    (["equiv", "{a}", "{a}", "--vectors", "-5"],
+     "sample_vectors must be >= 1, got -5"),
+    (["equiv", "{a}", "{a}", "--exhaustive-bound", "-1"],
+     "exhaustive_bound must be >= 0, got -1"),
+    (["restructure", "{a}", "--recipe", "3", "--vectors", "0", "-o", "{out}"],
+     "sample_vectors must be >= 1, got 0"),
+], ids=["equiv-sampled", "equiv-negative", "equiv-bound", "restructure"])
+def test_zero_vector_check_is_a_usage_error(adder_file, tmp_path, capsys,
+                                            argv, message):
+    out_v = tmp_path / "out.v"
+    argv = [a.format(a=adder_file, out=out_v) for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out_v.exists()
+
+
 def test_insert_writes_record(c17_file, tmp_path):
     out_v = str(tmp_path / "inf.v")
     rec = str(tmp_path / "rec.json")
@@ -259,6 +280,21 @@ _GOLDEN = [{"name": "adder", "file": "adder.v"}]
                   "sample_vectors": 1e5},
                  "sample_vectors has the wrong type: 100000.0",
                  id="sample-vectors-float"),
+    pytest.param({"golden": [], "nb": 2, "infection_rate": 0.5},
+                 "golden must list at least one circuit", id="no-golden"),
+    pytest.param({"golden": _GOLDEN + _GOLDEN, "nb": 2, "infection_rate": 0.5},
+                 "golden names must be distinct, repeated: ['adder']",
+                 id="duplicate-golden"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
+                  "sample_vectors": 0},
+                 "sample_vectors must be >= 1, got 0", id="sample-vectors-0"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
+                  "equiv_vectors": 0},
+                 "equiv_vectors must be >= 1, got 0", id="equiv-vectors-0"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
+                  "exhaustive_bound": -1},
+                 "exhaustive_bound must be >= 0, got -1",
+                 id="exhaustive-bound-negative"),
 ])
 def test_bench_malformed_config_is_a_usage_error(tmp_path, capsys, cfg, message):
     (tmp_path / "adder.v").write_text(FULL_ADDER)

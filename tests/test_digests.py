@@ -85,46 +85,46 @@ ACCEPTANCE_SET_DIGESTS = {
     "b0000.v": "cb6f14becfd91a2a4c2fd83b0c13f4f3b42934ac77e84cdefa6f2baa9f411688",
     "b0001.v": "5b8ee5acdb82be2323be15b39c785489742362a96865c440e7084ee9df3c4f20",
     "b0002.v": "2f421039a23fa15f3c7eb295eed742e24997c235500666abbbae469db6ce19d6",
-    "b0003.v": "72003a25c5f519fd99023efb938da06677cbe1db8d9bebf1fda038a124bad593",
+    "b0003.v": "fa8f73dafb36763d7cc97a834281e2ba55f8ab17cbf968cb4a18cb7f3fdf8ed5",
     "b0004.v": "1b09d742fd939d34e6ba547e2fcbc75451ad66d0bfacd1fbc449e524173e8bdd",
     "b0005.v": "c7e714ed77471fae5deae4011109245215e30a8aeafc574fb3342b3c8972c41f",
     "b0006.v": "2d9a28e0dbc9cbf5de162ddff810660aa08a594ab0435de0d6f04b0e59751a7f",
     "b0007.v": "4d04fb40f512883d91abc931e82484ac16b7400f432dad751f0ad270a5705751",
-    "b0008.v": "749b0c53baba0591de46bf050ed27cc2aa5fba0f3f3cb41a9bbfaeea5a2af5fd",
+    "b0008.v": "c8c5ed2d2093d269381e94c674de1a36ca3a233fb25adc5845ccf4f572775518",
     "b0009.v": "f09bcafb079c81737a15a63ec488306dbd412efa1b3f006b9f173a054d9d8bbc",
     "b0010.v": "8d75d4e51268610a74a4d9d9dbdb28c65df1defdd6e5328853046d782988bdf9",
     "b0011.v": "7150600112e87e9a8de772edcdf7ae9f8b38f35e906fb6782735dd84df394670",
     "b0012.v": "608082fb59c00739504e106db8dd3b7dd801ad38a877f66df50c7fc2ae17f7c0",
-    "b0013.v": "6de74fbc523c4e126a9b0b86b2a0d6b8f1f5e332985cfb71e4aaf52c9a1a065c",
-    "b0014.v": "827571c9a366f36d301edfee1e05411c773efc1edfb2c6679195c43d875978b3",
+    "b0013.v": "d8631426098861216a92c33a46eb07842f859889e6dd1062a560d87bc4275e72",
+    "b0014.v": "589906d3119bcfbdbb40f2a6d6a9c392bc5aa81e8b9cbed9ca1bbe5b664df5b6",
     "b0015.v": "f9e82f352318dbd927f58a8c5132d0ba8d5a14f03e8372ec720e51e18c77007f",
-    "b0016.v": "dab5c48aa922c486b7115114db3f153c35c4cf11fa09bb7a082bcc0701439340",
+    "b0016.v": "7ad51688f35e24a0040546b3819183283a032f17827d835dfc186819ee1993ed",
     "b0017.v": "c3594821c5424774fed6cf9eff13b2677b22c00e5e2804f4a9e518333a4a2b6a",
     "b0018.v": "e3e73c342341f9356a3ca6d9c5a85cfea6d1f236b3b4a6a98c228e5db7859de5",
-    "b0019.v": "b9edb4ca1e0a9e0036ad52544060fa5ff17e9cac00d5bb60ce3f2c9295757ad9",
+    "b0019.v": "aa0e7dcdafc613b5fd3ddeb20e4fd315d383491223d698ce800147474a64a130",
     "b0020.v": "7e5cf8b814a63bdbd27849b13dc44f77dd6dda72339d96fcc13d707e2cf38212",
     "b0021.v": "572a441f560df12f766009133c9de222d8b050f48bb72bb878bb78e1f7bda069",
     "b0022.v": "0671784959ecba0d1015e3d9ca0793c2f3946992dd8462a6bcd26502b76f1513",
-    "b0023.v": "14234d6b973f83f370133e17106d9c74dfd741fc85f29d886e9a1a818709560a",
-    "b0024.v": "ed2a7d27a45143930abb3d83c3b3683ce7adf3f7b785ed324fbafe335af19968",
+    "b0023.v": "25b80b205359546ca8dcead5b8c7a507703003628550fd2a8f27586b1b7959a2",
+    "b0024.v": "88455c06a2fef8f2966ea124f3faac8f9bc7326e71242b7bf88f9437f79a556d",
     "b0025.v": "ac257a9b233d7508bc040e0b0157dc425c900c06cfd048e1574017f606591211",
     "b0026.v": "528aa2ecd809ee006a205d2bb1dd94cdeb97d2fbf15dab8246233a5850d2ba73",
-    "b0027.v": "ae4d69c25c60bb83b15510ca24df39afd2fb4958dcfed2bf26534de1c5574a46",
+    "b0027.v": "6d04bfd836780990ef826618a6973fcddb6c9219e828324740f55cfe92b52d75",
     "b0028.v": "2dcfc1ad58a06dfee9b7cb5f17de9025367d783fed8bf3ec02ddb515d7ac9171",
     "b0029.v": "df8514ce205393803b79c1fb522223ca772ee9b2896bd4424e132f7f70e46534",
     "b0030.v": "330c85c5c224d6bbe40541efeea06dccb5038fbd9cd13ecb3056c52369f8f003",
-    "b0031.v": "70dc1db326146e62542415326ec357b5a3470ee353ae696744e4ead93fa46ed8",
+    "b0031.v": "a45fabb648e4cd336860cb742a5336569dec1b06618d40cc023f42cfed1532ec",
     "b0032.v": "884b4180f7cb9c8f34a01a0cbbe16628816aded2a8cd8ef924b6dc1b9f6f220c",
-    "b0033.v": "2a5bc1ded34a23a3cf605cda4758fa6d647e086f597406da49ac855f1a6a0741",
+    "b0033.v": "b109ae1f8b8211ef7a9683b7620e193bf41b6c78b265f3f46cd47ca4e6459135",
     "b0034.v": "1d95c6cde31e97adc1556f54bd24571567e9d1d267c5980c6443778f57e11645",
     "b0035.v": "1db4c84a9ecefd3875323c8a08beea4f538d599170329df5ea0d4afe946522bb",
     "b0036.v": "1461d2d5b24575c761eacf1f459b5f15838f391ac881983dd91ef212d3c7e4f6",
     "b0037.v": "ff6d0cebcbd9ddf4164a22e75d49a5e015a8299a587f074b0acab9fc816490ff",
     "b0038.v": "0aa9f081025b18ead9bd7bd8d1d9e0296d1484b16f9b7330a00e0f2bb65f6632",
     "b0039.v": "7a70cfd2eede292ad902f985f2d0d5bddd28cb8af5ac37d91dd51c0711590510",
-    "manifest.json": "a8ba9617426d0d6ca9bead0f597bfc3d96a9b38ca1ad0d36e867157d93116b5f",
+    "manifest.json": "eca169540a703e45fa383791801792a66ba9c53dffe492828f1fd5ec5e2a1a57",
 }
-ACCEPTANCE_KEY_DIGEST = "be89f5936061a0404695de65a4515042f7e0ae410c49095f649b9053b1ca4ca3"
+ACCEPTANCE_KEY_DIGEST = "b766a070837ed84c527f9e362631c8b41a363c8ae3de7b09774f9bc7a8b7518f"
 
 
 def _sha(text):

@@ -99,6 +99,20 @@ def test_sampled_mode_above_bound():
     assert verdict.vectors == 2000
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sample_vectors", 0), ("sample_vectors", -1), ("exhaustive_bound", -1),
+    ("chunk_bits", 0)])
+def test_check_config_rejects_empty_checks(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= "):
+        CheckConfig(**{field: value})
+
+
+def test_check_config_accepts_smallest_checks(full_adder):
+    cfg = CheckConfig(exhaustive_bound=0, sample_vectors=1, chunk_bits=1)
+    verdict = check_equivalence(full_adder, full_adder, cfg)
+    assert (verdict.mode, verdict.vectors) == ("sampled", 1)
+
+
 def test_sampled_mode_finds_mismatch():
     n = random_netlist(6, n_pis=8, n_gates=30)
     gates = list(n.gates)

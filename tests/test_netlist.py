@@ -277,7 +277,7 @@ def test_write_parse_round_trips_awkward_names(name):
 
 
 # sha256 of the parsed forms of every circuit of a small forged set
-PARSED_SET_DIGEST = "e69cc0e78f5ba9243f975b8f014a6634e2cb16c95d0ea71923415fc49faae944"
+PARSED_SET_DIGEST = "9f256844c9fc1be5374d68127afa297b6a4862430cbe97e2ca89452808dc5808"
 
 
 def test_parsed_set_digest_pinned():

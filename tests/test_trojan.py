@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from htforge.analysis import exact_signal_prob
+import htforge.trojan
+from htforge.analysis import exact_signal_prob, signal_prob
 from htforge.equiv import CheckConfig, check_trojan_semantics
-from htforge.netlist import decode, parse_netlist, simulate, stimuli, validate
+from htforge.netlist import (decode, parse_netlist, simulate, simulate_packed,
+                             stimuli, trigger_word, validate)
 from htforge.trojan import (
     PROBE_VECTORS,
     InsertionError,
@@ -12,12 +14,15 @@ from htforge.trojan import (
     TrojanRecord,
     TrojanSpec,
     _activations,
+    _cone_netlist,
+    _decode,
+    _probe,
     activation_estimate,
     find_trigger_witness,
     insert_trojan,
 )
 
-from conftest import all_stimuli, random_netlist
+from conftest import all_stimuli, random_netlist, rarity_netlist
 
 
 def _wide_and(k=8):
@@ -218,3 +223,76 @@ def test_activations_match_per_bit_decode_on_probe_word():
             want = _activations_per_bit(patterns, act, limit)
             assert got == want
             assert [list(d) for d in got] == [list(d) for d in want]
+
+
+def _seeded_triggers(n, count, seed):
+    """Triggers of 1-3 low-probability gate outputs at their rarer values."""
+    p = signal_prob(n, 4096, seed).p
+    outs = sorted((g.output for g in n.gates),
+                  key=lambda net: (min(p[net], 1 - p[net]), net))[:40]
+    rng = random.Random(seed)
+    return [tuple(sorted((net, int(p[net] < 0.5))
+                         for net in rng.sample(outs, rng.choice((1, 2, 3)))))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [rarity_netlist(6001),
+                               random_netlist(11, n_pis=20, n_gates=120)],
+                         ids=["rarity", "random"])
+def test_streamed_probe_matches_per_cone_simulation(n):
+    triggers = _seeded_triggers(n, 12, seed=3)
+    hits, kept = _probe(n, triggers, seed=5)
+    want_hits = [0] * len(triggers)
+    want_acts = [[] for _ in triggers]
+    for patterns, width in stimuli(n.inputs, PROBE_VECTORS, 5):
+        for k, trigger in enumerate(triggers):
+            cone = _cone_netlist(n, [net for net, _ in trigger])
+            vals = simulate_packed(
+                cone, {p: patterns[p] for p in cone.inputs}, width)
+            act = trigger_word(vals, trigger, width)
+            want_hits[k] += act.bit_count()
+            want_acts[k] += _activations_per_bit(patterns, act,
+                                                 48 - len(want_acts[k]))
+    assert hits == want_hits
+    # the corpus covers silent triggers and activations spread over chunks
+    assert 0 in hits and any(len(pieces) > 1 for pieces in kept)
+    for trigger, pieces, want in zip(triggers, kept, want_acts):
+        got = _decode(pieces)
+        assert got == want
+        for stim in got:
+            vals = simulate(n, stim)
+            assert all(vals[net] == pol for net, pol in trigger)
+
+
+def _count_probe_streams(monkeypatch):
+    draws = []
+
+    def counting(pis, vectors=None, seed=0, chunk_bits=14):
+        if vectors == PROBE_VECTORS:
+            draws.append(seed)
+        return stimuli(pis, vectors, seed, chunk_bits)
+    monkeypatch.setattr(htforge.trojan, "stimuli", counting)
+    return draws
+
+
+def test_one_probe_stream_when_every_candidate_fires(monkeypatch):
+    # independent 2-input ANDs: every trigger of two outputs fires often
+    ins = ", ".join(f"a{k}, b{k}" for k in range(6))
+    outs = ", ".join(f"y{k}" for k in range(6))
+    gates = " ".join(f"and g{k}(y{k}, a{k}, b{k});" for k in range(6))
+    n = parse_netlist(f"module m({ins}, {outs}); input {ins}; output {outs};"
+                      f" {gates} endmodule")
+    draws = _count_probe_streams(monkeypatch)
+    insert_trojan(n, TrojanSpec(q=2, threshold=0.3, seed=4,
+                                sample_vectors=4096))
+    assert draws == [4]
+
+
+def test_at_most_two_probe_streams_per_insertion(monkeypatch):
+    n = rarity_netlist(6000)
+    draws = _count_probe_streams(monkeypatch)
+    for seed in range(3):
+        del draws[:]
+        insert_trojan(n, TrojanSpec(q=4, threshold=0.05, seed=seed,
+                                    sample_vectors=20_000))
+        assert draws == [seed, seed ^ 0x7F4A]
