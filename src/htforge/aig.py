@@ -8,7 +8,10 @@ strictly smaller than the node's own index).
 
 from __future__ import annotations
 
-from .netlist import CONST0, CONST1, Gate, Netlist, NetlistError, tt_var
+from operator import and_, or_, xor
+
+from .netlist import (CONST0, CONST1, GATE_OPS, Gate, Netlist, NetlistError,
+                      tt_var)
 
 TRUE = 0
 FALSE = 1
@@ -136,23 +139,13 @@ def to_aig(n: Netlist) -> AigGraph:
     net2lit = {CONST1: TRUE, CONST0: FALSE}
     for k, p in enumerate(n.inputs):
         net2lit[p] = b.pi(k)
+    fold = {and_: b.and2, or_: b.or2, xor: b.xor2}
     for g in n.topo_gates:
-        lits = [net2lit[i] for i in g.inputs]
-        if g.kind == "BUF":
-            out = lits[0]
-        elif g.kind == "NOT":
-            out = lit_not(lits[0])
-        else:
-            acc = lits[0]
-            for v in lits[1:]:
-                if g.kind in ("AND", "NAND"):
-                    acc = b.and2(acc, v)
-                elif g.kind in ("OR", "NOR"):
-                    acc = b.or2(acc, v)
-                else:
-                    acc = b.xor2(acc, v)
-            out = lit_not(acc) if g.kind in ("NAND", "NOR", "XNOR") else acc
-        net2lit[g.output] = out
+        op, inv = GATE_OPS[g.kind]
+        acc = net2lit[g.inputs[0]]
+        for i in g.inputs[1:]:
+            acc = fold[op](acc, net2lit[i])
+        net2lit[g.output] = lit_not(acc) if inv else acc
     for o in n.outputs:
         if o not in net2lit:
             raise NetlistError(f"primary output '{o}' is undriven")

@@ -10,8 +10,9 @@ partition that drives trigger selection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import and_, or_
 
-from .netlist import CONST0, CONST1, Netlist, simulate_packed, stimuli
+from .netlist import CONST0, CONST1, GATE_OPS, Netlist, simulate_packed, stimuli
 
 SCOAP_CAP = 2**31 - 1
 
@@ -56,30 +57,23 @@ def scoap(n: Netlist) -> ScoapValues:
         cc0[p] = 1
         cc1[p] = 1
     for g in n.topo_gates:
+        op, inv = GATE_OPS[g.kind]
         zeros = [cc0[i] for i in g.inputs]
         ones = [cc1[i] for i in g.inputs]
-        if g.kind == "BUF":
+        if op is None:
             c0, c1 = zeros[0] + 1, ones[0] + 1
-        elif g.kind == "NOT":
-            c0, c1 = ones[0] + 1, zeros[0] + 1
-        elif g.kind in ("AND", "NAND"):
-            c1 = _sat_add(*ones, 1)
-            c0 = min(zeros) + 1
-            if g.kind == "NAND":
-                c0, c1 = c1, c0
-        elif g.kind in ("OR", "NOR"):
-            c0 = _sat_add(*zeros, 1)
-            c1 = min(ones) + 1
-            if g.kind == "NOR":
-                c0, c1 = c1, c0
-        else:  # XOR / XNOR: parity DP over the inputs
+        elif op is and_:
+            c0, c1 = min(zeros) + 1, _sat_add(*ones, 1)
+        elif op is or_:
+            c0, c1 = _sat_add(*zeros, 1), min(ones) + 1
+        else:  # parity DP over the inputs
             even, odd = 0, SCOAP_CAP
             for z, o in zip(zeros, ones):
                 even, odd = (min(_sat_add(even, z), _sat_add(odd, o)),
                              min(_sat_add(even, o), _sat_add(odd, z)))
             c0, c1 = _sat_add(even, 1), _sat_add(odd, 1)
-            if g.kind == "XNOR":
-                c0, c1 = c1, c0
+        if inv:
+            c0, c1 = c1, c0
         c0, c1 = min(c0, SCOAP_CAP), min(c1, SCOAP_CAP)
         saturated = saturated or c0 == SCOAP_CAP or c1 == SCOAP_CAP
         cc0[g.output] = c0
@@ -89,14 +83,15 @@ def scoap(n: Netlist) -> ScoapValues:
     for o in n.outputs:
         co[o] = 0
     for g in reversed(n.topo_gates):
+        op = GATE_OPS[g.kind][0]
         out_co = co[g.output]
         for idx, i in enumerate(g.inputs):
             others = [j for k, j in enumerate(g.inputs) if k != idx]
-            if g.kind in ("BUF", "NOT"):
+            if op is None:
                 cand = _sat_add(out_co, 1)
-            elif g.kind in ("AND", "NAND"):
+            elif op is and_:
                 cand = _sat_add(out_co, *[cc1[j] for j in others], 1)
-            elif g.kind in ("OR", "NOR"):
+            elif op is or_:
                 cand = _sat_add(out_co, *[cc0[j] for j in others], 1)
             else:
                 cand = _sat_add(out_co,

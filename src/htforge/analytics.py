@@ -264,6 +264,8 @@ def seek_simulate(n_nodes: int, k: int, hider: str = "uniform",
         budget = n_nodes
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     hist = {}
     total = 0

@@ -158,11 +158,9 @@ def _cmd_analyze(args):
         sc = scoap(n)
         for net in n.nets:
             rows[net].update(cc0=sc.cc0[net], cc1=sc.cc1[net], co=sc.co[net])
-    if args.sigprob:
-        if args.exact:
-            stats = exact_signal_prob(n)
-        else:
-            stats = signal_prob(n, args.sigprob, seed)
+    if args.exact or args.sigprob:
+        stats = (exact_signal_prob(n) if args.exact
+                 else signal_prob(n, args.sigprob, seed))
         for net in n.nets:
             rows[net].update(p=stats.p[net], tp=stats.tp[net])
     _write_json(args.json_out, {
@@ -272,7 +270,7 @@ def _read_feature_csv(path):
     with open(path) as f:
         header = f.readline().strip().split(",")
         if header[0] != "name":
-            raise SystemExit("feature CSV must start with a 'name' column")
+            raise ValueError("feature CSV must start with a 'name' column")
         for line in f:
             parts = line.strip().split(",")
             if not parts or parts == [""]:
@@ -312,6 +310,14 @@ def _cmd_pca(args):
 def _cmd_space(args):
     with open(args.profile) as f:
         raw = json.load(f)
+    if not (isinstance(raw, dict) and set(raw) == {"strategies", "max_width"}
+            and isinstance(raw["max_width"], int)
+            and isinstance(raw["strategies"], list)
+            and all(isinstance(s, list) and len(s) == 2
+                    and all(isinstance(c, int) for c in s)
+                    for s in raw["strategies"])):
+        raise ValueError('profile must be a JSON object {"strategies": '
+                         '[[r, g], ...], "max_width": M} of ints')
     profile = StrategyProfile(
         strategies=tuple((s[0], s[1]) for s in raw["strategies"]),
         max_width=raw["max_width"])
@@ -391,7 +397,8 @@ def build_parser():
     p.add_argument("--sigprob", type=int, default=0,
                    help="number of random vectors (0 = skip)")
     p.add_argument("--exact", action="store_true",
-                   help="exact probabilities (PI count <= 24)")
+                   help="exact probabilities in place of --sigprob "
+                        "sampling (PI count <= 24)")
     p.add_argument("--json", dest="json_out", default="-")
     add_seed(p)
     p.set_defaults(fn=_cmd_analyze)

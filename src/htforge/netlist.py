@@ -198,10 +198,11 @@ def simulate(n: Netlist, stimulus: dict) -> dict:
     return values
 
 
-# gate kind -> (2-input operator, complemented); BUF/NOT read one input
-_LOWERING = {"BUF": (None, 0), "NOT": (None, 1), "AND": (and_, 0),
-             "NAND": (and_, 1), "OR": (or_, 0), "NOR": (or_, 1),
-             "XOR": (xor, 0), "XNOR": (xor, 1)}
+# gate kind -> (2-input operator, complemented); BUF/NOT read one input.
+# Every reader of gate meaning but the oracle _fold goes through this table.
+GATE_OPS = {"BUF": (None, 0), "NOT": (None, 1), "AND": (and_, 0),
+            "NAND": (and_, 1), "OR": (or_, 0), "NOR": (or_, 1),
+            "XOR": (xor, 0), "XNOR": (xor, 1)}
 
 
 def _lower(n: Netlist):
@@ -216,7 +217,7 @@ def _lower(n: Netlist):
     slot = {net: k for k, net in enumerate(n.nets)}
     prog = []
     for g in n.topo_gates:
-        op, inv = _LOWERING[g.kind]
+        op, inv = GATE_OPS[g.kind]
         out = slot[g.output]
         ins = [slot[i] for i in g.inputs]
         if op is None or len(ins) == 1:
@@ -244,6 +245,27 @@ def simulate_packed(n: Netlist, patterns: dict, width: int) -> dict:
     for f, o, a, b in n._program:
         v[o] = f(v[a], v[b])
     return dict(zip(n.nets, v))
+
+
+def simulate3(n: Netlist, partial: dict) -> dict:
+    """Three-valued simulation: net -> 0, 1, or None where the PIs missing
+    from ``partial`` leave it open.  Runs the lowered program on (can-be-1,
+    can-be-0) bit pairs; no correlation is kept, so ``a & ~a`` with ``a``
+    open is open."""
+    given = [0, 1] + [partial.get(p) for p in n.inputs]
+    given += [None] * (len(n.nets) - len(given))
+    one = [int(x != 0) for x in given]    # can be 1
+    zero = [int(x != 1) for x in given]   # can be 0
+    for f, o, a, b in n._program:
+        if f is xor:
+            one[o], zero[o] = (one[a] & zero[b] | zero[a] & one[b],
+                               one[a] & one[b] | zero[a] & zero[b])
+        elif f is and_:
+            one[o], zero[o] = one[a] & one[b], zero[a] | zero[b]
+        else:
+            one[o], zero[o] = one[a] | one[b], zero[a] & zero[b]
+    return {net: None if c1 & c0 else c1
+            for net, c1, c0 in zip(n.nets, one, zero)}
 
 
 _TT_VAR_CACHE = {}

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 
 from .analysis import NetStats, ScoapValues, rare_nets, scoap, signal_prob
-from .netlist import (CONST0, CONST1, Gate, Netlist, simulate,
-                      simulate_packed, stimuli, trigger_word)
+from .netlist import (Gate, Netlist, simulate, simulate3, simulate_packed,
+                      stimuli, trigger_word)
 
 
 class InsertionError(Exception):
@@ -127,46 +127,6 @@ def _po_reachable(n: Netlist):
 # ---------------------------------------------------------------------------
 # activation search
 
-def _sim3(n: Netlist, partial):
-    """Three-valued simulation; unassigned PIs are None."""
-    vals = {CONST0: 0, CONST1: 1}
-    for p in n.inputs:
-        vals[p] = partial.get(p)
-    for g in n.topo_gates:
-        ins = [vals[i] for i in g.inputs]
-        if g.kind == "BUF":
-            v = ins[0]
-        elif g.kind == "NOT":
-            v = None if ins[0] is None else 1 - ins[0]
-        elif g.kind in ("AND", "NAND"):
-            if any(i == 0 for i in ins):
-                v = 0
-            elif all(i == 1 for i in ins):
-                v = 1
-            else:
-                v = None
-            if v is not None and g.kind == "NAND":
-                v = 1 - v
-        elif g.kind in ("OR", "NOR"):
-            if any(i == 1 for i in ins):
-                v = 1
-            elif all(i == 0 for i in ins):
-                v = 0
-            else:
-                v = None
-            if v is not None and g.kind == "NOR":
-                v = 1 - v
-        else:
-            if any(i is None for i in ins):
-                v = None
-            else:
-                v = sum(ins) % 2
-                if g.kind == "XNOR":
-                    v = 1 - v
-        vals[g.output] = v
-    return vals
-
-
 def _conflict(vals, trigger):
     return any(vals[net] is not None and vals[net] != pol
                for net, pol in trigger)
@@ -241,7 +201,7 @@ def _search_backtrack(cone, trigger, budget, seed):
         conflicts = 0
         while stack and decisions < budget and conflicts < conflict_cap:
             partial, depth = stack.pop()
-            vals = _sim3(cone, partial)
+            vals = simulate3(cone, partial)
             if _conflict(vals, trigger):
                 conflicts += 1
                 continue
@@ -382,6 +342,46 @@ def _build_infected(n: Netlist, trigger, victim, fresh):
     return infected, trig_net, pre, payload_name, rec_gates
 
 
+def _flip_victim(n: Netlist, spec, trigger, activations, victims, side_pis):
+    """(infected, record) for the first victim whose payload flips a PO on
+    some try, the first such try being the witness; None if none does.
+
+    The tries (each activation, then it with each of up to 15 seeded
+    redraws of the side PIs) do not depend on the victim: they are packed
+    one per bit, and the golden and each victim's infected netlist are
+    simulated once on them.  Scalar simulate() re-verifies the witness."""
+    ext_rng = random.Random(spec.seed ^ 0xA5A5)
+    redraws = [{p: ext_rng.getrandbits(1) for p in side_pis}
+               for _ in range(min(15, 4 * len(side_pis)))]
+    tries = []
+    for stim in activations:
+        base = {p: stim.get(p, 0) for p in n.inputs}
+        tries += [base] + [{**base, **r} for r in redraws]
+    patterns = {p: sum(t[p] << i for i, t in enumerate(tries))
+                for p in n.inputs}
+    golden = simulate_packed(n, patterns, len(tries))
+    fresh = _fresh_namer(n)
+    for victim in victims:
+        infected, trig_net, pre, payload_name, rec_gates = _build_infected(
+            n, trigger, victim, fresh)
+        vals = simulate_packed(infected, patterns, len(tries))
+        flips = 0
+        for po in n.outputs:
+            flips |= golden[po] ^ vals[po]
+        if not flips:
+            continue
+        witness = tries[(flips & -flips).bit_length() - 1]
+        vg, vi = simulate(n, witness), simulate(infected, witness)
+        if all(vg[po] == vi[po] for po in n.outputs):
+            raise RuntimeError("payload flip does not reproduce in simulate()")
+        return infected, TrojanRecord(
+            trigger=trigger, trigger_net=trig_net, victim=victim,
+            victim_pre=pre, payload_gate=payload_name, witness=witness,
+            added_gates=rec_gates, q=spec.q, rare_count=spec.rare_count,
+            metric=spec.metric, threshold=spec.threshold, seed=spec.seed)
+    return None
+
+
 def insert_trojan(n: Netlist, spec: TrojanSpec, stats=None):
     """Insert one Trojan per the given TrojanSpec; returns (infected
     netlist, record).
@@ -451,32 +451,10 @@ def insert_trojan(n: Netlist, spec: TrojanSpec, stats=None):
         if not victims:
             continue
         rng.shuffle(victims)
-        fresh = _fresh_namer(n)
-        side_pis = [p for p in n.inputs if p not in tfi]
-        for victim in victims[:40]:
-            infected, trig_net, pre, payload_name, rec_gates = _build_infected(
-                n, trigger, victim, fresh)
-            for stim in activations:
-                base = {p: stim.get(p, 0) for p in n.inputs}
-                tries = [base]
-                ext_rng = random.Random(spec.seed ^ 0xA5A5)
-                for _ in range(min(15, 4 * len(side_pis))):
-                    alt = dict(base)
-                    for p in side_pis:
-                        alt[p] = ext_rng.getrandbits(1)
-                    tries.append(alt)
-                for full in tries:
-                    vg = simulate(n, full)
-                    vi = simulate(infected, full)
-                    if any(vg[po] != vi[po] for po in n.outputs):
-                        rec = TrojanRecord(
-                            trigger=trigger, trigger_net=trig_net,
-                            victim=victim, victim_pre=pre,
-                            payload_gate=payload_name, witness=full,
-                            added_gates=rec_gates, q=spec.q,
-                            rare_count=spec.rare_count, metric=spec.metric,
-                            threshold=spec.threshold, seed=spec.seed)
-                        return infected, rec
+        found = _flip_victim(n, spec, trigger, activations, victims[:40],
+                             [p for p in n.inputs if p not in tfi])
+        if found:
+            return found
     raise InsertionError(
         "no loop-free victim with an observable flip was found for any "
         "satisfiable trigger candidate")

@@ -164,6 +164,13 @@ def test_analyze_json(c17_file, tmp_path):
     assert {"cc0", "cc1", "co", "p", "tp"} <= set(row["N10"])
 
 
+def test_analyze_exact_needs_no_sigprob(c17_file, tmp_path):
+    out = str(tmp_path / "a.json")
+    assert run(["analyze", c17_file, "--exact", "--json", out]) == 0
+    row = {r["net"]: r for r in json.loads(open(out).read())["nets"]}
+    assert row["N1"]["p"] == 0.5 and row["N10"]["p"] == 0.75
+
+
 def test_forge_seed_env_override(adder_file, tmp_path, monkeypatch):
     a = str(tmp_path / "a.v")
     b = str(tmp_path / "b.v")
@@ -345,3 +352,31 @@ def test_missing_file_is_usage_error(capsys):
 def test_directory_path_is_usage_error(tmp_path, capsys):
     assert run(["parse", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_PROFILE_ERROR = ('profile must be a JSON object {"strategies": [[r, g], ...], '
+                  '"max_width": M} of ints')
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    pytest.param(["game", "--nodes", "10", "--k", "1", "--trials", "0"], None,
+                 "trials must be >= 1", id="game-trials-0"),
+    pytest.param(["game", "--nodes", "10", "--k", "1", "--trials", "-3"], None,
+                 "trials must be >= 1", id="game-trials-negative"),
+    pytest.param(["space", "--profile", "{file}"], "[[3, 2]]",
+                 _PROFILE_ERROR, id="space-list"),
+    pytest.param(["space", "--profile", "{file}"], '{"strategies": [[3, 2]]}',
+                 _PROFILE_ERROR, id="space-no-max-width"),
+    pytest.param(["space", "--profile", "{file}"],
+                 '{"strategies": 3, "max_width": 3}',
+                 _PROFILE_ERROR, id="space-strategies-int"),
+    pytest.param(["pca", "{file}"], "id,a,b\nx,1,2\ny,3,4\n",
+                 "feature CSV must start with a 'name' column",
+                 id="pca-no-name-column"),
+])
+def test_documented_usage_errors(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    assert run([a.format(file=path) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

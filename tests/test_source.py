@@ -77,3 +77,20 @@ def test_tracer_wrapped_names_resolve():
     missing = [f"{mod}.{fn}" for mod, fn in wrapped.values()
                if not callable(getattr(importlib.import_module(mod), fn, None))]
     assert not missing, missing
+
+
+def test_gate_meaning_is_read_from_gate_ops():
+    # netlist.GATE_OPS (and the oracle _fold beside it) is the one place
+    # that says what a gate kind computes; analytics only counts kinds by
+    # name for its features
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("netlist.py", "analytics.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Attribute) and side.attr == "kind"
+                    for side in (node.left, *node.comparators)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -5,8 +7,8 @@ import pytest
 import htforge.trojan
 from htforge.analysis import exact_signal_prob, signal_prob
 from htforge.equiv import CheckConfig, check_trojan_semantics
-from htforge.netlist import (decode, parse_netlist, simulate, simulate_packed,
-                             stimuli, trigger_word, validate)
+from htforge.netlist import (Gate, Netlist, decode, parse_netlist, simulate,
+                             simulate_packed, stimuli, trigger_word, validate)
 from htforge.trojan import (
     PROBE_VECTORS,
     InsertionError,
@@ -14,9 +16,12 @@ from htforge.trojan import (
     TrojanRecord,
     TrojanSpec,
     _activations,
+    _build_infected,
     _cone_netlist,
     _decode,
+    _fresh_namer,
     _probe,
+    _search_backtrack,
     activation_estimate,
     find_trigger_witness,
     insert_trojan,
@@ -296,3 +301,112 @@ def test_at_most_two_probe_streams_per_insertion(monkeypatch):
         insert_trojan(n, TrojanSpec(q=4, threshold=0.05, seed=seed,
                                     sample_vectors=20_000))
         assert draws == [seed, seed ^ 0x7F4A]
+
+
+def _backtrack_corpus():
+    """40 seeded trigger cones: 14-PI and 40-PI random netlists and 30-PI
+    rarity netlists, triggers of 2-4 late nets at random polarities, so some
+    cones exceed 24 PIs and some triggers are never found."""
+    for seed in range(40):
+        if seed % 4 == 3:
+            n = rarity_netlist(7000 + seed, n_branches=5)
+        elif seed % 2:
+            n = random_netlist(seed, n_pis=40, n_gates=300)
+        else:
+            n = random_netlist(seed, n_pis=14, n_gates=70)
+        rng = random.Random(seed)
+        late = [g.output for g in n.gates][-len(n.gates) // 4:]
+        trigger = tuple(sorted((net, rng.getrandbits(1))
+                               for net in rng.sample(late, rng.choice((2, 3, 4)))))
+        yield _cone_netlist(n, [net for net, _ in trigger]), trigger, seed
+
+
+def test_search_backtrack_results_pinned():
+    rows, wide, missed = [], 0, 0
+    for cone, trigger, seed in _backtrack_corpus():
+        hit = _search_backtrack(cone, trigger, budget=600, seed=seed)
+        rows.append([list(trigger), sorted(hit.items()) if hit else None])
+        wide += len(cone.inputs) > 24
+        missed += hit is None
+        if hit:
+            vals = simulate(cone, hit)
+            assert all(vals[net] == pol for net, pol in trigger)
+    assert wide >= 5 and missed >= 5
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == ("8f03647e176d5644bb22423242e8fa41"
+                      "83ebae42b37d03ca7752e48b67d400e7")
+
+
+def _scalar_flip_victim(n, spec, trigger, activations, victims, side_pis):
+    """Reference victim search: for each victim, each activation and each
+    of its side-PI redraws, simulate golden and infected one try at a time;
+    (victim, witness) of the first PO flip, or None."""
+    fresh = _fresh_namer(n)
+    for victim in victims:
+        infected = _build_infected(n, trigger, victim, fresh)[0]
+        for stim in activations:
+            base = {p: stim.get(p, 0) for p in n.inputs}
+            tries = [base]
+            ext_rng = random.Random(spec.seed ^ 0xA5A5)
+            for _ in range(min(15, 4 * len(side_pis))):
+                alt = dict(base)
+                for p in side_pis:
+                    alt[p] = ext_rng.getrandbits(1)
+                tries.append(alt)
+            for full in tries:
+                vg, vi = simulate(n, full), simulate(infected, full)
+                if any(vg[po] != vi[po] for po in n.outputs):
+                    return victim, full
+    return None
+
+
+def _masked(n, k=3):
+    """``n`` with every PO ANDed with k new PIs: a flip shows only when all
+    k are 1, so witnesses often come from the side-PI redraws."""
+    mask = tuple(f"m{j}" for j in range(k))
+    gates = n.gates + tuple(Gate("AND", f"{o}_m", (o,) + mask, f"gm{j}")
+                            for j, o in enumerate(n.outputs))
+    return Netlist(n.name, n.inputs + mask,
+                   tuple(f"{o}_m" for o in n.outputs), gates)
+
+
+def _victim_search_insertions():
+    for seed in range(7):
+        yield rarity_netlist(6000 + seed % 4), TrojanSpec(
+            q=4, threshold=0.05, seed=seed, sample_vectors=20_000)
+        yield _masked(rarity_netlist(6000 + seed % 4)), TrojanSpec(
+            q=2, threshold=0.05, seed=seed, sample_vectors=20_000)
+        yield random_netlist(40 + seed, n_pis=12, n_gates=60), TrojanSpec(
+            q=2, threshold=0.2, seed=seed, sample_vectors=4096)
+
+
+def test_packed_victim_search_matches_scalar_loop(monkeypatch):
+    calls = []
+    packed = htforge.trojan._flip_victim
+
+    def recording(*args):
+        found = packed(*args)
+        calls.append((args, found and (found[1].victim, found[1].witness)))
+        return found
+    monkeypatch.setattr(htforge.trojan, "_flip_victim", recording)
+    for n, spec in _victim_search_insertions():
+        insert_trojan(n, spec)
+    passed_over = 0
+    for args, got in calls:
+        assert got == _scalar_flip_victim(*args)
+        passed_over += got is None or got[0] != args[4][0]
+    # the corpus covers insertions whose first victim shows no flip
+    assert passed_over >= 5
+
+
+def test_two_scalar_simulations_per_insertion(monkeypatch):
+    calls = []
+
+    def counting(n, stim):
+        calls.append(n)
+        return simulate(n, stim)
+    monkeypatch.setattr(htforge.trojan, "simulate", counting)
+    for n, spec in _victim_search_insertions():
+        del calls[:]
+        infected, _ = insert_trojan(n, spec)
+        assert calls == [n, infected]
