@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import scoap, signal_prob
 from .netlist import CONST0, CONST1, Netlist
+from .restructure import _is_int
 
 GATE_ORDER = ("BUF", "NOT", "AND", "OR", "XOR", "NAND", "NOR", "XNOR")
 
@@ -208,13 +209,16 @@ class StrategyProfile:
     max_width: int      # M >= 2
 
     def __post_init__(self):
+        if not (_is_int(self.max_width)
+                and all(_is_int(c) for s in self.strategies for c in s)):
+            raise ValueError("rare/regular counts and max_width must be ints")
         if self.max_width < 2:
             raise ValueError("max trigger width M must be >= 2")
         for r, g in self.strategies:
             if r < 0 or g < 0:
                 raise ValueError("rare/regular counts must be non-negative")
         object.__setattr__(self, "strategies",
-                           tuple((int(r), int(g)) for r, g in self.strategies))
+                           tuple((r, g) for r, g in self.strategies))
 
 
 def ht_space_size(profile: StrategyProfile) -> int:

@@ -168,6 +168,7 @@ def _cmd_analyze(args):
         "nets": [rows[net] for net in n.nets],
         "provenance": _provenance(seed, {"file": args.file,
                                          "sigprob": args.sigprob,
+                                         "exact": args.exact,
                                          "scoap": args.scoap}),
     })
     return 0
@@ -311,10 +312,8 @@ def _cmd_space(args):
     with open(args.profile) as f:
         raw = json.load(f)
     if not (isinstance(raw, dict) and set(raw) == {"strategies", "max_width"}
-            and isinstance(raw["max_width"], int)
             and isinstance(raw["strategies"], list)
             and all(isinstance(s, list) and len(s) == 2
-                    and all(isinstance(c, int) for c in s)
                     for s in raw["strategies"])):
         raise ValueError('profile must be a JSON object {"strategies": '
                          '[[r, g], ...], "max_width": M} of ints')

@@ -42,6 +42,10 @@ class RestructureError(Exception):
     """Raised when a pipeline equivalence check fails (an internal bug trap)."""
 
 
+class _OverCap(Exception):
+    """A trial planned more new nodes than the root's MFFC can free."""
+
+
 def _vkey(v):
     return (0, v) if isinstance(v, int) else (1, v[1], v[2])
 
@@ -259,9 +263,11 @@ class _Work:
 
     # -- candidate evaluation
 
-    def trial(self, root, tree):
+    def trial(self, root, tree, cap=math.inf):
         """Exact gain of replacing root's function with the candidate tree,
-        without mutating.  Returns (gain, tree) or None for a no-op.
+        without mutating.  Returns (gain, tree), or None for a no-op or as
+        soon as the tree plans more than ``cap`` new nodes: with ``cap`` at
+        ``len(self.mffc(root))``, that gain would be negative.
 
         ``tree`` nests ('lit', l) / ('and', t, t) / ('not', t) over existing
         literals.  Planned nodes are deduplicated against the hash table and
@@ -292,6 +298,8 @@ class _Work:
             if hit is not None:
                 return hit
             planned[0] += 1
+            if planned[0] > cap:
+                raise _OverCap
             for f in (a, b):
                 if isinstance(f, int):
                     pins[f >> 1] = pins.get(f >> 1, 0) + 1
@@ -299,7 +307,10 @@ class _Work:
             overlay[(ka, kb)] = vl
             return vl
 
-        out = walk(tree)
+        try:
+            out = walk(tree)
+        except _OverCap:
+            return None
         added = planned[0]
         if isinstance(out, int):
             if (out >> 1) == root:
@@ -387,46 +398,50 @@ class _Work:
 # ---------------------------------------------------------------------------
 # truth-table synthesis: irredundant SOP + algebraic factoring
 
-def _cofactors(f, v, m):
-    half = 1 << v
-    p = tt_var(v, m)
-    a = f & ~p
-    f0 = a | (a << half)
-    b = f & p
-    f1 = b | (b >> half)
-    return f0, f1
-
-
 def isop(f, m):
     """Minato-Morreale irredundant sum-of-products.
 
     Returns cubes as (pos_mask, neg_mask) pairs over variables 0..m-1; the
-    empty cube (0, 0) is the tautology.
+    empty cube (0, 0) is the tautology.  The table's variable order is
+    reversed first, so splitting on variable ``var`` takes the low (0) and
+    high (1) half of a table over variables var..m-1 that halves per level.
     """
     full = (1 << (1 << m)) - 1
     f &= full
+    for j in range(m // 2):  # delta swap of variables j and m-1-j
+        d = (1 << (m - 1 - j)) - (1 << j)
+        x = (f ^ (f >> d)) & tt_var(j, m) & ~tt_var(m - 1 - j, m)
+        f ^= x | (x << d)
+    ones = [(1 << (1 << k)) - 1 for k in range(m + 1)]
 
     def rec(lo, up, var):
-        if lo == 0:
-            return [], 0
-        if up == full:
-            return [(0, 0)], full
+        # lo != 0 and up is not the tautology of its 2^(m - var) rows
         if var >= m:
             raise RestructureError("isop ran out of variables")
-        lo0, lo1 = _cofactors(lo, var, m)
-        up0, up1 = _cofactors(up, var, m)
-        c0, cov0 = rec(lo0 & ~up1, up0, var + 1)
-        c1, cov1 = rec(lo1 & ~up0, up1, var + 1)
-        rest = (lo0 & ~cov0) | (lo1 & ~cov1)
-        cs, covs = rec(rest, up0 & up1, var + 1)
-        vpos = tt_var(var, m)
-        vneg = ~vpos & full
-        cubes = ([(p, q | (1 << var)) for p, q in c0]
-                 + [(p | (1 << var), q) for p, q in c1]
-                 + cs)
-        cover = (cov0 & vneg) | (cov1 & vpos) | covs
-        return cubes, cover
+        half = 1 << (m - 1 - var)
+        low = ones[m - 1 - var]
+        lo0, lo1, up0, up1 = lo & low, lo >> half, up & low, up >> half
+        if lo0 == lo1 and up0 == up1:  # neither depends on var: skip it
+            cubes, cov = rec(lo0, up0, var + 1)
+            return cubes, cov | (cov << half)
+        # a child with lo == 0 or up all ones is answered here, not by a call
+        l = lo0 & ~up1
+        c0, cov0 = (rec(l, up0, var + 1) if l and up0 != low
+                    else ([(0, 0)], low) if l else ([], 0))
+        l = lo1 & ~up0
+        c1, cov1 = (rec(l, up1, var + 1) if l and up1 != low
+                    else ([(0, 0)], low) if l else ([], 0))
+        l, u = (lo0 & ~cov0) | (lo1 & ~cov1), up0 & up1
+        cs, covs = (rec(l, u, var + 1) if l and u != low
+                    else ([(0, 0)], low) if l else ([], 0))
+        bit = 1 << var
+        return ([(p, q | bit) for p, q in c0] + [(p | bit, q) for p, q in c1]
+                + cs, cov0 | covs | ((cov1 | covs) << half))
 
+    if f == 0:
+        return []
+    if f == full:
+        return [(0, 0)]
     cubes, cover = rec(f, f, 0)
     if cover != f:
         raise RestructureError("isop: cover differs from the function")
@@ -434,50 +449,57 @@ def isop(f, m):
 
 
 def _bits(mask):
-    v = 0
     while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _factor(cubes):
     """Algebraic factoring of a cube list into a ('literal'|'and'|'or'|'const')
-    tree; divides by the most frequent literal."""
+    tree; divides by the most frequent literal, the lowest variable on a tie
+    and then the positive one."""
     cubes = list(dict.fromkeys(cubes))
     if not cubes:
         return ("const", 0)
     if (0, 0) in cubes:
         return ("const", 1)
+    return _factor_distinct(cubes)
+
+
+def _factor_distinct(cubes):
+    # cubes: distinct, non-empty and without the tautology (0, 0); the
+    # quotients and remainders of distinct cubes stay distinct
     if len(cubes) == 1:
         return _cube_tree(cubes[0])
-    counts = {}
+    counts = {}  # literal key 2 * (1 << v) + negated: order is the tie-break
     for p, q in cubes:
-        for v in _bits(p):
-            counts[(v, 1)] = counts.get((v, 1), 0) + 1
-        for v in _bits(q):
-            counts[(v, 0)] = counts.get((v, 0), 0) + 1
-    (v, pol), best = max(counts.items(),
-                         key=lambda kv: (kv[1], -kv[0][0], kv[0][1]))
+        while p:
+            b = p & -p
+            p ^= b
+            counts[2 * b] = counts.get(2 * b, 0) + 1
+        while q:
+            b = q & -q
+            q ^= b
+            counts[2 * b + 1] = counts.get(2 * b + 1, 0) + 1
+    best = key = 0
+    for k, c in counts.items():
+        if c > best or (c == best and k < key):
+            best, key = c, k
     if best < 2:
         return _balanced("or", [_cube_tree(c) for c in cubes])
-    bit = 1 << v
+    bit, neg = key >> 1, key & 1
     quot, rest = [], []
     for p, q in cubes:
-        if pol and (p & bit):
-            quot.append((p & ~bit, q))
-        elif not pol and (q & bit):
+        if neg and q & bit:
             quot.append((p, q & ~bit))
+        elif not neg and p & bit:
+            quot.append((p & ~bit, q))
         else:
             rest.append((p, q))
-    if (0, 0) in quot or not quot:
-        inner = ("literal", v, pol)
-    else:
-        inner = ("and", ("literal", v, pol), _factor(quot))
-    if not rest:
-        return inner
-    return ("or", inner, _factor(rest))
+    div = ("literal", bit.bit_length() - 1, 1 - neg)
+    inner = div if (0, 0) in quot else ("and", div, _factor_distinct(quot))
+    return ("or", inner, _factor_distinct(rest)) if rest else inner
 
 
 def _cube_tree(cube):
@@ -616,6 +638,7 @@ def _resynthesize(g: AigGraph, seed, name, leaf_sets) -> AigGraph:
         if w.dead[node] or w.nref[node] == 0:
             continue
         cand = []
+        cap = len(w.mffc(node))
         for leaves in leaf_sets(w, node):
             if len(leaves) < 2 or any(v >= w.first_and and w.dead[v]
                                       for v in leaves):
@@ -624,7 +647,7 @@ def _resynthesize(g: AigGraph, seed, name, leaf_sets) -> AigGraph:
             if tt is None:
                 continue
             tree = synth_tree(tt, len(leaves), [lit(v) for v in leaves], memo)
-            res = w.trial(node, tree)
+            res = w.trial(node, tree, cap)
             if res is not None and res[0] >= 0:
                 cand.append(res)
         if not cand:

@@ -228,6 +228,18 @@ def test_space_size_validation():
         StrategyProfile(((-1, 2),), 2)
 
 
+@pytest.mark.parametrize("strategies, max_width", [
+    pytest.param(((2.7, 1),), 3, id="fractional-count"),
+    pytest.param(((2, 1),), 3.5, id="fractional-max-width"),
+    pytest.param(((True, 1),), 3, id="bool-count"),
+    pytest.param(((2, 1),), True, id="bool-max-width"),
+])
+def test_strategy_profile_rejects_non_int(strategies, max_width):
+    # an int() would turn 2.7 into 2, and a float width fails only later
+    with pytest.raises(ValueError, match="must be ints"):
+        StrategyProfile(strategies, max_width)
+
+
 # ---------------------------------------------------------------------------
 # hide-and-seek game
 

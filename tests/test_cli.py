@@ -171,6 +171,15 @@ def test_analyze_exact_needs_no_sigprob(c17_file, tmp_path):
     assert row["N1"]["p"] == 0.5 and row["N10"]["p"] == 0.75
 
 
+def test_analyze_exact_is_part_of_the_config_hash(c17_file, tmp_path):
+    hashes = []
+    for flags in (["--exact"], []):
+        out = str(tmp_path / "a.json")
+        assert run(["analyze", c17_file, *flags, "--json", out]) == 0
+        hashes.append(json.loads(open(out).read())["provenance"]["config_hash"])
+    assert hashes[0] != hashes[1]
+
+
 def test_forge_seed_env_override(adder_file, tmp_path, monkeypatch):
     a = str(tmp_path / "a.v")
     b = str(tmp_path / "b.v")
@@ -370,6 +379,10 @@ _PROFILE_ERROR = ('profile must be a JSON object {"strategies": [[r, g], ...], '
     pytest.param(["space", "--profile", "{file}"],
                  '{"strategies": 3, "max_width": 3}',
                  _PROFILE_ERROR, id="space-strategies-int"),
+    pytest.param(["space", "--profile", "{file}"],
+                 '{"strategies": [[2.7, 1]], "max_width": 3}',
+                 "rare/regular counts and max_width must be ints",
+                 id="space-fractional-count"),
     pytest.param(["pca", "{file}"], "id,a,b\nx,1,2\ny,3,4\n",
                  "feature CSV must start with a 'name' column",
                  id="pca-no-name-column"),

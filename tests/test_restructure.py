@@ -5,6 +5,8 @@ import signal
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from htforge.aig import (
     AigBuilder,
     exhaustive_signatures,
@@ -12,6 +14,7 @@ from htforge.aig import (
     po_signatures,
     strash,
     to_aig,
+    tt_var,
 )
 from htforge.netlist import Gate, Netlist, parse_netlist, write_netlist
 from htforge.restructure import (
@@ -19,6 +22,11 @@ from htforge.restructure import (
     Recipe,
     RestructureError,
     _Work,
+    _balanced,
+    _cube_tree,
+    _factor,
+    _factored,
+    _tree_cost,
     apply_recipe,
     balance,
     fraig,
@@ -342,6 +350,21 @@ def test_fraig_on_random_circuits_equivalent():
 # ---------------------------------------------------------------------------
 # ISOP / synthesis helpers
 
+def _cover(cubes, m):
+    """Truth table of a cube list over m variables."""
+    full = (1 << (1 << m)) - 1
+    cover = 0
+    for p, q in cubes:
+        c = full
+        for v in range(m):
+            if (p >> v) & 1:
+                c &= tt_var(v, m)
+            if (q >> v) & 1:
+                c &= ~tt_var(v, m) & full
+        cover |= c
+    return cover
+
+
 def test_isop_covers_function_exactly():
     import random
     rng = random.Random(0)
@@ -353,18 +376,7 @@ def test_isop_covers_function_exactly():
             f = rng.randrange(full + 1)
             if m > 4 and i % 2:
                 f &= rng.randrange(full + 1) & rng.randrange(full + 1)
-            cubes = isop(f, m)
-            cover = 0
-            from htforge.aig import tt_var
-            for p, q in cubes:
-                c = full
-                for v in range(m):
-                    if (p >> v) & 1:
-                        c &= tt_var(v, m)
-                    if (q >> v) & 1:
-                        c &= ~tt_var(v, m) & full
-                cover |= c
-            assert cover == f
+            assert _cover(isop(f, m), m) == f
 
 
 def test_synth_tree_constant_and_literal_shortcuts():
@@ -415,6 +427,231 @@ def test_synth_tree_memo_maps_onto_each_calls_leaves():
 
     assert {l >> 1 for l in lits(a)} == {1, 2, 3}
     assert {l >> 1 for l in lits(b)} == {5, 6, 7}
+
+
+# ---------------------------------------------------------------------------
+# synthesis kernels against the full-width reference
+#
+# isop used to cofactor full-width tables and _factor to de-duplicate and
+# rank literals with max() at every level.  Those versions are kept here as
+# the reference: the halving-table isop and the one-pass _factor must give
+# the same cubes and the same trees.
+
+def _ref_cofactors(f, v, m):
+    half = 1 << v
+    p = tt_var(v, m)
+    a = f & ~p
+    f0 = a | (a << half)
+    b = f & p
+    f1 = b | (b >> half)
+    return f0, f1
+
+
+def _ref_isop(f, m):
+    full = (1 << (1 << m)) - 1
+    f &= full
+
+    def rec(lo, up, var):
+        if lo == 0:
+            return [], 0
+        if up == full:
+            return [(0, 0)], full
+        if var >= m:
+            raise RestructureError("isop ran out of variables")
+        lo0, lo1 = _ref_cofactors(lo, var, m)
+        up0, up1 = _ref_cofactors(up, var, m)
+        c0, cov0 = rec(lo0 & ~up1, up0, var + 1)
+        c1, cov1 = rec(lo1 & ~up0, up1, var + 1)
+        rest = (lo0 & ~cov0) | (lo1 & ~cov1)
+        cs, covs = rec(rest, up0 & up1, var + 1)
+        vpos = tt_var(var, m)
+        vneg = ~vpos & full
+        cubes = ([(p, q | (1 << var)) for p, q in c0]
+                 + [(p | (1 << var), q) for p, q in c1]
+                 + cs)
+        cover = (cov0 & vneg) | (cov1 & vpos) | covs
+        return cubes, cover
+
+    cubes, cover = rec(f, f, 0)
+    if cover != f:
+        raise RestructureError("isop: cover differs from the function")
+    return cubes
+
+
+def _ref_bits(mask):
+    v = 0
+    while mask:
+        if mask & 1:
+            yield v
+        mask >>= 1
+        v += 1
+
+
+def _ref_factor(cubes):
+    cubes = list(dict.fromkeys(cubes))
+    if not cubes:
+        return ("const", 0)
+    if (0, 0) in cubes:
+        return ("const", 1)
+    if len(cubes) == 1:
+        return _cube_tree(cubes[0])
+    counts = {}
+    for p, q in cubes:
+        for v in _ref_bits(p):
+            counts[(v, 1)] = counts.get((v, 1), 0) + 1
+        for v in _ref_bits(q):
+            counts[(v, 0)] = counts.get((v, 0), 0) + 1
+    (v, pol), best = max(counts.items(),
+                         key=lambda kv: (kv[1], -kv[0][0], kv[0][1]))
+    if best < 2:
+        return _balanced("or", [_cube_tree(c) for c in cubes])
+    bit = 1 << v
+    quot, rest = [], []
+    for p, q in cubes:
+        if pol and (p & bit):
+            quot.append((p & ~bit, q))
+        elif not pol and (q & bit):
+            quot.append((p, q & ~bit))
+        else:
+            rest.append((p, q))
+    if (0, 0) in quot or not quot:
+        inner = ("literal", v, pol)
+    else:
+        inner = ("and", ("literal", v, pol), _ref_factor(quot))
+    if not rest:
+        return inner
+    return ("or", inner, _ref_factor(rest))
+
+
+def _ref_factored(tt, m):
+    full = (1 << (1 << m)) - 1
+    if tt == 0:
+        return False, ("const", 0)
+    if tt == full:
+        return False, ("const", 1)
+    for v in range(m):
+        pv = tt_var(v, m)
+        if tt == pv:
+            return False, ("literal", v, 1)
+        if tt == (~pv & full):
+            return False, ("literal", v, 0)
+    pos = _ref_factor(_ref_isop(tt, m))
+    neg = _ref_factor(_ref_isop(~tt & full, m))
+    if _tree_cost(neg) < _tree_cost(pos):
+        return True, neg
+    return False, pos
+
+
+def _over_three_vars(rng, m):
+    """A table over m variables that depends on only three of them, so the
+    halving isop skips every other level."""
+    full = (1 << (1 << m)) - 1
+    vs = rng.sample(range(m), 3)
+    g = rng.randrange(1, 255)
+    f = 0
+    for row in range(8):
+        if (g >> row) & 1:
+            term = full
+            for k, v in enumerate(vs):
+                term &= tt_var(v, m) if (row >> k) & 1 else ~tt_var(v, m)
+            f |= term
+    return f
+
+
+def _kernel_tables():
+    import random
+    rng = random.Random(10)
+    tables = [(f, m) for m in (2, 3) for f in range(1 << (1 << m))]
+    for m in (4, 8, 10, 12):
+        full = (1 << (1 << m)) - 1
+        for i in range(8):
+            f = rng.randrange(full + 1)
+            if i % 2:  # sparse: about one row in eight
+                f &= rng.randrange(full + 1) & rng.randrange(full + 1)
+            tables.append((f, m))
+    tables += [(_over_three_vars(rng, m), m) for m in (10, 12) for _ in range(6)]
+    return tables
+
+
+def _check_kernels(tt, m):
+    cubes = _ref_isop(tt, m)
+    assert isop(tt, m) == cubes, (tt, m)
+    assert _factor(cubes) == _ref_factor(cubes), (tt, m)
+    assert _factored(tt, m) == _ref_factored(tt, m), (tt, m)
+
+
+def test_kernels_match_the_reference_on_seeded_tables():
+    import random
+    for tt, m in _kernel_tables():
+        _check_kernels(tt, m)
+    # duplicated and reordered cube lists: quotients and remainders of
+    # distinct cubes stay distinct, so de-duplicating once is enough
+    rng = random.Random(11)
+    for _ in range(300):
+        m = rng.randrange(2, 7)
+        cubes = []
+        for _ in range(rng.randrange(1, 12)):
+            p = rng.getrandbits(m)
+            cubes.append((p, rng.getrandbits(m) & ~p))
+        cubes += rng.sample(cubes, len(cubes) // 2)
+        assert _factor(cubes) == _ref_factor(cubes), cubes
+
+
+def test_kernels_match_the_reference_on_recipe_cones(monkeypatch):
+    import htforge.restructure as rs
+    seen = []
+
+    def recording(tt, m):
+        seen.append((tt, m))
+        return _factored(tt, m)
+
+    monkeypatch.setattr(rs, "_factored", recording)
+    apply_recipe(array_multiplier(6), RECIPES[15], seed=7)
+    monkeypatch.undo()
+    wide = [(tt, m) for tt, m in seen if m >= 10]
+    assert {10, 12} <= {m for _, m in wide}
+    for tt, m in wide:
+        _check_kernels(tt, m)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda m: st.tuples(st.integers(0, (1 << (1 << m)) - 1), st.just(m))))
+def test_isop_property_cover_and_reference_cubes(table):
+    tt, m = table
+    cubes = isop(tt, m)
+    assert _cover(cubes, m) == tt
+    assert cubes == _ref_isop(tt, m)
+
+
+# ---------------------------------------------------------------------------
+# trials capped at the MFFC size
+
+def test_capped_trial_agrees_wherever_the_gain_is_not_negative(monkeypatch):
+    # a candidate that plans more new ANDs than the root's MFFC holds cannot
+    # free as many as it adds; the capped trial gives up on exactly those
+    seen = {"same": 0, "capped": 0}
+    plain = _Work.trial
+
+    def checked(self, root, tree, cap=math.inf):
+        got = plain(self, root, tree, cap)
+        full = plain(self, root, tree)
+        if full is not None and full[0] >= 0:
+            assert got == full
+            seen["same"] += 1
+        elif got is None and full is not None:
+            assert full[0] < 0
+            seen["capped"] += 1
+        else:
+            assert got == full
+        return got
+
+    monkeypatch.setattr(_Work, "trial", checked)
+    for n in (array_multiplier(6), random_netlist(5, n_pis=10, n_gates=80)):
+        g = strash(to_aig(n))
+        for fn in (rewrite, refactor):
+            fn(g, seed=3)
+    assert seen["same"] and seen["capped"]
 
 
 # ---------------------------------------------------------------------------
