@@ -5,8 +5,6 @@ If infected and clean variants separate in principal-component space, a
 classifier will find the Trojans; overlap is what makes a set blind.
 """
 
-import numpy as np
-
 from htforge import (
     FEATURE_NAMES,
     ForgeConfig,
@@ -52,13 +50,12 @@ labels = []
 for eid, text in bench.entries:
     rows.append(extract_features(parse_netlist(text)))
     labels.append(key.entries[eid]["k"])
-rows = np.array(rows)
-print(f"feature matrix: {rows.shape[0]} circuits x {rows.shape[1]} features")
+print(f"feature matrix: {len(rows)} circuits x {len(rows[0])} features")
 print("first five feature names:", ", ".join(FEATURE_NAMES[:5]))
 
 model = pca_fit(rows, 4)
 coords = pca_project(model, rows)
-total = model.explained_variance.sum() or 1.0
+total = sum(model.explained_variance) or 1.0
 print("\nexplained variance ratio:",
       ", ".join(f"PC{i + 1}={v / total:.2f}"
                 for i, v in enumerate(model.explained_variance)))

@@ -14,8 +14,6 @@ import random
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analysis import scoap, signal_prob
 from .netlist import CONST0, CONST1, Netlist
 from .restructure import _is_int
@@ -38,8 +36,9 @@ _FEATURE_SEED = 0
 _RARE_THETA = 0.05
 
 
-def extract_features(n: Netlist) -> np.ndarray:
-    """Deterministic 32-entry feature vector (order per FEATURE_NAMES)."""
+def extract_features(n: Netlist) -> tuple:
+    """Deterministic 32-entry feature vector of Python floats (order per
+    FEATURE_NAMES)."""
     counts = {k: 0 for k in GATE_ORDER}
     for g in n.gates:
         counts[g.kind] += 1
@@ -69,8 +68,8 @@ def extract_features(n: Netlist) -> np.ndarray:
     and_fanins = [len(g.inputs) for g in n.gates if g.kind in ("AND", "NAND")]
     vec += [float(sum(and_fanins) / len(and_fanins)) if and_fanins else 0.0,
             (counts["XOR"] + counts["XNOR"]) / n_gates if n_gates else 0.0]
-    out = np.asarray(vec, dtype=float)
-    if out.shape != (FEATURE_DIM,) or not np.isfinite(out).all():
+    out = tuple(vec)
+    if len(out) != FEATURE_DIM or not all(map(math.isfinite, out)):
         raise RuntimeError(f"feature vector is not {FEATURE_DIM} finite values")
     return out
 
@@ -80,49 +79,48 @@ def extract_features(n: Netlist) -> np.ndarray:
 
 @dataclass
 class PcaModel:
-    mean: np.ndarray
-    components: np.ndarray          # (C, D), orthonormal rows
-    explained_variance: np.ndarray  # (C,), non-increasing
+    mean: tuple
+    components: tuple           # C orthonormal rows of D floats
+    explained_variance: tuple   # C floats, non-increasing
 
     @property
     def n_components(self):
-        return self.components.shape[0]
+        return len(self.components)
 
 
 def jacobi_eigh(a, tol=1e-12, max_sweeps=100):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted.
+    Returns (eigenvalues, eigenvectors-as-columns), unsorted: vecs[i][k] is
+    entry i of the eigenvector of eigenvalue k.
     """
-    a = np.array(a, dtype=float)
-    d = a.shape[0]
-    v = np.eye(d)
-    scale = max(1.0, float(np.abs(a).max()))
+    a = [[float(x) for x in row] for row in a]
+    d = len(a)
+    vt = [[float(i == k) for i in range(d)] for k in range(d)]  # v's columns
+    scale = max(1.0, max((abs(x) for row in a for x in row), default=0.0))
     for _ in range(max_sweeps):
         off = 0.0
         for p in range(d - 1):
             for q in range(p + 1, d):
-                apq = a[p, q]
+                apq = a[p][q]
                 off = max(off, abs(apq))
                 if abs(apq) <= tol * scale:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta)
                                                  + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
+                for row in a:
+                    x, y = row[p], row[q]
+                    row[p], row[q] = c * x - s * y, s * x + c * y
+                for m in (a, vt):
+                    xs, ys = m[p], m[q]
+                    m[p] = [c * x - s * y for x, y in zip(xs, ys)]
+                    m[q] = [s * x + c * y for x, y in zip(xs, ys)]
         if off <= tol * scale:
             break
-    return np.diag(a).copy(), v
+    return [a[i][i] for i in range(d)], [list(col) for col in zip(*vt)]
 
 
 def pca_fit(rows, n_components: int) -> PcaModel:
@@ -132,46 +130,54 @@ def pca_fit(rows, n_components: int) -> PcaModel:
     each one's largest-magnitude entry is positive.  All-identical input
     degenerates to a zero-variance model with a warning.
     """
-    x = np.asarray(rows, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
+    x = [tuple(map(float, row)) for row in rows]
+    if len(x) < 2:
         raise ValueError("need at least two feature rows")
-    r, d = x.shape
+    r, d = len(x), len(x[0])
+    if any(len(row) != d for row in x):
+        raise ValueError("feature rows must all have the same length")
+    if not all(math.isfinite(v) for row in x for v in row):
+        raise ValueError("feature values must be finite")
     if not 1 <= n_components <= min(r - 1, d):
         raise ValueError(f"n_components must lie in [1, {min(r - 1, d)}]")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (r - 1)
-    if float(np.abs(cov).max()) == 0.0:
+    mean = tuple(sum(col) / r for col in zip(*x))
+    cols = [[v - m for v in col] for col, m in zip(zip(*x), mean)]
+    cov = [[sum(u * w for u, w in zip(ci, cj)) / (r - 1) for cj in cols]
+           for ci in cols]
+    if max(abs(v) for row in cov for v in row) == 0.0:
         warnings.warn("degenerate input: all rows identical, zero variance")
-        comps = np.zeros((n_components, d))
-        comps[:, :n_components] = np.eye(n_components)
-        return PcaModel(mean, comps, np.zeros(n_components))
+        comps = tuple(tuple(float(i == k) for i in range(d))
+                      for k in range(n_components))
+        return PcaModel(mean, comps, (0.0,) * n_components)
     eigvals, eigvecs = jacobi_eigh(cov)
-    order = np.argsort(-eigvals, kind="stable")
-    eigvals = np.clip(eigvals[order], 0.0, None)
-    eigvecs = eigvecs[:, order]
-    comps = eigvecs[:, :n_components].T.copy()
-    for row in comps:
-        k = int(np.argmax(np.abs(row)))
-        if row[k] < 0:
-            row *= -1.0
-    return PcaModel(mean, comps, eigvals[:n_components].copy())
+    order = sorted(range(d), key=lambda k: -eigvals[k])[:n_components]
+    comps = []
+    for k in order:
+        row = tuple(eigvecs[i][k] for i in range(d))
+        comps.append(tuple(-v for v in row) if max(row, key=abs) < 0 else row)
+    return PcaModel(mean, tuple(comps),
+                    tuple(max(0.0, eigvals[k]) for k in order))
 
 
-def pca_project(model: PcaModel, rows) -> np.ndarray:
-    """Coordinates of rows in the component basis: (rows - mean) @ C.T."""
-    x = np.atleast_2d(np.asarray(rows, dtype=float))
-    if x.shape[1] != model.mean.shape[0]:
-        raise ValueError(f"dimension mismatch: rows have {x.shape[1]} entries, "
-                         f"model expects {model.mean.shape[0]}")
-    return (x - model.mean) @ model.components.T
+def pca_project(model: PcaModel, rows) -> list:
+    """Coordinates of rows in the component basis, one tuple per row:
+    (rows - mean) @ C.T."""
+    out = []
+    for row in rows:
+        if len(row) != len(model.mean):
+            raise ValueError(f"dimension mismatch: rows have {len(row)} "
+                             f"entries, model expects {len(model.mean)}")
+        c = [v - m for v, m in zip(row, model.mean)]
+        out.append(tuple(sum(u * w for u, w in zip(c, comp))
+                         for comp in model.components))
+    return out
 
 
 def scatter_svg(coords, infected_flags, axis_x=0, axis_y=1, size=480) -> str:
     """Minimal SVG scatter: '+' markers for infected rows, '-' for clean."""
-    coords = np.asarray(coords, dtype=float)
-    xs, ys = coords[:, axis_x], coords[:, axis_y]
-    span = max(float(np.abs(xs).max()), float(np.abs(ys).max()), 1e-9)
+    xs = [row[axis_x] for row in coords]
+    ys = [row[axis_y] for row in coords]
+    span = max(max(map(abs, xs)), max(map(abs, ys)), 1e-9)
     pad = 30
 
     def sx(v):

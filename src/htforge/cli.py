@@ -19,8 +19,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .aig import export_aiger, to_aig
 from .analysis import exact_signal_prob, scoap, signal_prob
@@ -272,13 +270,16 @@ def _read_feature_csv(path):
         header = f.readline().strip().split(",")
         if header[0] != "name":
             raise ValueError("feature CSV must start with a 'name' column")
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             parts = line.strip().split(",")
             if not parts or parts == [""]:
                 continue
+            if len(parts) != len(header):
+                raise ValueError(f"feature CSV line {lineno}: expected "
+                                 f"{len(header) - 1} values, got {len(parts) - 1}")
             names.append(parts[0])
             rows.append([float(v) for v in parts[1:]])
-    return names, np.asarray(rows)
+    return names, rows
 
 
 def _cmd_pca(args):

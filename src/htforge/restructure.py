@@ -840,19 +840,17 @@ def fraig(g: AigGraph, sim_words=16, seed=0) -> AigGraph:
     base = 1 + g.n_pis
     for j in range(g.n_ands):
         node = base + j
-        f0, f1 = g.fan0[j], g.fan1[j]
-        nf = b.and2(node_map[f0 >> 1] ^ (f0 & 1), node_map[f1 >> 1] ^ (f1 & 1))
         s = sigs[node]
-        merged = False
         for rep in classes.get(canon(s), ()):
             comp = 0 if sigs[rep] == s else 1
             if proven_equal(rep, node, comp) is True:
                 node_map[node] = node_map[rep] ^ comp
-                merged = True
                 break
-        if not merged:
+        else:
+            f0, f1 = g.fan0[j], g.fan1[j]
             classes.setdefault(canon(s), []).append(node)
-            node_map[node] = nf
+            node_map[node] = b.and2(node_map[f0 >> 1] ^ (f0 & 1),
+                                    node_map[f1 >> 1] ^ (f1 & 1))
     for nm, l in g.pos:
         b.add_po(nm, node_map[l >> 1] ^ (l & 1))
     out = strip_unreachable(b.build())

@@ -322,10 +322,11 @@ def test_criterion_09_pca_properties():
     coef = rng.normal(size=(60, 2))
     rows = coef[:, :1] * u + coef[:, 1:] * v   # exact rank 2
     model = pca_fit(rows, 10)
-    assert np.all(model.explained_variance[2:] < 1e-9)
-    gram = model.components @ model.components.T
+    assert np.all(np.array(model.explained_variance[2:]) < 1e-9)
+    comps = np.array(model.components)
+    gram = comps @ comps.T
     assert np.abs(gram - np.eye(10)).max() < 1e-9
-    proj = pca_project(model, rows)
+    proj = np.array(pca_project(model, rows))
     cov = proj.T @ proj / (rows.shape[0] - 1)
     assert np.abs(cov - np.diag(model.explained_variance)).max() < 1e-8
     _report(9, "rank-2 synthetic data: PC3+ variance < 1e-9, orthonormal "

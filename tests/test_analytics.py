@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -20,9 +21,11 @@ from htforge.analytics import (
     seek_simulate,
 )
 from htforge.aig import from_aig, strash, to_aig
-from htforge.netlist import Gate, Netlist
+from htforge.judge import forge_benchmark
+from htforge.netlist import Gate, Netlist, parse_netlist
 
 from conftest import random_netlist
+from test_acceptance import _acceptance_forge_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +96,15 @@ def test_pca_rank2_synthetic_d32():
     coef = rng.normal(size=(40, 2))
     rows = coef[:, :1] * u + coef[:, 1:] * v
     model = pca_fit(rows, 8)
-    assert np.all(model.explained_variance[2:] < 1e-9)
+    assert np.all(np.array(model.explained_variance[2:]) < 1e-9)
 
 
 def test_pca_orthonormal_components():
     rng = np.random.default_rng(1)
     rows = rng.normal(size=(50, 32))
     model = pca_fit(rows, 6)
-    g = model.components @ model.components.T
+    comps = np.array(model.components)
+    g = comps @ comps.T
     assert np.allclose(g, np.eye(6), atol=1e-9)
     assert np.all(np.diff(model.explained_variance) <= 1e-12)
 
@@ -117,14 +121,15 @@ def test_pca_projection_contracts():
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(40, 16))
     model = pca_fit(rows, 5)
-    assert np.allclose(pca_project(model, model.mean[None, :]), 0.0,
+    mean = np.array(model.mean)
+    assert np.allclose(pca_project(model, mean[None, :]), 0.0,
                        atol=1e-12)
-    pt = model.mean + 2.0 * model.components[0]
+    pt = mean + 2.0 * np.array(model.components[0])
     coords = pca_project(model, pt[None, :])[0]
     assert coords[0] == pytest.approx(2.0, abs=1e-9)
     assert np.allclose(coords[1:], 0.0, atol=1e-9)
     # projected covariance is diagonal with the explained variances
-    proj = pca_project(model, rows)
+    proj = np.array(pca_project(model, rows))
     cov = proj.T @ proj / (rows.shape[0] - 1)
     assert np.allclose(cov, np.diag(model.explained_variance), atol=1e-8)
 
@@ -133,8 +138,8 @@ def test_pca_reconstruction_full_rank():
     rng = np.random.default_rng(4)
     rows = rng.normal(size=(20, 6))
     model = pca_fit(rows, 6)
-    proj = pca_project(model, rows)
-    back = proj @ model.components + model.mean
+    proj = np.array(pca_project(model, rows))
+    back = proj @ np.array(model.components) + np.array(model.mean)
     assert np.allclose(back, rows, atol=1e-8)
 
 
@@ -142,7 +147,7 @@ def test_pca_degenerate_rows_warn():
     rows = np.ones((5, 4))
     with pytest.warns(UserWarning, match="degenerate"):
         model = pca_fit(rows, 2)
-    assert np.all(model.explained_variance == 0)
+    assert np.all(np.array(model.explained_variance) == 0)
 
 
 def test_pca_validates_shapes():
@@ -161,6 +166,7 @@ def test_jacobi_matches_numpy_on_random_symmetric():
         m = rng.normal(size=(d, d))
         sym = (m + m.T) / 2
         vals, vecs = jacobi_eigh(sym)
+        vecs = np.array(vecs)
         order = np.argsort(vals)
         oracle = np.linalg.eigvalsh(sym)
         assert np.allclose(np.array(vals)[order], oracle, atol=1e-9)
@@ -175,6 +181,83 @@ def test_scatter_svg_shape():
     svg = scatter_svg(np.array([[1.0, 2.0], [-1.0, 0.5]]), [True, False])
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert svg.count("+") >= 1 and "−" in svg
+
+
+# ---------------------------------------------------------------------------
+# analytics on the acceptance set
+
+# sha256 over one "id,hex,...,hex" line per circuit, each feature written
+# with float.hex, so that a feature which moves by one bit shows
+ACCEPTANCE_FEATURE_DIGEST = (
+    "6896e63f3ca4f0f3d6f95c1553bbedce9850a3a86bf2bb2bd59545bc6223175b")
+
+
+@pytest.fixture(scope="module")
+def acceptance_features():
+    bench, _ = forge_benchmark(_acceptance_forge_cfg())
+    return [(eid, extract_features(parse_netlist(text)))
+            for eid, text in bench.entries]
+
+
+def test_acceptance_feature_vectors_pinned(acceptance_features):
+    assert all(type(vec) is tuple and all(type(v) is float for v in vec)
+               for _, vec in acceptance_features)
+    text = "".join(eid + "," + ",".join(map(float.hex, vec)) + "\n"
+                   for eid, vec in acceptance_features)
+    assert hashlib.sha256(text.encode()).hexdigest() == ACCEPTANCE_FEATURE_DIGEST
+
+
+def _reference_pca(rows, n_components):
+    """The same cyclic Jacobi PCA written with numpy column slices."""
+    x = np.asarray(rows, dtype=float)
+    centered = x - x.mean(axis=0)
+    a = centered.T @ centered / (len(x) - 1)
+    d = a.shape[0]
+    v = np.eye(d)
+    stop = 1e-12 * max(1.0, float(np.abs(a).max()))
+    for _ in range(100):
+        off = 0.0
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = a[p, q]
+                off = max(off, abs(apq))
+                if abs(apq) <= stop:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta)
+                                                 + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                a[:, p], a[:, q] = c * a[:, p] - s * a[:, q], s * a[:, p] + c * a[:, q]
+                a[p, :], a[q, :] = c * a[p, :] - s * a[q, :], s * a[p, :] + c * a[q, :]
+                v[:, p], v[:, q] = c * v[:, p] - s * v[:, q], s * v[:, p] + c * v[:, q]
+        if off <= stop:
+            break
+    vals = np.diag(a)
+    order = np.argsort(-vals, kind="stable")[:n_components]
+    return np.clip(vals[order], 0.0, None), _signed(v[:, order].T)
+
+
+def _signed(comps):
+    """Each row flipped so that its largest-magnitude entry is positive."""
+    return np.array([c if c[np.argmax(np.abs(c))] > 0 else -c for c in comps])
+
+
+def test_pca_on_acceptance_features_matches_numpy(acceptance_features):
+    rows = [vec for _, vec in acceptance_features]
+    model = pca_fit(rows, FEATURE_DIM)
+    vals, comps = _reference_pca(rows, FEATURE_DIM)
+    assert np.allclose(model.explained_variance, vals, rtol=1e-9, atol=1e-9)
+    assert np.abs(np.array(model.components) - comps).max() <= 1e-9
+    # LAPACK agrees where the covariance fixes the answer.  Jacobi stops once
+    # every off-diagonal entry is below 1e-12 of the largest one (about 9e13
+    # here, from the SCOAP means), which pins only the components whose
+    # eigen-gap dwarfs that: PC1 and PC2 on this set.
+    w, vecs = np.linalg.eigh(np.cov(np.array(rows).T))
+    top = np.argsort(-w, kind="stable")[:2]
+    assert np.allclose(model.explained_variance[:2], w[top], rtol=1e-9, atol=0)
+    assert np.abs(np.array(model.components[:2])
+                  - _signed(vecs[:, top].T)).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------

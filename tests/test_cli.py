@@ -386,6 +386,16 @@ _PROFILE_ERROR = ('profile must be a JSON object {"strategies": [[r, g], ...], '
     pytest.param(["pca", "{file}"], "id,a,b\nx,1,2\ny,3,4\n",
                  "feature CSV must start with a 'name' column",
                  id="pca-no-name-column"),
+    pytest.param(["pca", "{file}", "--components", "1"],
+                 "name,a,b\nx,1,2\ny,3\nz,0,1\n",
+                 "feature CSV line 3: expected 2 values, got 1",
+                 id="pca-ragged-row"),
+    pytest.param(["pca", "{file}", "--components", "1"],
+                 "name,a,b\nx,1,2\ny,nan,4\nz,0,1\n",
+                 "feature values must be finite", id="pca-nan"),
+    pytest.param(["pca", "{file}", "--components", "1"],
+                 "name,a,b\nx,1,2\ny,inf,4\nz,0,1\n",
+                 "feature values must be finite", id="pca-inf"),
 ])
 def test_documented_usage_errors(tmp_path, capsys, argv, text, message):
     path = tmp_path / "input"

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import htforge
@@ -94,3 +97,14 @@ def test_gate_meaning_is_read_from_gate_ops():
                     for side in (node.left, *node.comparators)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_import_loads_only_the_standard_library():
+    # numpy stays a test oracle; the package itself needs nothing installed
+    code = ("import sys; before = set(sys.modules); import htforge; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "numpy" not in out
+    assert set(out) - set(sys.stdlib_module_names) == {"htforge"}
