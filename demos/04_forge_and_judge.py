@@ -18,7 +18,6 @@ from htforge import (
     parse_netlist,
     score_submission,
 )
-from htforge.judge import JudgePolicy
 
 ADDER = """
 module adder (a, b, cin, sum, cout);
@@ -72,11 +71,10 @@ for name, sub in (("perfect", truth), ("all-infected", paranoid),
     print(f"{name:14s}  {rep.tp:2d} {rep.tn:2d} {rep.fp:2d} {rep.fn:2d}   "
           f"{rep.fp_rate:7.3f} {rep.fn_rate:7.3f}  {rep.conf_val:8.3f}")
 
-policy = JudgePolicy(period="monthly", expiry=key.expiry_date)
 sub = Submission("demo-set", dict(truth.verdicts), timestamp="2026-04-12")
-outcome = judge_window(policy, sub, key, alpha=10, now="2026-04-20")
+outcome = judge_window(sub, key, alpha=10, now="2026-04-20")
 print(f"\nmid-month submission -> deferred until {outcome.release_date}")
-outcome = judge_window(policy, sub, key, alpha=10, now="2026-05-01")
+outcome = judge_window(sub, key, alpha=10, now="2026-05-01")
 print(f"at the boundary      -> report released, conf_val "
       f"{outcome.conf_val:.2f}")
 print(f"key stays sealed until {key.expiry_date}")

@@ -9,7 +9,7 @@ partition that drives trigger selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import and_, or_
 
 from .netlist import CONST0, CONST1, GATE_OPS, Netlist, simulate_packed, stimuli
@@ -22,7 +22,6 @@ class ScoapValues:
     cc0: dict
     cc1: dict
     co: dict
-    saturated: bool = False
 
     def score(self, net):
         return _sat_add(_sat_add(self.cc0[net], self.cc1[net]), self.co[net])
@@ -31,12 +30,11 @@ class ScoapValues:
 @dataclass
 class NetStats:
     p: dict
-    sample_count: int
-    tp: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.tp:
-            self.tp = {net: 2.0 * v * (1.0 - v) for net, v in self.p.items()}
+    @property
+    def tp(self):
+        """Per-net transition probability 2*p*(1-p)."""
+        return {net: 2.0 * v * (1.0 - v) for net, v in self.p.items()}
 
 
 def _sat_add(*vals):
@@ -52,7 +50,6 @@ def scoap(n: Netlist) -> ScoapValues:
     """
     cc0 = {CONST0: 1, CONST1: SCOAP_CAP}
     cc1 = {CONST0: SCOAP_CAP, CONST1: 1}
-    saturated = False
     for p in n.inputs:
         cc0[p] = 1
         cc1[p] = 1
@@ -75,7 +72,6 @@ def scoap(n: Netlist) -> ScoapValues:
         if inv:
             c0, c1 = c1, c0
         c0, c1 = min(c0, SCOAP_CAP), min(c1, SCOAP_CAP)
-        saturated = saturated or c0 == SCOAP_CAP or c1 == SCOAP_CAP
         cc0[g.output] = c0
         cc1[g.output] = c1
 
@@ -98,8 +94,7 @@ def scoap(n: Netlist) -> ScoapValues:
                                 *[min(cc0[j], cc1[j]) for j in others], 1)
             if cand < co[i]:
                 co[i] = cand
-    saturated = saturated or any(v == SCOAP_CAP for v in co.values())
-    return ScoapValues(cc0, cc1, co, saturated)
+    return ScoapValues(cc0, cc1, co)
 
 
 def signal_prob(n: Netlist, vectors: int, seed: int = 0) -> NetStats:
@@ -128,7 +123,7 @@ def _ones_fraction(n, vectors, seed):
         for net in n.nets:
             ones[net] += vals[net].bit_count()
     total = 1 << len(n.inputs) if vectors is None else vectors
-    return NetStats({net: c / total for net, c in ones.items()}, total)
+    return NetStats({net: c / total for net, c in ones.items()})
 
 
 RARE_METRICS = ("signal-prob-low", "signal-prob-high", "scoap-hard")

@@ -256,8 +256,7 @@ class SeekResult:
     k_zero_policy: str = "charged-full-budget"
 
 
-def seek_simulate(n_nodes: int, k: int, hider: str = "uniform",
-                  seeker: str = "uniform", trials: int = 10_000,
+def seek_simulate(n_nodes: int, k: int, trials: int = 10_000,
                   seed: int = 0, budget: int = None) -> SeekResult:
     """Play the hiding game: the hider places k objects on n nodes
     (uniform, no replacement), the seeker queries nodes in a uniform random
@@ -268,8 +267,6 @@ def seek_simulate(n_nodes: int, k: int, hider: str = "uniform",
     """
     if not 0 <= k <= n_nodes:
         raise ValueError("k must lie in [0, n_nodes]")
-    if hider != "uniform" or seeker != "uniform":
-        raise ValueError("only uniform strategies are implemented")
     if budget is None:
         budget = n_nodes
     if budget < 1:

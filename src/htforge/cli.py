@@ -89,8 +89,6 @@ def _cmd_parse(args):
 
 
 def _cmd_aig(args):
-    if args.action != "export":
-        raise SystemExit(2)
     n = _load_netlist(args.file)
     g = to_aig(n)
     text = export_aiger(g)
@@ -110,9 +108,7 @@ def _cmd_restructure(args):
             recipe = recipe_from_steps(json.load(f))
     else:
         if args.recipe not in RECIPES:
-            print(f"error: recipe must be 1..18, got {args.recipe}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"recipe must be 1..18, got {args.recipe}")
         recipe = RECIPES[args.recipe]
     out, reports = apply_recipe(n, recipe, seed=seed,
                                 exhaustive_bound=args.exhaustive_bound,
@@ -159,8 +155,8 @@ def _cmd_analyze(args):
     if args.exact or args.sigprob:
         stats = (exact_signal_prob(n) if args.exact
                  else signal_prob(n, args.sigprob, seed))
-        for net in n.nets:
-            rows[net].update(p=stats.p[net], tp=stats.tp[net])
+        for net, tp in stats.tp.items():
+            rows[net].update(p=stats.p[net], tp=tp)
     _write_json(args.json_out, {
         "circuit": n.name,
         "nets": [rows[net] for net in n.nets],
@@ -249,8 +245,7 @@ def _cmd_features(args):
         else:
             paths.append(src)
     if not paths:
-        print("error: no circuits found", file=sys.stderr)
-        return 2
+        raise ValueError("no circuits found")
     rows = []
     for path in paths:
         n = _load_netlist(path)

@@ -17,12 +17,14 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import os
+import random
 from dataclasses import dataclass, field
 
 # check_equivalence stays bound here; bench/test_bench.py checks its patching
 from .equiv import CheckConfig, check_equivalence, check_trojan_semantics  # noqa: F401
 from .netlist import Netlist, simulate, write_netlist
-from .restructure import RECIPES, _is_int, apply_recipe
+from .restructure import RECIPES, _is_int, _stream_seed, apply_recipe
 from .trojan import (InsertionError, InsufficientRareNetsError, TrojanSpec,
                      insert_trojan)
 
@@ -37,11 +39,6 @@ class JudgeError(Exception):
 def _tool_version():
     from . import __version__
     return __version__
-
-
-def _stream_seed(master, *tags):
-    blob = ":".join(str(t) for t in (master,) + tags).encode()
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
 def _sha256_text(text):
@@ -152,7 +149,6 @@ class BenchmarkSet:
         return _json_text(self.manifest)
 
     def write_dir(self, path):
-        import os
         os.makedirs(os.path.join(path, "circuits"), exist_ok=True)
         for eid, text in self.entries:
             with open(os.path.join(path, "circuits", f"{eid}.v"), "w") as f:
@@ -162,7 +158,6 @@ class BenchmarkSet:
 
     @staticmethod
     def load_dir(path):
-        import os
         with open(os.path.join(path, "manifest.json")) as f:
             manifest = json.load(f)
         entries = []
@@ -209,11 +204,10 @@ class AnswerKey:
 class Submission:
     set_name: str
     verdicts: dict    # opaque id -> "infected" | "clean"
-    submitter: str = ""
     timestamp: str = ""
 
     @staticmethod
-    def from_csv_text(text, set_name="", submitter="", timestamp=""):
+    def from_csv_text(text, set_name="", timestamp=""):
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
         if not lines or lines[0].lower().replace(" ", "") != "circuit_id,label":
             raise JudgeError("submission CSV must start with 'circuit_id,label'")
@@ -225,7 +219,7 @@ class Submission:
             if parts[0] in verdicts:
                 raise JudgeError(f"duplicate verdict for id {parts[0]}")
             verdicts[parts[0]] = parts[1]
-        return Submission(set_name, verdicts, submitter, timestamp)
+        return Submission(set_name, verdicts, timestamp)
 
     def to_csv_text(self):
         rows = ["circuit_id,label"]
@@ -279,17 +273,15 @@ def confidence_value(fp_rate, fn_rate, alpha) -> float:
 def forge_benchmark(cfg: ForgeConfig):
     """Produce (BenchmarkSet, AnswerKey); a pure function of the config."""
     variants = []   # _forge_variant tuples, in forging order
-    for gi, (gname, golden) in enumerate(cfg.golden):
-        infected_js = _infection_plan(cfg, gi, gname)
+    for gname, golden in cfg.golden:
+        infected_js = _infection_plan(cfg, gname)
         for j in range(cfg.nb):
             infected = j in infected_js
             recipe_id = _pick_recipe(cfg, gname, j)
             entry = _forge_variant(cfg, gname, golden, j, infected, recipe_id)
             variants.append(entry)
 
-    perm_rng_seed = _stream_seed(cfg.master_seed, "anonymize")
-    import random as _random
-    rng = _random.Random(perm_rng_seed)
+    rng = random.Random(_stream_seed(cfg.master_seed, "anonymize"))
     order = list(range(len(variants)))
     rng.shuffle(order)
     id_width = max(4, len(str(len(variants))))
@@ -311,6 +303,8 @@ def forge_benchmark(cfg: ForgeConfig):
         }
     entries.sort(key=lambda e: e[0])
 
+    provenance = {"tool": "htforge", "version": _tool_version(),
+                  "config_sha256": cfg.fingerprint()}
     manifest = {
         "set_name": cfg.set_name,
         "format_version": FORMAT_VERSION,
@@ -319,8 +313,7 @@ def forge_benchmark(cfg: ForgeConfig):
         "expiry_date": cfg.expiry_date,
         "entries": [{"id": eid, "file": f"{eid}.v",
                      "sha256": _sha256_text(text)} for eid, text in entries],
-        "provenance": {"tool": "htforge", "version": _tool_version(),
-                       "config_sha256": cfg.fingerprint()},
+        "provenance": provenance,
     }
     bench = BenchmarkSet(cfg.set_name, tuple(entries), manifest)
     key = AnswerKey(
@@ -330,41 +323,37 @@ def forge_benchmark(cfg: ForgeConfig):
         release_date=cfg.release_date,
         expiry_date=cfg.expiry_date,
         entries=key_entries,
-        provenance={"tool": "htforge", "version": _tool_version(),
-                    "config_sha256": cfg.fingerprint()},
+        provenance=dict(provenance),
     )
     return bench, key
 
 
-def _infection_plan(cfg, gi, gname):
-    import random as _random
+def _infection_plan(cfg, gname):
     if cfg.infected_counts is not None:
         count = cfg.infected_counts.get(gname, 0)
         if not 0 <= count <= cfg.nb:
             raise ValueError(f"infected count for {gname} outside [0, nb]")
-        rng = _random.Random(_stream_seed(cfg.master_seed, "count-sel", gname))
+        rng = random.Random(_stream_seed(cfg.master_seed, "count-sel", gname))
         return set(rng.sample(range(cfg.nb), count))
     out = set()
     for j in range(cfg.nb):
-        rng = _random.Random(_stream_seed(cfg.master_seed, "infect", gname, j))
+        rng = random.Random(_stream_seed(cfg.master_seed, "infect", gname, j))
         if rng.random() < cfg.infection_rate:
             out.add(j)
     return out
 
 
 def _pick_recipe(cfg, gname, j):
-    import random as _random
-    rng = _random.Random(_stream_seed(cfg.master_seed, "recipe", gname, j))
+    rng = random.Random(_stream_seed(cfg.master_seed, "recipe", gname, j))
     return rng.choice(list(cfg.recipe_pool))
 
 
 def _forge_variant(cfg, gname, golden, j, infected, recipe_id):
-    import random as _random
     seeds = {"restructure": _stream_seed(cfg.master_seed, "restr", gname, j)}
     trojan_rec = None
     pre = golden
     if infected:
-        spec_rng = _random.Random(_stream_seed(cfg.master_seed, "spec", gname, j))
+        spec_rng = random.Random(_stream_seed(cfg.master_seed, "spec", gname, j))
         q = spec_rng.choice(list(cfg.trigger_widths))
         rc = q
         attempts = 0
@@ -463,15 +452,8 @@ def score_submission(sub: Submission, key: AnswerKey, alpha: float,
 
 
 @dataclass
-class JudgePolicy:
-    period: str = "monthly"
-    expiry: str = ""
-
-
-@dataclass
 class DeferredReceipt:
     release_date: str
-    reason: str = "queued until the next monthly report"
 
 
 def _next_month_start(iso_date):
@@ -481,13 +463,10 @@ def _next_month_start(iso_date):
     return datetime.date(d.year, d.month + 1, 1).isoformat()
 
 
-def judge_window(policy: JudgePolicy, sub: Submission, key: AnswerKey,
-                 alpha: float, now: str):
-    """Monthly-cadence judging: reports release at period boundaries;
-    submissions after expiry are rejected."""
-    if policy.period != "monthly":
-        raise JudgeError(f"unsupported judging period '{policy.period}'")
-    expiry = policy.expiry or key.expiry_date
+def judge_window(sub: Submission, key: AnswerKey, alpha: float, now: str):
+    """Monthly-cadence judging: reports release at month boundaries;
+    submissions on or after the key's expiry date are rejected."""
+    expiry = key.expiry_date
     sub_date = sub.timestamp or now
     if datetime.date.fromisoformat(str(sub_date)) >= \
             datetime.date.fromisoformat(expiry):

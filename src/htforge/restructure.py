@@ -35,7 +35,7 @@ from .aig import (
     tree_roots,
     tt_var,
 )
-from .netlist import Netlist
+from .netlist import Netlist, simulate
 
 
 class RestructureError(Exception):
@@ -990,8 +990,9 @@ def recipe_from_steps(steps) -> Recipe:
     return Recipe(0, tuple(parsed))
 
 
-def _derive_seed(user_seed, recipe_id, step_index, step_seed):
-    blob = f"{user_seed}:{recipe_id}:{step_index}:{step_seed}".encode()
+def _stream_seed(master, *tags):
+    """A 64-bit seed split from ``master`` by SHA-256 over the tags."""
+    blob = ":".join(str(t) for t in (master,) + tags).encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
@@ -1032,7 +1033,7 @@ def apply_recipe(n: Netlist, recipe: Recipe, seed=0, exhaustive_bound=24,
     reports = []
     stages = [aig]
     for idx, step in enumerate(recipe.steps):
-        eff = _derive_seed(seed, recipe.id, idx, step.seed)
+        eff = _stream_seed(seed, recipe.id, idx, step.seed)
         t0 = time.perf_counter()
         nxt = _run_step(aig, step, eff)
         reports.append(PassReport(step.name, aig.n_ands, nxt.n_ands,
@@ -1043,7 +1044,7 @@ def apply_recipe(n: Netlist, recipe: Recipe, seed=0, exhaustive_bound=24,
     out = from_aig(aig, group_multi_input_and=group, name=n.name)
     verdict = check_equivalence(n, out, cfg)
     if verdict.result == "counterexample":
-        culprit = _find_culprit(recipe, stages, len(n.inputs))
+        culprit = _culprit(n, recipe, stages, verdict.counterexample)
         raise RestructureError(
             f"recipe {recipe.id}: pass '{culprit}' broke functional "
             "equivalence (internal bug)")
@@ -1053,15 +1054,14 @@ def apply_recipe(n: Netlist, recipe: Recipe, seed=0, exhaustive_bound=24,
     return out, reports
 
 
-def _find_culprit(recipe, stages, n_pis):
-    from .aig import exhaustive_signatures, po_signatures
-
-    if n_pis == 0 or n_pis > 16:
-        return recipe.steps[-1].name
-    width = 1 << n_pis
-    ref = po_signatures(stages[0], exhaustive_signatures(stages[0]), width)
-    for idx in range(1, len(stages)):
-        cur = po_signatures(stages[idx], exhaustive_signatures(stages[idx]), width)
-        if cur != ref:
-            return recipe.steps[idx - 1].name
-    return recipe.steps[-1].name
+def _culprit(n, recipe, stages, cex):
+    """Replay the check's counterexample through the kept stages: the first
+    stage whose outputs differ from ``n``'s names its maker (``to_aig`` for
+    stage 0), and if none differs the fault lies in ``from_aig``."""
+    want = simulate(n, cex)
+    makers = ["to_aig"] + [step.name for step in recipe.steps]
+    for maker, stage in zip(makers, stages):
+        got = simulate(from_aig(stage), cex)
+        if any(got[po] != want[po] for po in n.outputs):
+            return maker
+    return "from_aig"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .analysis import NetStats, ScoapValues, rare_nets, scoap, signal_prob
+from .analysis import rare_nets, scoap, signal_prob
 from .netlist import (Gate, Netlist, simulate, simulate3, simulate_packed,
                       stimuli, trigger_word)
 
@@ -32,7 +32,6 @@ class TrojanSpec:
     rare_count: int = None
     metric: str = "signal-prob-low"
     threshold: float = 0.05
-    payload_kind: str = "xor-flip"
     seed: int = 0
     sample_vectors: int = 100_000
 
@@ -43,8 +42,6 @@ class TrojanSpec:
         if not 0 <= rc <= self.q:
             raise ValueError("rare_count must lie in [0, q]")
         object.__setattr__(self, "rare_count", rc)
-        if self.payload_kind != "xor-flip":
-            raise ValueError("only the xor-flip payload is supported")
 
 
 @dataclass
@@ -382,7 +379,7 @@ def _flip_victim(n: Netlist, spec, trigger, activations, victims, side_pis):
     return None
 
 
-def insert_trojan(n: Netlist, spec: TrojanSpec, stats=None):
+def insert_trojan(n: Netlist, spec: TrojanSpec):
     """Insert one Trojan per the given TrojanSpec; returns (infected
     netlist, record).
 
@@ -392,11 +389,8 @@ def insert_trojan(n: Netlist, spec: TrojanSpec, stats=None):
     triggers and victims are retried until the stored witness provably
     activates the trigger and flips an output.
     """
-    if spec.metric == "scoap-hard":
-        analysis = stats if isinstance(stats, ScoapValues) else scoap(n)
-    else:
-        analysis = stats if isinstance(stats, NetStats) else signal_prob(
-            n, spec.sample_vectors, spec.seed)
+    analysis = (scoap(n) if spec.metric == "scoap-hard"
+                else signal_prob(n, spec.sample_vectors, spec.seed))
     rare, regular = rare_nets(analysis, spec.metric, spec.threshold)
     total_nets = len(rare) + len(regular)
     if spec.q >= total_nets:

@@ -387,6 +387,4 @@ def test_seek_simulate_validation():
     with pytest.raises(ValueError):
         seek_simulate(5, 6, trials=1)
     with pytest.raises(ValueError):
-        seek_simulate(5, 1, hider="greedy", trials=1)
-    with pytest.raises(ValueError):
         seek_simulate(5, 1, trials=1, budget=0)

@@ -396,10 +396,15 @@ _PROFILE_ERROR = ('profile must be a JSON object {"strategies": [[r, g], ...], '
     pytest.param(["pca", "{file}", "--components", "1"],
                  "name,a,b\nx,1,2\ny,inf,4\nz,0,1\n",
                  "feature values must be finite", id="pca-inf"),
+    pytest.param(["restructure", "{file}", "--recipe", "99", "-o", "{dir}/o.v"],
+                 "module m(a, y); input a; output y; not g(y, a); endmodule\n",
+                 "recipe must be 1..18, got 99", id="restructure-recipe-99"),
+    pytest.param(["features", "{dir}", "--csv", "{dir}/f.csv"], None,
+                 "no circuits found", id="features-empty-dir"),
 ])
 def test_documented_usage_errors(tmp_path, capsys, argv, text, message):
     path = tmp_path / "input"
     if text is not None:
         path.write_text(text)
-    assert run([a.format(file=path) for a in argv]) == 2
+    assert run([a.format(file=path, dir=tmp_path) for a in argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -9,7 +9,6 @@ from htforge.judge import (
     DeferredReceipt,
     ForgeConfig,
     JudgeError,
-    JudgePolicy,
     Submission,
     confidence_value,
     export_answer_key,
@@ -218,17 +217,16 @@ def test_benchmark_set_dir_round_trip(forged, tmp_path):
 
 def test_judge_window_policy(forged):
     _, _, key = forged
-    policy = JudgePolicy(period="monthly", expiry=key.expiry_date)
     sub = Submission("demo", {eid: "clean" for eid in key.entries},
                      timestamp="2026-03-10")
-    deferred = judge_window(policy, sub, key, 10, now="2026-03-20")
+    deferred = judge_window(sub, key, 10, now="2026-03-20")
     assert isinstance(deferred, DeferredReceipt)
     assert deferred.release_date == "2026-04-01"
-    report = judge_window(policy, sub, key, 10, now="2026-04-01")
+    report = judge_window(sub, key, 10, now="2026-04-01")
     assert isinstance(report, ConfusionReport)
     late = Submission("demo", dict(sub.verdicts), timestamp="2030-01-01")
     with pytest.raises(JudgeError, match="retired"):
-        judge_window(policy, late, key, 10, now="2030-01-02")
+        judge_window(late, key, 10, now="2030-01-02")
 
 
 def test_key_export_sealed(forged):

@@ -755,14 +755,20 @@ def test_recipe_from_steps_inserts_strash():
     assert r.steps[1].name == "balance"
 
 
-@pytest.mark.parametrize("fn, recipe, step", [
-    ("balance", 1, "balance"), ("rewrite", 2, "rewrite"),
-    ("refactor", 4, "refactor"), ("resubstitute", 6, "resub"),
-    ("fraig", 8, "fraig")], ids=["balance", "rewrite", "refactor",
-                                 "resubstitute", "fraig"])
+@pytest.mark.parametrize("fn, recipe, step, wide", [
+    ("balance", 1, "balance", False), ("rewrite", 2, "rewrite", False),
+    ("refactor", 4, "refactor", False), ("resubstitute", 6, "resub", False),
+    ("fraig", 8, "fraig", False),
+    # 20 PIs, recipe 3 (strash, rewrite, balance): first and last pass broken
+    ("rewrite", 3, "rewrite", True), ("balance", 3, "balance", True)],
+    ids=["balance", "rewrite", "refactor", "resubstitute", "fraig",
+         "rewrite-20pi", "balance-20pi"])
 def test_apply_recipe_bug_trap_names_pass(full_adder, monkeypatch, fn, recipe,
-                                          step):
+                                          step, wide):
     import htforge.restructure as rs
+
+    n = rarity_netlist(0, pis_per_branch=5) if wide else full_adder
+    assert len(n.inputs) == (20 if wide else 3)
 
     def broken(g, seed=0, **params):
         b = AigBuilder(g.pi_names, hashing=True)
@@ -773,7 +779,7 @@ def test_apply_recipe_bug_trap_names_pass(full_adder, monkeypatch, fn, recipe,
     # _run_step finds the pass through the module global
     monkeypatch.setattr(rs, fn, broken)
     with pytest.raises(RestructureError, match=f"pass '{step}'"):
-        rs.apply_recipe(full_adder, RECIPES[recipe], seed=0)
+        rs.apply_recipe(n, RECIPES[recipe], seed=0)
 
 
 def test_passes_monotone_on_random_corpus():

@@ -117,8 +117,6 @@ def test_spec_validation():
         TrojanSpec(q=1)
     with pytest.raises(ValueError):
         TrojanSpec(q=2, rare_count=3)
-    with pytest.raises(ValueError):
-        TrojanSpec(q=2, payload_kind="wire-or")
     assert TrojanSpec(q=3).rare_count == 3  # defaults to q
 
 
