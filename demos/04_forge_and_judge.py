@@ -57,12 +57,12 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"\nset written under {tmp}/demo-set (manifest + circuits/*.v)")
 
 # a perfect detector, the paranoid detector, and a coin flipper
-truth = Submission("demo-set", {eid: "infected" if v["k"] else "clean"
-                                for eid, v in key.entries.items()})
-paranoid = Submission("demo-set", {eid: "infected" for eid in key.entries})
+truth = Submission({eid: "infected" if v["k"] else "clean"
+                    for eid, v in key.entries.items()})
+paranoid = Submission({eid: "infected" for eid in key.entries})
 rng = random.Random(0)
-coin = Submission("demo-set", {eid: rng.choice(["infected", "clean"])
-                               for eid in key.entries})
+coin = Submission({eid: rng.choice(["infected", "clean"])
+                   for eid in key.entries})
 
 print("\nsubmission      TP TN FP FN   FP-rate FN-rate  Conf.Val(alpha=10)")
 for name, sub in (("perfect", truth), ("all-infected", paranoid),
@@ -71,7 +71,7 @@ for name, sub in (("perfect", truth), ("all-infected", paranoid),
     print(f"{name:14s}  {rep.tp:2d} {rep.tn:2d} {rep.fp:2d} {rep.fn:2d}   "
           f"{rep.fp_rate:7.3f} {rep.fn_rate:7.3f}  {rep.conf_val:8.3f}")
 
-sub = Submission("demo-set", dict(truth.verdicts), timestamp="2026-04-12")
+sub = Submission(dict(truth.verdicts), timestamp="2026-04-12")
 outcome = judge_window(sub, key, alpha=10, now="2026-04-20")
 print(f"\nmid-month submission -> deferred until {outcome.release_date}")
 outcome = judge_window(sub, key, alpha=10, now="2026-05-01")

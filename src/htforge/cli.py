@@ -227,7 +227,7 @@ def _cmd_judge(args):
     with open(args.key) as f:
         key = AnswerKey.from_json_text(f.read())
     with open(args.submission) as f:
-        sub = Submission.from_csv_text(f.read(), set_name=key.set_name)
+        sub = Submission.from_csv_text(f.read())
     report = score_submission(sub, key, args.alpha, now=args.now)
     _write_json(args.json_out, report.to_dict())
     return 0

@@ -24,7 +24,7 @@ class CheckConfig:
     exhaustive_bound: int = 24
     sample_vectors: int = 100_000
     seed: int = 0
-    chunk_bits: int = 14
+    chunk_bits: int = 16    # exhaustive enumeration: 2^chunk_bits per chunk
 
     def __post_init__(self):
         for name, low in (("sample_vectors", 1), ("exhaustive_bound", 0),
@@ -97,12 +97,16 @@ def _first_divergence(a: Netlist, b: Netlist, cfg: CheckConfig, trigger=None):
     sampling above it.  Returns (mode, vectors checked, assignment or None).
     """
     if len(a.inputs) <= cfg.exhaustive_bound:
-        mode, vectors, total = "exhaustive", None, 1 << len(a.inputs)
+        mode, total = "exhaustive", 1 << len(a.inputs)
+        chunks = stimuli(a.inputs, chunk_bits=cfg.chunk_bits)
     else:
-        mode, vectors, total = "sampled", cfg.sample_vectors, cfg.sample_vectors
-    for patterns, width in stimuli(a.inputs, vectors, cfg.seed, cfg.chunk_bits):
-        va = simulate_packed(a, patterns, width)
-        vb = simulate_packed(b, patterns, width)
+        mode, total = "sampled", cfg.sample_vectors
+        chunks = stimuli(a.inputs, cfg.sample_vectors, cfg.seed)
+    keep_a = frozenset(a.outputs)
+    keep_b = keep_a.union(net for net, _ in trigger or ())
+    for patterns, width in chunks:
+        va = simulate_packed(a, patterns, width, keep=keep_a)
+        vb = simulate_packed(b, patterns, width, keep=keep_b)
         diff = 0
         for po in a.outputs:
             diff |= va[po] ^ vb[po]

@@ -202,12 +202,11 @@ class AnswerKey:
 
 @dataclass
 class Submission:
-    set_name: str
     verdicts: dict    # opaque id -> "infected" | "clean"
     timestamp: str = ""
 
     @staticmethod
-    def from_csv_text(text, set_name="", timestamp=""):
+    def from_csv_text(text, timestamp=""):
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
         if not lines or lines[0].lower().replace(" ", "") != "circuit_id,label":
             raise JudgeError("submission CSV must start with 'circuit_id,label'")
@@ -219,7 +218,7 @@ class Submission:
             if parts[0] in verdicts:
                 raise JudgeError(f"duplicate verdict for id {parts[0]}")
             verdicts[parts[0]] = parts[1]
-        return Submission(set_name, verdicts, timestamp)
+        return Submission(verdicts, timestamp)
 
     def to_csv_text(self):
         rows = ["circuit_id,label"]

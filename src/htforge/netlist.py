@@ -82,6 +82,7 @@ class Netlist:
         self.inputs = tuple(self.inputs)
         self.outputs = tuple(self.outputs)
         self.gates = tuple(self.gates)
+        self._lowered = {}   # keep set -> simulate_packed program
 
     @cached_property
     def driver(self):
@@ -113,9 +114,9 @@ class Netlist:
     @cached_property
     def topo_gates(self):
         """Gates in topological order (Kahn).  Raises ValidationError on cycles."""
-        pending = {g.output: sum(1 for i in g.inputs if i in self._gate_out_set)
-                   for g in self.gates}
         by_out = {g.output: g for g in self.gates}
+        pending = {g.output: sum(1 for i in g.inputs if i in by_out)
+                   for g in self.gates}
         fanout = {}
         for g in self.gates:
             for i in g.inputs:
@@ -139,15 +140,16 @@ class Netlist:
                 tuple(stuck))])
         return tuple(order)
 
-    @cached_property
-    def _program(self):
-        """The netlist lowered for simulate_packed: ``(op, out, a, b)`` steps
-        over a value list that holds the nets in ``nets`` order."""
-        return _lower(self)
-
-    @cached_property
-    def _gate_out_set(self):
-        return frozenset(g.output for g in self.gates)
+    def _program(self, keep=None):
+        """The netlist lowered for ``keep`` (a frozenset of nets, or None for
+        every net).  Only the last keep set's program stays cached: callers
+        loop over chunks with one keep set, and a program kept per set
+        would live, one per trigger probe, as long as the netlist."""
+        prog = self._lowered.get(keep)
+        if prog is None:
+            prog = _lower(self, keep)
+            self._lowered = {keep: prog}
+        return prog
 
     def depth(self):
         """Logic depth per net (PIs and constants at 0)."""
@@ -205,58 +207,103 @@ GATE_OPS = {"BUF": (None, 0), "NOT": (None, 1), "AND": (and_, 0),
             "XOR": (xor, 0), "XNOR": (xor, 1)}
 
 
-def _lower(n: Netlist):
-    """One ``(op, out, a, b)`` step per input pair of every gate, in
-    topological order.  Slots index ``n.nets``: slot 0 is constant 0, slot 1
-    the all-ones mask, then the PIs and the gate outputs.  An n-ary gate
-    folds in its own output slot; complements xor with slot 1 and a single
-    input is copied by an xor with slot 0.
+def _lower(n: Netlist, keep):
+    """Lower ``n`` into ``(registers, steps, kept)`` for simulate_packed.
+
+    Registers hold packed values: register 0 is constant 0, register 1 the
+    all-ones mask, then the PIs in order.  Only the gates in the fanin of
+    the kept nets (every net when ``keep`` is None) get steps, one
+    ``op, out, a, b`` per input pair, in topological order, all in one flat
+    tuple (a third of the memory of a tuple per step).  Each gate
+    output takes a free register; a net outside ``keep`` frees its
+    register after its last read, so few wide values are live at once.
+    An n-ary gate folds in its own output register, taken before its
+    inputs are freed; complements xor with register 1 and a single input
+    is copied by an xor with register 0.  ``kept`` pairs each kept net, in
+    ``n.nets`` order, with its register.
     """
     if len(set(n.inputs)) != len(n.inputs):
         raise NetlistError("simulate_packed needs distinct primary inputs")
-    slot = {net: k for k, net in enumerate(n.nets)}
-    prog = []
-    for g in n.topo_gates:
+    if keep is None:
+        keep, gates, last_reader = frozenset(n.nets), n.topo_gates, {}
+    elif not keep.issubset(n.nets):
+        raise NetlistError("simulate_packed cannot keep undriven nets "
+                           f"{sorted(keep.difference(n.nets))}")
+    else:
+        gates, need, last_reader = [], set(keep), {}
+        for g in reversed(n.topo_gates):
+            if g.output in need:
+                gates.append(g)
+                need.update(g.inputs)
+                for i in g.inputs:
+                    if i not in keep:
+                        last_reader.setdefault(i, g)
+        gates.reverse()
+        last_reader.pop(CONST0, None)
+        last_reader.pop(CONST1, None)
+    reg = {CONST0: 0, CONST1: 1}
+    reg.update((p, k) for k, p in enumerate(n.inputs, 2))
+    free = [reg[p] for p in reversed(n.inputs)
+            if p not in keep and p not in last_reader]
+    size = len(reg)
+    steps = []
+    for g in gates:
         op, inv = GATE_OPS[g.kind]
-        out = slot[g.output]
-        ins = [slot[i] for i in g.inputs]
+        ins = [reg[i] for i in g.inputs]
+        if free:
+            out = free.pop()
+        else:
+            out, size = size, size + 1
+        reg[g.output] = out
         if op is None or len(ins) == 1:
-            prog.append((xor, out, ins[0], inv))
-            continue
-        prog.append((op, out, ins[0], ins[1]))
-        for b in ins[2:]:
-            prog.append((op, out, out, b))
-        if inv:
-            prog.append((xor, out, out, 1))
-    return tuple(prog)
+            steps += xor, out, ins[0], inv
+        else:
+            steps += op, out, ins[0], ins[1]
+            for b in ins[2:]:
+                steps += op, out, out, b
+            if inv:
+                steps += xor, out, out, 1
+        for i in g.inputs:
+            if last_reader.get(i) is g:
+                del last_reader[i]
+                free.append(reg[i])
+    kept = tuple((net, reg[net]) for net in n.nets if net in keep)
+    return size, tuple(steps), kept
 
 
-def simulate_packed(n: Netlist, patterns: dict, width: int) -> dict:
+def simulate_packed(n: Netlist, patterns: dict, width: int, keep=None) -> dict:
     """Bit-parallel simulation: each net carries ``width`` stimuli packed in an int.
 
-    Runs the netlist's lowered program (built on first use, then cached on
-    the netlist) over one value list.
+    Returns ``{net: value}`` for the nets in ``keep``, or for every net when
+    ``keep`` is None.  Only the fanin of the kept nets is evaluated, and a
+    net nobody keeps gives its register up after its last read.  The
+    program for each keep set is built on first use, then cached on the
+    netlist; pass the same frozenset on every call to look it up cheaply.
     """
+    size, steps, kept = n._program(None if keep is None else frozenset(keep))
     mask = (1 << width) - 1
-    v = [0] * len(n.nets)
+    v = [0] * size
     v[1] = mask
     for k, p in enumerate(n.inputs, 2):
         v[k] = patterns[p] & mask
-    for f, o, a, b in n._program:
+    it = iter(steps)
+    for f, o, a, b in zip(it, it, it, it):
         v[o] = f(v[a], v[b])
-    return dict(zip(n.nets, v))
+    return {net: v[r] for net, r in kept}
 
 
 def simulate3(n: Netlist, partial: dict) -> dict:
     """Three-valued simulation: net -> 0, 1, or None where the PIs missing
-    from ``partial`` leave it open.  Runs the lowered program on (can-be-1,
-    can-be-0) bit pairs; no correlation is kept, so ``a & ~a`` with ``a``
-    open is open."""
+    from ``partial`` leave it open.  Runs the all-nets lowered program on
+    (can-be-1, can-be-0) bit pairs; no correlation is kept, so ``a & ~a``
+    with ``a`` open is open."""
+    size, steps, kept = n._program()
     given = [0, 1] + [partial.get(p) for p in n.inputs]
-    given += [None] * (len(n.nets) - len(given))
+    given += [None] * (size - len(given))
     one = [int(x != 0) for x in given]    # can be 1
     zero = [int(x != 1) for x in given]   # can be 0
-    for f, o, a, b in n._program:
+    it = iter(steps)
+    for f, o, a, b in zip(it, it, it, it):
         if f is xor:
             one[o], zero[o] = (one[a] & zero[b] | zero[a] & one[b],
                                one[a] & one[b] | zero[a] & zero[b])
@@ -264,8 +311,7 @@ def simulate3(n: Netlist, partial: dict) -> dict:
             one[o], zero[o] = one[a] & one[b], zero[a] | zero[b]
         else:
             one[o], zero[o] = one[a] | one[b], zero[a] & zero[b]
-    return {net: None if c1 & c0 else c1
-            for net, c1, c0 in zip(n.nets, one, zero)}
+    return {net: None if one[r] & zero[r] else one[r] for net, r in kept}
 
 
 _TT_VAR_CACHE = {}
@@ -291,16 +337,20 @@ def tt_var(j, m):
     return out
 
 
-def stimuli(pis, vectors=None, seed=0, chunk_bits=14):
+def stimuli(pis, vectors=None, seed=0, chunk_bits=None):
     """Yield ``(patterns, width)`` chunks of packed PI stimuli.
 
     With ``vectors`` None the chunks enumerate all 2^len(pis) assignments:
-    the first ``chunk_bits`` PIs vary within a chunk (bit i of PI k is
-    ``(i >> k) & 1``), the others are constant per chunk and count up from
-    chunk to chunk.  Otherwise ``vectors`` seeded random assignments are
-    drawn, ``getrandbits(width)`` per PI in ``pis`` order and chunk by chunk.
-    Either way, decode(patterns, bit) is the assignment of one bit.
+    the first ``chunk_bits`` PIs (default 16) vary within a chunk (bit i of
+    PI k is ``(i >> k) & 1``), the others are constant per chunk and count
+    up from chunk to chunk, so PI k is bit k of the assignment index at any
+    chunk width.  Otherwise ``vectors`` seeded random assignments are
+    drawn, ``getrandbits(width)`` per PI in ``pis`` order and chunk by
+    chunk, at most 2^``chunk_bits`` (default 2^14) bits at a time.  Either
+    way, decode(patterns, bit) is the assignment of one bit.
     """
+    if chunk_bits is None:
+        chunk_bits = 16 if vectors is None else 14
     if vectors is None:
         chunk_vars = min(len(pis), chunk_bits)
         width = 1 << chunk_vars

@@ -377,22 +377,29 @@ class _Work:
                        zip(self.po_names, self.pos))
 
     def check(self):
-        """Internal consistency assertions (used by tests)."""
+        """Internal consistency checks (used by tests).  Raises
+        AssertionError on the first broken invariant, also under -O."""
         refs = {}
         for node in range(self.first_and, len(self.fan0)):
             if self.dead[node]:
                 continue
             for f in (self.fan0[node], self.fan1[node]):
                 refs[f >> 1] = refs.get(f >> 1, 0) + 1
-                assert not (f >> 1 >= self.first_and and self.dead[f >> 1])
-                assert node in self.fanouts[f >> 1]
+                if f >> 1 >= self.first_and and self.dead[f >> 1]:
+                    raise AssertionError(f"node {node} reads dead node {f >> 1}")
+                if node not in self.fanouts[f >> 1]:
+                    raise AssertionError(
+                        f"node {node} missing from fanouts of {f >> 1}")
         for pl in self.pos:
             refs[pl >> 1] = refs.get(pl >> 1, 0) + 1
         for v in range(len(self.fan0)):
-            assert self.nref[v] == refs.get(v, 0), (v, self.nref[v], refs.get(v, 0))
+            if self.nref[v] != refs.get(v, 0):
+                raise AssertionError(
+                    f"nref[{v}] is {self.nref[v]}, counted {refs.get(v, 0)}")
         live = sum(1 for v in range(self.first_and, len(self.fan0))
                    if not self.dead[v])
-        assert self.live == live
+        if self.live != live:
+            raise AssertionError(f"live is {self.live}, counted {live}")
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,9 @@ def _search_exhaustive(cone, trigger, limit):
     """Exhaustively scan the cone's support; returns up to ``limit``
     activating assignments over the cone PIs."""
     found = []
+    keep = frozenset(net for net, _ in trigger)
     for patterns, width in stimuli(cone.inputs):
-        vals = simulate_packed(cone, patterns, width)
+        vals = simulate_packed(cone, patterns, width, keep=keep)
         found += _activations(patterns, trigger_word(vals, trigger, width),
                               limit - len(found))
         if len(found) >= limit:
@@ -233,8 +234,9 @@ def _probe(n: Netlist, triggers, seed, limit=48):
     """
     hits = [0] * len(triggers)
     kept = [[] for _ in triggers]
+    keep = frozenset(net for trigger in triggers for net, _ in trigger)
     for patterns, width in stimuli(n.inputs, PROBE_VECTORS, seed):
-        vals = simulate_packed(n, patterns, width)
+        vals = simulate_packed(n, patterns, width, keep=keep)
         for k, trigger in enumerate(triggers):
             act = trigger_word(vals, trigger, width)
             if act and hits[k] < limit:
@@ -287,8 +289,9 @@ def activation_estimate(n: Netlist, rec: TrojanRecord, vectors: int,
                         seed: int = 0) -> float:
     """Fraction of uniform random input vectors that activate the trigger."""
     hits = 0
+    keep = frozenset(net for net, _ in rec.trigger)
     for patterns, width in stimuli(n.inputs, vectors, seed):
-        vals = simulate_packed(n, patterns, width)
+        vals = simulate_packed(n, patterns, width, keep=keep)
         hits += trigger_word(vals, rec.trigger, width).bit_count()
     return hits / vectors
 

@@ -297,18 +297,18 @@ def test_criterion_08_judge_round_trip():
     cfg = _acceptance_forge_cfg()
     bench, key = forge_benchmark(cfg)
     assert len(bench.entries) == 40
-    truth = Submission("acc", {eid: ("infected" if v["k"] else "clean")
-                               for eid, v in key.entries.items()})
+    truth = Submission({eid: ("infected" if v["k"] else "clean")
+                        for eid, v in key.entries.items()})
     rep = score_submission(truth, key, 10)
     assert rep.tp + rep.tn == 40 and rep.fp == 0 and rep.fn == 0
-    all_inf = Submission("acc", {eid: "infected" for eid in key.entries})
+    all_inf = Submission({eid: "infected" for eid in key.entries})
     rep2 = score_submission(all_inf, key, 10)
     assert rep2.fp_rate == 1.0
     assert rep2.conf_val == 0.0
     rng = random.Random(8)
     for _ in range(1000):
-        sub = Submission("acc", {eid: rng.choice(["infected", "clean"])
-                                 for eid in key.entries})
+        sub = Submission({eid: rng.choice(["infected", "clean"])
+                          for eid in key.entries})
         r = score_submission(sub, key, 10)
         assert r.tp + r.tn + r.fp + r.fn == 40
     _report(8, "40-entry set: key self-score perfect, all-infected scores "

@@ -1,3 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import htforge
 from htforge.aig import (
     exhaustive_signatures,
     lit,
@@ -7,25 +15,44 @@ from htforge.aig import (
     to_aig,
 )
 from htforge.equiv import CheckConfig, check_equivalence
-from htforge.netlist import Gate, Netlist, parse_netlist
+from htforge.netlist import Gate, Netlist, parse_netlist, stimuli
 from htforge.restructure import RECIPES, _Work, apply_recipe
+from htforge.trojan import TrojanRecord, _cone_netlist, find_trigger_witness
 
 from conftest import random_netlist, truth_signature
 
 
-def test_equivalence_check_spans_multiple_chunks():
-    n = random_netlist(61, n_pis=15, n_gates=60)
-    cfg = CheckConfig(exhaustive_bound=16, chunk_bits=12)  # 8 chunks
+@pytest.mark.parametrize("chunk_bits", [12, 14, 16])
+def test_equivalence_check_spans_multiple_chunks(chunk_bits, monkeypatch):
+    # PI k is bit k of the assignment index at every chunk width, so the
+    # first counterexample and the first trigger activation, both outside
+    # the first chunk of 2^12, do not depend on the width
+    n = random_netlist(61, n_pis=18, n_gates=60)
+    cfg = CheckConfig(exhaustive_bound=18, chunk_bits=chunk_bits)
     verdict = check_equivalence(n, n, cfg)
     assert verdict.mode == "exhaustive"
     assert verdict.result == "equivalent"
-    gates = list(n.gates)
-    g = gates[-1]
-    gates[-1] = Gate("NAND" if g.kind != "NAND" else "AND",
-                     g.output, g.inputs, g.name)
+    po = n.outputs[0]
+    gates = [Gate(g.kind, "pre" if g.output == po else g.output, g.inputs,
+                  g.name) for g in n.gates]
+    gates += [Gate("OR", "u", ("i16", "i17"), "gu"),
+              Gate("AND", "t", ("i3", "u"), "gt"),
+              Gate("XOR", po, ("pre", "t"), "gp")]
     other = Netlist(n.name, n.inputs, n.outputs, tuple(gates))
-    if truth_signature(n) != truth_signature(other):
-        assert check_equivalence(n, other, cfg).result == "counterexample"
+    cex = check_equivalence(n, other, cfg).counterexample
+    assert cex == {p: int(p in ("i3", "i16")) for p in n.inputs}
+
+    rec = TrojanRecord(trigger=(("t", 1), ("w42", 0), ("w55", 1)),
+                       trigger_net="t", victim=po, victim_pre="pre",
+                       payload_gate="gp", witness=None, added_gates=())
+    assert len(_cone_netlist(other, ["t", "w42", "w55"]).inputs) == 16
+    want = find_trigger_witness(other, rec)
+
+    def chunked(pis, vectors=None, seed=0, chunk_bits=None):
+        return stimuli(pis, vectors, seed, cfg.chunk_bits)
+    monkeypatch.setattr(htforge.trojan, "stimuli", chunked)
+    assert find_trigger_witness(other, rec) == want
+    assert {p for p, bit in want.items() if bit} == {"i0", "i3", "i15", "i17"}
 
 
 def test_recipe_on_buf_passthrough():
@@ -120,6 +147,28 @@ def test_work_replace_keeps_shared_structure():
     assert not w.dead[t]
     assert w.pos[1] == lit(t)
     assert w.live == 2
+
+
+def test_work_check_raises_under_optimize():
+    # python -O strips assert statements; check() must still see the damage
+    code = (
+        "from htforge.aig import strash, to_aig\n"
+        "from htforge.netlist import parse_netlist\n"
+        "from htforge.restructure import _Work\n"
+        "n = parse_netlist('module m (a, b, c, y); input a, b, c; output y;'\n"
+        "                  ' wire t; and g1 (t, a, b); and g2 (y, t, c);'\n"
+        "                  ' endmodule')\n"
+        "w = _Work(strash(to_aig(n)))\n"
+        "w.check()\n"
+        "w.nref[w.first_and] += 1\n"
+        "try:\n"
+        "    w.check()\n"
+        "except AssertionError as e:\n"
+        "    print('raised', e)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(htforge.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.startswith("raised nref[")
 
 
 def test_work_rebuild_after_replace_is_equivalent():

@@ -93,7 +93,7 @@ def test_forge_rate_zero_all_clean():
     cfg = _small_cfg(rate=0.0, seed=3, nb=2)
     bench, key = forge_benchmark(cfg)
     assert all(v["k"] == 0 for v in key.entries.values())
-    sub = Submission("demo", {eid: "clean" for eid in key.entries})
+    sub = Submission({eid: "clean" for eid in key.entries})
     rep = score_submission(sub, key, 10)
     assert rep.fp == 0 and rep.fn == 0
     assert rep.tn == len(key.entries)
@@ -143,14 +143,14 @@ def test_score_validates_coverage(forged):
     _, _, key = forged
     ids = list(key.entries)
     with pytest.raises(JudgeError, match="cover"):
-        score_submission(Submission("demo", {ids[0]: "clean"}), key, 10)
+        score_submission(Submission({ids[0]: "clean"}), key, 10)
     full = {eid: "clean" for eid in ids}
     full["nonexistent"] = "clean"
     with pytest.raises(JudgeError, match="cover"):
-        score_submission(Submission("demo", full), key, 10)
+        score_submission(Submission(full), key, 10)
     with pytest.raises(JudgeError, match="alpha"):
         score_submission(
-            Submission("demo", {eid: "clean" for eid in ids}), key, 0)
+            Submission({eid: "clean" for eid in ids}), key, 0)
 
 
 def test_score_accounting_identity(forged):
@@ -160,8 +160,8 @@ def test_score_accounting_identity(forged):
     infected_total = sum(v["k"] for v in key.entries.values())
     clean_total = len(ids) - infected_total
     for _ in range(200):
-        sub = Submission("demo", {eid: rng.choice(["infected", "clean"])
-                                  for eid in ids})
+        sub = Submission({eid: rng.choice(["infected", "clean"])
+                          for eid in ids})
         rep = score_submission(sub, key, 10)
         assert rep.tp + rep.tn + rep.fp + rep.fn == len(ids)
         assert rep.tp + rep.fn == infected_total
@@ -170,7 +170,7 @@ def test_score_accounting_identity(forged):
 
 def test_score_hides_per_entry_until_expiry(forged):
     _, _, key = forged
-    sub = Submission("demo", {eid: "clean" for eid in key.entries})
+    sub = Submission({eid: "clean" for eid in key.entries})
     rep = score_submission(sub, key, 10, now="2027-01-01")
     assert rep.per_entry is None
     rep2 = score_submission(sub, key, 10, now="2029-02-01")
@@ -180,7 +180,7 @@ def test_score_hides_per_entry_until_expiry(forged):
 
 def test_per_golden_breakdown(forged):
     cfg, _, key = forged
-    sub = Submission("demo", {eid: "infected" for eid in key.entries})
+    sub = Submission({eid: "infected" for eid in key.entries})
     rep = score_submission(sub, key, 10)
     assert set(rep.per_golden) == {nm for nm, _ in cfg.golden}
     assert sum(s["tp"] + s["fp"] for s in rep.per_golden.values()) == \
@@ -188,7 +188,7 @@ def test_per_golden_breakdown(forged):
 
 
 def test_submission_csv_round_trip():
-    sub = Submission("demo", {"b0001": "infected", "b0000": "clean"})
+    sub = Submission({"b0001": "infected", "b0000": "clean"})
     text = sub.to_csv_text()
     assert text.splitlines()[0] == "circuit_id,label"
     back = Submission.from_csv_text(text)
@@ -217,14 +217,14 @@ def test_benchmark_set_dir_round_trip(forged, tmp_path):
 
 def test_judge_window_policy(forged):
     _, _, key = forged
-    sub = Submission("demo", {eid: "clean" for eid in key.entries},
+    sub = Submission({eid: "clean" for eid in key.entries},
                      timestamp="2026-03-10")
     deferred = judge_window(sub, key, 10, now="2026-03-20")
     assert isinstance(deferred, DeferredReceipt)
     assert deferred.release_date == "2026-04-01"
     report = judge_window(sub, key, 10, now="2026-04-01")
     assert isinstance(report, ConfusionReport)
-    late = Submission("demo", dict(sub.verdicts), timestamp="2030-01-01")
+    late = Submission(dict(sub.verdicts), timestamp="2030-01-01")
     with pytest.raises(JudgeError, match="retired"):
         judge_window(late, key, 10, now="2030-01-02")
 

@@ -464,27 +464,39 @@ def _kernel_netlist():
                    ("top", "b") + outs, tuple(gates))
 
 
-def test_simulate_packed_kernel_matches_scalar_at_two_widths():
+@pytest.mark.parametrize("keep", [_kernel_netlist().outputs, ["mix"], {"c"},
+                                  None],
+                         ids=["outputs", "internal", "pi", "all"])
+def test_simulate_packed_kernel_matches_scalar_at_two_widths(keep):
     n = _kernel_netlist()
-    patterns, width = next(stimuli(n.inputs))
-    assert width == 32
+    want = set(n.nets) if keep is None else set(keep)
+    truth = [(stim, simulate(n, stim)) for stim in all_stimuli(n)]
     rng = random.Random(7)
-    # bits above the chunk width must be ignored
-    dirty = {p: w | rng.getrandbits(64) << width for p, w in patterns.items()}
-    for w in (width, 12):
-        packed = simulate_packed(n, dirty, w)
-        assert set(packed) == set(n.nets)
-        for bit in range(w):
-            vals = simulate(n, decode(patterns, bit))
-            for net in n.nets:
-                assert (packed[net] >> bit) & 1 == vals[net], (w, bit, net)
-        assert all(v >> w == 0 for v in packed.values())
+    for w in (1 << 14, 1 << 16):
+        mask = (1 << w) - 1
+        patterns = {p: rng.getrandbits(w) for p in n.inputs}
+        # bits above the chunk width must be ignored
+        dirty = {p: v | rng.getrandbits(64) << w for p, v in patterns.items()}
+        packed = simulate_packed(n, dirty, w, keep=keep)
+        assert set(packed) == want
+        expect = dict.fromkeys(want, 0)
+        for stim, vals in truth:
+            rows = mask   # the bits that carry this assignment
+            for p, bit in stim.items():
+                rows &= patterns[p] if bit else ~patterns[p]
+            for net in want:
+                if vals[net]:
+                    expect[net] |= rows
+        assert packed == expect, (w, keep)
 
 
 def test_simulate_packed_rejects_duplicate_inputs():
     n = Netlist("dup", ("a", "b", "a"), ("y",), (Gate("AND", "y", ("a", "b")),))
     with pytest.raises(NetlistError, match="distinct primary inputs"):
         simulate_packed(n, {"a": 1, "b": 1}, 1)
+    n = Netlist("ok", ("a", "b"), ("y",), (Gate("AND", "y", ("a", "b")),))
+    with pytest.raises(NetlistError, match="undriven nets"):
+        simulate_packed(n, {"a": 1, "b": 1}, 1, keep=["y", "z"])
 
 
 def test_simulate3_is_exact_when_complete_and_sound_when_partial():

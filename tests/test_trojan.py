@@ -270,7 +270,7 @@ def test_streamed_probe_matches_per_cone_simulation(n):
 def _count_probe_streams(monkeypatch):
     draws = []
 
-    def counting(pis, vectors=None, seed=0, chunk_bits=14):
+    def counting(pis, vectors=None, seed=0, chunk_bits=None):
         if vectors == PROBE_VECTORS:
             draws.append(seed)
         return stimuli(pis, vectors, seed, chunk_bits)
