@@ -275,17 +275,10 @@ def enumerate_cuts(g: AigGraph, k=6, max_cuts=8):
     base = 1 + g.n_pis
     for j in range(g.n_ands):
         node = base + j
-        seen = set()
-        merged = []
-        for c0 in cuts[g.fan0[j] >> 1]:
-            for c1 in cuts[g.fan1[j] >> 1]:
-                leaves = tuple(sorted(set(c0) | set(c1)))
-                if len(leaves) > k or leaves in seen:
-                    continue
-                seen.add(leaves)
-                merged.append(leaves)
-        merged.sort(key=lambda ls: (len(ls), ls))
-        cuts[node] = tuple(merged[:max_cuts - 1]) + ((node,),)
+        ones = [frozenset(c) for c in cuts[g.fan1[j] >> 1]]
+        merged = {c1.union(c0) for c0 in cuts[g.fan0[j] >> 1] for c1 in ones}
+        kept = sorted((len(c), tuple(sorted(c))) for c in merged if len(c) <= k)
+        cuts[node] = tuple(t for _, t in kept[:max_cuts - 1]) + ((node,),)
     return cuts
 
 

@@ -27,7 +27,6 @@ from .aig import (
     enumerate_cuts,
     from_aig,
     lit,
-    lit_not,
     strash,
     strip_unreachable,
     to_aig,
@@ -44,10 +43,6 @@ class RestructureError(Exception):
 
 class _OverCap(Exception):
     """A trial planned more new nodes than the root's MFFC can free."""
-
-
-def _vkey(v):
-    return (0, v) if isinstance(v, int) else (1, v[1], v[2])
 
 
 # ---------------------------------------------------------------------------
@@ -239,110 +234,128 @@ class _Work:
         return val[root]
 
     def support(self, node):
-        """PI-index bitmask of the structural support of a node, walked on
-        the first call and memoized from then on (replace() does not
-        refresh it)."""
-        hit = self._supports.get(node)
-        if hit is not None:
-            return hit
-        out = 0
-        seen = set()
+        """PI-index bitmask of the structural support of a node.  Every
+        node the walk passes is memoized as the union of its fanins'
+        supports, and replace() does not refresh the memo.  fraig never
+        mutates its graph.  resubstitute asks in node order, and a
+        replace() rewires only the fanout of the node it visits, which no
+        earlier walk has passed unless it started at a divisor inside that
+        fanout; tests compare every answer with a fresh walk."""
+        memo = self._supports
         stack = [node]
         while stack:
-            v = stack.pop()
-            if v in seen or v == 0:
-                continue
-            seen.add(v)
-            if v < self.first_and:
-                out |= 1 << (v - 1)
+            v = stack[-1]
+            if v in memo:
+                stack.pop()
+            elif v < self.first_and:
+                memo[v] = (1 << v) >> 1
+                stack.pop()
             else:
-                stack.append(self.fan0[v] >> 1)
-                stack.append(self.fan1[v] >> 1)
-        self._supports[node] = out
-        return out
+                a, b = self.fan0[v] >> 1, self.fan1[v] >> 1
+                sa, sb = memo.get(a), memo.get(b)
+                if sa is None or sb is None:
+                    if sa is None:
+                        stack.append(a)
+                    if sb is None:
+                        stack.append(b)
+                    continue
+                memo[v] = sa | sb
+                stack.pop()
+        return memo[node]
 
     # -- candidate evaluation
 
-    def trial(self, root, tree, cap=math.inf):
-        """Exact gain of replacing root's function with the candidate tree,
-        without mutating.  Returns (gain, tree), or None for a no-op or as
-        soon as the tree plans more than ``cap`` new nodes: with ``cap`` at
+    def trial(self, root, plan, cap=math.inf):
+        """Exact gain of replacing root's function with the candidate plan,
+        without mutating.  Returns (gain, plan), or None for a no-op or as
+        soon as the plan adds more than ``cap`` new nodes: with ``cap`` at
         ``len(self.mffc(root))``, that gain would be negative.
 
-        ``tree`` nests ('lit', l) / ('and', t, t) / ('not', t) over existing
-        literals.  Planned nodes are deduplicated against the hash table and
-        each other; references they place on existing nodes pin those nodes
-        when computing the freed count.
+        A plan is (inverted, tree, leaf literals), the tree as _factored
+        gives it over indices into the leaf literals; an 'or' is an AND of
+        the complements, complemented.  Planned nodes are deduplicated
+        against the hash table and each other, and get literals from
+        ``2 * len(self.fan0)`` up; references they place on existing nodes
+        pin those nodes when computing the freed count.
         """
+        inverted, tree, leaf_lits = plan
+        first = 2 * len(self.fan0)
         overlay = {}
-        planned = [0]
         pins = {}
 
         def walk(t):
-            if t[0] == "lit":
-                return t[1]
-            if t[0] == "not":
-                v = walk(t[1])
-                return lit_not(v) if isinstance(v, int) else (v[0], v[1], v[2] ^ 1)
-            a = walk(t[1])
-            b = walk(t[2])
-            if isinstance(a, int) and isinstance(b, int):
+            kind = t[0]
+            if kind == "literal":
+                return leaf_lits[t[1]] ^ 1 ^ t[2]
+            if kind == "const":
+                return TRUE if t[1] else FALSE
+            c = kind == "or"
+            a = walk(t[1]) ^ c
+            b = walk(t[2]) ^ c
+            if a < first and b < first:
                 key = and_key(a, b)
                 if type(key) is int:
-                    return key
+                    return key ^ c
                 hit = self.table.get(key)
                 if hit is not None:
-                    return lit(hit)
-            ka, kb = sorted((a, b), key=_vkey)
-            hit = overlay.get((ka, kb))
+                    return lit(hit, c)
+            key = (a, b) if a < b else (b, a)
+            hit = overlay.get(key)
             if hit is not None:
-                return hit
-            planned[0] += 1
-            if planned[0] > cap:
+                return hit ^ c
+            if len(overlay) >= cap:
                 raise _OverCap
-            for f in (a, b):
-                if isinstance(f, int):
+            for f in key:
+                if f < first:
                     pins[f >> 1] = pins.get(f >> 1, 0) + 1
-            vl = ("p", len(overlay), 0)
-            overlay[(ka, kb)] = vl
-            return vl
+            hit = overlay[key] = first + 2 * len(overlay)
+            return hit ^ c
 
         try:
-            out = walk(tree)
+            out = walk(tree) ^ inverted
         except _OverCap:
             return None
-        added = planned[0]
-        if isinstance(out, int):
+        if out < first:
             if (out >> 1) == root:
                 return None
             pins[out >> 1] = pins.get(out >> 1, 0) + self.nref[root]
-        return len(self.mffc(root, pins)) - added, tree
+        return len(self.mffc(root, pins)) - len(overlay), plan
 
-    def commit(self, root, tree):
-        def build(t):
-            if t[0] == "lit":
-                return t[1]
-            if t[0] == "not":
-                return lit_not(build(t[1]))
-            return self.and2(build(t[1]), build(t[2]))
+    def build(self, plan):
+        """Add a plan's nodes (see trial()); returns its literal."""
+        inverted, tree, leaf_lits = plan
 
-        new_lit = build(tree)
-        if (new_lit >> 1) == root or self._in_cone(root, new_lit >> 1):
-            return
-        self.replace(root, new_lit)
+        def walk(t):
+            kind = t[0]
+            if kind == "literal":
+                return leaf_lits[t[1]] ^ 1 ^ t[2]
+            if kind == "const":
+                return TRUE if t[1] else FALSE
+            c = kind == "or"
+            return self.and2(walk(t[1]) ^ c, walk(t[2]) ^ c) ^ c
 
-    def _in_cone(self, node, top):
-        """True when ``node`` lies in the fanin cone of ``top``.  Guards
-        replace() against candidates that hash onto structures built over
-        the node being replaced (cannot happen for irredundant covers,
-        but cheap to rule out)."""
+        return walk(tree) ^ inverted
+
+    def commit(self, root, plan):
+        """Replace root by a plan synthesized over leaves that cone_tt
+        reached from root.  Those leaves lie below root, so the check that
+        the new structure does not read root stops at them."""
+        new_lit = self.build(plan)
+        if not self._in_cone(root, new_lit >> 1, {l >> 1 for l in plan[2]}):
+            self.replace(root, new_lit)
+
+    def _in_cone(self, node, top, stop=()):
+        """True when ``node`` lies in the fanin cone of ``top``, walked down
+        to the PIs and the ``stop`` nodes.  Guards replace() against a
+        candidate that hashes onto structure over the node it replaces; a
+        resubstitution divisor may even lie in node's fanout."""
         stack = [top]
         seen = set()
         while stack:
             v = stack.pop()
             if v == node:
                 return True
-            if v in seen or v < self.first_and:
+            if v in seen or v < self.first_and or v in stop:
                 continue
             seen.add(v)
             stack.append(self.fan0[v] >> 1)
@@ -420,36 +433,52 @@ def isop(f, m):
         x = (f ^ (f >> d)) & tt_var(j, m) & ~tt_var(m - 1 - j, m)
         f ^= x | (x << d)
     ones = [(1 << (1 << k)) - 1 for k in range(m + 1)]
+    cubes = []  # in call order, each with the literals fixed above it
 
-    def rec(lo, up, var):
-        # lo != 0 and up is not the tautology of its 2^(m - var) rows
+    def rec(lo, up, var, p, q):
+        # lo != 0 and up is not the tautology of its 2^(m - var) rows;
+        # returns the cover of the cubes this call appends
         if var >= m:
             raise RestructureError("isop ran out of variables")
         half = 1 << (m - 1 - var)
         low = ones[m - 1 - var]
         lo0, lo1, up0, up1 = lo & low, lo >> half, up & low, up >> half
         if lo0 == lo1 and up0 == up1:  # neither depends on var: skip it
-            cubes, cov = rec(lo0, up0, var + 1)
-            return cubes, cov | (cov << half)
+            cov = rec(lo0, up0, var + 1, p, q)
+            return cov | (cov << half)
         # a child with lo == 0 or up all ones is answered here, not by a call
-        l = lo0 & ~up1
-        c0, cov0 = (rec(l, up0, var + 1) if l and up0 != low
-                    else ([(0, 0)], low) if l else ([], 0))
-        l = lo1 & ~up0
-        c1, cov1 = (rec(l, up1, var + 1) if l and up1 != low
-                    else ([(0, 0)], low) if l else ([], 0))
-        l, u = (lo0 & ~cov0) | (lo1 & ~cov1), up0 & up1
-        cs, covs = (rec(l, u, var + 1) if l and u != low
-                    else ([(0, 0)], low) if l else ([], 0))
         bit = 1 << var
-        return ([(p, q | bit) for p, q in c0] + [(p | bit, q) for p, q in c1]
-                + cs, cov0 | covs | ((cov1 | covs) << half))
+        l = lo0 & ~up1
+        if l and up0 != low:
+            cov0 = rec(l, up0, var + 1, p, q | bit)
+        elif l:
+            cubes.append((p, q | bit))
+            cov0 = low
+        else:
+            cov0 = 0
+        l = lo1 & ~up0
+        if l and up1 != low:
+            cov1 = rec(l, up1, var + 1, p | bit, q)
+        elif l:
+            cubes.append((p | bit, q))
+            cov1 = low
+        else:
+            cov1 = 0
+        l, u = (lo0 & ~cov0) | (lo1 & ~cov1), up0 & up1
+        if l and u != low:
+            covs = rec(l, u, var + 1, p, q)
+        elif l:
+            cubes.append((p, q))
+            covs = low
+        else:
+            covs = 0
+        return cov0 | covs | ((cov1 | covs) << half)
 
     if f == 0:
         return []
     if f == full:
         return [(0, 0)]
-    cubes, cover = rec(f, f, 0)
+    cover = rec(f, f, 0, 0, 0)
     if cover != f:
         raise RestructureError("isop: cover differs from the function")
     return cubes
@@ -531,25 +560,10 @@ def _tree_cost(tree):
     return 1 + _tree_cost(tree[1]) + _tree_cost(tree[2])
 
 
-def _to_lit_tree(tree, leaf_lits):
-    kind = tree[0]
-    if kind == "const":
-        return ("lit", TRUE if tree[1] else FALSE)
-    if kind == "literal":
-        _, v, pol = tree
-        l = leaf_lits[v]
-        return ("lit", l if pol else lit_not(l))
-    if kind == "and":
-        return ("and", _to_lit_tree(tree[1], leaf_lits),
-                _to_lit_tree(tree[2], leaf_lits))
-    return ("not", ("and",
-                    ("not", _to_lit_tree(tree[1], leaf_lits)),
-                    ("not", _to_lit_tree(tree[2], leaf_lits))))
-
-
 def _factored(tt, m):
-    """The leaf-independent half of synth_tree: (inverted, tree over leaf
-    indices), the cheaper of the factored ISOP of tt and of its complement."""
+    """(inverted, tree over leaf indices): the cheaper of the factored ISOP
+    of tt and of its complement.  A pass keeps one memo of it per (tt, m),
+    so each function it meets is synthesized once."""
     full = (1 << (1 << m)) - 1
     if tt == 0:
         return False, ("const", 0)
@@ -566,23 +580,6 @@ def _factored(tt, m):
     if _tree_cost(neg) < _tree_cost(pos):
         return True, neg
     return False, pos
-
-
-def synth_tree(tt, m, leaf_lits, memo):
-    """Candidate structure for a truth table over leaf_lits: the cheaper of
-    the factored ISOP of the function and of its complement.
-
-    memo maps (tt, m) to _factored's result; a pass passes one dict to all
-    its calls, so each function it meets is synthesized once.
-    """
-    tt &= (1 << (1 << m)) - 1
-    key = (tt, m)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = _factored(tt, m)
-    inverted, tree = hit
-    out = _to_lit_tree(tree, leaf_lits)
-    return ("not", out) if inverted else out
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +637,7 @@ def _resynthesize(g: AigGraph, seed, name, leaf_sets) -> AigGraph:
     rng = random.Random(seed)
     w = _Work(g)
     before = w.live
-    memo = {}
+    memo = {}  # (tt, m) -> _factored(tt, m), for this pass only
     for node in range(w.first_and, g.n_nodes):
         if w.dead[node] or w.nref[node] == 0:
             continue
@@ -653,8 +650,11 @@ def _resynthesize(g: AigGraph, seed, name, leaf_sets) -> AigGraph:
             tt = w.cone_tt(node, leaves)
             if tt is None:
                 continue
-            tree = synth_tree(tt, len(leaves), [lit(v) for v in leaves], memo)
-            res = w.trial(node, tree, cap)
+            key = (tt, len(leaves))
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = _factored(tt, len(leaves))
+            res = w.trial(node, (*hit, [lit(v) for v in leaves]), cap)
             if res is not None and res[0] >= 0:
                 cand.append(res)
         if not cand:
@@ -679,21 +679,24 @@ def rewrite(g: AigGraph, cut_size=4, max_cuts=8, seed=0) -> AigGraph:
 def _greedy_cone(w, node, max_cone_inputs):
     """Leaves of a reconvergent cone: starting from node's fanins, expand
     the leaf whose fanins give the smallest leaf set, while it fits."""
-    leaves = {w.fan0[node] >> 1, w.fan1[node] >> 1}
+    fan0, fan1, first, dead = w.fan0, w.fan1, w.first_and, w.dead
+    leaves = {fan0[node] >> 1, fan1[node] >> 1}
     for _ in range(4 * max_cone_inputs):
-        best_leaf, best_sz = None, None
+        best_leaf, best_sz = None, max_cone_inputs + 1
+        rest = len(leaves) - 1
         for v in sorted(leaves):
-            if v < w.first_and or w.dead[v]:
+            if v < first or dead[v]:
                 continue
-            nxt = (leaves - {v}) | {w.fan0[v] >> 1, w.fan1[v] >> 1}
-            if len(nxt) > max_cone_inputs:
-                continue
-            if best_sz is None or len(nxt) < best_sz:
-                best_leaf, best_sz = v, len(nxt)
+            a, b = fan0[v] >> 1, fan1[v] >> 1
+            # the size of (leaves - {v}) | {a, b}; a fanin is never v
+            sz = rest + (a not in leaves) + (b != a and b not in leaves)
+            if sz < best_sz:
+                best_leaf, best_sz = v, sz
         if best_leaf is None:
             break
-        leaves = ((leaves - {best_leaf})
-                  | {w.fan0[best_leaf] >> 1, w.fan1[best_leaf] >> 1})
+        leaves.discard(best_leaf)
+        leaves.add(fan0[best_leaf] >> 1)
+        leaves.add(fan1[best_leaf] >> 1)
     return tuple(sorted(leaves - {0}))
 
 
@@ -793,15 +796,13 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
                 v = (t1 ^ (full if c1 else 0)) & (t2 ^ (full if c2 else 0))
                 if (v ^ (full if oc else 0)) != tt_n:
                     continue
-                tree = ("and", ("lit", lit(d1, c1)), ("lit", lit(d2, c2)))
-                if oc:
-                    tree = ("not", tree)
-                res = w.trial(node, tree)
-                if res is None:
-                    continue
-                gain, plan = res
-                if gain >= 1:
-                    w.commit(node, plan)
+                plan = (oc, ("and", ("literal", 0, 1 - c1),
+                             ("literal", 1, 1 - c2)), (lit(d1), lit(d2)))
+                res = w.trial(node, plan)
+                if res is not None and res[0] >= 1:
+                    new_lit = w.build(plan)
+                    if not w._in_cone(node, new_lit >> 1):
+                        w.replace(node, new_lit)
                     done = True
                     break
     if w.live > before:
@@ -833,33 +834,51 @@ def fraig(g: AigGraph, sim_words=16, seed=0) -> AigGraph:
         full = (1 << (1 << len(pis))) - 1
         return ta == (tb ^ (full if comp else 0))
 
-    b = AigBuilder(g.pi_names, hashing=True)
-    node_map = {0: TRUE}
-    classes = {}
-
     def canon(s):
         return s if not (s & 1) else (~s & mask)
 
-    classes[canon(sigs[0])] = [0]
+    # decide every merge first: the proofs read only g
+    classes = {canon(sigs[0]): [0]}
     for k in range(g.n_pis):
-        node_map[1 + k] = b.pi(k)
         classes.setdefault(canon(sigs[1 + k]), []).append(1 + k)
     base = 1 + g.n_pis
-    for j in range(g.n_ands):
-        node = base + j
+    rep_of = [(v, 0) for v in range(g.n_nodes)]
+    roots = [l >> 1 for _, l in g.pos]
+    for node in range(base, g.n_nodes):
         s = sigs[node]
+        unresolved = []
         for rep in classes.get(canon(s), ()):
             comp = 0 if sigs[rep] == s else 1
-            if proven_equal(rep, node, comp) is True:
-                node_map[node] = node_map[rep] ^ comp
+            verdict = proven_equal(rep, node, comp)
+            if verdict:
+                rep_of[node] = (rep, comp)
                 break
+            if verdict is None:
+                unresolved.append(rep)
         else:
-            f0, f1 = g.fan0[j], g.fan1[j]
             classes.setdefault(canon(s), []).append(node)
-            node_map[node] = b.and2(node_map[f0 >> 1] ^ (f0 & 1),
-                                    node_map[f1 >> 1] ^ (f1 & 1))
+            # node may hash onto an unresolved rep: build that rep too, so
+            # the AND they share keeps its place in the builder's order
+            roots += unresolved
+    # then build, in node order, only the unmerged nodes the POs can reach
+    need = set()
+    while roots:
+        v = rep_of[roots.pop()][0]
+        if v >= base and v not in need:
+            need.add(v)
+            roots += (g.fan0[v - base] >> 1, g.fan1[v - base] >> 1)
+    b = AigBuilder(g.pi_names, hashing=True)
+    node_map = [TRUE] + [b.pi(k) for k in range(g.n_pis)] + [None] * g.n_ands
+
+    def mapped(l):
+        rep, comp = rep_of[l >> 1]
+        return node_map[rep] ^ comp ^ (l & 1)
+
+    for node in sorted(need):
+        node_map[node] = b.and2(mapped(g.fan0[node - base]),
+                                mapped(g.fan1[node - base]))
     for nm, l in g.pos:
-        b.add_po(nm, node_map[l >> 1] ^ (l & 1))
+        b.add_po(nm, mapped(l))
     out = strip_unreachable(b.build())
     if out.n_ands > g.n_ands:
         raise RestructureError("fraig grew the AND count")

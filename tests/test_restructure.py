@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from htforge.aig import (
     AigBuilder,
+    and_key,
+    enumerate_cuts,
     exhaustive_signatures,
     from_aig,
     po_signatures,
@@ -35,7 +37,6 @@ from htforge.restructure import (
     refactor,
     resubstitute,
     rewrite,
-    synth_tree,
 )
 
 from conftest import array_multiplier, random_netlist, rarity_netlist, truth_signature
@@ -379,54 +380,87 @@ def test_isop_covers_function_exactly():
             assert _cover(isop(f, m), m) == f
 
 
-def test_synth_tree_constant_and_literal_shortcuts():
-    assert synth_tree(0, 2, [2, 4], {}) == ("lit", 1)
-    assert synth_tree(0b1111, 2, [2, 4], {}) == ("lit", 0)
-    assert synth_tree(0b1010, 2, [2, 4], {}) == ("lit", 2)
-    assert synth_tree(0b0101, 2, [2, 4], {}) == ("lit", 3)
+def test_factored_constant_and_literal_shortcuts():
+    assert _factored(0, 2) == (False, ("const", 0))
+    assert _factored(0b1111, 2) == (False, ("const", 1))
+    assert _factored(0b1010, 2) == (False, ("literal", 0, 1))
+    assert _factored(0b0101, 2) == (False, ("literal", 0, 0))
 
 
-def test_synth_tree_memo_gives_the_uncached_tree(monkeypatch):
-    # one memo shared by many calls builds what a fresh memo per call does,
-    # also where one integer is a table at two widths
-    shared = {}
-    for m in (2, 3):
-        lits = [2, 4, 6][:m]
-        for tt in range(1 << (1 << m)):
-            assert synth_tree(tt, m, lits, shared) == synth_tree(tt, m, lits, {})
+def test_factored_memo_gives_the_uncached_plan(monkeypatch):
+    # a pass synthesizes each (tt, m) once, and every trial gets what an
+    # uncached call gives over its own leaves, also where one integer is a
+    # table at two widths
     import htforge.restructure as rs
-    calls = []
+    calls, tables = [], []
+    plain = _Work.trial
 
-    def recording(tt, m, leaf_lits, memo):
-        calls.append((tt, m, list(leaf_lits)))
-        return synth_tree(tt, m, leaf_lits, memo)
+    def recording(tt, m):
+        calls.append((tt, m))
+        return _factored(tt, m)
 
-    monkeypatch.setattr(rs, "synth_tree", recording)
-    apply_recipe(array_multiplier(6), RECIPES[15], seed=7)
+    def trial(self, root, plan, cap=math.inf):
+        leaves = [l >> 1 for l in plan[2]]
+        tt = self.cone_tt(root, leaves)
+        assert plan[:2] == _factored(tt, len(leaves))
+        tables.append((tt, len(leaves)))
+        return plain(self, root, plan, cap)
+
+    monkeypatch.setattr(rs, "_factored", recording)
+    monkeypatch.setattr(_Work, "trial", trial)
+    g = strash(to_aig(array_multiplier(6)))
+    for cap in (10, 12):
+        calls.clear()
+        refactor(g, max_cone_inputs=cap, seed=7)
+        assert len(set(calls)) == len(calls)  # once per pass
+    rewrite(g, cut_size=5, seed=7)
     monkeypatch.undo()
-    wide = [c for c in calls if c[1] >= 10]
-    assert {10, 12} <= {m for _, m, _ in wide}
-    assert len({(tt, m) for tt, m, _ in wide}) < len(wide)  # the memo hits
-    shared = {}
-    for tt, m, leaf_lits in wide:
-        assert (synth_tree(tt, m, leaf_lits, shared)
-                == synth_tree(tt, m, leaf_lits, {}))
+    assert {10, 12} <= {m for _, m in tables}
+    assert len(set(tables)) < len(tables)  # the memo hits
+    widths = {}
+    for tt, m in tables:
+        widths.setdefault(tt, set()).add(m)
+    assert any(len(ms) > 1 for ms in widths.values())
 
 
-def test_synth_tree_memo_maps_onto_each_calls_leaves():
-    memo = {}
-    maj = 0b11101000  # majority of three
-    a = synth_tree(maj, 3, [2, 4, 6], memo)
-    b = synth_tree(maj, 3, [10, 12, 14], memo)
-    assert len(memo) == 1
-    assert a == synth_tree(maj, 3, [2, 4, 6], {})
-    assert b == synth_tree(maj, 3, [10, 12, 14], {})
+def test_factored_memo_maps_onto_each_calls_leaves(monkeypatch):
+    # two majority cones over disjoint PIs share one memo entry, and the
+    # plan each trial gets from it reads that cone's own leaves
+    import htforge.restructure as rs
+    b = AigBuilder([f"x{k}" for k in range(6)])
+    for k in (0, 3):
+        x, y, z = b.pi(k), b.pi(k + 1), b.pi(k + 2)
+        b.add_po(f"m{k}", b.or2(b.or2(b.and2(x, y), b.and2(x, z)),
+                                b.and2(y, z)))
+    g = strash(b.build())
+    calls, plans = [], []
+    plain = _Work.trial
 
-    def lits(t):
-        return {t[1]} if t[0] == "lit" else set().union(*map(lits, t[1:]))
+    def recording(tt, m):
+        calls.append((tt, m))
+        return _factored(tt, m)
 
-    assert {l >> 1 for l in lits(a)} == {1, 2, 3}
-    assert {l >> 1 for l in lits(b)} == {5, 6, 7}
+    def trial(self, root, plan, cap=math.inf):
+        if root == g.pos[0][1] >> 1 or root == g.pos[1][1] >> 1:
+            plans.append(plan)
+        return plain(self, root, plan, cap)
+
+    monkeypatch.setattr(rs, "_factored", recording)
+    monkeypatch.setattr(_Work, "trial", trial)
+    out = refactor(g)
+    monkeypatch.undo()
+    nmaj = 0b00010111  # each root is the complement of majority
+    assert calls.count((nmaj, 3)) == 1
+    (i0, t0, l0), (i1, t1, l1) = plans
+    assert t0 is t1 and i0 == i1 and (i0, t0) == _factored(nmaj, 3)
+    assert (l0, l1) == ([2, 4, 6], [8, 10, 12])
+    assert _sig(out) == _sig(g)
+    w = _Work(g)
+    for plan in plans:
+        top = w.build(plan)
+        leaves = [l >> 1 for l in plan[2]]
+        assert w.support(top >> 1) == sum(1 << (v - 1) for v in leaves)
+        assert w.cone_tt(top >> 1, leaves) ^ (top & 1) * 0xFF == nmaj
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +686,252 @@ def test_capped_trial_agrees_wherever_the_gain_is_not_negative(monkeypatch):
         for fn in (rewrite, refactor):
             fn(g, seed=3)
     assert seen["same"] and seen["capped"]
+
+
+# ---------------------------------------------------------------------------
+# restructuring loops against their references
+#
+# _Work.support used to walk each queried node's whole fanin, _greedy_cone
+# to build the next leaf set of every candidate, enumerate_cuts to merge
+# sorted tuples through sets, and trial and commit to walk a copy of the
+# factored tree with literals in its leaves and 'or' spelled as
+# not(and(not, not)).  Those versions are kept here as the reference.
+
+def _ref_support(w, node):
+    out, seen, stack = 0, set(), [node]
+    while stack:
+        v = stack.pop()
+        if v in seen or v == 0:
+            continue
+        seen.add(v)
+        if v < w.first_and:
+            out |= 1 << (v - 1)
+        else:
+            stack.append(w.fan0[v] >> 1)
+            stack.append(w.fan1[v] >> 1)
+    return out
+
+
+def _ref_greedy_cone(w, node, max_cone_inputs):
+    leaves = {w.fan0[node] >> 1, w.fan1[node] >> 1}
+    for _ in range(4 * max_cone_inputs):
+        best_leaf, best_sz = None, None
+        for v in sorted(leaves):
+            if v < w.first_and or w.dead[v]:
+                continue
+            nxt = (leaves - {v}) | {w.fan0[v] >> 1, w.fan1[v] >> 1}
+            if len(nxt) > max_cone_inputs:
+                continue
+            if best_sz is None or len(nxt) < best_sz:
+                best_leaf, best_sz = v, len(nxt)
+        if best_leaf is None:
+            break
+        leaves = ((leaves - {best_leaf})
+                  | {w.fan0[best_leaf] >> 1, w.fan1[best_leaf] >> 1})
+    return tuple(sorted(leaves - {0}))
+
+
+def _ref_enumerate_cuts(g, k, max_cuts):
+    cuts = [()] * g.n_nodes
+    for node in range(1, 1 + g.n_pis):
+        cuts[node] = ((node,),)
+    base = 1 + g.n_pis
+    for j in range(g.n_ands):
+        node = base + j
+        seen = set()
+        merged = []
+        for c0 in cuts[g.fan0[j] >> 1]:
+            for c1 in cuts[g.fan1[j] >> 1]:
+                leaves = tuple(sorted(set(c0) | set(c1)))
+                if len(leaves) > k or leaves in seen:
+                    continue
+                seen.add(leaves)
+                merged.append(leaves)
+        merged.sort(key=lambda ls: (len(ls), ls))
+        cuts[node] = tuple(merged[:max_cuts - 1]) + ((node,),)
+    return cuts
+
+
+def _ref_lit_tree(plan):
+    inverted, tree, leaf_lits = plan
+
+    def conv(t):
+        if t[0] == "const":
+            return ("lit", 0 if t[1] else 1)
+        if t[0] == "literal":
+            return ("lit", leaf_lits[t[1]] ^ (1 - t[2]))
+        if t[0] == "and":
+            return ("and", conv(t[1]), conv(t[2]))
+        return ("not", ("and", ("not", conv(t[1])), ("not", conv(t[2]))))
+
+    return ("not", conv(tree)) if inverted else conv(tree)
+
+
+def _ref_trial(w, root, tree, cap):
+    """(gain, None), or None; planned nodes are ('p', index, complement)."""
+    overlay, pins, planned = {}, {}, [0]
+
+    def key(v):
+        return (0, v) if isinstance(v, int) else (1, v[1], v[2])
+
+    def walk(t):
+        if t[0] == "lit":
+            return t[1]
+        if t[0] == "not":
+            v = walk(t[1])
+            return v ^ 1 if isinstance(v, int) else (v[0], v[1], v[2] ^ 1)
+        a, b = walk(t[1]), walk(t[2])
+        if isinstance(a, int) and isinstance(b, int):
+            k = and_key(a, b)
+            if type(k) is int:
+                return k
+            if k in w.table:
+                return 2 * w.table[k]
+        ka, kb = sorted((a, b), key=key)
+        if (ka, kb) in overlay:
+            return overlay[(ka, kb)]
+        planned[0] += 1
+        if planned[0] > cap:
+            raise OverflowError
+        for f in (a, b):
+            if isinstance(f, int):
+                pins[f >> 1] = pins.get(f >> 1, 0) + 1
+        overlay[(ka, kb)] = ("p", len(overlay), 0)
+        return overlay[(ka, kb)]
+
+    try:
+        out = walk(tree)
+    except OverflowError:
+        return None
+    if isinstance(out, int):
+        if out >> 1 == root:
+            return None
+        pins[out >> 1] = pins.get(out >> 1, 0) + w.nref[root]
+    return len(w.mffc(root, pins)) - planned[0], None
+
+
+def _ref_build(w, t):
+    if t[0] == "lit":
+        return t[1]
+    if t[0] == "not":
+        return _ref_build(w, t[1]) ^ 1
+    return w.and2(_ref_build(w, t[1]), _ref_build(w, t[2]))
+
+
+def _loop_corpus():
+    return ([array_multiplier(6), rarity_netlist(0, pis_per_branch=5)]
+            + [random_netlist(s, n_pis=9, n_gates=70) for s in (11, 23, 35)])
+
+
+def test_support_memo_matches_a_fresh_walk(monkeypatch):
+    # every answer resubstitute and fraig get equals a walk of the graph
+    # as it is at that moment, also after resubstitute's replacements
+    plain = _Work.support
+    seen = {"calls": 0}
+
+    def checked(self, node):
+        got = plain(self, node)
+        assert got == _ref_support(self, node), node
+        seen["calls"] += 1
+        return got
+
+    monkeypatch.setattr(_Work, "support", checked)
+    for n in _loop_corpus():
+        g = strash(to_aig(n))
+        for fn in (resubstitute, fraig):
+            fn(g, seed=1)
+            fn(rewrite(g, seed=1), seed=2)
+    monkeypatch.undo()
+    assert seen["calls"] > 10_000
+
+
+def test_cuts_and_cones_match_the_set_building_reference(monkeypatch):
+    import htforge.restructure as rs
+    for n in _loop_corpus():
+        g = strash(to_aig(n))
+        for k in (4, 5):
+            for max_cuts in (3, 8):
+                assert (enumerate_cuts(g, k, max_cuts)
+                        == _ref_enumerate_cuts(g, k, max_cuts))
+    plain = rs._greedy_cone
+    calls = [0]
+
+    def checked(w, node, max_cone_inputs):
+        got = plain(w, node, max_cone_inputs)
+        assert got == _ref_greedy_cone(w, node, max_cone_inputs)
+        calls[0] += 1
+        return got
+
+    monkeypatch.setattr(rs, "_greedy_cone", checked)
+    for n in _loop_corpus():
+        g = strash(to_aig(n))
+        for cap in (10, 12):
+            refactor(g, max_cone_inputs=cap, seed=1)
+    monkeypatch.undo()
+    assert calls[0] > 1000
+    # fan-in arrays where a node reads one node twice, which a live node
+    # of the work graph never does, so the size count must not add it twice
+    import random
+    from types import SimpleNamespace
+    rng = random.Random(5)
+    twice = 0
+    for _ in range(300):
+        first = 1 + rng.randrange(2, 7)
+        fan0, fan1 = [0] * first, [0] * first
+        for v in range(first, first + rng.randrange(3, 30)):
+            a = rng.randrange(1, v)
+            b = a if rng.random() < 0.3 else rng.randrange(1, v)
+            fan0.append(2 * a + rng.randrange(2))
+            fan1.append(2 * b + rng.randrange(2))
+            twice += a == b
+        w = SimpleNamespace(fan0=fan0, fan1=fan1, first_and=first,
+                            dead=[False] * len(fan0))
+        for cap in (2, 3, 4, 6):
+            for node in range(first, len(fan0)):
+                assert (plain(w, node, cap)
+                        == _ref_greedy_cone(w, node, cap)), (fan0, fan1, node)
+    assert twice > 100
+
+
+def test_plans_match_the_literal_tree_reference(monkeypatch):
+    # trial's gain, the literal a build returns and commit's leaf-bounded
+    # cone check agree with the literal-tree trial and build and the full
+    # cone walk on every candidate of recipes 15 and 17
+    plain_trial, plain_build, plain_in_cone = (_Work.trial, _Work.build,
+                                               _Work._in_cone)
+    seen = {"trial": 0, "build": 0, "cone": 0}
+
+    def trial(self, root, plan, cap=math.inf):
+        got = plain_trial(self, root, plan, cap)
+        ref = _ref_trial(self, root, _ref_lit_tree(plan), cap)
+        assert (got is None) == (ref is None)
+        assert got is None or got[0] == ref[0]
+        seen["trial"] += 1
+        return got
+
+    def build(self, plan):
+        got = plain_build(self, plan)
+        size = len(self.fan0)
+        assert _ref_build(self, _ref_lit_tree(plan)) == got
+        assert len(self.fan0) == size
+        seen["build"] += 1
+        return got
+
+    def in_cone(self, node, top, stop=()):
+        got = plain_in_cone(self, node, top, stop)
+        if stop:
+            assert got == plain_in_cone(self, node, top)
+            seen["cone"] += 1
+        return got
+
+    monkeypatch.setattr(_Work, "trial", trial)
+    monkeypatch.setattr(_Work, "build", build)
+    monkeypatch.setattr(_Work, "_in_cone", in_cone)
+    for recipe in (15, 17):
+        apply_recipe(array_multiplier(6), RECIPES[recipe], seed=7)
+    monkeypatch.undo()
+    assert seen["trial"] > 1000 and seen["cone"] > 10
+    assert seen["build"] > seen["cone"]  # resub's candidates too
 
 
 # ---------------------------------------------------------------------------
