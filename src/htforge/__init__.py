@@ -49,8 +49,6 @@ from .equiv import (
     CheckConfig,
     EquivVerdict,
     InterfaceMismatchError,
-    Miter,
-    build_miter,
     check_equivalence,
     check_trojan_semantics,
 )

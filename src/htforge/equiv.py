@@ -1,4 +1,4 @@
-"""Miter construction and combinational equivalence checking.
+"""Combinational equivalence checking.
 
 Exhaustive bit-parallel enumeration decides circuits up to a configurable
 PI bound (default 24, chunked so memory stays flat); above it, randomized
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netlist import (CONST0, CONST1, Gate, Netlist, decode, simulate,
-                      simulate_packed, stimuli, trigger_word)
+from .netlist import (Netlist, decode, simulate, simulate_packed, stimuli,
+                      trigger_word)
 
 
 class InterfaceMismatchError(Exception):
@@ -24,20 +24,12 @@ class CheckConfig:
     exhaustive_bound: int = 24
     sample_vectors: int = 100_000
     seed: int = 0
-    chunk_bits: int = 16    # exhaustive enumeration: 2^chunk_bits per chunk
 
     def __post_init__(self):
-        for name, low in (("sample_vectors", 1), ("exhaustive_bound", 0),
-                          ("chunk_bits", 1)):
+        for name, low in (("sample_vectors", 1), ("exhaustive_bound", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, "
                                  f"got {getattr(self, name)}")
-
-
-@dataclass
-class Miter:
-    netlist: Netlist
-    output: str
 
 
 @dataclass
@@ -61,35 +53,6 @@ def _check_interface(a: Netlist, b: Netlist):
             f"outputs: {sorted(diff_o) or 'order'})")
 
 
-def build_miter(a: Netlist, b: Netlist) -> Miter:
-    """XOR the two circuits' outputs over shared PIs and OR-reduce; the
-    miter output is 1 exactly on the inputs where they disagree."""
-    _check_interface(a, b)
-    pis = set(a.inputs)
-
-    def side(n, prefix):
-        def ren(net):
-            if net in pis or net in (CONST0, CONST1):
-                return net
-            return f"{prefix}{net}"
-        return [Gate(g.kind, ren(g.output), tuple(ren(i) for i in g.inputs),
-                     f"{prefix}{g.name}") for g in n.gates]
-
-    gates = side(a, "a$") + side(b, "b$")
-    diffs = []
-    for k, po in enumerate(a.outputs):
-        out = f"d${k}"
-        gates.append(Gate("XOR", out, (f"a${po}", f"b${po}"), f"gd{k}"))
-        diffs.append(out)
-    acc = diffs[0]
-    for k, nxt in enumerate(diffs[1:]):
-        out = f"m${k}"
-        gates.append(Gate("OR", out, (acc, nxt), f"gm{k}"))
-        acc = out
-    m = Netlist("miter", a.inputs, (acc,), tuple(gates))
-    return Miter(m, acc)
-
-
 def _first_divergence(a: Netlist, b: Netlist, cfg: CheckConfig, trigger=None):
     """Search the input space for the first assignment on which a PO of
     ``a`` and ``b`` differs; with a ``trigger``, only where that trigger is
@@ -98,7 +61,7 @@ def _first_divergence(a: Netlist, b: Netlist, cfg: CheckConfig, trigger=None):
     """
     if len(a.inputs) <= cfg.exhaustive_bound:
         mode, total = "exhaustive", 1 << len(a.inputs)
-        chunks = stimuli(a.inputs, chunk_bits=cfg.chunk_bits)
+        chunks = stimuli(a.inputs)  # 2^16 assignments per chunk
     else:
         mode, total = "sampled", cfg.sample_vectors
         chunks = stimuli(a.inputs, cfg.sample_vectors, cfg.seed)

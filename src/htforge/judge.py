@@ -190,7 +190,21 @@ class AnswerKey:
 
     @staticmethod
     def from_json_text(text):
+        """Parse a key; a missing or mistyped field raises JudgeError
+        naming it."""
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise JudgeError("answer key must be a JSON object")
+        for name, kind in (("set_name", str), ("manifest_sha256", str),
+                           ("master_seed", int), ("release_date", str),
+                           ("expiry_date", str), ("entries", dict)):
+            if not isinstance(d.get(name), kind):
+                raise JudgeError(f"answer key needs {kind.__name__} '{name}'")
+        for eid, e in d["entries"].items():
+            if not (isinstance(e, dict) and isinstance(e.get("golden"), str)
+                    and _is_int(e.get("k")) and e["k"] in (0, 1)):
+                raise JudgeError(f"answer key entry '{eid}' needs a string "
+                                 "'golden' and a 'k' of 0 or 1")
         return AnswerKey(d["set_name"], d["manifest_sha256"], d["master_seed"],
                          d["release_date"], d["expiry_date"], d["entries"],
                          d.get("provenance", {}))

@@ -267,16 +267,17 @@ class _Work:
 
     def trial(self, root, plan, cap=math.inf):
         """Exact gain of replacing root's function with the candidate plan,
-        without mutating.  Returns (gain, plan), or None for a no-op or as
-        soon as the plan adds more than ``cap`` new nodes: with ``cap`` at
-        ``len(self.mffc(root))``, that gain would be negative.
+        without mutating.  Returns (gain, (overlay, out)), or None for a
+        no-op or as soon as the plan adds more than ``cap`` new nodes: with
+        ``cap`` at ``len(self.mffc(root))``, that gain would be negative.
 
         A plan is (inverted, tree, leaf literals), the tree as _factored
         gives it over indices into the leaf literals; an 'or' is an AND of
-        the complements, complemented.  Planned nodes are deduplicated
-        against the hash table and each other, and get literals from
-        ``2 * len(self.fan0)`` up; references they place on existing nodes
-        pin those nodes when computing the freed count.
+        the complements, complemented.  ``overlay`` maps the fanin pairs of
+        the nodes and2 would add, in that order, to literals from
+        ``2 * len(self.fan0)`` up; ``out`` is the plan's literal.
+        References they place on existing nodes pin those nodes when
+        computing the freed count.
         """
         inverted, tree, leaf_lits = plan
         first = 2 * len(self.fan0)
@@ -290,16 +291,12 @@ class _Work:
             if kind == "const":
                 return TRUE if t[1] else FALSE
             c = kind == "or"
-            a = walk(t[1]) ^ c
-            b = walk(t[2]) ^ c
-            if a < first and b < first:
-                key = and_key(a, b)
-                if type(key) is int:
-                    return key ^ c
-                hit = self.table.get(key)
-                if hit is not None:
-                    return lit(hit, c)
-            key = (a, b) if a < b else (b, a)
+            key = and_key(walk(t[1]) ^ c, walk(t[2]) ^ c)
+            if type(key) is int:
+                return key ^ c
+            hit = self.table.get(key) if key[1] < first else None
+            if hit is not None:
+                return lit(hit, c)
             hit = overlay.get(key)
             if hit is not None:
                 return hit ^ c
@@ -319,30 +316,21 @@ class _Work:
             if (out >> 1) == root:
                 return None
             pins[out >> 1] = pins.get(out >> 1, 0) + self.nref[root]
-        return len(self.mffc(root, pins)) - len(overlay), plan
+        return len(self.mffc(root, pins)) - len(overlay), (overlay, out)
 
-    def build(self, plan):
-        """Add a plan's nodes (see trial()); returns its literal."""
-        inverted, tree, leaf_lits = plan
-
-        def walk(t):
-            kind = t[0]
-            if kind == "literal":
-                return leaf_lits[t[1]] ^ 1 ^ t[2]
-            if kind == "const":
-                return TRUE if t[1] else FALSE
-            c = kind == "or"
-            return self.and2(walk(t[1]) ^ c, walk(t[2]) ^ c) ^ c
-
-        return walk(tree) ^ inverted
-
-    def commit(self, root, plan):
-        """Replace root by a plan synthesized over leaves that cone_tt
-        reached from root.  Those leaves lie below root, so the check that
-        the new structure does not read root stops at them."""
-        new_lit = self.build(plan)
-        if not self._in_cone(root, new_lit >> 1, {l >> 1 for l in plan[2]}):
-            self.replace(root, new_lit)
+    def commit(self, root, cand, stop=()):
+        """Add the nodes trial() planned, in its order, then replace root by
+        the candidate's literal unless that reads root (the check walks down
+        to the PIs and the ``stop`` nodes); returns whether it replaced."""
+        overlay, out = cand
+        for node, pair in enumerate(overlay, len(self.fan0)):
+            if self.and2(*pair) != lit(node):
+                raise RestructureError(f"a node planned for {root} did not "
+                                       "get its planned literal")
+        if self._in_cone(root, out >> 1, stop):
+            return False
+        self.replace(root, out)
+        return True
 
     def _in_cone(self, node, top, stop=()):
         """True when ``node`` lies in the fanin cone of ``top``, walked down
@@ -656,13 +644,13 @@ def _resynthesize(g: AigGraph, seed, name, leaf_sets) -> AigGraph:
                 hit = memo[key] = _factored(tt, len(leaves))
             res = w.trial(node, (*hit, [lit(v) for v in leaves]), cap)
             if res is not None and res[0] >= 0:
-                cand.append(res)
+                cand.append((*res, leaves))
         if not cand:
             continue
         best = max(c[0] for c in cand)
         top = [c for c in cand if c[0] == best]
-        _, plan = top[rng.randrange(len(top))] if len(top) > 1 else top[0]
-        w.commit(node, plan)
+        _, res, leaves = top[rng.randrange(len(top))] if len(top) > 1 else top[0]
+        w.commit(node, res, set(leaves))  # cone_tt reached them below node
     if w.live > before:
         raise RestructureError(f"{name} grew the AND count")
     return w.rebuild()
@@ -710,10 +698,48 @@ def refactor(g: AigGraph, max_cone_inputs=10, seed=0) -> AigGraph:
         lambda w, node: (_greedy_cone(w, node, max_cone_inputs),))
 
 
+def _resub_candidates(divs, sig, s_node, mask, pairs):
+    """resubstitute's plans for a node of signature ``s_node``, in the order
+    it tries them: each divisor whose signature matches the node's or its
+    complement, then, with ``pairs``, for each divisor pair the first
+    complement choice (c1, c2) whose AND matches."""
+    for d in divs:
+        if sig[d] == s_node or sig[d] ^ mask == s_node:
+            yield sig[d] != s_node, ("literal", 0, 1), (lit(d),)
+    if not pairs:
+        return
+    for i1, d1 in enumerate(divs):
+        for d2 in divs[i1 + 1:]:
+            for c1, c2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                v = (sig[d1] ^ (mask if c1 else 0)) & (sig[d2] ^ (mask if c2 else 0))
+                if v == s_node or v ^ mask == s_node:
+                    yield (v != s_node, ("and", ("literal", 0, 1 - c1),
+                                         ("literal", 1, 1 - c2)),
+                           (lit(d1), lit(d2)))
+                    break
+
+
+def _plan_tt(plan, tables, full):
+    """Truth table of a plan of literals and ANDs whose leaf nodes have the
+    given tables; None when one of them has none."""
+    inverted, tree, leaf_lits = plan
+    ts = [tables[l >> 1] for l in leaf_lits]
+    if None in ts:
+        return None
+
+    def ev(t):
+        if t[0] == "literal":
+            return ts[t[1]] ^ (full if (leaf_lits[t[1]] ^ 1 ^ t[2]) & 1 else 0)
+        return ev(t[1]) & ev(t[2])
+
+    return ev(tree) ^ (full if inverted else 0)
+
+
 def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
     """Re-express nodes over existing divisors when that strictly reduces
     node count.  Candidates are filtered by simulation signatures and
-    validated by an exact check over the local PI support."""
+    validated by an exact check over the local PI support; a divisor pair
+    of positive gain ends a node's search even when commit() refuses it."""
     g = strash(g)
     rng = random.Random(seed ^ 0x5EED)
     mask = (1 << 128) - 1
@@ -740,71 +766,21 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
             divs.append(d)
             if len(divs) >= max_divisors:
                 break
-        if not divs:
-            continue
-        sig_n = sig[node]
-        tt_n = None
-        done = False
-        for d in divs:  # 0-resub
-            comp = None
-            if sig[d] == sig_n:
-                comp = 0
-            elif (sig[d] ^ mask) == sig_n:
-                comp = 1
-            if comp is None:
+        tts = {}  # cone_tt over pi_nodes; valid until a commit replaces
+        for plan in _resub_candidates(divs, sig, sig[node], mask,
+                                      len(mffc) >= 2):
+            for v in (node, *(l >> 1 for l in plan[2])):
+                if v not in tts:
+                    tts[v] = w.cone_tt(v, pi_nodes)
+            if tts[node] is None or _plan_tt(plan, tts, full) != tts[node]:
                 continue
-            if tt_n is None:
-                tt_n = w.cone_tt(node, pi_nodes)
-            tt_d = w.cone_tt(d, pi_nodes)
-            if tt_d is None or tt_n is None:
+            res = w.trial(node, plan)
+            if res is None or res[0] < 1:
                 continue
-            # after a replace() a divisor may lie in node's fanout: skip it
-            if ((tt_d ^ (full if comp else 0)) == tt_n
-                    and not w._in_cone(node, d)):
-                w.replace(node, lit(d, comp))
-                done = True
+            # after a replace() a divisor may lie in node's fanout, so the
+            # cone check walks down to the PIs
+            if w.commit(node, res[1]) or len(plan[2]) > 1:
                 break
-        if done or len(mffc) < 2:
-            continue
-        for i1 in range(len(divs)):  # 1-resub
-            if done:
-                break
-            for i2 in range(i1 + 1, len(divs)):
-                d1, d2 = divs[i1], divs[i2]
-                s1, s2 = sig[d1], sig[d2]
-                found = None
-                for c1 in (0, 1):
-                    for c2 in (0, 1):
-                        v = (s1 ^ (mask if c1 else 0)) & (s2 ^ (mask if c2 else 0))
-                        if v == sig_n:
-                            found = (c1, c2, 0)
-                        elif (v ^ mask) == sig_n:
-                            found = (c1, c2, 1)
-                        if found:
-                            break
-                    if found:
-                        break
-                if not found:
-                    continue
-                c1, c2, oc = found
-                if tt_n is None:
-                    tt_n = w.cone_tt(node, pi_nodes)
-                t1 = w.cone_tt(d1, pi_nodes)
-                t2 = w.cone_tt(d2, pi_nodes)
-                if tt_n is None or t1 is None or t2 is None:
-                    continue
-                v = (t1 ^ (full if c1 else 0)) & (t2 ^ (full if c2 else 0))
-                if (v ^ (full if oc else 0)) != tt_n:
-                    continue
-                plan = (oc, ("and", ("literal", 0, 1 - c1),
-                             ("literal", 1, 1 - c2)), (lit(d1), lit(d2)))
-                res = w.trial(node, plan)
-                if res is not None and res[0] >= 1:
-                    new_lit = w.build(plan)
-                    if not w._in_cone(node, new_lit >> 1):
-                        w.replace(node, new_lit)
-                    done = True
-                    break
     if w.live > before:
         raise RestructureError("resubstitute grew the AND count")
     return w.rebuild()
@@ -935,7 +911,6 @@ class PassReport:
     levels_after: int
     wall_time: float
     params: dict = field(default_factory=dict)
-    equivalence_checked: bool = False
     check_mode: str = ""
 
     def to_dict(self):
@@ -943,8 +918,7 @@ class PassReport:
             "pass": self.name, "nodes_before": self.nodes_before,
             "nodes_after": self.nodes_after, "levels_before": self.levels_before,
             "levels_after": self.levels_after, "wall_time": self.wall_time,
-            "params": self.params, "equivalence_checked": self.equivalence_checked,
-            "check_mode": self.check_mode,
+            "params": self.params, "check_mode": self.check_mode,
         }
 
 
@@ -1047,8 +1021,8 @@ def apply_recipe(n: Netlist, recipe: Recipe, seed=0, exhaustive_bound=24,
 
     The output preserves PI/PO names and order and is equivalence-checked
     against the input (exhaustive up to ``exhaustive_bound`` PIs, randomized
-    miter sampling above).  A check failure raises RestructureError naming
-    the offending pass.
+    sampling above).  A check failure raises RestructureError naming the
+    offending pass.
     """
     from .equiv import CheckConfig, check_equivalence
 
@@ -1075,7 +1049,6 @@ def apply_recipe(n: Netlist, recipe: Recipe, seed=0, exhaustive_bound=24,
             f"recipe {recipe.id}: pass '{culprit}' broke functional "
             "equivalence (internal bug)")
     for r in reports:
-        r.equivalence_checked = True
         r.check_mode = verdict.mode
     return out, reports
 

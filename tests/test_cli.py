@@ -57,7 +57,7 @@ def test_restructure_and_report(adder_file, tmp_path, capsys):
     rep = json.loads(open(report).read())
     assert [p["pass"] for p in rep["passes"]] == \
         ["strash", "balance", "rewrite", "refactor"]
-    assert all(p["equivalence_checked"] for p in rep["passes"])
+    assert {p["check_mode"] for p in rep["passes"]} == {"exhaustive"}
     assert rep["provenance"]["seed"] == 3
     # equivalent output
     assert run(["equiv", adder_file, out_v]) == 0
@@ -241,6 +241,35 @@ def test_bench_judge_round_trip(tmp_path, capsys):
     assert report["fp"] == 0 and report["fn"] == 0
     assert report["conf_val"] == 10.0
     assert report["tp"] + report["tn"] == 4
+
+
+_KEY = {"set_name": "s", "manifest_sha256": "0" * 64, "master_seed": 0,
+        "release_date": "2026-01-01", "expiry_date": "2029-01-01",
+        "entries": {"b0000": {"golden": "adder", "k": 1}}}
+_ENTRY_ERROR = ("answer key entry 'b0000' needs a string 'golden' and a 'k' "
+                "of 0 or 1")
+
+
+@pytest.mark.parametrize("key, message", [
+    pytest.param([], "answer key must be a JSON object", id="list"),
+    pytest.param({k: v for k, v in _KEY.items() if k != "manifest_sha256"},
+                 "answer key needs str 'manifest_sha256'", id="no-manifest-sha"),
+    pytest.param(dict(_KEY, entries={"b0000": {"golden": "adder"}}),
+                 _ENTRY_ERROR, id="entry-without-k"),
+    pytest.param(dict(_KEY, entries={"b0000": {"golden": "adder", "k": 2}}),
+                 _ENTRY_ERROR, id="k-2"),
+])
+def test_judge_malformed_key_is_a_usage_error(tmp_path, capsys, key, message):
+    sub = tmp_path / "sub.csv"
+    sub.write_text("circuit_id,label\nb0000,infected\n")
+    args = ["judge", "--key", str(tmp_path / "key.json"),
+            "--submission", str(sub), "--alpha", "10"]
+    (tmp_path / "key.json").write_text(json.dumps(_KEY))
+    assert run(args) == 0  # the well-formed key scores
+    capsys.readouterr()
+    (tmp_path / "key.json").write_text(json.dumps(key))
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_bench_byte_identical_reruns(tmp_path):

@@ -27,8 +27,14 @@ def test_equivalence_check_spans_multiple_chunks(chunk_bits, monkeypatch):
     # PI k is bit k of the assignment index at every chunk width, so the
     # first counterexample and the first trigger activation, both outside
     # the first chunk of 2^12, do not depend on the width
+    width = chunk_bits
+
+    def chunked(pis, vectors=None, seed=0, chunk_bits=None):
+        return stimuli(pis, vectors, seed, width)  # whatever the caller asks
+
+    monkeypatch.setattr(htforge.equiv, "stimuli", chunked)
     n = random_netlist(61, n_pis=18, n_gates=60)
-    cfg = CheckConfig(exhaustive_bound=18, chunk_bits=chunk_bits)
+    cfg = CheckConfig(exhaustive_bound=18)
     verdict = check_equivalence(n, n, cfg)
     assert verdict.mode == "exhaustive"
     assert verdict.result == "equivalent"
@@ -47,9 +53,6 @@ def test_equivalence_check_spans_multiple_chunks(chunk_bits, monkeypatch):
                        payload_gate="gp", witness=None, added_gates=())
     assert len(_cone_netlist(other, ["t", "w42", "w55"]).inputs) == 16
     want = find_trigger_witness(other, rec)
-
-    def chunked(pis, vectors=None, seed=0, chunk_bits=None):
-        return stimuli(pis, vectors, seed, cfg.chunk_bits)
     monkeypatch.setattr(htforge.trojan, "stimuli", chunked)
     assert find_trigger_witness(other, rec) == want
     assert {p for p, bit in want.items() if bit} == {"i0", "i3", "i15", "i17"}

@@ -3,7 +3,6 @@ import pytest
 from htforge.equiv import (
     CheckConfig,
     InterfaceMismatchError,
-    build_miter,
     check_equivalence,
     check_trojan_semantics,
 )
@@ -11,43 +10,16 @@ from htforge.netlist import Gate, Netlist, parse_netlist, simulate
 from htforge.restructure import RECIPES, apply_recipe
 from htforge.trojan import TrojanSpec, insert_trojan
 
-from conftest import all_stimuli, random_netlist, truth_signature
+from conftest import random_netlist, truth_signature
 
 
-def test_self_miter_constant_zero(full_adder):
-    m = build_miter(full_adder, full_adder)
-    for stim in all_stimuli(full_adder):
-        assert simulate(m.netlist, stim)[m.output] == 0
-
-
-def test_miter_detects_gate_swap(full_adder):
-    gates = list(full_adder.gates)
-    for k, g in enumerate(gates):
-        if g.kind == "AND":
-            gates[k] = Gate("OR", g.output, g.inputs, g.name)
-            break
-    mutated = Netlist(full_adder.name, full_adder.inputs,
-                      full_adder.outputs, tuple(gates))
-    m = build_miter(full_adder, mutated)
-    hits = sum(simulate(m.netlist, stim)[m.output]
-               for stim in all_stimuli(full_adder))
-    assert hits > 0
-
-
-def test_miter_interface_mismatch():
+def test_check_equivalence_interface_mismatch():
     a = parse_netlist(
         "module m(a,b,y); input a,b; output y; and g(y,a,b); endmodule")
     b = parse_netlist(
         "module m(a,b,z); input a,b; output z; and g(z,a,b); endmodule")
     with pytest.raises(InterfaceMismatchError):
-        build_miter(a, b)
-
-
-def test_miter_gate_count_formula(full_adder):
-    m = build_miter(full_adder, full_adder)
-    npo = len(full_adder.outputs)
-    expected = 2 * len(full_adder.gates) + npo + (npo - 1)
-    assert len(m.netlist.gates) == expected
+        check_equivalence(a, b)
 
 
 def test_check_equivalence_after_recipe(full_adder):
@@ -100,15 +72,14 @@ def test_sampled_mode_above_bound():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("sample_vectors", 0), ("sample_vectors", -1), ("exhaustive_bound", -1),
-    ("chunk_bits", 0)])
+    ("sample_vectors", 0), ("sample_vectors", -1), ("exhaustive_bound", -1)])
 def test_check_config_rejects_empty_checks(field, value):
     with pytest.raises(ValueError, match=f"{field} must be >= "):
         CheckConfig(**{field: value})
 
 
 def test_check_config_accepts_smallest_checks(full_adder):
-    cfg = CheckConfig(exhaustive_bound=0, sample_vectors=1, chunk_bits=1)
+    cfg = CheckConfig(exhaustive_bound=0, sample_vectors=1)
     verdict = check_equivalence(full_adder, full_adder, cfg)
     assert (verdict.mode, verdict.vectors) == ("sampled", 1)
 
