@@ -10,7 +10,7 @@ partition that drives trigger selection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import and_, or_
+from operator import and_, or_, xor
 
 from .netlist import CONST0, CONST1, GATE_OPS, Netlist, simulate_packed, stimuli
 
@@ -53,45 +53,53 @@ def scoap(n: Netlist) -> ScoapValues:
     for p in n.inputs:
         cc0[p] = 1
         cc1[p] = 1
+    # sums are exact Python ints, capped once at the end like _sat_add
     for g in n.topo_gates:
         op, inv = GATE_OPS[g.kind]
-        zeros = [cc0[i] for i in g.inputs]
-        ones = [cc1[i] for i in g.inputs]
+        ins = g.inputs
         if op is None:
-            c0, c1 = zeros[0] + 1, ones[0] + 1
-        elif op is and_:
-            c0, c1 = min(zeros) + 1, _sat_add(*ones, 1)
-        elif op is or_:
-            c0, c1 = _sat_add(*zeros, 1), min(ones) + 1
-        else:  # parity DP over the inputs
+            c0, c1 = cc0[ins[0]] + 1, cc1[ins[0]] + 1
+        elif op is xor:  # parity DP over the inputs
             even, odd = 0, SCOAP_CAP
-            for z, o in zip(zeros, ones):
+            for i in ins:
+                z, o = cc0[i], cc1[i]
                 even, odd = (min(_sat_add(even, z), _sat_add(odd, o)),
                              min(_sat_add(even, o), _sat_add(odd, z)))
-            c0, c1 = _sat_add(even, 1), _sat_add(odd, 1)
+            c0, c1 = even + 1, odd + 1
+        else:  # the cheapest controlling input, or every input at the other
+            ctl, non = (cc0, cc1) if op is and_ else (cc1, cc0)
+            low, total = SCOAP_CAP, 1
+            for i in ins:
+                if ctl[i] < low:
+                    low = ctl[i]
+                total += non[i]
+            c0, c1 = (low + 1, total) if op is and_ else (total, low + 1)
         if inv:
             c0, c1 = c1, c0
-        c0, c1 = min(c0, SCOAP_CAP), min(c1, SCOAP_CAP)
-        cc0[g.output] = c0
-        cc1[g.output] = c1
+        cc0[g.output] = c0 if c0 < SCOAP_CAP else SCOAP_CAP
+        cc1[g.output] = c1 if c1 < SCOAP_CAP else SCOAP_CAP
 
+    # an input's side cost is its row's total less its own entry; a
+    # candidate at or above SCOAP_CAP never beats a value, so none is capped
     co = {net: SCOAP_CAP for net in n.nets}
     for o in n.outputs:
         co[o] = 0
     for g in reversed(n.topo_gates):
         op = GATE_OPS[g.kind][0]
-        out_co = co[g.output]
-        for idx, i in enumerate(g.inputs):
-            others = [j for k, j in enumerate(g.inputs) if k != idx]
-            if op is None:
-                cand = _sat_add(out_co, 1)
-            elif op is and_:
-                cand = _sat_add(out_co, *[cc1[j] for j in others], 1)
-            elif op is or_:
-                cand = _sat_add(out_co, *[cc0[j] for j in others], 1)
-            else:
-                cand = _sat_add(out_co,
-                                *[min(cc0[j], cc1[j]) for j in others], 1)
+        ins = g.inputs
+        if op is and_:
+            side = cc1
+        elif op is or_:
+            side = cc0
+        elif op is xor:
+            side = {i: min(cc0[i], cc1[i]) for i in ins}
+        else:
+            side = dict.fromkeys(ins, 0)
+        total = co[g.output] + 1
+        for i in ins:
+            total += side[i]
+        for i in ins:
+            cand = total - side[i]
             if cand < co[i]:
                 co[i] = cand
     return ScoapValues(cc0, cc1, co)
@@ -119,9 +127,8 @@ def _ones_fraction(n, vectors, seed):
     """Per-net share of ones over stimuli(n.inputs, vectors, seed)."""
     ones = {net: 0 for net in n.nets}
     for patterns, width in stimuli(n.inputs, vectors, seed, chunk_bits=16):
-        vals = simulate_packed(n, patterns, width)
-        for net in n.nets:
-            ones[net] += vals[net].bit_count()
+        for net, v in simulate_packed(n, patterns, width).items():
+            ones[net] += v.bit_count()
     total = 1 << len(n.inputs) if vectors is None else vectors
     return NetStats({net: c / total for net, c in ones.items()})
 

@@ -52,19 +52,19 @@ def extract_features(n: Netlist) -> tuple:
     gate_depths = [depths[g.output] for g in n.gates]
     vec += [float(max(gate_depths, default=0)),
             float(sum(gate_depths) / len(gate_depths)) if gate_depths else 0.0]
-    fanouts = [len(n.loads.get(net, ())) for net in nets]
+    loads = n.loads
+    fanouts = [len(loads[net]) for net in nets]
     vec += [float(max(fanouts, default=0)),
             float(sum(fanouts) / len(fanouts)) if fanouts else 0.0]
     stats = signal_prob(n, _FEATURE_SAMPLES, _FEATURE_SEED)
-    ps = [stats.p[net] for net in nets]
-    rare = sum(1 for p in ps if p < _RARE_THETA)
+    ps = list(map(stats.p.__getitem__, nets))
+    rare = len([p for p in ps if p < _RARE_THETA])
     vec += [rare / len(ps) if ps else 0.0,
             float(sum(ps) / len(ps)) if ps else 0.0,
             float(min(ps, default=0.0))]
     sc = scoap(n)
-    vec += [float(sum(sc.cc0[net] for net in nets) / len(nets)) if nets else 0.0,
-            float(sum(sc.cc1[net] for net in nets) / len(nets)) if nets else 0.0,
-            float(sum(sc.co[net] for net in nets) / len(nets)) if nets else 0.0]
+    vec += [float(sum(map(m.__getitem__, nets)) / len(nets)) if nets else 0.0
+            for m in (sc.cc0, sc.cc1, sc.co)]
     and_fanins = [len(g.inputs) for g in n.gates if g.kind in ("AND", "NAND")]
     vec += [float(sum(and_fanins) / len(and_fanins)) if and_fanins else 0.0,
             (counts["XOR"] + counts["XNOR"]) / n_gates if n_gates else 0.0]

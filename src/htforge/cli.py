@@ -212,11 +212,13 @@ def _cmd_bench(args):
     raw.setdefault("master_seed", _seed_from(args))
     cfg = ForgeConfig(**raw)
     bench, key = forge_benchmark(cfg)
-    bench.write_dir(args.output)
     key_path = args.key or os.path.join(
         os.path.dirname(os.path.abspath(args.output.rstrip("/"))),
         f"{cfg.set_name}.key.json")
+    # the key is opened first, so a key that cannot be written leaves no set
+    os.makedirs(os.path.dirname(os.path.abspath(key_path)), exist_ok=True)
     with open(key_path, "w") as f:
+        bench.write_dir(args.output)
         f.write(key.to_json_text())
     print(f"forged {len(bench.entries)} variants into {args.output} "
           f"(key: {key_path})")

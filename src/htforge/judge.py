@@ -91,13 +91,16 @@ class ForgeConfig:
                 isinstance(self.infection_rate, (int, float))
                 and 0 <= self.infection_rate <= 1):
             raise ValueError("infection_rate must lie in [0, 1]")
-        self.recipe_pool = tuple(self.recipe_pool)
+        for name in ("recipe_pool", "trigger_widths"):
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list, range)):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+            setattr(self, name, tuple(value))
         if not self.recipe_pool or not all(_is_int(r) and r in RECIPES
                                            for r in self.recipe_pool):
             raise ValueError(f"recipe_pool must list recipe ids in "
                              f"{min(RECIPES)}..{max(RECIPES)}, "
                              f"got {list(self.recipe_pool)}")
-        self.trigger_widths = tuple(self.trigger_widths)
         if not self.trigger_widths or not all(_is_int(q) and q >= 2
                                               for q in self.trigger_widths):
             raise ValueError(f"trigger_widths must list ints >= 2, "
@@ -119,6 +122,10 @@ class ForgeConfig:
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, "
                                  f"got {getattr(self, name)}")
+        if self.set_name in ("", ".", "..") or any(
+                c in self.set_name for c in ("/", "\\", "\0")):
+            raise ValueError(f"set_name must be a plain file name, "
+                             f"got {self.set_name!r}")
 
     @property
     def expiry_date(self):

@@ -17,6 +17,7 @@ import string
 from dataclasses import dataclass
 from functools import cached_property
 from operator import and_, or_, xor
+from typing import NamedTuple
 
 GATE_KINDS = ("BUF", "NOT", "AND", "OR", "XOR", "NAND", "NOR", "XNOR")
 
@@ -58,15 +59,13 @@ class Diagnostic:
     nets: tuple = ()
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
+    """One gate instance; ``inputs`` must be a tuple of net ids."""
+
     kind: str
     output: str
     inputs: tuple
     name: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
 
 
 @dataclass
@@ -108,37 +107,43 @@ class Netlist:
         m = {n: [] for n in self.nets}
         for g in self.gates:
             for i in g.inputs:
-                m.setdefault(i, []).append(g)
+                gs = m.get(i)
+                if gs is None:
+                    m[i] = [g]
+                else:
+                    gs.append(g)
         return {n: tuple(gs) for n, gs in m.items()}
 
     @cached_property
     def topo_gates(self):
         """Gates in topological order (Kahn).  Raises ValidationError on cycles."""
         by_out = {g.output: g for g in self.gates}
-        pending = {g.output: sum(1 for i in g.inputs if i in by_out)
-                   for g in self.gates}
-        fanout = {}
+        pending, fanout = {}, {}
         for g in self.gates:
+            out = g.output
+            c = 0
             for i in g.inputs:
                 if i in by_out:
-                    fanout.setdefault(i, []).append(g.output)
-        ready = [g.output for g in self.gates if pending[g.output] == 0]
-        order = []
-        k = 0
-        while k < len(ready):
-            out = ready[k]
-            k += 1
-            order.append(by_out[out])
+                    c += 1
+                    outs = fanout.get(i)
+                    if outs is None:
+                        fanout[i] = [out]
+                    else:
+                        outs.append(out)
+            pending[out] = c
+        ready = [g.output for g in self.gates if not pending[g.output]]
+        for out in ready:   # a list iterator also visits what is appended
             for nxt in fanout.get(out, ()):
-                pending[nxt] -= 1
-                if pending[nxt] == 0:
+                c = pending[nxt] - 1
+                pending[nxt] = c
+                if not c:
                     ready.append(nxt)
-        if len(order) != len(self.gates):
+        if len(ready) != len(self.gates):
             stuck = sorted(o for o, c in pending.items() if c > 0)
             raise ValidationError([Diagnostic(
                 "error", "cycle", f"combinational cycle through nets {stuck}",
                 tuple(stuck))])
-        return tuple(order)
+        return tuple([by_out[out] for out in ready])
 
     def _program(self, keep=None):
         """The netlist lowered for ``keep`` (a frozenset of nets, or None for
@@ -155,7 +160,11 @@ class Netlist:
         """Logic depth per net (PIs and constants at 0)."""
         lv = {n: 0 for n in self.nets if self.driver[n] is None}
         for g in self.topo_gates:
-            lv[g.output] = 1 + max(lv[i] for i in g.inputs)
+            d = 0
+            for i in g.inputs:
+                if lv[i] > d:
+                    d = lv[i]
+            lv[g.output] = d + 1
         return lv
 
 
@@ -263,11 +272,12 @@ def _lower(n: Netlist, keep):
                 steps += op, out, out, b
             if inv:
                 steps += xor, out, out, 1
-        for i in g.inputs:
-            if last_reader.get(i) is g:
-                del last_reader[i]
-                free.append(reg[i])
-    kept = tuple((net, reg[net]) for net in n.nets if net in keep)
+        if last_reader:
+            for i in g.inputs:
+                if last_reader.get(i) is g:
+                    del last_reader[i]
+                    free.append(reg[i])
+    kept = tuple([(net, reg[net]) for net in n.nets if net in keep])
     return size, tuple(steps), kept
 
 
@@ -395,31 +405,30 @@ def validate(n: Netlist) -> list:
     if len(set(n.inputs)) != len(n.inputs):
         diags.append(Diagnostic("error", "dup-input", "duplicate primary input names"))
     for g in n.gates:
-        if g.kind not in GATE_KINDS:
+        kind, out, ins = g.kind, g.output, g.inputs
+        if kind not in GATE_KINDS:
             diags.append(Diagnostic("error", "bad-kind",
-                                    f"unknown gate kind '{g.kind}'", (g.output,)))
-        if g.kind in ("BUF", "NOT"):
-            if len(g.inputs) != 1:
+                                    f"unknown gate kind '{kind}'", (out,)))
+        if kind in ("BUF", "NOT"):
+            if len(ins) != 1:
                 diags.append(Diagnostic("error", "arity",
-                                        f"{g.kind} gate must have exactly 1 input",
-                                        (g.output,)))
-        elif len(g.inputs) < 2:
+                                        f"{kind} gate must have exactly 1 input",
+                                        (out,)))
+        elif len(ins) < 2:
             diags.append(Diagnostic("error", "arity",
-                                    f"{g.kind} gate needs at least 2 inputs",
-                                    (g.output,)))
-        if g.output in driven:
+                                    f"{kind} gate needs at least 2 inputs", (out,)))
+        if out in driven:  # the constants are driven from the start
             diags.append(Diagnostic("error", "multi-driver",
-                                    f"net '{g.output}' has multiple drivers",
-                                    (g.output,)))
-        if g.output in (CONST0, CONST1):
-            diags.append(Diagnostic("error", "const-driver",
-                                    "gate may not drive a constant net", (g.output,)))
-        driven.add(g.output)
+                                    f"net '{out}' has multiple drivers", (out,)))
+            if out in (CONST0, CONST1):
+                diags.append(Diagnostic("error", "const-driver",
+                                        "gate may not drive a constant net", (out,)))
+        driven.add(out)
     for g in n.gates:
-        for i in g.inputs:
-            if i not in driven:
-                diags.append(Diagnostic("error", "undriven-input",
-                                        f"gate input '{i}' is not driven", (i,)))
+        if not driven.issuperset(g.inputs):
+            diags.extend(Diagnostic("error", "undriven-input",
+                                    f"gate input '{i}' is not driven", (i,))
+                         for i in g.inputs if i not in driven)
     for o in n.outputs:
         if o not in driven:
             diags.append(Diagnostic("warning", "undriven-output",
@@ -455,10 +464,12 @@ _IDENT_START = frozenset(string.ascii_letters + "_")
 
 
 class _Parser:
+    """Reads the token list by index: ``k`` is always a token index, and
+    every error names the token it was raised at."""
+
     def __init__(self, source):
         self.source = source
         self.toks = _TOKEN_RE.findall(source)
-        self.i = 0
 
     def kind(self, k):
         t = self.toks[k]
@@ -480,143 +491,152 @@ class _Parser:
         return ParseError(message, self.source.count("\n", 0, pos) + 1,
                           pos - self.source.rfind("\n", 0, pos))
 
-    def peek(self):
-        return self.toks[self.i]
+    def unexpected(self, what, k):
+        return self.error(f"expected {what}, found '{self.toks[k] or 'EOF'}'", k)
 
-    def next(self):
-        self.i += 1
-        return self.toks[self.i - 1]
-
-    def expect(self, text=None, kind=None):
-        t = self.next()
+    def expect(self, k, text=None, kind=None):
+        """Token k, which must be ``text`` or of ``kind``."""
+        t = self.toks[k]
         if text is not None and t != text:
-            raise self.error(f"expected '{text}', found '{t or 'EOF'}'", self.i - 1)
-        if kind is not None and self.kind(self.i - 1) != kind:
-            raise self.error(f"expected {kind}, found '{t or 'EOF'}'", self.i - 1)
+            raise self.unexpected(f"'{text}'", k)
+        if kind is not None and self.kind(k) != kind:
+            raise self.unexpected(kind, k)
         return t
 
-    def ident(self):
-        """Consume an identifier; an escaped one loses its backslash here."""
-        t = self.next()
+    def ident(self, k):
+        """Token k as a name; an escaped one loses its backslash here."""
+        t = self.toks[k]
         if t[:1] in _IDENT_START:
             return t
-        if self.kind(self.i - 1) != "ident":
-            raise self.error(f"expected ident, found '{t or 'EOF'}'", self.i - 1)
+        if self.kind(k) != "ident":
+            raise self.unexpected("ident", k)
         return t[1:]
 
     def parse_module(self):
-        self.expect(text="module")
-        name = self.ident()
-        if self.peek() == "(":
-            self.next()
-            while self.peek() != ")":
-                t = self.next()
+        toks = self.toks
+        self.expect(0, text="module")
+        name = self.ident(1)
+        i = 2
+        if toks[i] == "(":
+            i += 1
+            while toks[i] != ")":
+                t = toks[i]
                 # ranged header entries like ``input [3:0] a`` are rare in the
                 # supported subset; tolerate brackets and numbers here
-                if (self.kind(self.i - 1) not in ("ident", "number")
-                        and t not in (",", "[", "]", ":")):
-                    raise self.error(f"unexpected token '{t}' in port list",
-                                     self.i - 1)
-            self.expect(text=")")
-        self.expect(text=";")
+                if (t[:1] not in _IDENT_START and t not in (",", "[", "]", ":")
+                        and self.kind(i) not in ("ident", "number")):
+                    raise self.error(f"unexpected token '{t}' in port list", i)
+                i += 1
+            i += 1
+        self.expect(i, text=";")
+        i += 1
 
         inputs, outputs, wires, gates = [], [], [], []
+        decls = {"input": inputs, "output": outputs, "wire": wires}
         auto_idx = 0
         while True:
-            k = self.i
-            t = self.toks[k]
+            k = i
+            t = toks[k]
+            kind = t.upper()
+            if kind in GATE_KINDS:
+                # kind [inst] ( net {, net} ) ;  where net is a name, a
+                # name[number] bit or a 1'b0/1'b1 literal
+                i += 1
+                t = toks[i]
+                if t == "(":
+                    inst = f"g{auto_idx}"
+                    auto_idx += 1
+                else:
+                    inst = t if t[:1] in _IDENT_START else self.ident(i)
+                    i += 1
+                    if toks[i] != "(":
+                        raise self.unexpected("'('", i)
+                conns = []
+                while True:
+                    i += 1
+                    t = toks[i]
+                    if t[:1] in _IDENT_START or (t[:1] == "\\" and len(t) > 1):
+                        if t[0] == "\\":
+                            t = t[1:]
+                        if toks[i + 1] == "[":
+                            idx = self.expect(i + 2, kind="number")
+                            self.expect(i + 3, text="]")
+                            t = f"{t}[{idx}]"
+                            i += 3
+                        conns.append(t)
+                    elif self.kind(i) == "literal":
+                        conns.append(CONST1 if t[-1] == "1" else CONST0)
+                    else:
+                        raise self.error(f"expected net name, found '{t}'", i)
+                    i += 1
+                    if toks[i] != ",":
+                        break
+                if toks[i] != ")":
+                    raise self.unexpected("')'", i)
+                i += 1
+                if toks[i] != ";":
+                    raise self.unexpected("';'", i)
+                i += 1
+                if len(conns) < 2:
+                    raise self.error(f"gate '{inst}' needs an output and at least "
+                                     "one input", k)
+                conns = tuple(conns)
+                if conns[0] in (CONST0, CONST1):
+                    raise self.error(f"gate '{inst}' drives a constant literal", k)
+                gates.append(Gate(kind, conns[0], conns[1:], inst))
+                continue
+            if t == "endmodule":
+                i += 1
+                break
+            target = decls.get(t)
+            if target is not None:
+                i = self._decl_names(t, i + 1, target)
+                continue
             if not t:
                 raise self.error("missing 'endmodule'", k)
-            if t == "endmodule":
-                self.next()
-                break
-            if t in ("input", "output", "wire"):
-                self.next()
-                names = self._decl_names(t)
-                target = {"input": inputs, "output": outputs, "wire": wires}[t]
-                target.extend(names)
-                continue
             if t in _BEHAVIORAL_KEYWORDS:
                 raise self.error(
                     f"sequential/behavioral construct '{t}' not supported", k)
             if self.kind(k) == "ident":
-                kind = t.upper()
-                if kind not in GATE_KINDS:
-                    if t.lower() in ("dff", "dffr", "dlatch", "latch", "sdff"):
-                        raise self.error(
-                            f"sequential/behavioral construct '{t}' not supported", k)
+                if t.lower() in ("dff", "dffr", "dlatch", "latch", "sdff"):
                     raise self.error(
-                        f"unsupported construct: instance of '{t}' "
-                        "(only the eight combinational primitives are allowed)", k)
-                self.next()
-                if self.peek() != "(":
-                    inst = self.ident()
-                else:
-                    inst = f"g{auto_idx}"
-                    auto_idx += 1
-                self.expect(text="(")
-                conns = [self._connection()]
-                while self.peek() == ",":
-                    self.next()
-                    conns.append(self._connection())
-                self.expect(text=")")
-                self.expect(text=";")
-                if len(conns) < 2:
-                    raise self.error(f"gate '{inst}' needs an output and at least "
-                                     "one input", k)
-                out, ins = conns[0], tuple(conns[1:])
-                if out in (CONST0, CONST1):
-                    raise self.error(f"gate '{inst}' drives a constant literal", k)
-                gates.append(Gate(kind, out, ins, inst))
-                continue
+                        f"sequential/behavioral construct '{t}' not supported", k)
+                raise self.error(
+                    f"unsupported construct: instance of '{t}' "
+                    "(only the eight combinational primitives are allowed)", k)
             raise self.error(f"unexpected token '{t}'", k)
 
-        if self.peek():
-            raise self.error(f"trailing content after endmodule: '{self.peek()}'",
-                             self.i)
+        if toks[i]:
+            raise self.error(f"trailing content after endmodule: '{toks[i]}'", i)
         return name, inputs, outputs, wires, gates
 
-    def _decl_names(self, decl_kind):
-        """Parse ``[msb:lsb] a, b, c ;`` and bit-blast ranges (LSB-0)."""
-        rng = None
-        if self.peek() == "[":
-            self.next()
-            msb = int(self.expect(kind="number"))
-            self.expect(text=":")
-            lsb = int(self.expect(kind="number"))
-            self.expect(text="]")
-            rng = (msb, lsb)
-        names = []
+    def _decl_names(self, decl_kind, i, names):
+        """Parse ``[msb:lsb] a, b, c ;`` from token i into ``names``,
+        bit-blasting ranges (LSB-0); return the index after the ``;``."""
+        toks = self.toks
+        bits = None
+        if toks[i] == "[":
+            msb = int(self.expect(i + 1, kind="number"))
+            self.expect(i + 2, text=":")
+            lsb = int(self.expect(i + 3, kind="number"))
+            self.expect(i + 4, text="]")
+            bits = range(min(msb, lsb), max(msb, lsb) + 1)
+            i += 5
         while True:
-            ident = self.ident()
-            if rng is None:
-                names.append(ident)
+            t = toks[i]
+            if t[:1] not in _IDENT_START:
+                t = self.ident(i)
+            if bits is None:
+                names.append(t)
             else:
-                msb, lsb = rng
-                lo, hi = min(msb, lsb), max(msb, lsb)
-                names.extend(f"{ident}[{i}]" for i in range(lo, hi + 1))
-            t = self.next()
+                names.extend(f"{t}[{b}]" for b in bits)
+            t = toks[i + 1]
+            i += 2
             if t == ";":
-                return names
+                return i
             if t != ",":
                 raise self.error(f"expected ',' or ';' in {decl_kind} declaration, "
-                                 f"found '{t}'", self.i - 1)
-
-    def _connection(self):
-        t = self.next()
-        kind = self.kind(self.i - 1)
-        if kind == "literal":
-            return CONST1 if t[-1] == "1" else CONST0
-        if kind != "ident":
-            raise self.error(f"expected net name, found '{t}'", self.i - 1)
-        if t[0] == "\\":
-            t = t[1:]
-        if self.peek() == "[":
-            self.next()
-            idx = self.expect(kind="number")
-            self.expect(text="]")
-            return f"{t}[{idx}]"
-        return t
+                                 f"found '{t}'", i - 1)
 
 
 def parse_netlist(source: str) -> Netlist:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .analysis import rare_nets, scoap, signal_prob
 from .netlist import (Gate, Netlist, simulate, simulate3, simulate_packed,
                       stimuli, trigger_word)
+from .restructure import _is_int
 
 
 class InsertionError(Exception):
@@ -36,6 +37,10 @@ class TrojanSpec:
     sample_vectors: int = 100_000
 
     def __post_init__(self):
+        if not _is_int(self.q):
+            raise ValueError(f"q must be an int, got {self.q!r}")
+        if self.rare_count is not None and not _is_int(self.rare_count):
+            raise ValueError(f"rare_count must be an int, got {self.rare_count!r}")
         if self.q < 2:
             raise ValueError("trigger width q must be >= 2")
         rc = self.q if self.rare_count is None else self.rare_count
@@ -52,7 +57,7 @@ class TrojanRecord:
     victim_pre: str           # renamed driver-side net
     payload_gate: str         # instance name of the XOR
     witness: dict             # PI name -> bit, activates and flips
-    added_gates: tuple        # (kind, output, inputs, name) of V_t
+    added_gates: tuple        # the Gates of V_t, payload XOR last
     q: int = 0
     rare_count: int = 0
     metric: str = ""
@@ -337,9 +342,7 @@ def _build_infected(n: Netlist, trigger, victim, fresh):
     payload = Gate("XOR", victim, (pre, trig_net), payload_name)
     gates.append(payload)
     infected = Netlist(n.name, n.inputs, n.outputs, tuple(gates))
-    rec_gates = tuple((g.kind, g.output, tuple(g.inputs), g.name)
-                      for g in added + [payload])
-    return infected, trig_net, pre, payload_name, rec_gates
+    return infected, trig_net, pre, payload_name, (*added, payload)
 
 
 def _flip_victim(n: Netlist, spec, trigger, activations, victims, side_pis):

@@ -1,18 +1,20 @@
 import math
 import random
+from operator import and_, or_
 
 import pytest
 
 from htforge.analysis import (
     SCOAP_CAP,
     NetStats,
+    _sat_add,
     ScoapValues,
     exact_signal_prob,
     rare_nets,
     scoap,
     signal_prob,
 )
-from htforge.netlist import CONST0, CONST1, Netlist, parse_netlist
+from htforge.netlist import CONST0, CONST1, GATE_OPS, Gate, Netlist, parse_netlist
 
 from conftest import C17, random_netlist
 
@@ -291,3 +293,95 @@ def test_rare_nets_high_metric_and_errors():
         rare_nets(stats, "scoap-hard", 5)
     with pytest.raises(TypeError):
         rare_nets(scoap(n), "signal-prob-low", 0.1)
+
+
+# ---------------------------------------------------------------------------
+# scoap against its reference
+#
+# scoap used to build per-gate lists of input controllabilities, and its
+# backward pass a list of the other inputs for every input, which is
+# quadratic in the fan-in.  That version is kept here as the reference: the
+# linear passes must give the same values, saturation included.
+
+def _ref_scoap(n):
+    cc0 = {CONST0: 1, CONST1: SCOAP_CAP}
+    cc1 = {CONST0: SCOAP_CAP, CONST1: 1}
+    for p in n.inputs:
+        cc0[p] = 1
+        cc1[p] = 1
+    for g in n.topo_gates:
+        op, inv = GATE_OPS[g.kind]
+        zeros = [cc0[i] for i in g.inputs]
+        ones = [cc1[i] for i in g.inputs]
+        if op is None:
+            c0, c1 = zeros[0] + 1, ones[0] + 1
+        elif op is and_:
+            c0, c1 = min(zeros) + 1, _sat_add(*ones, 1)
+        elif op is or_:
+            c0, c1 = _sat_add(*zeros, 1), min(ones) + 1
+        else:  # parity DP over the inputs
+            even, odd = 0, SCOAP_CAP
+            for z, o in zip(zeros, ones):
+                even, odd = (min(_sat_add(even, z), _sat_add(odd, o)),
+                             min(_sat_add(even, o), _sat_add(odd, z)))
+            c0, c1 = _sat_add(even, 1), _sat_add(odd, 1)
+        if inv:
+            c0, c1 = c1, c0
+        c0, c1 = min(c0, SCOAP_CAP), min(c1, SCOAP_CAP)
+        cc0[g.output] = c0
+        cc1[g.output] = c1
+
+    co = {net: SCOAP_CAP for net in n.nets}
+    for o in n.outputs:
+        co[o] = 0
+    for g in reversed(n.topo_gates):
+        op = GATE_OPS[g.kind][0]
+        out_co = co[g.output]
+        for idx, i in enumerate(g.inputs):
+            others = [j for k, j in enumerate(g.inputs) if k != idx]
+            if op is None:
+                cand = _sat_add(out_co, 1)
+            elif op is and_:
+                cand = _sat_add(out_co, *[cc1[j] for j in others], 1)
+            elif op is or_:
+                cand = _sat_add(out_co, *[cc0[j] for j in others], 1)
+            else:
+                cand = _sat_add(out_co,
+                                *[min(cc0[j], cc1[j]) for j in others], 1)
+            if cand < co[i]:
+                co[i] = cand
+    return cc0, cc1, co
+
+
+def _scoap_netlists():
+    rng = random.Random(23)
+    kinds = ("BUF", "NOT", "AND", "OR", "XOR", "NAND", "NOR", "XNOR")
+    for k in range(40):
+        pis = [f"i{j}" for j in range(rng.randint(2, 5))]
+        nets, gates = pis + [CONST0, CONST1], []
+        for j in range(rng.randint(5, 30)):
+            kind = rng.choice(kinds)
+            width = 1 if kind in ("BUF", "NOT") else rng.randint(2, 6)
+            ins = tuple(rng.choice(nets) for _ in range(width))  # repeats too
+            gates.append(Gate(kind, f"w{j}", ins, f"g{j}"))
+            nets.append(f"w{j}")
+        yield Netlist(f"r{k}", tuple(pis), (nets[-1], nets[-3]), tuple(gates))
+    # doubling chains run CC1, CC0 and the parity DP into SCOAP_CAP
+    for kind in ("AND", "NOR", "XOR", "XNOR"):
+        gates, prev = [], "a"
+        for j in range(40):
+            gates.append(Gate(kind, f"d{j}", (prev, prev, CONST1, "b"), f"g{j}"))
+            prev = f"d{j}"
+        gates.append(Gate("NAND", "y", (prev, "a", prev), "gy"))
+        yield Netlist(kind, ("a", "b"), ("y", "d3"), tuple(gates))
+
+
+def test_scoap_matches_the_list_reference():
+    saturated = 0
+    for n in _scoap_netlists():
+        sc = scoap(n)
+        assert [list(m.items()) for m in (sc.cc0, sc.cc1, sc.co)] \
+            == [list(m.items()) for m in _ref_scoap(n)], n.name
+        saturated += sum(v == SCOAP_CAP for m in (sc.cc0, sc.cc1)
+                         for net, v in m.items() if net not in (CONST0, CONST1))
+    assert saturated > 50

@@ -308,6 +308,17 @@ _GOLDEN = [{"name": "adder", "file": "adder.v"}]
                  "trigger_widths must list ints >= 2, got [1]",
                  id="trigger-width-1"),
     pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
+                  "recipe_pool": 23},
+                 "recipe_pool must be a list, got 23", id="recipe-pool-scalar"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
+                  "trigger_widths": 3},
+                 "trigger_widths must be a list, got 3",
+                 id="trigger-widths-scalar"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
+                  "set_name": "a/b"},
+                 "set_name must be a plain file name, got 'a/b'",
+                 id="set-name-with-separator"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
                   "recipe_pol": [1]},
                  "unknown bench config keys ['recipe_pol']", id="misspelled-key"),
     pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": "0.5"},
@@ -348,6 +359,15 @@ def test_bench_malformed_config_is_a_usage_error(tmp_path, capsys, cfg, message)
     assert run(["bench", "--config", str(path), "-o", str(tmp_path / "set"),
                 "--key", str(tmp_path / "k.json")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "set").exists()
+
+
+def test_bench_key_that_cannot_be_opened_leaves_no_set(tmp_path, capsys):
+    cfg = _bench_config(tmp_path)
+    (tmp_path / "keydir").mkdir()
+    assert run(["bench", "--config", cfg, "-o", str(tmp_path / "set"),
+                "--key", str(tmp_path / "keydir")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "set").exists()
 
 

@@ -2,19 +2,24 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from htforge.judge import ForgeConfig, forge_benchmark
 from htforge.netlist import (
+    _BEHAVIORAL_KEYWORDS,
+    _IDENT_START,
     CONST0,
     CONST1,
+    GATE_KINDS,
     Gate,
     Netlist,
     NetlistError,
     ParseError,
     ValidationError,
+    _Parser,
     decode,
     parse_netlist,
     simulate,
@@ -325,6 +330,251 @@ def test_fuzzed_parse_raises_only_documented_errors(seed, mutations):
         return
     m = parse_netlist(write_netlist(n))
     assert (m.inputs, m.outputs, m.gates) == (n.inputs, n.outputs, n.gates)
+
+
+# ---------------------------------------------------------------------------
+# parser against its reference
+#
+# _Parser used to read its tokens through one peek/next/expect/ident method
+# call per token, with a cursor in self.i.  That version is kept here as the
+# reference, with the tokenizer it was written for: the parser that indexes
+# the token list must return the same module or raise the same error at the
+# same token.
+
+_REF_TOKEN_RE = re.compile(
+    r"""(?:\s+|//[^\n]*|/\*.*?\*/)*
+        ( \\\S+                    # escaped identifier
+        | 1'[bB][01]               # literal
+        | \d+                      # number
+        | [A-Za-z_][A-Za-z0-9_$]*  # identifier
+        | .                        # punctuation or any other character
+        | \Z )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+class _RefParser:
+    def __init__(self, source):
+        self.source = source
+        self.toks = _REF_TOKEN_RE.findall(source)
+        self.i = 0
+
+    def kind(self, k):
+        t = self.toks[k]
+        # an escaped identifier keeps its backslash, so it never equals a
+        # keyword or punctuation; ident() strips it when the name is taken
+        if t[:1] in _IDENT_START or (t[:1] == "\\" and len(t) > 1):
+            return "ident"
+        if not t:
+            return "eof"
+        if t[0].isdecimal():
+            return "literal" if "'" in t else "number"
+        return "other"
+
+    def error(self, message, k):
+        """ParseError at token k; only now is the source re-scanned for its
+        offset, which gives the line and column."""
+        m = next(itertools.islice(_REF_TOKEN_RE.finditer(self.source), k, None))
+        pos = m.start(1)
+        return ParseError(message, self.source.count("\n", 0, pos) + 1,
+                          pos - self.source.rfind("\n", 0, pos))
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def next(self):
+        self.i += 1
+        return self.toks[self.i - 1]
+
+    def expect(self, text=None, kind=None):
+        t = self.next()
+        if text is not None and t != text:
+            raise self.error(f"expected '{text}', found '{t or 'EOF'}'", self.i - 1)
+        if kind is not None and self.kind(self.i - 1) != kind:
+            raise self.error(f"expected {kind}, found '{t or 'EOF'}'", self.i - 1)
+        return t
+
+    def ident(self):
+        """Consume an identifier; an escaped one loses its backslash here."""
+        t = self.next()
+        if t[:1] in _IDENT_START:
+            return t
+        if self.kind(self.i - 1) != "ident":
+            raise self.error(f"expected ident, found '{t or 'EOF'}'", self.i - 1)
+        return t[1:]
+
+    def parse_module(self):
+        self.expect(text="module")
+        name = self.ident()
+        if self.peek() == "(":
+            self.next()
+            while self.peek() != ")":
+                t = self.next()
+                # ranged header entries like ``input [3:0] a`` are rare in the
+                # supported subset; tolerate brackets and numbers here
+                if (self.kind(self.i - 1) not in ("ident", "number")
+                        and t not in (",", "[", "]", ":")):
+                    raise self.error(f"unexpected token '{t}' in port list",
+                                     self.i - 1)
+            self.expect(text=")")
+        self.expect(text=";")
+
+        inputs, outputs, wires, gates = [], [], [], []
+        auto_idx = 0
+        while True:
+            k = self.i
+            t = self.toks[k]
+            if not t:
+                raise self.error("missing 'endmodule'", k)
+            if t == "endmodule":
+                self.next()
+                break
+            if t in ("input", "output", "wire"):
+                self.next()
+                names = self._decl_names(t)
+                target = {"input": inputs, "output": outputs, "wire": wires}[t]
+                target.extend(names)
+                continue
+            if t in _BEHAVIORAL_KEYWORDS:
+                raise self.error(
+                    f"sequential/behavioral construct '{t}' not supported", k)
+            if self.kind(k) == "ident":
+                kind = t.upper()
+                if kind not in GATE_KINDS:
+                    if t.lower() in ("dff", "dffr", "dlatch", "latch", "sdff"):
+                        raise self.error(
+                            f"sequential/behavioral construct '{t}' not supported", k)
+                    raise self.error(
+                        f"unsupported construct: instance of '{t}' "
+                        "(only the eight combinational primitives are allowed)", k)
+                self.next()
+                if self.peek() != "(":
+                    inst = self.ident()
+                else:
+                    inst = f"g{auto_idx}"
+                    auto_idx += 1
+                self.expect(text="(")
+                conns = [self._connection()]
+                while self.peek() == ",":
+                    self.next()
+                    conns.append(self._connection())
+                self.expect(text=")")
+                self.expect(text=";")
+                if len(conns) < 2:
+                    raise self.error(f"gate '{inst}' needs an output and at least "
+                                     "one input", k)
+                out, ins = conns[0], tuple(conns[1:])
+                if out in (CONST0, CONST1):
+                    raise self.error(f"gate '{inst}' drives a constant literal", k)
+                gates.append(Gate(kind, out, ins, inst))
+                continue
+            raise self.error(f"unexpected token '{t}'", k)
+
+        if self.peek():
+            raise self.error(f"trailing content after endmodule: '{self.peek()}'",
+                             self.i)
+        return name, inputs, outputs, wires, gates
+
+    def _decl_names(self, decl_kind):
+        """Parse ``[msb:lsb] a, b, c ;`` and bit-blast ranges (LSB-0)."""
+        rng = None
+        if self.peek() == "[":
+            self.next()
+            msb = int(self.expect(kind="number"))
+            self.expect(text=":")
+            lsb = int(self.expect(kind="number"))
+            self.expect(text="]")
+            rng = (msb, lsb)
+        names = []
+        while True:
+            ident = self.ident()
+            if rng is None:
+                names.append(ident)
+            else:
+                msb, lsb = rng
+                lo, hi = min(msb, lsb), max(msb, lsb)
+                names.extend(f"{ident}[{i}]" for i in range(lo, hi + 1))
+            t = self.next()
+            if t == ";":
+                return names
+            if t != ",":
+                raise self.error(f"expected ',' or ';' in {decl_kind} declaration, "
+                                 f"found '{t}'", self.i - 1)
+
+    def _connection(self):
+        t = self.next()
+        kind = self.kind(self.i - 1)
+        if kind == "literal":
+            return CONST1 if t[-1] == "1" else CONST0
+        if kind != "ident":
+            raise self.error(f"expected net name, found '{t}'", self.i - 1)
+        if t[0] == "\\":
+            t = t[1:]
+        if self.peek() == "[":
+            self.next()
+            idx = self.expect(kind="number")
+            self.expect(text="]")
+            return f"{t}[{idx}]"
+        return t
+
+
+def _parser_corpus(count, seed):
+    """``count`` seeded mutations of write_netlist texts: snippets inserted,
+    deleted and spliced over spans, one to three times per text."""
+    sources = [write_netlist(random_netlist(s, n_pis=4, n_gates=10 + s % 9))
+               for s in range(8300, 8306)]
+    sources += [write_netlist(parse_netlist(FULL_ADDER)), write_netlist(parse_netlist(C17)),
+                write_netlist(Netlist("m", ("a[0]", "b"), ("y",), (
+                    Gate("AND", "w", ("a[0]", CONST1), "g0"),
+                    Gate("XOR", "y", ("w", "b", CONST0), "endmodule"))))]
+    snippets = ("(", ";", "[3:0]", "\\", "1'b0", "//", "/*",
+                ")", ",", "[", "]", "0", "a", "\n", "endmodule")
+    rng = random.Random(seed)
+    corpus = list(sources)
+    while len(corpus) < count:
+        src = rng.choice(sources)
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(len(src) + 1)
+            snippet = rng.choice(snippets)
+            op = rng.randrange(3)
+            if op == 0:
+                src = src[:pos] + snippet + src[pos:]
+            elif op == 1:
+                at = src.find(snippet, pos)
+                if at < 0:
+                    at = src.find(snippet)
+                cut = len(snippet) if at >= 0 else rng.randint(1, 8)
+                at = at if at >= 0 else pos
+                src = src[:at] + src[at + cut:]
+            else:
+                src = src[:pos] + snippet + src[pos + rng.randint(1, 6):]
+        corpus.append(src)
+    return corpus
+
+
+def _outcome(parse, src):
+    try:
+        return parse(src)
+    except ParseError as e:
+        return (type(e), str(e), e.line, e.col)
+
+
+def test_parser_matches_the_reference_on_mutated_texts():
+    corpus = _parser_corpus(2400, 16)
+    kinds = {"ok": 0, "parse": 0, "validation": 0}
+    for src in corpus:
+        want = _outcome(lambda s: _RefParser(s).parse_module(), src)
+        assert _outcome(lambda s: _Parser(s).parse_module(), src) == want, src
+        try:
+            parse_netlist(src)
+            kinds["ok"] += 1
+        except ParseError:
+            kinds["parse"] += 1
+        except ValidationError:
+            kinds["validation"] += 1
+    # the corpus reaches all three outcomes, not only early header errors
+    assert min(kinds.values()) >= 50, kinds
 
 
 def test_write_round_trip_two_gates():

@@ -120,6 +120,18 @@ def test_spec_validation():
     assert TrojanSpec(q=3).rare_count == 3  # defaults to q
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"q": "3"}, "q must be an int, got '3'"),
+    ({"q": 3.0}, "q must be an int, got 3.0"),
+    ({"q": 3, "rare_count": "2"}, "rare_count must be an int, got '2'"),
+    ({"q": 3, "rare_count": True}, "rare_count must be an int, got True"),
+])
+def test_spec_rejects_non_int_fields(fields, message):
+    with pytest.raises(ValueError) as info:
+        TrojanSpec(**fields)
+    assert str(info.value) == message
+
+
 def test_record_json_round_trip(full_adder):
     spec = TrojanSpec(q=2, rare_count=0, threshold=0.01, seed=5,
                       sample_vectors=4096)
