@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import and_, or_, xor
 
-from .netlist import CONST0, CONST1, GATE_OPS, Netlist, simulate_packed, stimuli
+from .netlist import (CONST0, CONST1, GATE_OPS, Netlist, _check,
+                      simulate_packed, stimuli)
 
 SCOAP_CAP = 2**31 - 1
 
@@ -111,8 +112,7 @@ def signal_prob(n: Netlist, vectors: int, seed: int = 0) -> NetStats:
     Deterministic for a fixed seed; transition probability is the
     per-vector toggle chance 2*p*(1-p).
     """
-    if vectors < 1:
-        raise ValueError("vectors must be >= 1")
+    _check(vectors, "vectors", "int", low=1)
     return _ones_fraction(n, vectors, seed)
 
 
@@ -144,8 +144,7 @@ def rare_nets(analysis, metric: str, threshold) -> tuple:
     Metrics: signal-prob-low (p < t), signal-prob-high (p > 1-t),
     scoap-hard (CC0+CC1+CO >= t).
     """
-    if metric not in RARE_METRICS:
-        raise ValueError(f"unknown metric '{metric}' (choose from {RARE_METRICS})")
+    _check(metric, "metric", "str", choices=RARE_METRICS)
     if metric == "scoap-hard":
         if not isinstance(analysis, ScoapValues):
             raise TypeError("scoap-hard needs ScoapValues")

@@ -15,8 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 from .analysis import scoap, signal_prob
-from .netlist import CONST0, CONST1, Netlist
-from .restructure import _is_int
+from .netlist import CONST0, CONST1, Netlist, _check
 
 GATE_ORDER = ("BUF", "NOT", "AND", "OR", "XOR", "NAND", "NOR", "XNOR")
 
@@ -131,15 +130,13 @@ def pca_fit(rows, n_components: int) -> PcaModel:
     degenerates to a zero-variance model with a warning.
     """
     x = [tuple(map(float, row)) for row in rows]
-    if len(x) < 2:
-        raise ValueError("need at least two feature rows")
+    _check(len(x), "len(rows)", "int", low=2)
     r, d = len(x), len(x[0])
     if any(len(row) != d for row in x):
         raise ValueError("feature rows must all have the same length")
     if not all(math.isfinite(v) for row in x for v in row):
         raise ValueError("feature values must be finite")
-    if not 1 <= n_components <= min(r - 1, d):
-        raise ValueError(f"n_components must lie in [1, {min(r - 1, d)}]")
+    _check(n_components, "n_components", "int", choices=range(1, min(r, d + 1)))
     mean = tuple(sum(col) / r for col in zip(*x))
     cols = [[v - m for v in col] for col, m in zip(zip(*x), mean)]
     cov = [[sum(u * w for u, w in zip(ci, cj)) / (r - 1) for cj in cols]
@@ -215,16 +212,14 @@ class StrategyProfile:
     max_width: int      # M >= 2
 
     def __post_init__(self):
-        if not (_is_int(self.max_width)
-                and all(_is_int(c) for s in self.strategies for c in s)):
-            raise ValueError("rare/regular counts and max_width must be ints")
-        if self.max_width < 2:
-            raise ValueError("max trigger width M must be >= 2")
-        for r, g in self.strategies:
-            if r < 0 or g < 0:
-                raise ValueError("rare/regular counts must be non-negative")
-        object.__setattr__(self, "strategies",
-                           tuple((r, g) for r, g in self.strategies))
+        pairs = _check(self.strategies, "strategies", "list")
+        for i, pair in enumerate(pairs):
+            _check(len(_check(pair, f"strategies[{i}]", "list")),
+                   f"len(strategies[{i}])", "int", choices=(2,))
+            for j, count in enumerate(pair):
+                _check(count, f"strategies[{i}][{j}]", "int", low=0)
+        _check(self.max_width, "max_width", "int", low=2)
+        object.__setattr__(self, "strategies", tuple(tuple(p) for p in pairs))
 
 
 def ht_space_size(profile: StrategyProfile) -> int:
@@ -265,14 +260,11 @@ def seek_simulate(n_nodes: int, k: int, trials: int = 10_000,
     there is nothing to find); unfound objects within the budget also cost
     the full budget.
     """
-    if not 0 <= k <= n_nodes:
-        raise ValueError("k must lie in [0, n_nodes]")
-    if budget is None:
-        budget = n_nodes
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check(n_nodes, "n_nodes", "int", low=0)
+    _check(k, "k", "int", choices=range(n_nodes + 1))
+    budget = n_nodes if budget is None else budget
+    _check(budget, "budget", "int", low=1)
+    _check(trials, "trials", "int", low=1)
     rng = random.Random(seed)
     hist = {}
     total = 0
@@ -300,7 +292,6 @@ def seek_simulate(n_nodes: int, k: int, trials: int = 10_000,
 def expected_seek_length(n_nodes: int, k: int):
     """Exact E[L] for uniform hider and seeker with full budget:
     k*(n+1)/(k+1), from the expected maximum of k uniform positions."""
-    if not 1 <= k <= n_nodes:
-        raise ValueError("k must lie in [1, n_nodes]")
+    _check(k, "k", "int", choices=range(1, n_nodes + 1))
     from fractions import Fraction
     return Fraction(k * (n_nodes + 1), k + 1)

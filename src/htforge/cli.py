@@ -41,7 +41,8 @@ from .judge import (
     forge_benchmark,
     score_submission,
 )
-from .netlist import NetlistError, parse_netlist, to_json_dict, write_netlist
+from .netlist import (NetlistError, _check, parse_netlist, to_json_dict,
+                      write_netlist)
 from .restructure import RECIPES, RestructureError, apply_recipe, recipe_from_steps
 from .trojan import InsertionError, TrojanSpec, insert_trojan
 
@@ -68,6 +69,15 @@ def _write_json(path, obj):
     else:
         with open(path, "w") as f:
             f.write(text)
+
+
+def _read_json(path):
+    """A config file's JSON; too deep a nesting is a ValueError too."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_netlist(path):
@@ -104,12 +114,10 @@ def _cmd_restructure(args):
     seed = _seed_from(args)
     n = _load_netlist(args.input)
     if args.recipe_file:
-        with open(args.recipe_file) as f:
-            recipe = recipe_from_steps(json.load(f))
+        recipe = recipe_from_steps(_read_json(args.recipe_file))
     else:
-        if args.recipe not in RECIPES:
-            raise ValueError(f"recipe must be 1..18, got {args.recipe}")
-        recipe = RECIPES[args.recipe]
+        recipe = RECIPES[_check(args.recipe, "recipe", "int",
+                                choices=tuple(RECIPES))]
     out, reports = apply_recipe(n, recipe, seed=seed,
                                 exhaustive_bound=args.exhaustive_bound,
                                 sample_vectors=args.vectors)
@@ -189,10 +197,7 @@ def _cmd_equiv(args):
 
 
 def _cmd_bench(args):
-    with open(args.config) as f:
-        raw = json.load(f)
-    if not isinstance(raw, dict):
-        raise ValueError("bench config must be a JSON object")
+    raw = _check(_read_json(args.config), "bench config", "dict")
     fields = {f.name: f for f in dataclasses.fields(ForgeConfig)}
     unknown = sorted(set(raw) - set(fields))
     if unknown:
@@ -280,6 +285,8 @@ def _read_feature_csv(path):
 
 
 def _cmd_pca(args):
+    if args.svg and args.components < 2:
+        raise ValueError("--svg plots PC1 against PC2: use --components >= 2")
     names, x = _read_feature_csv(args.features)
     model = pca_fit(x, args.components)
     coords = pca_project(model, x)
@@ -307,18 +314,11 @@ def _cmd_pca(args):
 
 
 def _cmd_space(args):
-    with open(args.profile) as f:
-        raw = json.load(f)
-    if not (isinstance(raw, dict) and set(raw) == {"strategies", "max_width"}
-            and isinstance(raw["strategies"], list)
-            and all(isinstance(s, list) and len(s) == 2
-                    for s in raw["strategies"])):
+    raw = _read_json(args.profile)
+    if not (isinstance(raw, dict) and set(raw) == {"strategies", "max_width"}):
         raise ValueError('profile must be a JSON object {"strategies": '
                          '[[r, g], ...], "max_width": M} of ints')
-    profile = StrategyProfile(
-        strategies=tuple((s[0], s[1]) for s in raw["strategies"]),
-        max_width=raw["max_width"])
-    print(ht_space_size(profile))
+    print(ht_space_size(StrategyProfile(**raw)))
     return 0
 
 

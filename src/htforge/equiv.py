@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netlist import (Netlist, decode, simulate, simulate_packed, stimuli,
-                      trigger_word)
+from .netlist import (Netlist, _check, decode, simulate, simulate_packed,
+                      stimuli, trigger_word)
 
 
 class InterfaceMismatchError(Exception):
@@ -26,10 +26,8 @@ class CheckConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("sample_vectors", 1), ("exhaustive_bound", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, "
-                                 f"got {getattr(self, name)}")
+        _check(self.sample_vectors, "sample_vectors", "int", low=1)
+        _check(self.exhaustive_bound, "exhaustive_bound", "int", low=0)
 
 
 @dataclass

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 
 # check_equivalence stays bound here; bench/test_bench.py checks its patching
 from .equiv import CheckConfig, check_equivalence, check_trojan_semantics  # noqa: F401
-from .netlist import Netlist, simulate, write_netlist
-from .restructure import RECIPES, _is_int, _stream_seed, apply_recipe
+from .analysis import RARE_METRICS
+from .netlist import Netlist, _check, simulate, write_netlist
+from .restructure import RECIPES, _stream_seed, apply_recipe
 from .trojan import (InsertionError, InsufficientRareNetsError, TrojanSpec,
                      insert_trojan)
 
@@ -78,50 +79,38 @@ class ForgeConfig:
     def __post_init__(self):
         self.golden = tuple((nm, nl) for nm, nl in self.golden)
         names = [nm for nm, _ in self.golden]
-        if not names:
-            raise ValueError("golden must list at least one circuit")
+        _check(len(names), "len(golden)", "int", low=1)
         dup = sorted({nm for nm in names if names.count(nm) > 1})
         if dup:
             raise ValueError(f"golden names must be distinct, repeated: {dup}")
-        if not _is_int(self.nb) or self.nb < 1:
-            raise ValueError(f"nb must be an int >= 1, got {self.nb!r}")
+        _check(self.nb, "nb", "int", low=1)
         if self.infection_rate is None and self.infected_counts is None:
             raise ValueError("set infection_rate or infected_counts")
-        if self.infection_rate is not None and not (
-                isinstance(self.infection_rate, (int, float))
-                and 0 <= self.infection_rate <= 1):
-            raise ValueError("infection_rate must lie in [0, 1]")
-        for name in ("recipe_pool", "trigger_widths"):
-            value = getattr(self, name)
-            if not isinstance(value, (tuple, list, range)):
-                raise ValueError(f"{name} must be a list, got {value!r}")
-            setattr(self, name, tuple(value))
-        if not self.recipe_pool or not all(_is_int(r) and r in RECIPES
-                                           for r in self.recipe_pool):
-            raise ValueError(f"recipe_pool must list recipe ids in "
-                             f"{min(RECIPES)}..{max(RECIPES)}, "
-                             f"got {list(self.recipe_pool)}")
-        if not self.trigger_widths or not all(_is_int(q) and q >= 2
-                                              for q in self.trigger_widths):
-            raise ValueError(f"trigger_widths must list ints >= 2, "
-                             f"got {list(self.trigger_widths)}")
-        if self.infected_counts is not None and not (
-                isinstance(self.infected_counts, dict)
-                and set(self.infected_counts) <= {nm for nm, _ in self.golden}
-                and all(_is_int(c) for c in self.infected_counts.values())):
-            raise ValueError("infected_counts must map golden names to ints")
-        for name, kind in (("threshold", (int, float)), ("sample_vectors", int),
-                           ("master_seed", int), ("exhaustive_bound", int),
-                           ("equiv_vectors", int), ("metric", str),
-                           ("set_name", str), ("release_date", str)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} has the wrong type: {value!r}")
-        for name, low in (("sample_vectors", 1), ("equiv_vectors", 1),
-                          ("exhaustive_bound", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, "
-                                 f"got {getattr(self, name)}")
+        if self.infection_rate is not None and _check(
+                self.infection_rate, "infection_rate", "number", low=0) > 1:
+            raise ValueError(f"infection_rate must be <= 1, "
+                             f"got {self.infection_rate!r}")
+        if self.infected_counts is not None:
+            for nm, count in _check(self.infected_counts, "infected_counts",
+                                    "dict").items():
+                _check(nm, "infected_counts key", "str", choices=names)
+                _check(count, f"infected_counts[{nm!r}]", "int",
+                       choices=range(self.nb + 1))
+        for name, low, choices in (("recipe_pool", None, tuple(RECIPES)),
+                                   ("trigger_widths", 2, None)):
+            value = _check(getattr(self, name), name, "list")
+            _check(len(value), f"len({name})", "int", low=1)
+            for i, x in enumerate(value):
+                _check(x, f"{name}[{i}]", "int", low=low, choices=choices)
+            setattr(self, name, value)
+        _check(self.metric, "metric", "str", choices=RARE_METRICS)
+        _check(self.threshold, "threshold", "number")
+        _check(self.sample_vectors, "sample_vectors", "int", low=1)
+        _check(self.master_seed, "master_seed", "int")
+        _check(self.set_name, "set_name", "str")
+        _check(self.release_date, "release_date", "str")
+        _check(self.exhaustive_bound, "exhaustive_bound", "int", low=0)
+        _check(self.equiv_vectors, "equiv_vectors", "int", low=1)
         if self.set_name in ("", ".", "..") or any(
                 c in self.set_name for c in ("/", "\\", "\0")):
             raise ValueError(f"set_name must be a plain file name, "
@@ -197,21 +186,21 @@ class AnswerKey:
 
     @staticmethod
     def from_json_text(text):
-        """Parse a key; a missing or mistyped field raises JudgeError
-        naming it."""
-        d = json.loads(text)
-        if not isinstance(d, dict):
-            raise JudgeError("answer key must be a JSON object")
-        for name, kind in (("set_name", str), ("manifest_sha256", str),
-                           ("master_seed", int), ("release_date", str),
-                           ("expiry_date", str), ("entries", dict)):
-            if not isinstance(d.get(name), kind):
-                raise JudgeError(f"answer key needs {kind.__name__} '{name}'")
-        for eid, e in d["entries"].items():
-            if not (isinstance(e, dict) and isinstance(e.get("golden"), str)
-                    and _is_int(e.get("k")) and e["k"] in (0, 1)):
-                raise JudgeError(f"answer key entry '{eid}' needs a string "
-                                 "'golden' and a 'k' of 0 or 1")
+        """Parse a key; text that is not JSON, or JSON nested too deeply,
+        and a missing or mistyped field raise JudgeError."""
+        try:
+            d = _check(json.loads(text), "answer key", "dict")
+            for name, kind in (("set_name", "str"), ("manifest_sha256", "str"),
+                               ("master_seed", "int"), ("release_date", "str"),
+                               ("expiry_date", "str"), ("entries", "dict")):
+                _check(d.get(name), f"answer key '{name}'", kind)
+            for eid, e in d["entries"].items():
+                entry = f"answer key entry '{eid}'"
+                _check(e, entry, "dict")
+                _check(e.get("golden"), f"{entry}: 'golden'", "str")
+                _check(e.get("k"), f"{entry}: 'k'", "int", choices=(0, 1))
+        except (ValueError, RecursionError) as e:
+            raise JudgeError(str(e)) from e
         return AnswerKey(d["set_name"], d["manifest_sha256"], d["master_seed"],
                          d["release_date"], d["expiry_date"], d["entries"],
                          d.get("provenance", {}))
@@ -282,7 +271,7 @@ class ConfusionReport:
 
 def confidence_value(fp_rate, fn_rate, alpha) -> float:
     """(1 - FP) / (1/alpha + FN) with FP/FN as rates in [0, 1]."""
-    if alpha <= 0:
+    if _check(alpha, "alpha", "number") <= 0:
         raise ValueError("alpha must be positive")
     return (1.0 - fp_rate) / (1.0 / alpha + fn_rate)
 
@@ -351,8 +340,6 @@ def forge_benchmark(cfg: ForgeConfig):
 def _infection_plan(cfg, gname):
     if cfg.infected_counts is not None:
         count = cfg.infected_counts.get(gname, 0)
-        if not 0 <= count <= cfg.nb:
-            raise ValueError(f"infected count for {gname} outside [0, nb]")
         rng = random.Random(_stream_seed(cfg.master_seed, "count-sel", gname))
         return set(rng.sample(range(cfg.nb), count))
     out = set()
@@ -431,8 +418,10 @@ def score_submission(sub: Submission, key: AnswerKey, alpha: float,
 
     Per-entry truth is included only when the key has expired.
     """
-    if alpha <= 0:
-        raise JudgeError("alpha must be positive")
+    try:
+        confidence_value(0.0, 0.0, alpha)  # checks alpha before scoring
+    except ValueError as e:
+        raise JudgeError(str(e)) from e
     ids = set(key.entries)
     got = set(sub.verdicts)
     if got != ids:

@@ -11,8 +11,10 @@ bit-blasted at parse time into scalar nets ``name[i]`` with bit 0 the LSB.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
+import reprlib
 import string
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,6 +51,30 @@ class ValidationError(NetlistError):
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(d.message for d in self.diagnostics))
+
+
+_KINDS = {"int": (int, "an int"), "number": ((int, float), "a finite number"),
+          "str": (str, "a str"), "list": ((list, tuple, range), "a list"),
+          "dict": (dict, "a dict")}
+
+
+def _check(value, name, kind, low=None, choices=None):
+    """``value`` if it is of ``kind`` (a key of _KINDS), >= ``low`` and in
+    ``choices`` (when given), else a ValueError naming ``name``.  A bool is
+    no int or number, a number is finite, and a list, tuple or range comes
+    back as a tuple.  reprlib keeps the message short for any value."""
+    types, phrase = _KINDS[kind]
+    if (not isinstance(value, types) or isinstance(value, bool)
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise ValueError(f"{name} must be {phrase}, got {reprlib.repr(value)}")
+    if kind == "list":
+        value = tuple(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {reprlib.repr(value)}")
+    if choices is not None and value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, "
+                         f"got {reprlib.repr(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -462,6 +488,8 @@ _TOKEN_RE = re.compile(
 
 _IDENT_START = frozenset(string.ascii_letters + "_")
 
+MAX_RANGE_BITS = 65_536   # widest [msb:lsb] range a parse bit-blasts
+
 
 class _Parser:
     """Reads the token list by index: ``k`` is always a token index, and
@@ -610,16 +638,26 @@ class _Parser:
             raise self.error(f"trailing content after endmodule: '{toks[i]}'", i)
         return name, inputs, outputs, wires, gates
 
+    def _bound(self, k):
+        """Token k as a range bound of at most 9 digits."""
+        t = self.expect(k, kind="number")
+        if len(t) > 9:
+            raise self.error("range bound has more than 9 digits", k)
+        return int(t)
+
     def _decl_names(self, decl_kind, i, names):
         """Parse ``[msb:lsb] a, b, c ;`` from token i into ``names``,
         bit-blasting ranges (LSB-0); return the index after the ``;``."""
         toks = self.toks
         bits = None
         if toks[i] == "[":
-            msb = int(self.expect(i + 1, kind="number"))
+            msb = self._bound(i + 1)
             self.expect(i + 2, text=":")
-            lsb = int(self.expect(i + 3, kind="number"))
+            lsb = self._bound(i + 3)
             self.expect(i + 4, text="]")
+            if abs(msb - lsb) >= MAX_RANGE_BITS:
+                raise self.error(f"range [{msb}:{lsb}] is wider than "
+                                 f"{MAX_RANGE_BITS} bits", i + 1)
             bits = range(min(msb, lsb), max(msb, lsb) + 1)
             i += 5
         while True:

@@ -34,7 +34,7 @@ from .aig import (
     tree_roots,
     tt_var,
 )
-from .netlist import Netlist, simulate
+from .netlist import Netlist, _check, simulate
 
 
 class RestructureError(Exception):
@@ -897,9 +897,8 @@ class Recipe:
             for key, value in s.params:
                 if key not in PASS_PARAMS[s.name]:
                     raise ValueError(f"unknown param '{key}' for pass '{s.name}'")
-                if value < PASS_PARAMS[s.name][key]:
-                    raise ValueError(f"param '{key}' for pass '{s.name}' must be "
-                                     f">= {PASS_PARAMS[s.name][key]}, got {value}")
+                _check(value, f"param '{key}' for pass '{s.name}'", "int",
+                       low=PASS_PARAMS[s.name][key])
 
 
 @dataclass
@@ -955,36 +954,26 @@ RECIPES = {
 }
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def recipe_from_steps(steps) -> Recipe:
     """Build a user recipe from [{'pass': name, 'params': {...}, 'seed': n}].
 
     'params' maps names to ints and 'seed' is an int, both optional; any
-    other shape raises ValueError naming the step index.
+    other shape raises ValueError naming the step index, or for a param
+    value the pass and the key.
     """
-    if not isinstance(steps, list):
-        raise ValueError("a recipe must be a list of steps")
     parsed = []
-    for i, d in enumerate(steps):
-        if not isinstance(d, dict) or not isinstance(d.get("pass"), str):
-            raise ValueError(f"recipe step {i}: needs a string 'pass'")
+    for i, d in enumerate(_check(steps, "recipe", "list")):
+        step = f"recipe step {i}"
+        _check(d, step, "dict")
+        name = _check(d.get("pass"), f"{step}: 'pass'", "str")
         extra = set(d) - {"pass", "params", "seed"}
         if extra:
-            raise ValueError(
-                f"recipe step {i}: unknown keys {sorted(extra, key=str)}")
-        params = d.get("params", {})
-        if not (isinstance(params, dict)
-                and all(isinstance(k, str) and _is_int(v)
-                        for k, v in params.items())):
-            raise ValueError(
-                f"recipe step {i}: 'params' must map names to ints")
-        seed = d.get("seed", 0)
-        if not _is_int(seed):
-            raise ValueError(f"recipe step {i}: 'seed' must be an int")
-        parsed.append(PassStep(d["pass"], tuple(sorted(params.items())), seed))
+            raise ValueError(f"{step}: unknown keys {sorted(extra, key=str)}")
+        params = _check(d.get("params", {}), f"{step}: 'params'", "dict")
+        for key in params:
+            _check(key, f"{step}: param name", "str")
+        seed = _check(d.get("seed", 0), f"{step}: 'seed'", "int")
+        parsed.append(PassStep(name, tuple(sorted(params.items())), seed))
     if not parsed or parsed[0].name != "strash":
         parsed.insert(0, PassStep("strash"))
     return Recipe(0, tuple(parsed))

@@ -13,10 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .analysis import rare_nets, scoap, signal_prob
-from .netlist import (Gate, Netlist, simulate, simulate3, simulate_packed,
-                      stimuli, trigger_word)
-from .restructure import _is_int
+from .analysis import RARE_METRICS, rare_nets, scoap, signal_prob
+from .netlist import (Gate, Netlist, _check, simulate, simulate3,
+                      simulate_packed, stimuli, trigger_word)
 
 
 class InsertionError(Exception):
@@ -37,16 +36,12 @@ class TrojanSpec:
     sample_vectors: int = 100_000
 
     def __post_init__(self):
-        if not _is_int(self.q):
-            raise ValueError(f"q must be an int, got {self.q!r}")
-        if self.rare_count is not None and not _is_int(self.rare_count):
-            raise ValueError(f"rare_count must be an int, got {self.rare_count!r}")
-        if self.q < 2:
-            raise ValueError("trigger width q must be >= 2")
-        rc = self.q if self.rare_count is None else self.rare_count
-        if not 0 <= rc <= self.q:
-            raise ValueError("rare_count must lie in [0, q]")
-        object.__setattr__(self, "rare_count", rc)
+        _check(self.q, "q", "int", low=2)
+        if self.rare_count is None:
+            object.__setattr__(self, "rare_count", self.q)
+        _check(self.rare_count, "rare_count", "int", choices=range(self.q + 1))
+        _check(self.metric, "metric", "str", choices=RARE_METRICS)
+        _check(self.threshold, "threshold", "number")
 
 
 @dataclass

@@ -311,16 +311,21 @@ def test_space_size_validation():
         StrategyProfile(((-1, 2),), 2)
 
 
-@pytest.mark.parametrize("strategies, max_width", [
-    pytest.param(((2.7, 1),), 3, id="fractional-count"),
-    pytest.param(((2, 1),), 3.5, id="fractional-max-width"),
-    pytest.param(((True, 1),), 3, id="bool-count"),
-    pytest.param(((2, 1),), True, id="bool-max-width"),
+@pytest.mark.parametrize("strategies, max_width, message", [
+    pytest.param(((2.7, 1),), 3, "strategies[0][0] must be an int, got 2.7",
+                 id="fractional-count"),
+    pytest.param(((2, 1),), 3.5, "max_width must be an int, got 3.5",
+                 id="fractional-max-width"),
+    pytest.param(((True, 1),), 3, "strategies[0][0] must be an int, got True",
+                 id="bool-count"),
+    pytest.param(((2, 1),), True, "max_width must be an int, got True",
+                 id="bool-max-width"),
 ])
-def test_strategy_profile_rejects_non_int(strategies, max_width):
+def test_strategy_profile_rejects_non_int(strategies, max_width, message):
     # an int() would turn 2.7 into 2, and a float width fails only later
-    with pytest.raises(ValueError, match="must be ints"):
+    with pytest.raises(ValueError) as info:
         StrategyProfile(strategies, max_width)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

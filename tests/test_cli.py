@@ -82,11 +82,17 @@ def test_recipe_file(adder_file, tmp_path):
 
 
 @pytest.mark.parametrize("steps, message", [
-    ([{"params": {}}], "recipe step 0: needs a string 'pass'"),
-    (["rewrite"], "recipe step 0: needs a string 'pass'"),
-    ({"pass": "rewrite"}, "a recipe must be a list of steps"),
-    ([{"pass": "rewrite", "params": {"cut_size": "x"}}],
-     "recipe step 0: 'params' must map names to ints"),
+    pytest.param([{"params": {}}],
+                 "recipe step 0: 'pass' must be a str, got None",
+                 id="steps0-recipe step 0: needs a string 'pass'"),
+    pytest.param(["rewrite"], "recipe step 0 must be a dict, got 'rewrite'",
+                 id="steps1-recipe step 0: needs a string 'pass'"),
+    pytest.param({"pass": "rewrite"},
+                 "recipe must be a list, got {'pass': 'rewrite'}",
+                 id="steps2-a recipe must be a list of steps"),
+    pytest.param([{"pass": "rewrite", "params": {"cut_size": "x"}}],
+                 "param 'cut_size' for pass 'rewrite' must be an int, got 'x'",
+                 id="steps3-recipe step 0: 'params' must map names to ints"),
 ])
 def test_recipe_file_malformed_is_a_usage_error(adder_file, tmp_path, capsys,
                                                  steps, message):
@@ -246,18 +252,17 @@ def test_bench_judge_round_trip(tmp_path, capsys):
 _KEY = {"set_name": "s", "manifest_sha256": "0" * 64, "master_seed": 0,
         "release_date": "2026-01-01", "expiry_date": "2029-01-01",
         "entries": {"b0000": {"golden": "adder", "k": 1}}}
-_ENTRY_ERROR = ("answer key entry 'b0000' needs a string 'golden' and a 'k' "
-                "of 0 or 1")
-
-
 @pytest.mark.parametrize("key, message", [
-    pytest.param([], "answer key must be a JSON object", id="list"),
+    pytest.param([], "answer key must be a dict, got []", id="list"),
     pytest.param({k: v for k, v in _KEY.items() if k != "manifest_sha256"},
-                 "answer key needs str 'manifest_sha256'", id="no-manifest-sha"),
+                 "answer key 'manifest_sha256' must be a str, got None",
+                 id="no-manifest-sha"),
     pytest.param(dict(_KEY, entries={"b0000": {"golden": "adder"}}),
-                 _ENTRY_ERROR, id="entry-without-k"),
+                 "answer key entry 'b0000': 'k' must be an int, got None",
+                 id="entry-without-k"),
     pytest.param(dict(_KEY, entries={"b0000": {"golden": "adder", "k": 2}}),
-                 _ENTRY_ERROR, id="k-2"),
+                 "answer key entry 'b0000': 'k' must be one of (0, 1), got 2",
+                 id="k-2"),
 ])
 def test_judge_malformed_key_is_a_usage_error(tmp_path, capsys, key, message):
     sub = tmp_path / "sub.csv"
@@ -292,20 +297,23 @@ _GOLDEN = [{"name": "adder", "file": "adder.v"}]
                  'golden must be a list of {"name": ..., "file": ...}',
                  id="golden-without-file"),
     pytest.param({"golden": _GOLDEN, "nb": "2", "infection_rate": 0.5},
-                 "nb must be an int >= 1, got '2'", id="nb-string"),
+                 "nb must be an int, got '2'", id="nb-string"),
     pytest.param([{"golden": _GOLDEN, "nb": 2}],
-                 "bench config must be a JSON object", id="top-level-list"),
+                 "bench config must be a dict, "
+                 "got [{'golden': [{'file': 'adder.v', 'name': 'adder'}], 'nb': 2}]",
+                 id="top-level-list"),
     pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
                   "recipe_pool": [99]},
-                 "recipe_pool must list recipe ids in 1..18, got [99]",
+                 "recipe_pool[0] must be one of (1, 2, 3, 4, 5, 6, 7, 8, 9, "
+                 "10, 11, 12, 13, 14, 15, 16, 17, 18), got 99",
                  id="unknown-recipe"),
     pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
                   "trigger_widths": []},
-                 "trigger_widths must list ints >= 2, got []",
+                 "len(trigger_widths) must be >= 1, got 0",
                  id="no-trigger-widths"),
     pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
                   "trigger_widths": [1]},
-                 "trigger_widths must list ints >= 2, got [1]",
+                 "trigger_widths[0] must be >= 2, got 1",
                  id="trigger-width-1"),
     pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
                   "recipe_pool": 23},
@@ -322,22 +330,24 @@ _GOLDEN = [{"name": "adder", "file": "adder.v"}]
                   "recipe_pol": [1]},
                  "unknown bench config keys ['recipe_pol']", id="misspelled-key"),
     pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": "0.5"},
-                 "infection_rate must lie in [0, 1]", id="rate-string"),
+                 "infection_rate must be a finite number, got '0.5'",
+                 id="rate-string"),
     pytest.param({"golden": _GOLDEN, "nb": 2, "infected_counts": {"adder": "1"}},
-                 "infected_counts must map golden names to ints",
+                 "infected_counts['adder'] must be an int, got '1'",
                  id="count-string"),
     pytest.param({"golden": _GOLDEN, "nb": 2, "infected_counts": {"addr": 1}},
-                 "infected_counts must map golden names to ints",
+                 "infected_counts key must be one of ['adder'], got 'addr'",
                  id="count-unknown-golden"),
     pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
                   "threshold": "0.05"},
-                 "threshold has the wrong type: '0.05'", id="threshold-string"),
+                 "threshold must be a finite number, got '0.05'",
+                 id="threshold-string"),
     pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0.5,
                   "sample_vectors": 1e5},
-                 "sample_vectors has the wrong type: 100000.0",
+                 "sample_vectors must be an int, got 100000.0",
                  id="sample-vectors-float"),
     pytest.param({"golden": [], "nb": 2, "infection_rate": 0.5},
-                 "golden must list at least one circuit", id="no-golden"),
+                 "len(golden) must be >= 1, got 0", id="no-golden"),
     pytest.param({"golden": _GOLDEN + _GOLDEN, "nb": 2, "infection_rate": 0.5},
                  "golden names must be distinct, repeated: ['adder']",
                  id="duplicate-golden"),
@@ -351,6 +361,27 @@ _GOLDEN = [{"name": "adder", "file": "adder.v"}]
                   "exhaustive_bound": -1},
                  "exhaustive_bound must be >= 0, got -1",
                  id="exhaustive-bound-negative"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 0,
+                  "metric": "bogus"},
+                 "metric must be one of ('signal-prob-low', 'signal-prob-high', "
+                 "'scoap-hard'), got 'bogus'", id="unknown-metric-none-infected"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 1.0,
+                  "threshold": float("nan")},
+                 "threshold must be a finite number, got nan", id="threshold-nan"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 1.0,
+                  "threshold": float("-inf")},
+                 "threshold must be a finite number, got -inf",
+                 id="threshold-minus-inf"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infected_counts": {"adder": 3}},
+                 "infected_counts['adder'] must be one of range(0, 3), got 3",
+                 id="count-above-nb"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infected_counts": {"adder": -1}},
+                 "infected_counts['adder'] must be one of range(0, 3), got -1",
+                 id="count-negative"),
+    pytest.param({"golden": _GOLDEN, "nb": True, "infection_rate": 0.5},
+                 "nb must be an int, got True", id="nb-bool"),
+    pytest.param({"golden": _GOLDEN, "nb": 2, "infection_rate": 1.5},
+                 "infection_rate must be <= 1, got 1.5", id="rate-above-1"),
 ])
 def test_bench_malformed_config_is_a_usage_error(tmp_path, capsys, cfg, message):
     (tmp_path / "adder.v").write_text(FULL_ADDER)
@@ -360,6 +391,50 @@ def test_bench_malformed_config_is_a_usage_error(tmp_path, capsys, cfg, message)
                 "--key", str(tmp_path / "k.json")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "set").exists()
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["bench", "--config", "{deep}", "-o", "{dir}/set"],
+                 "{deep}: JSON nested too deeply", id="bench-config"),
+    pytest.param(["restructure", "{adder}", "--recipe-file", "{deep}",
+                  "-o", "{dir}/out.v"],
+                 "{deep}: JSON nested too deeply", id="restructure-recipe-file"),
+    pytest.param(["space", "--profile", "{deep}"],
+                 "{deep}: JSON nested too deeply", id="space-profile"),
+    pytest.param(["judge", "--key", "{deep}", "--submission", "{dir}/sub.csv",
+                  "--alpha", "10"],
+                 "maximum recursion depth exceeded while decoding a JSON array "
+                 "from a unicode string", id="judge-key"),
+])
+def test_deeply_nested_json_is_a_usage_error(adder_file, tmp_path, capsys,
+                                             argv, message):
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP)
+    (tmp_path / "sub.csv").write_text("circuit_id,label\n")
+    fill = {"deep": deep, "dir": tmp_path, "adder": adder_file}
+    assert run([a.format(**fill) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**fill)}\n"
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ("inf", "alpha must be a finite number, got inf"),
+    ("-inf", "alpha must be a finite number, got -inf"),
+    ("nan", "alpha must be a finite number, got nan"),
+    ("0", "alpha must be positive"),
+    ("-2", "alpha must be positive"),
+])
+def test_judge_alpha_must_be_a_finite_positive_number(tmp_path, capsys, alpha,
+                                                      message):
+    # no false negative: a 1/alpha of 0 would divide by zero
+    (tmp_path / "key.json").write_text(json.dumps(_KEY))
+    (tmp_path / "sub.csv").write_text("circuit_id,label\nb0000,infected\n")
+    assert run(["judge", "--key", str(tmp_path / "key.json"), "--submission",
+                str(tmp_path / "sub.csv"), f"--alpha={alpha}"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (f"error: {message}\n", "")
 
 
 def test_bench_key_that_cannot_be_opened_leaves_no_set(tmp_path, capsys):
@@ -418,19 +493,19 @@ _PROFILE_ERROR = ('profile must be a JSON object {"strategies": [[r, g], ...], '
 
 @pytest.mark.parametrize("argv, text, message", [
     pytest.param(["game", "--nodes", "10", "--k", "1", "--trials", "0"], None,
-                 "trials must be >= 1", id="game-trials-0"),
+                 "trials must be >= 1, got 0", id="game-trials-0"),
     pytest.param(["game", "--nodes", "10", "--k", "1", "--trials", "-3"], None,
-                 "trials must be >= 1", id="game-trials-negative"),
+                 "trials must be >= 1, got -3", id="game-trials-negative"),
     pytest.param(["space", "--profile", "{file}"], "[[3, 2]]",
                  _PROFILE_ERROR, id="space-list"),
     pytest.param(["space", "--profile", "{file}"], '{"strategies": [[3, 2]]}',
                  _PROFILE_ERROR, id="space-no-max-width"),
     pytest.param(["space", "--profile", "{file}"],
                  '{"strategies": 3, "max_width": 3}',
-                 _PROFILE_ERROR, id="space-strategies-int"),
+                 "strategies must be a list, got 3", id="space-strategies-int"),
     pytest.param(["space", "--profile", "{file}"],
                  '{"strategies": [[2.7, 1]], "max_width": 3}',
-                 "rare/regular counts and max_width must be ints",
+                 "strategies[0][0] must be an int, got 2.7",
                  id="space-fractional-count"),
     pytest.param(["pca", "{file}"], "id,a,b\nx,1,2\ny,3,4\n",
                  "feature CSV must start with a 'name' column",
@@ -445,9 +520,14 @@ _PROFILE_ERROR = ('profile must be a JSON object {"strategies": [[r, g], ...], '
     pytest.param(["pca", "{file}", "--components", "1"],
                  "name,a,b\nx,1,2\ny,inf,4\nz,0,1\n",
                  "feature values must be finite", id="pca-inf"),
+    pytest.param(["pca", "{file}", "--components", "1", "--svg", "{dir}/s.svg"],
+                 "name,a,b\nx,1,2\ny,3,4\nz,0,1\n",
+                 "--svg plots PC1 against PC2: use --components >= 2",
+                 id="pca-svg-one-component"),
     pytest.param(["restructure", "{file}", "--recipe", "99", "-o", "{dir}/o.v"],
                  "module m(a, y); input a; output y; not g(y, a); endmodule\n",
-                 "recipe must be 1..18, got 99", id="restructure-recipe-99"),
+                 "recipe must be one of (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, "
+                 "13, 14, 15, 16, 17, 18), got 99", id="restructure-recipe-99"),
     pytest.param(["features", "{dir}", "--csv", "{dir}/f.csv"], None,
                  "no circuits found", id="features-empty-dir"),
 ])

@@ -19,7 +19,7 @@ from htforge.judge import (
 from htforge.netlist import parse_netlist, simulate
 from htforge.trojan import TrojanRecord
 
-from conftest import C17, FULL_ADDER, random_netlist
+from conftest import C17, FULL_ADDER, random_netlist, rarity_netlist
 
 
 def _small_cfg(rate=0.5, seed=7, nb=3):
@@ -248,6 +248,33 @@ def test_forge_config_validation():
     cfg = ForgeConfig(golden=golden, nb=1, infection_rate=0.5,
                       release_date="2026-02-01")
     assert cfg.expiry_date == "2029-02-01"
+
+
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"infection_rate": 1.0, "threshold": float("nan")},
+                 "threshold must be a finite number, got nan", id="nan-threshold"),
+    pytest.param({"infected_counts": {"r": 3}},
+                 "infected_counts['r'] must be one of range(0, 3), got 3",
+                 id="count-above-nb"),
+    pytest.param({"infection_rate": 0.0, "metric": "bogus"},
+                 "metric must be one of ('signal-prob-low', 'signal-prob-high', "
+                 "'scoap-hard'), got 'bogus'", id="unknown-metric"),
+])
+def test_forge_config_rejects_at_construction(fields, message):
+    # a NaN threshold selects no rare net, so every variant would be forged
+    # with rare_count_used 0 and the key would hold a NaN, which is not JSON
+    golden = (("r", rarity_netlist(1, pis_per_branch=4)),)
+    with pytest.raises(ValueError) as info:
+        ForgeConfig(golden=golden, nb=2, **fields)
+    assert str(info.value) == message
+
+
+def test_forge_config_keeps_values_as_given():
+    # the fingerprint hashes the fields, so a check must not convert them
+    cfg = ForgeConfig(golden=(("adder", parse_netlist(FULL_ADDER)),), nb=1,
+                      infection_rate=1, threshold=0, recipe_pool=[3, 1])
+    assert (cfg.infection_rate, cfg.threshold, cfg.recipe_pool) == (1, 0, (3, 1))
+    assert type(cfg.threshold) is int and type(cfg.infection_rate) is int
 
 
 def test_forge_exact_counts():

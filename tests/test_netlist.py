@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,6 +217,12 @@ MALFORMED = [
     pytest.param("module m (x);\n  input [²:0] x;\nendmodule\n",
                  ParseError, "expected number, found '²'", 2, 10,
                  id="superscript-digit-in-range"),
+    pytest.param("module m (x);\n  input [" + "9" * 5000 + ":0] x;\nendmodule\n",
+                 ParseError, "range bound has more than 9 digits", 2, 10,
+                 id="5000-digit-range-bound"),
+    pytest.param("module m (x);\n  input [0:65536] x;\nendmodule\n",
+                 ParseError, "range [0:65536] is wider than 65536 bits", 2, 10,
+                 id="range-wider-than-65536-bits"),
     pytest.param("module m (a);\r\n\tinput a\r\n\tendmodule\r\n",
                  ParseError, "expected ',' or ';' in input declaration, found "
                  "'endmodule'", 3, 2, id="crlf-and-tabs"),
@@ -251,6 +258,25 @@ def test_parse_error_table(src, exc, message, line, col):
         message = f"{message} (line {line}, col {col})"
     assert (type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)) \
         == (exc, message, line, col)
+
+
+def test_eleven_digit_range_bound_fails_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            parse_netlist("module m (a); input [99999999999:0] a; endmodule")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == \
+        "range bound has more than 9 digits (line 1, col 22)"
+    assert peak < 1 << 20
+
+
+def test_range_of_65536_bits_parses():
+    n = parse_netlist("module m (x, y);\n  input [65535:0] x;\n  output y;\n"
+                      "  buf g (y, x[65535]);\nendmodule\n")
+    assert (len(n.inputs), n.inputs[0], n.inputs[-1]) == (65536, "x[0]", "x[65535]")
 
 
 def test_escaped_identifier_is_an_ident_never_a_keyword():

@@ -1167,15 +1167,21 @@ def test_recipe_accepts_params_at_their_bound():
 
 
 @pytest.mark.parametrize("steps, message", [
-    ([{"pass": "balance"}, {"pass": "rewrite", "params": {"cut_size": True}}],
-     "step 1: 'params' must map names to ints"),
-    ([{"pass": "rewrite", "params": [["cut_size", 5]]}],
-     "step 0: 'params' must map names to ints"),
+    pytest.param([{"pass": "balance"},
+                  {"pass": "rewrite", "params": {"cut_size": True}}],
+                 "param 'cut_size' for pass 'rewrite' must be an int, got True",
+                 id="steps0-step 1: 'params' must map names to ints"),
+    pytest.param([{"pass": "rewrite", "params": [["cut_size", 5]]}],
+                 "step 0: 'params' must be a dict, "
+                 "got \\[\\['cut_size', 5\\]\\]",
+                 id="steps1-step 0: 'params' must map names to ints"),
     ([{"pass": "balance", "seed": "3"}], "step 0: 'seed' must be an int"),
     ([{"pass": "balance", "seed": False}], "step 0: 'seed' must be an int"),
     ([{"pass": "balance", "sede": 3}], "step 0: unknown keys \\['sede'\\]"),
-    ([{"pass": 4}], "step 0: needs a string 'pass'"),
-    ("strash", "must be a list of steps"),
+    pytest.param([{"pass": 4}], "step 0: 'pass' must be a str, got 4",
+                 id="steps5-step 0: needs a string 'pass'"),
+    pytest.param("strash", "recipe must be a list, got 'strash'",
+                 id="strash-must be a list of steps"),
 ])
 def test_recipe_from_steps_rejects_malformed_steps(steps, message):
     with pytest.raises(ValueError, match=message):

@@ -132,6 +132,19 @@ def test_spec_rejects_non_int_fields(fields, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"metric": "bogus"}, "metric must be one of ('signal-prob-low', "
+     "'signal-prob-high', 'scoap-hard'), got 'bogus'"),
+    ({"threshold": float("nan")}, "threshold must be a finite number, got nan"),
+    ({"threshold": float("inf")}, "threshold must be a finite number, got inf"),
+    ({"q": 3, "rare_count": 4}, "rare_count must be one of range(0, 4), got 4"),
+])
+def test_spec_rejects_unknown_metric_and_bad_ranges(fields, message):
+    with pytest.raises(ValueError) as info:
+        TrojanSpec(**fields)
+    assert str(info.value) == message
+
+
 def test_record_json_round_trip(full_adder):
     spec = TrojanSpec(q=2, rare_count=0, threshold=0.01, seed=5,
                       sample_vectors=4096)
