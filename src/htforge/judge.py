@@ -109,16 +109,17 @@ class ForgeConfig:
         _check(self.master_seed, "master_seed", "int")
         _check(self.set_name, "set_name", "str")
         _check(self.release_date, "release_date", "str")
+        try:
+            self.expiry_date = _add_years(self.release_date, LIFESPAN_YEARS)
+        except ValueError:
+            raise ValueError(f"release_date must be an ISO date, "
+                             f"got {self.release_date!r}") from None
         _check(self.exhaustive_bound, "exhaustive_bound", "int", low=0)
         _check(self.equiv_vectors, "equiv_vectors", "int", low=1)
         if self.set_name in ("", ".", "..") or any(
                 c in self.set_name for c in ("/", "\\", "\0")):
             raise ValueError(f"set_name must be a plain file name, "
                              f"got {self.set_name!r}")
-
-    @property
-    def expiry_date(self):
-        return _add_years(self.release_date, LIFESPAN_YEARS)
 
     def fingerprint(self):
         blob = _json_text({

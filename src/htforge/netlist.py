@@ -489,6 +489,7 @@ _TOKEN_RE = re.compile(
 _IDENT_START = frozenset(string.ascii_letters + "_")
 
 MAX_RANGE_BITS = 65_536   # widest [msb:lsb] range a parse bit-blasts
+MAX_BLASTED_BITS = 65_536  # most names all ranges of one module bit-blast
 
 
 class _Parser:
@@ -498,6 +499,7 @@ class _Parser:
     def __init__(self, source):
         self.source = source
         self.toks = _TOKEN_RE.findall(source)
+        self.blasted = 0  # names bit-blasted from ranges so far
 
     def kind(self, k):
         t = self.toks[k]
@@ -667,6 +669,10 @@ class _Parser:
             if bits is None:
                 names.append(t)
             else:
+                self.blasted += len(bits)
+                if self.blasted > MAX_BLASTED_BITS:
+                    raise self.error(f"ranges bit-blast more than "
+                                     f"{MAX_BLASTED_BITS} names", i)
                 names.extend(f"{t}[{b}]" for b in bits)
             t = toks[i + 1]
             i += 2

@@ -207,6 +207,8 @@ class _Work:
             val[leaf] = tt_var(j, m)
         if root in val:
             return val[root]
+        fan0, fan1, dead, first = self.fan0, self.fan1, self.dead, self.first_and
+        get = val.get
         stack = [root]
         steps = 0
         while stack:
@@ -214,22 +216,26 @@ class _Work:
             if nd in val:
                 stack.pop()
                 continue
-            if nd < self.first_and or self.dead[nd]:
+            if nd < first or dead[nd]:
                 return None
             steps += 1
             if steps > max_steps:
                 return None
-            f0, f1 = self.fan0[nd], self.fan1[nd]
-            deps = [u for u in (f0 >> 1, f1 >> 1) if u not in val]
-            bad = [u for u in deps if u < self.first_and]
-            if bad:
-                return None
-            if deps:
-                stack.extend(deps)
+            f0, f1 = fan0[nd], fan1[nd]
+            a, b = get(f0 >> 1), get(f1 >> 1)
+            if a is None or b is None:
+                # push only the missing fanins, f0's first; a PI is a leaf
+                # or the cone escapes
+                if a is None:
+                    if f0 >> 1 < first:
+                        return None
+                    stack.append(f0 >> 1)
+                if b is None:
+                    if f1 >> 1 < first:
+                        return None
+                    stack.append(f1 >> 1)
                 continue
-            a = val[f0 >> 1] ^ (mask if f0 & 1 else 0)
-            b = val[f1 >> 1] ^ (mask if f1 & 1 else 0)
-            val[nd] = a & b
+            val[nd] = (a ^ mask if f0 & 1 else a) & (b ^ mask if f1 & 1 else b)
             stack.pop()
         return val[root]
 
@@ -479,25 +485,25 @@ def _bits(mask):
         mask ^= low
 
 
-def _factor(cubes):
-    """Algebraic factoring of a cube list into a ('literal'|'and'|'or'|'const')
-    tree; divides by the most frequent literal, the lowest variable on a tie
-    and then the positive one."""
-    cubes = list(dict.fromkeys(cubes))
-    if not cubes:
-        return ("const", 0)
-    if (0, 0) in cubes:
-        return ("const", 1)
-    return _factor_distinct(cubes)
-
-
-def _factor_distinct(cubes):
+def _factor_distinct(cubes, memo):
+    """Algebraic factoring of a cube list into a ('literal'|'and'|'or') tree:
+    divides by the most frequent literal, the lowest variable on a tie and
+    then the positive one.  Returns (tree, AND count); ``memo`` maps each
+    cube list met, as a tuple in its order, to that pair."""
     # cubes: distinct, non-empty and without the tautology (0, 0); the
     # quotients and remainders of distinct cubes stay distinct
+    key = tuple(cubes)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     if len(cubes) == 1:
-        return _cube_tree(cubes[0])
+        p, q = cubes[0]
+        out = memo[key] = _cube_tree(p, q), p.bit_count() + q.bit_count() - 1
+        return out
     counts = {}  # literal key 2 * (1 << v) + negated: order is the tie-break
+    n_lits = 0
     for p, q in cubes:
+        n_lits += p.bit_count() + q.bit_count()
         while p:
             b = p & -p
             p ^= b
@@ -506,13 +512,15 @@ def _factor_distinct(cubes):
             b = q & -q
             q ^= b
             counts[2 * b + 1] = counts.get(2 * b + 1, 0) + 1
-    best = key = 0
+    best = lkey = 0
     for k, c in counts.items():
-        if c > best or (c == best and k < key):
-            best, key = c, k
+        if c > best or (c == best and k < lkey):
+            best, lkey = c, k
     if best < 2:
-        return _balanced("or", [_cube_tree(c) for c in cubes])
-    bit, neg = key >> 1, key & 1
+        out = memo[key] = (_balanced("or", [_cube_tree(p, q) for p, q in cubes]),
+                           n_lits - 1)
+        return out
+    bit, neg = lkey >> 1, lkey & 1
     quot, rest = [], []
     for p, q in cubes:
         if neg and q & bit:
@@ -521,18 +529,20 @@ def _factor_distinct(cubes):
             quot.append((p & ~bit, q))
         else:
             rest.append((p, q))
-    div = ("literal", bit.bit_length() - 1, 1 - neg)
-    inner = div if (0, 0) in quot else ("and", div, _factor_distinct(quot))
-    return ("or", inner, _factor_distinct(rest)) if rest else inner
+    tree, n = ("literal", bit.bit_length() - 1, 1 - neg), 0
+    if (0, 0) not in quot:
+        sub, k = _factor_distinct(quot, memo)
+        tree, n = ("and", tree, sub), k + 1
+    if rest:
+        sub, k = _factor_distinct(rest, memo)
+        tree, n = ("or", tree, sub), n + k + 1
+    out = memo[key] = tree, n
+    return out
 
 
-def _cube_tree(cube):
-    p, q = cube
-    lits = ([("literal", v, 1) for v in _bits(p)]
-            + [("literal", v, 0) for v in _bits(q)])
-    if not lits:
-        return ("const", 1)
-    return _balanced("and", lits)
+def _cube_tree(p, q):
+    return _balanced("and", [("literal", v, 1) for v in _bits(p)]
+                     + [("literal", v, 0) for v in _bits(q)])
 
 
 def _balanced(op, items):
@@ -540,12 +550,6 @@ def _balanced(op, items):
         return items[0]
     mid = len(items) // 2
     return (op, _balanced(op, items[:mid]), _balanced(op, items[mid:]))
-
-
-def _tree_cost(tree):
-    if tree[0] in ("const", "literal"):
-        return 0
-    return 1 + _tree_cost(tree[1]) + _tree_cost(tree[2])
 
 
 def _factored(tt, m):
@@ -563,9 +567,10 @@ def _factored(tt, m):
             return False, ("literal", v, 1)
         if tt == (~pv & full):
             return False, ("literal", v, 0)
-    pos = _factor(isop(tt, m))
-    neg = _factor(isop(~tt & full, m))
-    if _tree_cost(neg) < _tree_cost(pos):
+    memo = {}  # sub-cover -> (tree, AND count), shared by both polarities
+    pos, n_pos = _factor_distinct(isop(tt, m), memo)
+    neg, n_neg = _factor_distinct(isop(~tt & full, m), memo)
+    if n_neg < n_pos:
         return True, neg
     return False, pos
 
@@ -672,13 +677,15 @@ def _greedy_cone(w, node, max_cone_inputs):
     for _ in range(4 * max_cone_inputs):
         best_leaf, best_sz = None, max_cone_inputs + 1
         rest = len(leaves) - 1
-        for v in sorted(leaves):
+        for v in leaves:
             if v < first or dead[v]:
                 continue
             a, b = fan0[v] >> 1, fan1[v] >> 1
             # the size of (leaves - {v}) | {a, b}; a fanin is never v
             sz = rest + (a not in leaves) + (b != a and b not in leaves)
-            if sz < best_sz:
+            # ties go to the smallest v, whatever order the set iterates in
+            if sz < best_sz or (sz == best_sz and best_leaf is not None
+                                and v < best_leaf):
                 best_leaf, best_sz = v, sz
         if best_leaf is None:
             break
@@ -708,11 +715,23 @@ def _resub_candidates(divs, sig, s_node, mask, pairs):
             yield sig[d] != s_node, ("literal", 0, 1), (lit(d),)
     if not pairs:
         return
-    for i1, d1 in enumerate(divs):
-        for d2 in divs[i1 + 1:]:
+    # an AND equals a target only if both operands cover it: per divisor and
+    # phase, bit 1 says it covers s_node and bit 2 its complement
+    n_node = s_node ^ mask
+    cands = []
+    for d in divs:
+        phases = (sig[d], sig[d] ^ mask)
+        covers = tuple((s & s_node == s_node) | (s & n_node == n_node) << 1
+                       for s in phases)
+        if covers != (0, 0):
+            cands.append((d, phases, covers))
+    for i1, (d1, s1, k1) in enumerate(cands):
+        for d2, s2, k2 in cands[i1 + 1:]:
             for c1, c2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                v = (sig[d1] ^ (mask if c1 else 0)) & (sig[d2] ^ (mask if c2 else 0))
-                if v == s_node or v ^ mask == s_node:
+                if not k1[c1] & k2[c2]:
+                    continue
+                v = s1[c1] & s2[c2]
+                if v == s_node or v == n_node:
                     yield (v != s_node, ("and", ("literal", 0, 1 - c1),
                                          ("literal", 1, 1 - c2)),
                            (lit(d1), lit(d2)))

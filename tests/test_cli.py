@@ -437,6 +437,25 @@ def test_judge_alpha_must_be_a_finite_positive_number(tmp_path, capsys, alpha,
     assert (captured.err, captured.out) == (f"error: {message}\n", "")
 
 
+def test_bench_rejects_a_non_iso_release_date_before_forging(tmp_path, capsys,
+                                                            monkeypatch):
+    import htforge.judge as judge
+    path = _bench_config(tmp_path)
+    cfg = json.loads((tmp_path / "cfg.json").read_text())
+    cfg["release_date"] = "2026-13-01"
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    forged = []
+    plain = judge._forge_variant
+    monkeypatch.setattr(judge, "_forge_variant",
+                        lambda *a: forged.append(a) or plain(*a))
+    assert run(["bench", "--config", path, "-o", str(tmp_path / "set"),
+                "--key", str(tmp_path / "k.json")]) == 2
+    assert capsys.readouterr().err == ("error: release_date must be an ISO "
+                                       "date, got '2026-13-01'\n")
+    assert forged == []
+    assert not (tmp_path / "set").exists() and not (tmp_path / "k.json").exists()
+
+
 def test_bench_key_that_cannot_be_opened_leaves_no_set(tmp_path, capsys):
     cfg = _bench_config(tmp_path)
     (tmp_path / "keydir").mkdir()

@@ -68,12 +68,17 @@ RECIPE_DIGESTS = {
 }
 
 # recipes whose refactor reaches 10- and 12-input cones on a 6x6 multiplier,
-# whose cones are copies of one cell
+# whose cones are copies of one cell, and the resub recipes (6, 9, 15, 16,
+# 17) and the cut-5 rewrite (14), which meet its XOR-rich logic
 MULTIPLIER_DIGESTS = {
     4: "99d4e8c396927d4cc97472c3968c00041a96a388453bfa33edb7b6f5ca7f935a",
+    6: "d5ee23a3503a67e0ef0cc7d3c4548a825afb2815260e668f4cd96a82c1e739c8",
     7: "67920d0b6b7836bd9c3df3f02923cd1ad09163438ba57eef8e8dce1a738ca191",
+    9: "59b20017109e2c072beb0511cf55a83f08564c1a0833923a66718b12225be01b",
     10: "865e1526f9c49bf5cffb98fd6a398bde2c99f99b7ebb4bb7c86b6f3ceeed44b3",
+    14: "2017f5313bb705b8ae82a11d6377f4a90f11f6793ad8cb4e73a102ad939b9f18",
     15: "5d32423640a33835ed33d2fb574d5a98a9cc3c9bcbc3d137ec1e1c77f3983fe2",
+    16: "31ffa633abec670514b2f5a06a6a5adf9b354b2a2f4f6870228011e8e6ff9943",
     17: "98eded87230a9076a1ca1d27aed942f2c4e63f052ed046fa3cb47208ea313ded",
 }
 

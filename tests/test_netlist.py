@@ -223,6 +223,10 @@ MALFORMED = [
     pytest.param("module m (x);\n  input [0:65536] x;\nendmodule\n",
                  ParseError, "range [0:65536] is wider than 65536 bits", 2, 10,
                  id="range-wider-than-65536-bits"),
+    pytest.param("module m (x, y);\n  input [65535:0] x;\n  output [0:0] y;\n"
+                 "endmodule\n",
+                 ParseError, "ranges bit-blast more than 65536 names", 3, 16,
+                 id="ranges-blasting-more-than-65536-names"),
     pytest.param("module m (a);\r\n\tinput a\r\n\tendmodule\r\n",
                  ParseError, "expected ',' or ';' in input declaration, found "
                  "'endmodule'", 3, 2, id="crlf-and-tabs"),
@@ -277,6 +281,24 @@ def test_range_of_65536_bits_parses():
     n = parse_netlist("module m (x, y);\n  input [65535:0] x;\n  output y;\n"
                       "  buf g (y, x[65535]);\nendmodule\n")
     assert (len(n.inputs), n.inputs[0], n.inputs[-1]) == (65536, "x[0]", "x[65535]")
+
+
+def test_short_text_blasting_many_wide_ranges_fails_fast():
+    # eight names under one widest range would bit-blast 524,288 PIs from
+    # 100 characters; the module-wide cap stops at the second name
+    names = ", ".join(f"a{k}" for k in range(8))
+    text = f"module m ({names}); input [65535:0] {names}; endmodule"
+    assert len(text) == 100
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            parse_netlist(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == \
+        "ranges bit-blast more than 65536 names (line 1, col 64)"
+    assert peak < 8 << 20
 
 
 def test_escaped_identifier_is_an_ident_never_a_keyword():

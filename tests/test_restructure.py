@@ -25,10 +25,8 @@ from htforge.restructure import (
     RestructureError,
     _Work,
     _balanced,
-    _cube_tree,
-    _factor,
+    _factor_distinct,
     _factored,
-    _tree_cost,
     apply_recipe,
     balance,
     fraig,
@@ -466,10 +464,12 @@ def test_factored_memo_maps_onto_each_calls_leaves(monkeypatch):
 # ---------------------------------------------------------------------------
 # synthesis kernels against the full-width reference
 #
-# isop used to cofactor full-width tables and _factor to de-duplicate and
-# rank literals with max() at every level.  Those versions are kept here as
-# the reference: the halving-table isop and the one-pass _factor must give
-# the same cubes and the same trees.
+# isop used to cofactor full-width tables, _factor to de-duplicate and rank
+# literals with max() at every level, and _factored to factor every
+# sub-cover it met afresh and then count both trees' ANDs.  Those versions
+# are kept here as the reference: the halving-table isop and the one-pass,
+# memoized _factor_distinct must give the same cubes, the same trees and
+# the trees' own AND counts.
 
 def _ref_cofactors(f, v, m):
     half = 1 << v
@@ -521,6 +521,21 @@ def _ref_bits(mask):
         v += 1
 
 
+def _ref_cube_tree(cube):
+    p, q = cube
+    lits = ([("literal", v, 1) for v in _ref_bits(p)]
+            + [("literal", v, 0) for v in _ref_bits(q)])
+    if not lits:
+        return ("const", 1)
+    return _balanced("and", lits)
+
+
+def _tree_cost(tree):
+    if tree[0] in ("const", "literal"):
+        return 0
+    return 1 + _tree_cost(tree[1]) + _tree_cost(tree[2])
+
+
 def _ref_factor(cubes):
     cubes = list(dict.fromkeys(cubes))
     if not cubes:
@@ -528,7 +543,7 @@ def _ref_factor(cubes):
     if (0, 0) in cubes:
         return ("const", 1)
     if len(cubes) == 1:
-        return _cube_tree(cubes[0])
+        return _ref_cube_tree(cubes[0])
     counts = {}
     for p, q in cubes:
         for v in _ref_bits(p):
@@ -538,7 +553,7 @@ def _ref_factor(cubes):
     (v, pol), best = max(counts.items(),
                          key=lambda kv: (kv[1], -kv[0][0], kv[0][1]))
     if best < 2:
-        return _balanced("or", [_cube_tree(c) for c in cubes])
+        return _balanced("or", [_ref_cube_tree(c) for c in cubes])
     bit = 1 << v
     quot, rest = [], []
     for p, q in cubes:
@@ -607,17 +622,32 @@ def _kernel_tables():
     return tables
 
 
-def _check_kernels(tt, m):
+def _check_factor(cubes, memo):
+    # the reference de-duplicates at every level, _factor_distinct only
+    # takes distinct cubes without the tautology; the tree and its AND count
+    # are the same with a fresh memo and with one other lists filled
+    distinct = list(dict.fromkeys(cubes))
+    if not distinct or (0, 0) in distinct:
+        return
+    tree, n = _factor_distinct(distinct, memo)
+    assert tree == _ref_factor(cubes), cubes
+    assert n == _tree_cost(tree), cubes
+    assert _factor_distinct(distinct, {}) == (tree, n), cubes
+
+
+def _check_kernels(tt, m, memo):
     cubes = _ref_isop(tt, m)
     assert isop(tt, m) == cubes, (tt, m)
-    assert _factor(cubes) == _ref_factor(cubes), (tt, m)
+    assert len(set(cubes)) == len(cubes), (tt, m)  # isop's cubes are distinct
+    _check_factor(cubes, memo)
     assert _factored(tt, m) == _ref_factored(tt, m), (tt, m)
 
 
 def test_kernels_match_the_reference_on_seeded_tables():
     import random
+    memo = {}
     for tt, m in _kernel_tables():
-        _check_kernels(tt, m)
+        _check_kernels(tt, m, memo)
     # duplicated and reordered cube lists: quotients and remainders of
     # distinct cubes stay distinct, so de-duplicating once is enough
     rng = random.Random(11)
@@ -628,7 +658,35 @@ def test_kernels_match_the_reference_on_seeded_tables():
             p = rng.getrandbits(m)
             cubes.append((p, rng.getrandbits(m) & ~p))
         cubes += rng.sample(cubes, len(cubes) // 2)
-        assert _factor(cubes) == _ref_factor(cubes), cubes
+        _check_factor(cubes, memo)
+
+
+def test_factored_factors_each_sub_cover_once(monkeypatch):
+    # each _factored call keeps one memo for both polarities, factors no
+    # cube list twice, and meets some twice; no memo serves two calls
+    import htforge.restructure as rs
+    plain = rs._factor_distinct
+    calls, memos = [], []
+
+    def recording(cubes, memo):
+        calls.append((memo, tuple(cubes), tuple(cubes) in memo))
+        return plain(cubes, memo)
+
+    monkeypatch.setattr(rs, "_factor_distinct", recording)
+    hits = 0
+    for tt, m in _kernel_tables():
+        calls.clear()
+        _factored(tt, m)
+        if not calls:  # a constant or a literal
+            continue
+        memo = calls[0][0]
+        assert all(c[0] is memo for c in calls)
+        assert all(mm is not memo for mm in memos)
+        memos.append(memo)
+        misses = [key for _, key, hit in calls if not hit]
+        assert len(misses) == len(set(misses)) == len(memo)
+        hits += len(calls) - len(misses)
+    assert hits > 100
 
 
 def test_kernels_match_the_reference_on_recipe_cones(monkeypatch):
@@ -644,8 +702,9 @@ def test_kernels_match_the_reference_on_recipe_cones(monkeypatch):
     monkeypatch.undo()
     wide = [(tt, m) for tt, m in seen if m >= 10]
     assert {10, 12} <= {m for _, m in wide}
+    memo = {}
     for tt, m in wide:
-        _check_kernels(tt, m)
+        _check_kernels(tt, m, memo)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -693,9 +752,10 @@ def test_capped_trial_agrees_wherever_the_gain_is_not_negative(monkeypatch):
 #
 # _Work.support used to walk each queried node's whole fanin, _greedy_cone
 # to build the next leaf set of every candidate, enumerate_cuts to merge
-# sorted tuples through sets, and trial and commit to walk a copy of the
-# factored tree with literals in its leaves and 'or' spelled as
-# not(and(not, not)).  Those versions are kept here as the reference.
+# sorted tuples through sets, cone_tt to build two lists per node it
+# walked, and trial and commit to walk a copy of the factored tree with
+# literals in its leaves and 'or' spelled as not(and(not, not)).  Those
+# versions are kept here as the reference.
 
 def _ref_support(w, node):
     out, seen, stack = 0, set(), [node]
@@ -818,6 +878,58 @@ def _ref_build(w, t):
     return w.and2(_ref_build(w, t[1]), _ref_build(w, t[2]))
 
 
+def _ref_cone_tt(w, root, leaves, max_steps=512):
+    m = len(leaves)
+    mask = (1 << (1 << m)) - 1
+    val = {0: mask}
+    for j, leaf in enumerate(leaves):
+        val[leaf] = tt_var(j, m)
+    if root in val:
+        return val[root]
+    stack = [root]
+    steps = 0
+    while stack:
+        nd = stack[-1]
+        if nd in val:
+            stack.pop()
+            continue
+        if nd < w.first_and or w.dead[nd]:
+            return None
+        steps += 1
+        if steps > max_steps:
+            return None
+        f0, f1 = w.fan0[nd], w.fan1[nd]
+        deps = [u for u in (f0 >> 1, f1 >> 1) if u not in val]
+        bad = [u for u in deps if u < w.first_and]
+        if bad:
+            return None
+        if deps:
+            stack.extend(deps)
+            continue
+        a = val[f0 >> 1] ^ (mask if f0 & 1 else 0)
+        b = val[f1 >> 1] ^ (mask if f1 & 1 else 0)
+        val[nd] = a & b
+        stack.pop()
+    return val[root]
+
+
+def _first_cap(w, root, leaves):
+    """The smallest max_steps at which the reference gives a table, or
+    None when it gives none at any cap."""
+    if _ref_cone_tt(w, root, leaves, math.inf) is None:
+        return None
+    lo, hi = 0, 1
+    while _ref_cone_tt(w, root, leaves, hi) is None:
+        lo, hi = hi, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _ref_cone_tt(w, root, leaves, mid) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _loop_corpus():
     return ([array_multiplier(6), rarity_netlist(0, pis_per_branch=5)]
             + [random_netlist(s, n_pis=9, n_gates=70) for s in (11, 23, 35)])
@@ -891,6 +1003,75 @@ def test_cuts_and_cones_match_the_set_building_reference(monkeypatch):
                 assert (plain(w, node, cap)
                         == _ref_greedy_cone(w, node, cap)), (fan0, fan1, node)
     assert twice > 100
+
+
+def test_cone_tt_matches_the_list_building_reference(monkeypatch):
+    # every cone the passes ask for, cuts gone stale after commits and
+    # fraig's uncapped proofs included
+    plain = _Work.cone_tt
+    seen = {"tt": 0, "none": 0}
+
+    def checked(self, root, leaves, max_steps=512):
+        got = plain(self, root, leaves, max_steps)
+        assert got == _ref_cone_tt(self, root, leaves, max_steps)
+        seen["none" if got is None else "tt"] += 1
+        return got
+
+    monkeypatch.setattr(_Work, "cone_tt", checked)
+    for n in _loop_corpus()[:3]:
+        g = strash(to_aig(n))
+        for fn in (rewrite, refactor, resubstitute, fraig):
+            fn(g, seed=1)
+    monkeypatch.undo()
+    assert seen["tt"] > 1000 and seen["none"] > 10
+
+
+def test_cone_tt_stops_where_the_reference_stops():
+    # random fan-in arrays with dead nodes, fanins on the constant and on
+    # one node twice, and leaf sets a cone escapes through a PI; at every
+    # cap up to the first that gives a table, and past it
+    import random
+    from types import SimpleNamespace
+    rng = random.Random(8)
+    kinds = {"escapes": 0, "capped": 0}
+    for _ in range(120):
+        first = 1 + rng.randrange(1, 6)
+        fan0, fan1 = [0] * first, [0] * first
+        for v in range(first, first + rng.randrange(1, 30)):
+            fan0.append(rng.randrange(2 * v))
+            fan1.append(rng.randrange(2 * v))
+        n = len(fan0)
+        w = SimpleNamespace(fan0=fan0, fan1=fan1, first_and=first,
+                            dead=[v >= first and rng.random() < 0.1
+                                  for v in range(n)])
+        for _ in range(8):
+            root = rng.randrange(1, n)
+            if rng.random() < 0.5:
+                leaves = tuple(range(1, first))
+            else:
+                leaves = tuple(sorted(rng.sample(range(1, n),
+                                                 rng.randrange(min(6, n - 1)))))
+            cap = _first_cap(w, root, leaves)
+            if cap is None:
+                kinds["escapes"] += 1
+            elif cap > 0:
+                kinds["capped"] += 1
+            for steps in range(2 * n + 2):
+                assert (_Work.cone_tt(w, root, leaves, steps)
+                        == _ref_cone_tt(w, root, leaves, steps))
+            assert (_Work.cone_tt(w, root, leaves, math.inf)
+                    == _ref_cone_tt(w, root, leaves, math.inf))
+    assert kinds["escapes"] > 100 and kinds["capped"] > 100
+    # the default cap of 512 steps on the top output of an 8x8 multiplier
+    g = strash(to_aig(array_multiplier(8)))
+    w = _Work(g)
+    root, leaves = g.pos[-2][1] >> 1, tuple(range(1, w.first_and))
+    cap = _first_cap(w, root, leaves)
+    assert cap > 512
+    assert w.cone_tt(root, leaves) is None
+    assert w.cone_tt(root, leaves, cap - 1) is None
+    assert w.cone_tt(root, leaves, cap) == _ref_cone_tt(w, root, leaves, cap)
+    assert w.cone_tt(root, leaves, cap) is not None
 
 
 def test_plans_match_the_literal_tree_reference(monkeypatch):
@@ -1088,6 +1269,58 @@ def test_resub_candidates_come_in_the_reference_order():
                                   False)) == singles
     assert list(_resub_candidates([1, 2, 3], sig, 0b0011, 0b1111,
                                   True)) == singles + [pair]
+
+
+def _ref_resub_candidates(divs, sig, s_node, mask, pairs):
+    for d in divs:
+        if sig[d] == s_node or sig[d] ^ mask == s_node:
+            yield sig[d] != s_node, ("literal", 0, 1), (2 * d,)
+    if not pairs:
+        return
+    for i1, d1 in enumerate(divs):
+        for d2 in divs[i1 + 1:]:
+            for c1, c2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                v = (sig[d1] ^ (mask if c1 else 0)) & (sig[d2] ^ (mask if c2 else 0))
+                if v == s_node or v ^ mask == s_node:
+                    yield (v != s_node, ("and", ("literal", 0, 1 - c1),
+                                         ("literal", 1, 1 - c2)),
+                           (2 * d1, 2 * d2))
+                    break
+
+
+def test_resub_candidates_match_the_unscreened_reference():
+    # seeded 128-bit signatures over four random signals: divisors that
+    # are ANDs of them, or repeat an earlier divisor's signature in either
+    # phase; nodes of signature 0, all ones, a divisor's, an AND of two
+    # divisors' and a random one
+    import random
+    from htforge.restructure import _resub_candidates
+    rng = random.Random(12)
+    mask = (1 << 128) - 1
+    phases = (0, mask)
+    found = {"single": 0, "pair": 0}
+    for _ in range(300):
+        base = [rng.getrandbits(128) for _ in range(4)]
+        sig = [0]
+        for _ in range(rng.randrange(2, 16)):
+            if len(sig) > 1 and rng.random() < 0.3:
+                sig.append(rng.choice(sig[1:]) ^ rng.choice(phases))
+            else:
+                a, b = rng.sample(base, 2)
+                sig.append(((a ^ rng.choice(phases)) & (b ^ rng.choice(phases)))
+                           ^ rng.choice(phases))
+        divs = list(range(1, len(sig)))
+        d1, d2 = rng.sample(divs, 2)
+        pair = (sig[d1] ^ rng.choice(phases)) & (sig[d2] ^ rng.choice(phases))
+        for s_node in (0, mask, sig[rng.choice(divs)], pair, pair ^ mask,
+                       rng.getrandbits(128)):
+            for pairs in (False, True):
+                got = list(_resub_candidates(divs, sig, s_node, mask, pairs))
+                assert got == list(_ref_resub_candidates(divs, sig, s_node,
+                                                         mask, pairs))
+                for plan in got:
+                    found["single" if len(plan[2]) == 1 else "pair"] += 1
+    assert found["single"] > 300 and found["pair"] > 1000
 
 
 def test_resub_matches_the_two_loop_reference(monkeypatch):
