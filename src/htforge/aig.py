@@ -247,18 +247,6 @@ def aig_simulate(g: AigGraph, pi_words, width):
     return sigs
 
 
-def po_signatures(g: AigGraph, sigs, width):
-    mask = (1 << width) - 1
-    return [(sigs[l >> 1] ^ (mask if l & 1 else 0)) for _, l in g.pos]
-
-
-def exhaustive_signatures(g: AigGraph):
-    """Node signatures over all 2^n_pis input rows (PI k toggles with
-    period 2^k).  Only sensible for small PI counts."""
-    m = g.n_pis
-    return aig_simulate(g, [tt_var(k, m) for k in range(m)], 1 << m)
-
-
 # ---------------------------------------------------------------------------
 # cut enumeration
 

@@ -126,8 +126,9 @@ def exact_signal_prob(n: Netlist) -> NetStats:
 def _ones_fraction(n, vectors, seed):
     """Per-net share of ones over stimuli(n.inputs, vectors, seed)."""
     ones = {net: 0 for net in n.nets}
+    sweep = {} if vectors is None else None
     for patterns, width in stimuli(n.inputs, vectors, seed, chunk_bits=16):
-        for net, v in simulate_packed(n, patterns, width).items():
+        for net, v in simulate_packed(n, patterns, width, sweep=sweep).items():
             ones[net] += v.bit_count()
     total = 1 << len(n.inputs) if vectors is None else vectors
     return NetStats({net: c / total for net, c in ones.items()})

@@ -60,14 +60,16 @@ def _first_divergence(a: Netlist, b: Netlist, cfg: CheckConfig, trigger=None):
     if len(a.inputs) <= cfg.exhaustive_bound:
         mode, total = "exhaustive", 1 << len(a.inputs)
         chunks = stimuli(a.inputs)  # 2^16 assignments per chunk
+        sweep_a, sweep_b = {}, {}   # each side's prologue runs once
     else:
         mode, total = "sampled", cfg.sample_vectors
         chunks = stimuli(a.inputs, cfg.sample_vectors, cfg.seed)
+        sweep_a = sweep_b = None
     keep_a = frozenset(a.outputs)
     keep_b = keep_a.union(net for net, _ in trigger or ())
     for patterns, width in chunks:
-        va = simulate_packed(a, patterns, width, keep=keep_a)
-        vb = simulate_packed(b, patterns, width, keep=keep_b)
+        va = simulate_packed(a, patterns, width, keep=keep_a, sweep=sweep_a)
+        vb = simulate_packed(b, patterns, width, keep=keep_b, sweep=sweep_b)
         diff = 0
         for po in a.outputs:
             diff |= va[po] ^ vb[po]

@@ -18,7 +18,7 @@ import reprlib
 import string
 from dataclasses import dataclass
 from functools import cached_property
-from operator import and_, or_, xor
+from operator import and_, is_, or_, xor
 from typing import NamedTuple
 
 GATE_KINDS = ("BUF", "NOT", "AND", "OR", "XOR", "NAND", "NOR", "XNOR")
@@ -32,6 +32,8 @@ _BEHAVIORAL_KEYWORDS = {
 }
 
 _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*\Z")
+
+CHUNK_VARS = 16  # PIs an exhaustive stimuli() chunk enumerates within it
 
 
 class NetlistError(Exception):
@@ -243,19 +245,25 @@ GATE_OPS = {"BUF": (None, 0), "NOT": (None, 1), "AND": (and_, 0),
 
 
 def _lower(n: Netlist, keep):
-    """Lower ``n`` into ``(registers, steps, kept)`` for simulate_packed.
+    """Lower ``n`` into ``(size, steps, cut, kept, loads)`` for simulate_packed.
 
     Registers hold packed values: register 0 is constant 0, register 1 the
-    all-ones mask, then the PIs in order.  Only the gates in the fanin of
-    the kept nets (every net when ``keep`` is None) get steps, one
-    ``op, out, a, b`` per input pair, in topological order, all in one flat
-    tuple (a third of the memory of a tuple per step).  Each gate
+    all-ones mask, then the PIs in order; ``size`` counts them.  Only the
+    gates in the fanin of the kept nets (every net when ``keep`` is None)
+    get steps, one ``op, out, a, b`` per input pair, all in one flat tuple
+    (a third of the memory of a tuple per step).  The steps come as a
+    prologue, the gates whose fanin reads no PI past the first CHUNK_VARS
+    (the PIs an exhaustive stimuli() chunk varies), then the rest, each in
+    topological order; the rest starts at ``steps[cut]``.  Each gate
     output takes a free register; a net outside ``keep`` frees its
-    register after its last read, so few wide values are live at once.
-    An n-ary gate folds in its own output register, taken before its
-    inputs are freed; complements xor with register 1 and a single input
-    is copied by an xor with register 0.  ``kept`` pairs each kept net, in
-    ``n.nets`` order, with its register.
+    register after its last read, so few wide values are live at once,
+    but a prologue net or PI that the rest reads never frees it, so the
+    rest can run again on new values of the later PIs alone.  ``loads``
+    lists the registers of the later PIs that a rerun must set (the ones
+    read or kept).  An n-ary gate folds in its own output register, taken
+    before its inputs are freed; complements xor with register 1 and a
+    single input is copied by an xor with register 0.  ``kept`` pairs each
+    kept net, in ``n.nets`` order, with its register.
     """
     if len(set(n.inputs)) != len(n.inputs):
         raise NetlistError("simulate_packed needs distinct primary inputs")
@@ -280,34 +288,52 @@ def _lower(n: Netlist, keep):
     reg.update((p, k) for k, p in enumerate(n.inputs, 2))
     free = [reg[p] for p in reversed(n.inputs)
             if p not in keep and p not in last_reader]
+    loads = tuple([reg[p] for p in n.inputs[CHUNK_VARS:]
+                   if p in keep or p in last_reader])
+    prologue, rest = gates, ()
+    if len(n.inputs) > CHUNK_VARS:
+        late = set(n.inputs[CHUNK_VARS:])   # later PIs and the nets they reach
+        prologue, rest = [], []
+        for g in gates:
+            if late.isdisjoint(g.inputs):
+                prologue.append(g)
+            else:
+                rest.append(g)
+                late.add(g.output)
+                for i in g.inputs:
+                    if i not in late:
+                        last_reader.pop(i, None)   # read again on every rerun
     size = len(reg)
     steps = []
-    for g in gates:
-        op, inv = GATE_OPS[g.kind]
-        ins = [reg[i] for i in g.inputs]
-        if free:
-            out = free.pop()
-        else:
-            out, size = size, size + 1
-        reg[g.output] = out
-        if op is None or len(ins) == 1:
-            steps += xor, out, ins[0], inv
-        else:
-            steps += op, out, ins[0], ins[1]
-            for b in ins[2:]:
-                steps += op, out, out, b
-            if inv:
-                steps += xor, out, out, 1
-        if last_reader:
-            for i in g.inputs:
-                if last_reader.get(i) is g:
-                    del last_reader[i]
-                    free.append(reg[i])
+    for part in (prologue, rest):
+        cut = len(steps)   # left where the rest starts
+        for g in part:
+            op, inv = GATE_OPS[g.kind]
+            ins = [reg[i] for i in g.inputs]
+            if free:
+                out = free.pop()
+            else:
+                out, size = size, size + 1
+            reg[g.output] = out
+            if op is None or len(ins) == 1:
+                steps += xor, out, ins[0], inv
+            else:
+                steps += op, out, ins[0], ins[1]
+                for b in ins[2:]:
+                    steps += op, out, out, b
+                if inv:
+                    steps += xor, out, out, 1
+            if last_reader:
+                for i in g.inputs:
+                    if last_reader.get(i) is g:
+                        del last_reader[i]
+                        free.append(reg[i])
     kept = tuple([(net, reg[net]) for net in n.nets if net in keep])
-    return size, tuple(steps), kept
+    return size, tuple(steps), cut, kept, loads
 
 
-def simulate_packed(n: Netlist, patterns: dict, width: int, keep=None) -> dict:
+def simulate_packed(n: Netlist, patterns: dict, width: int, keep=None,
+                    sweep=None) -> dict:
     """Bit-parallel simulation: each net carries ``width`` stimuli packed in an int.
 
     Returns ``{net: value}`` for the nets in ``keep``, or for every net when
@@ -315,14 +341,38 @@ def simulate_packed(n: Netlist, patterns: dict, width: int, keep=None) -> dict:
     net nobody keeps gives its register up after its last read.  The
     program for each keep set is built on first use, then cached on the
     netlist; pass the same frozenset on every call to look it up cheaply.
+
+    ``sweep`` is a dict that one caller creates for one exhaustive sweep
+    over ``n`` and drops afterwards.  It holds the registers of the last
+    call, and a call with the same keep set whose first CHUNK_VARS PI
+    words are the same objects, at the same width, as the ones the
+    prologue last ran on skips the prologue (see _lower).  A program
+    with no steps past the prologue keeps nothing there.  A PI missing
+    from ``patterns`` raises NetlistError.
     """
-    size, steps, kept = n._program(None if keep is None else frozenset(keep))
+    prog = n._program(None if keep is None else frozenset(keep))
+    size, steps, cut, kept, loads = prog
+    try:
+        words = [patterns[p] for p in n.inputs]
+    except KeyError:
+        missing = [p for p in n.inputs if p not in patterns]
+        raise NetlistError(f"patterns missing primary inputs: {missing}") from None
     mask = (1 << width) - 1
-    v = [0] * size
-    v[1] = mask
-    for k, p in enumerate(n.inputs, 2):
-        v[k] = patterns[p] & mask
-    it = iter(steps)
+    low = words[:CHUNK_VARS]
+    if (sweep and sweep["prog"] is prog and sweep["width"] == width
+            and all(map(is_, low, sweep["low"]))):
+        v = sweep["regs"]
+        for k in loads:
+            v[k] = words[k - 2] & mask
+        it = itertools.islice(steps, cut, None)
+    else:
+        v = [0] * size
+        v[1] = mask
+        for k, w in enumerate(words, 2):
+            v[k] = w & mask
+        it = iter(steps)
+        if sweep is not None and cut < len(steps):   # else one chunk is all
+            sweep.update(prog=prog, width=width, low=low, regs=v)
     for f, o, a, b in zip(it, it, it, it):
         v[o] = f(v[a], v[b])
     return {net: v[r] for net, r in kept}
@@ -333,7 +383,7 @@ def simulate3(n: Netlist, partial: dict) -> dict:
     from ``partial`` leave it open.  Runs the all-nets lowered program on
     (can-be-1, can-be-0) bit pairs; no correlation is kept, so ``a & ~a``
     with ``a`` open is open."""
-    size, steps, kept = n._program()
+    size, steps, _, kept, _ = n._program()
     given = [0, 1] + [partial.get(p) for p in n.inputs]
     given += [None] * (size - len(given))
     one = [int(x != 0) for x in given]    # can be 1
@@ -386,7 +436,7 @@ def stimuli(pis, vectors=None, seed=0, chunk_bits=None):
     way, decode(patterns, bit) is the assignment of one bit.
     """
     if chunk_bits is None:
-        chunk_bits = 16 if vectors is None else 14
+        chunk_bits = CHUNK_VARS if vectors is None else 14
     if vectors is None:
         chunk_vars = min(len(pis), chunk_bits)
         width = 1 << chunk_vars

@@ -74,18 +74,6 @@ class TrojanRecord:
             "seed": self.seed,
         }
 
-    @staticmethod
-    def from_json_dict(d):
-        return TrojanRecord(
-            trigger=tuple((net, pol) for net, pol in d["trigger"]),
-            trigger_net=d["trigger_net"], victim=d["victim"],
-            victim_pre=d["victim_pre"], payload_gate=d["payload_gate"],
-            witness=dict(d["witness"]) if d["witness"] else None,
-            added_gates=tuple(tuple(g[:2]) + (tuple(g[2]), g[3])
-                              for g in d["added_gates"]),
-            q=d["q"], rare_count=d["rare_count"], metric=d["metric"],
-            threshold=d["threshold"], seed=d["seed"])
-
 
 # ---------------------------------------------------------------------------
 # cone utilities
@@ -161,8 +149,9 @@ def _search_exhaustive(cone, trigger, limit):
     activating assignments over the cone PIs."""
     found = []
     keep = frozenset(net for net, _ in trigger)
+    sweep = {}
     for patterns, width in stimuli(cone.inputs):
-        vals = simulate_packed(cone, patterns, width, keep=keep)
+        vals = simulate_packed(cone, patterns, width, keep=keep, sweep=sweep)
         found += _activations(patterns, trigger_word(vals, trigger, width),
                               limit - len(found))
         if len(found) >= limit:

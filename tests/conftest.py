@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from htforge.netlist import CONST0, CONST1, Gate, Netlist, parse_netlist
+from htforge.aig import AigGraph, aig_simulate
+from htforge.netlist import CONST0, CONST1, Gate, Netlist, parse_netlist, tt_var
+from htforge.trojan import TrojanRecord
 
 FULL_ADDER = """
 module full_adder (a, b, cin, sum, cout);
@@ -225,3 +227,29 @@ def truth_signature(n):
         for o in n.outputs:
             sig[o] |= vals[o] << row
     return tuple(sig[o] for o in n.outputs)
+
+
+def po_signatures(g: AigGraph, sigs, width):
+    """Per-PO packed values, given the node signatures ``sigs``."""
+    mask = (1 << width) - 1
+    return [(sigs[l >> 1] ^ (mask if l & 1 else 0)) for _, l in g.pos]
+
+
+def exhaustive_signatures(g: AigGraph):
+    """Node signatures over all 2^n_pis input rows (PI k toggles with
+    period 2^k).  Only sensible for small PI counts."""
+    m = g.n_pis
+    return aig_simulate(g, [tt_var(k, m) for k in range(m)], 1 << m)
+
+
+def record_from_json_dict(d):
+    """The TrojanRecord that ``TrojanRecord.to_json_dict`` wrote as ``d``."""
+    return TrojanRecord(
+        trigger=tuple((net, pol) for net, pol in d["trigger"]),
+        trigger_net=d["trigger_net"], victim=d["victim"],
+        victim_pre=d["victim_pre"], payload_gate=d["payload_gate"],
+        witness=dict(d["witness"]) if d["witness"] else None,
+        added_gates=tuple(tuple(g[:2]) + (tuple(g[2]), g[3])
+                          for g in d["added_gates"]),
+        q=d["q"], rare_count=d["rare_count"], metric=d["metric"],
+        threshold=d["threshold"], seed=d["seed"])

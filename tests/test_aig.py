@@ -7,11 +7,9 @@ from htforge.aig import (
     AigBuilder,
     aig_simulate,
     enumerate_cuts,
-    exhaustive_signatures,
     export_aiger,
     from_aig,
     lit,
-    po_signatures,
     strash,
     strip_unreachable,
     to_aig,
@@ -20,7 +18,8 @@ from htforge.aig import (
 from htforge.netlist import Gate, Netlist, parse_netlist, simulate
 from htforge.restructure import _Work
 
-from conftest import all_stimuli, random_netlist, truth_signature
+from conftest import (all_stimuli, exhaustive_signatures, po_signatures,
+                      random_netlist, truth_signature)
 
 
 def _netlist(src):

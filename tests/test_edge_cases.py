@@ -1,25 +1,27 @@
+import gc
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import htforge
 from htforge.aig import (
-    exhaustive_signatures,
     lit,
     lit_not,
-    po_signatures,
     strash,
     to_aig,
 )
+from htforge.analysis import exact_signal_prob
 from htforge.equiv import CheckConfig, check_equivalence
 from htforge.netlist import Gate, Netlist, parse_netlist, stimuli
 from htforge.restructure import RECIPES, _Work, apply_recipe
 from htforge.trojan import TrojanRecord, _cone_netlist, find_trigger_witness
 
-from conftest import random_netlist, truth_signature
+from conftest import (exhaustive_signatures, po_signatures, random_netlist,
+                      rarity_netlist, truth_signature)
 
 
 @pytest.mark.parametrize("chunk_bits", [12, 14, 16])
@@ -56,6 +58,43 @@ def test_equivalence_check_spans_multiple_chunks(chunk_bits, monkeypatch):
     monkeypatch.setattr(htforge.trojan, "stimuli", chunked)
     assert find_trigger_witness(other, rec) == want
     assert {p for p, bit in want.items() if bit} == {"i0", "i3", "i15", "i17"}
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through gc.get_referents, not
+    descending into types, modules or functions."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType,
+                                               types.FunctionType,
+                                               types.BuiltinFunctionType)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        stack.extend(gc.get_referents(obj))
+
+
+def test_no_chunk_wide_value_outlives_a_sweep():
+    # an exhaustive sweep keeps its registers in state that it drops when it
+    # ends; the netlist keeps only its lowered program, which holds no value
+    n = rarity_netlist(7)
+    other = Netlist(n.name, n.inputs, n.outputs, n.gates)
+    assert len(n.inputs) == 24
+    assert check_equivalence(n, other).equivalent
+    trigger = tuple((f"b{b}{w}", 1) for b in range(4) for w in ("c0", "w21"))
+    rec = TrojanRecord(trigger=trigger, trigger_net="t", victim="",
+                       victim_pre="", payload_gate="", witness=None,
+                       added_gates=())
+    assert len(_cone_netlist(n, [net for net, _ in trigger]).inputs) == 24
+    assert find_trigger_witness(n, rec) == dict.fromkeys(n.inputs, 1)
+    exact_signal_prob(n)
+    assert list(n._lowered) == [None]
+    assert list(other._lowered) == [frozenset(n.outputs)]
+    for net in (n, other):
+        wide = [obj.bit_length() for obj in _reachable(net)
+                if isinstance(obj, int) and obj.bit_length() > 64]
+        assert not wide, wide
 
 
 def test_recipe_on_buf_passthrough():

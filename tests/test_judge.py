@@ -17,9 +17,9 @@ from htforge.judge import (
     score_submission,
 )
 from htforge.netlist import parse_netlist, simulate
-from htforge.trojan import TrojanRecord
 
-from conftest import C17, FULL_ADDER, random_netlist, rarity_netlist
+from conftest import (C17, FULL_ADDER, random_netlist, rarity_netlist,
+                      record_from_json_dict)
 
 
 def _small_cfg(rate=0.5, seed=7, nb=3):
@@ -106,7 +106,7 @@ def test_forge_rate_one_witnesses_reverify():
     by_name = dict(cfg.golden)
     for eid, entry in key.entries.items():
         assert entry["k"] == 1
-        rec = TrojanRecord.from_json_dict(entry["trojan"])
+        rec = record_from_json_dict(entry["trojan"])
         golden = by_name[entry["golden"]]
         variant = parse_netlist(texts[eid])
         vg = simulate(golden, rec.witness)

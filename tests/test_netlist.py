@@ -33,7 +33,8 @@ from htforge.netlist import (
     write_netlist,
 )
 
-from conftest import C17, FULL_ADDER, all_stimuli, brute_eval, random_netlist
+from conftest import (C17, FULL_ADDER, all_stimuli, brute_eval, random_netlist,
+                      rarity_netlist)
 
 
 def test_parse_two_gate_module():
@@ -795,6 +796,68 @@ def test_simulate_packed_rejects_duplicate_inputs():
     n = Netlist("ok", ("a", "b"), ("y",), (Gate("AND", "y", ("a", "b")),))
     with pytest.raises(NetlistError, match="undriven nets"):
         simulate_packed(n, {"a": 1, "b": 1}, 1, keep=["y", "z"])
+    with pytest.raises(NetlistError, match=r"missing primary inputs: \['b'\]"):
+        simulate_packed(n, {"a": 1}, 1)
+
+
+_SPLIT_NETLISTS = {"rand17": lambda: random_netlist(71, n_pis=17, n_gates=90),
+                   "rar20": lambda: rarity_netlist(72, pis_per_branch=5),
+                   "rand24": lambda: random_netlist(73, n_pis=24, n_gates=120)}
+
+
+@pytest.mark.parametrize("chunk_bits", [12, 14, 16])
+@pytest.mark.parametrize("name", sorted(_SPLIT_NETLISTS))
+def test_sweep_state_matches_stateless_simulation_on_every_chunk(name,
+                                                                 chunk_bits):
+    # the prologue reads only the first 16 PIs; with 2^12 or 2^14 chunks
+    # some of those PIs change from chunk to chunk, so the sweep state must
+    # notice and rerun it
+    n = _SPLIT_NETLISTS[name]()
+    inner = [g.output for g in n.gates[3::len(n.gates) // 3]]
+    keeps = [frozenset(n.outputs),
+             frozenset(n.outputs + (n.inputs[0], n.inputs[-1], *inner)),
+             None]
+    for keep in keeps:
+        sweep = {}
+        chunks = 0
+        for patterns, width in stimuli(n.inputs, chunk_bits=chunk_bits):
+            want = simulate_packed(n, patterns, width, keep=keep)
+            got = simulate_packed(n, patterns, width, keep=keep, sweep=sweep)
+            assert got == want, (keep, chunks)
+            chunks += 1
+        assert chunks == 1 << (len(n.inputs) - chunk_bits)
+
+
+def test_sweep_state_reruns_the_prologue_on_a_new_word_or_width():
+    n = random_netlist(73, n_pis=24, n_gates=120)
+    keep = frozenset(n.outputs)
+    rng = random.Random(5)
+    w = 1 << 12
+    pats = {p: rng.getrandbits(w) for p in n.inputs}
+    sweep = {}
+
+    def both(pats, width, keep=keep):
+        got = simulate_packed(n, pats, width, keep=keep, sweep=sweep)
+        assert got == simulate_packed(n, pats, width, keep=keep)
+        return got
+
+    both(pats, w)
+    regs = sweep["regs"]
+    later = dict(pats, i20=~pats["i20"])   # a PI past the first 16
+    assert both(later, w) != both(pats, w)
+    assert sweep["regs"] is regs   # the prologue was skipped
+    early = dict(pats, i3=~pats["i3"])     # one of the first 16 PIs
+    assert both(early, w) != both(pats, w)
+    assert sweep["regs"] is not regs
+    regs = sweep["regs"]
+    both(pats, w // 2)   # the same words at another width
+    assert sweep["regs"] is not regs
+    regs = sweep["regs"]
+    both(dict(pats, i3=pats["i3"] ^ 1 ^ 1), w // 2)   # an equal copy
+    assert sweep["regs"] is not regs
+    regs = sweep["regs"]
+    both(pats, w // 2, keep=None)   # another program
+    assert sweep["regs"] is not regs
 
 
 def test_simulate3_is_exact_when_complete_and_sound_when_partial():

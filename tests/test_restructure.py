@@ -11,9 +11,7 @@ from htforge.aig import (
     AigBuilder,
     and_key,
     enumerate_cuts,
-    exhaustive_signatures,
     from_aig,
-    po_signatures,
     strash,
     to_aig,
     tt_var,
@@ -37,7 +35,8 @@ from htforge.restructure import (
     rewrite,
 )
 
-from conftest import array_multiplier, random_netlist, rarity_netlist, truth_signature
+from conftest import (array_multiplier, exhaustive_signatures, po_signatures,
+                      random_netlist, rarity_netlist, truth_signature)
 
 
 def _sig(g):

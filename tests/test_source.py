@@ -49,8 +49,8 @@ def test_no_exec_eval_or_compile():
 
 def test_no_process_wide_cache():
     # caches live in an object a caller creates and passes (a pass's synthesis
-    # memo, a netlist's lowered program), so no state outlives the call that
-    # built it
+    # memo, a netlist's lowered program, an exhaustive sweep's registers), so
+    # no state outlives the call that built it
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

@@ -27,7 +27,8 @@ from htforge.trojan import (
     insert_trojan,
 )
 
-from conftest import all_stimuli, random_netlist, rarity_netlist
+from conftest import (all_stimuli, random_netlist, rarity_netlist,
+                      record_from_json_dict)
 
 
 def _wide_and(k=8):
@@ -149,7 +150,7 @@ def test_record_json_round_trip(full_adder):
     spec = TrojanSpec(q=2, rare_count=0, threshold=0.01, seed=5,
                       sample_vectors=4096)
     _, rec = insert_trojan(full_adder, spec)
-    back = TrojanRecord.from_json_dict(rec.to_json_dict())
+    back = record_from_json_dict(rec.to_json_dict())
     assert back == rec
 
 
