@@ -124,12 +124,23 @@ def exact_signal_prob(n: Netlist) -> NetStats:
 
 
 def _ones_fraction(n, vectors, seed):
-    """Per-net share of ones over stimuli(n.inputs, vectors, seed)."""
+    """Per-net share of ones over stimuli(n.inputs, vectors, seed).
+
+    In a sweep a net whose word is the same object as in the last chunk
+    (the prologue's, see simulate_packed) reuses that chunk's count."""
     ones = {net: 0 for net in n.nets}
-    sweep = {} if vectors is None else None
-    for patterns, width in stimuli(n.inputs, vectors, seed, chunk_bits=16):
-        for net, v in simulate_packed(n, patterns, width, sweep=sweep).items():
-            ones[net] += v.bit_count()
+    if vectors is not None:
+        for patterns, width in stimuli(n.inputs, vectors, seed, chunk_bits=16):
+            for net, v in simulate_packed(n, patterns, width).items():
+                ones[net] += v.bit_count()
+    else:
+        sweep, last = {}, {}   # net -> (word, its count) of the last chunk
+        for patterns, width in stimuli(n.inputs, None, seed, chunk_bits=16):
+            for net, v in simulate_packed(n, patterns, width, sweep=sweep).items():
+                hit = last.get(net)
+                if hit is None or hit[0] is not v:
+                    hit = last[net] = (v, v.bit_count())
+                ones[net] += hit[1]
     total = 1 << len(n.inputs) if vectors is None else vectors
     return NetStats({net: c / total for net, c in ones.items()})
 

@@ -3,8 +3,10 @@ the hide-and-seek game simulator.
 
 The 32-entry feature vector is a fixed, versioned layout (see
 FEATURE_NAMES); extraction is a pure function of the netlist.  PCA uses a
-cyclic Jacobi eigensolver on the 32x32 covariance (tolerance 1e-12, at most
-100 sweeps) so results are deterministic and dependency-free.
+cyclic Jacobi eigensolver (tolerance 1e-12, at most 100 sweeps) on the
+covariance of the features that vary, so results are deterministic and
+dependency-free; a zero-variance feature keeps eigenvalue 0 and its unit
+vector, bit for bit as in a solve of the full 32x32 covariance.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from .analysis import scoap, signal_prob
@@ -51,8 +54,8 @@ def extract_features(n: Netlist) -> tuple:
     gate_depths = [depths[g.output] for g in n.gates]
     vec += [float(max(gate_depths, default=0)),
             float(sum(gate_depths) / len(gate_depths)) if gate_depths else 0.0]
-    loads = n.loads
-    fanouts = [len(loads[net]) for net in nets]
+    reads = Counter(i for g in n.gates for i in g.inputs)
+    fanouts = list(map(reads.__getitem__, nets))
     vec += [float(max(fanouts, default=0)),
             float(sum(fanouts) / len(fanouts)) if fanouts else 0.0]
     stats = signal_prob(n, _FEATURE_SAMPLES, _FEATURE_SEED)
@@ -138,15 +141,25 @@ def pca_fit(rows, n_components: int) -> PcaModel:
         raise ValueError("feature values must be finite")
     _check(n_components, "n_components", "int", choices=range(1, min(r, d + 1)))
     mean = tuple(sum(col) / r for col in zip(*x))
+    # a feature whose centred column is all zero has an all-zero covariance
+    # row and column, which no Jacobi rotation changes: it keeps eigenvalue
+    # 0.0 and its unit vector, so only the features that vary are solved
     cols = [[v - m for v in col] for col, m in zip(zip(*x), mean)]
-    cov = [[sum(u * w for u, w in zip(ci, cj)) / (r - 1) for cj in cols]
-           for ci in cols]
-    if max(abs(v) for row in cov for v in row) == 0.0:
+    live = [i for i, col in enumerate(cols) if any(col)]
+    cov = [[sum(u * w for u, w in zip(cols[i], cols[j])) / (r - 1)
+            for j in live] for i in live]
+    if max((abs(v) for row in cov for v in row), default=0.0) == 0.0:
         warnings.warn("degenerate input: all rows identical, zero variance")
         comps = tuple(tuple(float(i == k) for i in range(d))
                       for k in range(n_components))
         return PcaModel(mean, comps, (0.0,) * n_components)
-    eigvals, eigvecs = jacobi_eigh(cov)
+    vals, vecs = jacobi_eigh(cov)
+    eigvals = [0.0] * d
+    eigvecs = [[float(i == k) for k in range(d)] for i in range(d)]
+    for j, k in enumerate(live):
+        eigvals[k] = vals[j]
+        for i, vec in zip(live, vecs):
+            eigvecs[i][k] = vec[j]
     order = sorted(range(d), key=lambda k: -eigvals[k])[:n_components]
     comps = []
     for k in order:
@@ -170,35 +183,35 @@ def pca_project(model: PcaModel, rows) -> list:
     return out
 
 
-def scatter_svg(coords, infected_flags, axis_x=0, axis_y=1, size=480) -> str:
-    """Minimal SVG scatter: '+' markers for infected rows, '-' for clean."""
-    xs = [row[axis_x] for row in coords]
-    ys = [row[axis_y] for row in coords]
-    span = max(max(map(abs, xs)), max(map(abs, ys)), 1e-9)
+def scatter_svg(coords, infected_flags, panels=((0, 1),), size=480) -> str:
+    """Minimal SVG scatter: one size x size panel per (x axis, y axis) pair
+    in ``panels``, side by side in one root element, with '+' markers for
+    infected rows and '−' for clean ones."""
     pad = 30
-
-    def sx(v):
-        return pad + (v / span + 1.0) * (size - 2 * pad) / 2.0
-
-    def sy(v):
-        return size - pad - (v / span + 1.0) * (size - 2 * pad) / 2.0
-
-    rows = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-            f'height="{size}" viewBox="0 0 {size} {size}">',
-            f'<rect width="{size}" height="{size}" fill="white"/>',
-            f'<line x1="{pad}" y1="{size // 2}" x2="{size - pad}" '
-            f'y2="{size // 2}" stroke="#ccc"/>',
-            f'<line x1="{size // 2}" y1="{pad}" x2="{size // 2}" '
-            f'y2="{size - pad}" stroke="#ccc"/>',
-            f'<text x="{size - pad}" y="{size // 2 - 6}" font-size="11" '
-            f'text-anchor="end">PC{axis_x + 1}</text>',
-            f'<text x="{size // 2 + 6}" y="{pad}" font-size="11">'
-            f'PC{axis_y + 1}</text>']
-    for (x, y, infected) in zip(xs, ys, infected_flags):
-        mark = "+" if infected else "−"
-        color = "#c0392b" if infected else "#2471a3"
-        rows.append(f'<text x="{sx(x):.1f}" y="{sy(y):.1f}" fill="{color}" '
-                    f'font-size="13" text-anchor="middle">{mark}</text>')
+    width = size * len(panels)
+    rows = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{size}" viewBox="0 0 {width} {size}">',
+            f'<rect width="{width}" height="{size}" fill="white"/>']
+    for left, (axis_x, axis_y) in zip(range(0, width, size), panels):
+        xs = [row[axis_x] for row in coords]
+        ys = [row[axis_y] for row in coords]
+        span = max(max(map(abs, xs)), max(map(abs, ys)), 1e-9)
+        mid = left + size // 2
+        rows += [f'<line x1="{left + pad}" y1="{size // 2}" '
+                 f'x2="{left + size - pad}" y2="{size // 2}" stroke="#ccc"/>',
+                 f'<line x1="{mid}" y1="{pad}" x2="{mid}" '
+                 f'y2="{size - pad}" stroke="#ccc"/>',
+                 f'<text x="{left + size - pad}" y="{size // 2 - 6}" '
+                 f'font-size="11" text-anchor="end">PC{axis_x + 1}</text>',
+                 f'<text x="{mid + 6}" y="{pad}" font-size="11">'
+                 f'PC{axis_y + 1}</text>']
+        for x, y, infected in zip(xs, ys, infected_flags):
+            mark = "+" if infected else "−"
+            color = "#c0392b" if infected else "#2471a3"
+            px = left + pad + (x / span + 1.0) * (size - 2 * pad) / 2.0
+            py = size - pad - (y / span + 1.0) * (size - 2 * pad) / 2.0
+            rows.append(f'<text x="{px:.1f}" y="{py:.1f}" fill="{color}" '
+                        f'font-size="13" text-anchor="middle">{mark}</text>')
     rows.append("</svg>")
     return "\n".join(rows) + "\n"
 

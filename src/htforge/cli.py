@@ -303,11 +303,9 @@ def _cmd_pca(args):
                 label_map = dict(line.strip().split(",", 1)
                                  for line in f if "," in line)
             flags = [label_map.get(nm, "clean") == "infected" for nm in names]
-        svg = scatter_svg(coords, flags, 0, 1)
-        if args.components >= 4:
-            svg += scatter_svg(coords, flags, 2, 3)
+        panels = ((0, 1), (2, 3)) if args.components >= 4 else ((0, 1),)
         with open(args.svg, "w") as f:
-            f.write(svg)
+            f.write(scatter_svg(coords, flags, panels))
     print("explained variance: "
           + ", ".join(f"{v:.6g}" for v in model.explained_variance))
     return 0

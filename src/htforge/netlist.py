@@ -130,19 +130,6 @@ class Netlist:
         return tuple(dict.fromkeys(seen))
 
     @cached_property
-    def loads(self):
-        """Map net-id -> tuple of gates consuming it."""
-        m = {n: [] for n in self.nets}
-        for g in self.gates:
-            for i in g.inputs:
-                gs = m.get(i)
-                if gs is None:
-                    m[i] = [g]
-                else:
-                    gs.append(g)
-        return {n: tuple(gs) for n, gs in m.items()}
-
-    @cached_property
     def topo_gates(self):
         """Gates in topological order (Kahn).  Raises ValidationError on cycles."""
         by_out = {g.output: g for g in self.gates}
@@ -520,17 +507,19 @@ def validate(n: Netlist) -> list:
 # ---------------------------------------------------------------------------
 # parsing
 
-# One findall pass: whitespace and comments are skipped as a prefix and the
-# token text is captured; the empty match at the end of the source (two of
-# them after trailing whitespace) is EOF.  A token's kind is read off its
-# text by _Parser.kind.
+# One findall pass: blanks, then (comment, blanks) pairs, are skipped as a
+# prefix and the token text is captured; the empty match at the end of the
+# source (two of them after trailing whitespace) is EOF.  Only the catch-all
+# can also start an identifier or (),;, so trying those first changes no
+# token.  A token's kind is read off its text by _Parser.kind.
 _TOKEN_RE = re.compile(
-    r"""(?:\s+|//[^\n]*|/\*.*?\*/)*
-        ( \\\S+                    # escaped identifier
+    r"""\s*(?:(?://[^\n]*|/\*.*?\*/)\s*)*
+        ( [A-Za-z_][A-Za-z0-9_$]*  # identifier
+        | [(),;]                   # common punctuation
+        | \\\S+                    # escaped identifier
         | 1'[bB][01]               # literal
         | \d+                      # number
-        | [A-Za-z_][A-Za-z0-9_$]*  # identifier
-        | .                        # punctuation or any other character
+        | .                        # other punctuation or any other character
         | \Z )
     """,
     re.VERBOSE | re.DOTALL,

@@ -45,6 +45,15 @@ def c17():
     return parse_netlist(C17)
 
 
+@pytest.fixture(scope="session")
+def acceptance_entries():
+    """(entry id, Verilog text) of every circuit of the acceptance set,
+    forged once per session."""
+    from htforge.judge import forge_benchmark
+    from test_acceptance import _acceptance_forge_cfg
+    return forge_benchmark(_acceptance_forge_cfg())[0].entries
+
+
 def random_netlist(seed, n_pis=None, n_gates=None, name=None):
     """Seeded random combinational netlist used as shared test stock."""
     rng = random.Random(seed)

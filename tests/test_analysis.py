@@ -14,9 +14,11 @@ from htforge.analysis import (
     scoap,
     signal_prob,
 )
-from htforge.netlist import CONST0, CONST1, GATE_OPS, Gate, Netlist, parse_netlist
+from htforge.netlist import (CONST0, CONST1, GATE_OPS, Gate, Netlist,
+                             parse_netlist, simulate_packed, stimuli)
 
 from conftest import C17, random_netlist
+from test_netlist import _SPLIT_NETLISTS
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +225,19 @@ def test_exact_signal_prob_pi_bound():
     big = Netlist("big", tuple(f"i{k}" for k in range(25)), n.outputs, n.gates)
     with pytest.raises(ValueError):
         exact_signal_prob(big)
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_NETLISTS))
+def test_exact_signal_prob_equals_the_per_chunk_count(name):
+    # a sweep reuses the count of a word that is the same object as in the
+    # last chunk; counting every word of every chunk must give the same p
+    n = _SPLIT_NETLISTS[name]()
+    ones = dict.fromkeys(n.nets, 0)
+    for patterns, width in stimuli(n.inputs):
+        for net, v in simulate_packed(n, patterns, width).items():
+            ones[net] += v.bit_count()
+    want = {net: c / (1 << len(n.inputs)) for net, c in ones.items()}
+    assert exact_signal_prob(n).p == want
 
 
 def test_sampled_converges_to_exact():

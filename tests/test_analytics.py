@@ -10,6 +10,7 @@ import pytest
 from htforge.analytics import (
     FEATURE_DIM,
     FEATURE_NAMES,
+    PcaModel,
     StrategyProfile,
     expected_seek_length,
     extract_features,
@@ -21,11 +22,9 @@ from htforge.analytics import (
     seek_simulate,
 )
 from htforge.aig import from_aig, strash, to_aig
-from htforge.judge import forge_benchmark
 from htforge.netlist import Gate, Netlist, parse_netlist
 
 from conftest import random_netlist
-from test_acceptance import _acceptance_forge_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +192,9 @@ ACCEPTANCE_FEATURE_DIGEST = (
 
 
 @pytest.fixture(scope="module")
-def acceptance_features():
-    bench, _ = forge_benchmark(_acceptance_forge_cfg())
+def acceptance_features(acceptance_entries):
     return [(eid, extract_features(parse_netlist(text)))
-            for eid, text in bench.entries]
+            for eid, text in acceptance_entries]
 
 
 def test_acceptance_feature_vectors_pinned(acceptance_features):
@@ -258,6 +256,61 @@ def test_pca_on_acceptance_features_matches_numpy(acceptance_features):
     assert np.allclose(model.explained_variance[:2], w[top], rtol=1e-9, atol=0)
     assert np.abs(np.array(model.components[:2])
                   - _signed(vecs[:, top].T)).max() <= 1e-9
+
+
+def _full_matrix_pca(rows, n_components):
+    """pca_fit as a solve of the covariance over every feature, zero-variance
+    ones included: the reference that solving only the features that vary
+    must equal bit for bit."""
+    x = [tuple(map(float, row)) for row in rows]
+    r, d = len(x), len(x[0])
+    mean = tuple(sum(col) / r for col in zip(*x))
+    cols = [[v - m for v in col] for col, m in zip(zip(*x), mean)]
+    cov = [[sum(u * w for u, w in zip(ci, cj)) / (r - 1) for cj in cols]
+           for ci in cols]
+    if max(abs(v) for row in cov for v in row) == 0.0:
+        comps = tuple(tuple(float(i == k) for i in range(d))
+                      for k in range(n_components))
+        return PcaModel(mean, comps, (0.0,) * n_components)
+    eigvals, eigvecs = jacobi_eigh(cov)
+    order = sorted(range(d), key=lambda k: -eigvals[k])[:n_components]
+    comps = []
+    for k in order:
+        row = tuple(eigvecs[i][k] for i in range(d))
+        comps.append(tuple(-v for v in row) if max(row, key=abs) < 0 else row)
+    return PcaModel(mean, tuple(comps),
+                    tuple(max(0.0, eigvals[k]) for k in order))
+
+
+def _rows_with_constant_columns(rng):
+    """Rows of up to 32 features at scales 1e-3 to 1e7, 0-20 of them
+    constant: some exactly zero once centred, some off by a rounding."""
+    d = rng.choice((5, 12, 32))
+    r = rng.randint(3, 24)
+    dead = set(rng.sample(range(d), rng.randint(0, min(20, d - 1))))
+    cols = []
+    for i in range(d):
+        scale = 10.0 ** rng.uniform(-3, 7)
+        if i in dead:
+            v = rng.choice((0.0, -0.0, 1.0, 3.0, 2.0 ** -9, 0.1, rng.random()))
+            cols.append([v * scale] * r)
+        else:
+            cols.append([rng.gauss(0, 1) * scale for _ in range(r)])
+    return [list(row) for row in zip(*cols)]
+
+
+def test_pca_fit_equals_the_full_matrix_solve(acceptance_features):
+    # repr keeps the sign of a zero, so a -0.0 that moves shows
+    cases = [[vec for _, vec in acceptance_features]]
+    rng = random.Random(20)
+    cases += [_rows_with_constant_columns(rng) for _ in range(30)]
+    for rows in cases:
+        for c in sorted({1, 2, min(len(rows) - 1, len(rows[0]))}):
+            assert repr(pca_fit(rows, c)) == repr(_full_matrix_pca(rows, c))
+    for rows in ([[3.0] * 6] * 4, [[0.0, -0.0, 2.0 ** 40, 2.0 ** -30]] * 9):
+        with pytest.warns(UserWarning, match="degenerate"):
+            model = pca_fit(rows, 2)
+        assert repr(model) == repr(_full_matrix_pca(rows, 2))
 
 
 # ---------------------------------------------------------------------------

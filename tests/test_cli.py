@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import random
+from xml.etree import ElementTree
 
 import pytest
 
@@ -479,7 +481,21 @@ def test_features_pca_pipeline(tmp_path, capsys):
     assert run(["pca", csv, "--components", "3", "--coords", coords,
                 "--svg", svg]) == 0
     assert open(coords).readline().strip() == "name,pc1,pc2,pc3"
-    assert "<svg" in open(svg).read()
+    # one root <svg>, with a PC3/PC4 panel beside PC1/PC2 from 4 components
+    # (which needs more than the 4 rows of this set)
+    rng = random.Random(3)
+    wide = tmp_path / "wide.csv"
+    wide.write_text(",".join(header) + "\n" + "".join(
+        f"e{i}," + ",".join(str(rng.random()) for _ in header[1:]) + "\n"
+        for i in range(6)))
+    for components, panels in ((2, 1), (3, 1), (4, 2)):
+        assert run(["pca", str(wide), "--components", str(components),
+                    "--svg", svg]) == 0
+        root = ElementTree.fromstring(open(svg).read())
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        assert int(root.get("width")) == 480 * panels
+        labels = [t.text for t in root if t.text and t.text.startswith("PC")]
+        assert labels == ["PC1", "PC2", "PC3", "PC4"][:2 * panels]
 
 
 def test_space_command(tmp_path, capsys):

@@ -20,6 +20,7 @@ from htforge.netlist import (
     NetlistError,
     ParseError,
     ValidationError,
+    _TOKEN_RE,
     _Parser,
     decode,
     parse_netlist,
@@ -624,6 +625,36 @@ def test_parser_matches_the_reference_on_mutated_texts():
             kinds["validation"] += 1
     # the corpus reaches all three outcomes, not only early header errors
     assert min(kinds.values()) >= 50, kinds
+
+
+# Pieces of the generated tokenizer inputs: comments closed, unclosed and
+# back to back, every kind of blank \s takes (\r, \f, \v, U+00A0, U+3000),
+# escaped identifiers and a lone backslash, whole and broken literals,
+# Unicode digits and letters, $ and NUL.
+_TOKEN_PIECES = (
+    "//", "// c\n", "/*", "*/", "/* c */", "/**/", "/*\n*/", "/* a *//* b */",
+    "// a\n// b\n", " ", "  ", "\t", "\n", "\r\n", "\r", "\f", "\v", "\xa0",
+    "\u3000", "\\", "\\esc", "\\a[1] ", "\\1'b0 ", "1'b", "1'B1", "1'b0",
+    "1'b2", "1", "42", "\u0663", "\uff11", "\u00b2", "\xe9", "\u03a9", "\u4e2d",
+    "$", "\0", "a", "_x$1", "and", "(", ")", ",", ";", "[", "]", ":", "'", "/",
+    "*", "#", ".", "=")
+
+
+def _token_list(pattern, src):
+    return [(m.group(1), m.start(1)) for m in pattern.finditer(src)]
+
+
+def test_tokenizer_matches_the_reference(acceptance_entries):
+    # _TOKEN_RE skips blanks once per token and tries identifiers first;
+    # every token and every offset a ParseError reports must stay as
+    # _REF_TOKEN_RE gives them
+    rng = random.Random(20)
+    corpus = [text for _, text in acceptance_entries]
+    corpus += ["".join(rng.choices(_TOKEN_PIECES, k=rng.randint(0, 14)))
+               for _ in range(20_000)]
+    corpus += [src + "//" for src in corpus[-200:]]   # a line comment at EOF
+    for src in corpus:
+        assert _token_list(_TOKEN_RE, src) == _token_list(_REF_TOKEN_RE, src), src
 
 
 def test_write_round_trip_two_gates():
