@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import and_, or_, xor
 
-from .netlist import (CONST0, CONST1, GATE_OPS, Netlist, _check,
-                      simulate_packed, stimuli)
+from .netlist import (CONST0, CONST1, EXHAUSTIVE_PIS, GATE_OPS, Netlist,
+                      _check, simulate_packed, stimuli)
 
 SCOAP_CAP = 2**31 - 1
 
@@ -117,9 +117,10 @@ def signal_prob(n: Netlist, vectors: int, seed: int = 0) -> NetStats:
 
 
 def exact_signal_prob(n: Netlist) -> NetStats:
-    """Exact probability over all 2^PI vectors (PI count capped at 24)."""
-    if len(n.inputs) > 24:
-        raise ValueError("exact signal probability is limited to 24 PIs")
+    """Exact probability over all 2^PI vectors (at most EXHAUSTIVE_PIS PIs)."""
+    if len(n.inputs) > EXHAUSTIVE_PIS:
+        raise ValueError(f"exact signal probability is limited to "
+                         f"{EXHAUSTIVE_PIS} PIs")
     return _ones_fraction(n, None, 0)
 
 

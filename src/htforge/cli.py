@@ -41,8 +41,8 @@ from .judge import (
     forge_benchmark,
     score_submission,
 )
-from .netlist import (NetlistError, _check, parse_netlist, to_json_dict,
-                      write_netlist)
+from .netlist import (EXHAUSTIVE_PIS, NetlistError, _check, parse_netlist,
+                      to_json_dict, write_netlist)
 from .restructure import RECIPES, RestructureError, apply_recipe, recipe_from_steps
 from .trojan import InsertionError, TrojanSpec, insert_trojan
 
@@ -300,9 +300,8 @@ def _cmd_pca(args):
         flags = [False] * len(names)
         if args.labels:
             with open(args.labels) as f:
-                label_map = dict(line.strip().split(",", 1)
-                                 for line in f if "," in line)
-            flags = [label_map.get(nm, "clean") == "infected" for nm in names]
+                labels = Submission.from_csv_text(f.read()).verdicts
+            flags = [labels.get(nm) == "infected" for nm in names]
         panels = ((0, 1), (2, 3)) if args.components >= 4 else ((0, 1),)
         with open(args.svg, "w") as f:
             f.write(scatter_svg(coords, flags, panels))
@@ -369,7 +368,7 @@ def build_parser():
     p.add_argument("--recipe-file", help="JSON list of pass steps")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--report", help="pass-report JSON path")
-    p.add_argument("--exhaustive-bound", type=int, default=24)
+    p.add_argument("--exhaustive-bound", type=int, default=EXHAUSTIVE_PIS)
     p.add_argument("--vectors", type=int, default=100_000)
     add_seed(p)
     p.set_defaults(fn=_cmd_restructure)
@@ -393,7 +392,7 @@ def build_parser():
                    help="number of random vectors (0 = skip)")
     p.add_argument("--exact", action="store_true",
                    help="exact probabilities in place of --sigprob "
-                        "sampling (PI count <= 24)")
+                        f"sampling (PI count <= {EXHAUSTIVE_PIS})")
     p.add_argument("--json", dest="json_out", default="-")
     add_seed(p)
     p.set_defaults(fn=_cmd_analyze)
@@ -401,7 +400,7 @@ def build_parser():
     p = sub.add_parser("equiv", help="combinational equivalence check")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--exhaustive-bound", type=int, default=24)
+    p.add_argument("--exhaustive-bound", type=int, default=EXHAUSTIVE_PIS)
     p.add_argument("--vectors", type=int, default=100_000)
     p.add_argument("--json", dest="json_out", default="-")
     add_seed(p)
@@ -435,7 +434,8 @@ def build_parser():
     p.add_argument("--components", type=int, default=4)
     p.add_argument("--coords", help="projected coordinates CSV")
     p.add_argument("--svg", help="scatter SVG (PC1/PC2 and PC3/PC4)")
-    p.add_argument("--labels", help="optional name,label CSV for markers")
+    p.add_argument("--labels", help="submission-format CSV "
+                   "(circuit_id,label) for markers")
     p.set_defaults(fn=_cmd_pca)
 
     p = sub.add_parser("space", help="trigger search-space size")

@@ -1,18 +1,18 @@
 """Combinational equivalence checking.
 
 Exhaustive bit-parallel enumeration decides circuits up to a configurable
-PI bound (default 24, chunked so memory stays flat); above it, randomized
-sampling gives an explicitly non-definitive "no-mismatch-found" verdict.
-Counterexamples are always re-verified by scalar simulation before being
-returned.
+PI bound (default EXHAUSTIVE_PIS, chunked so memory stays flat); above
+it, randomized sampling gives an explicitly non-definitive
+"no-mismatch-found" verdict.  Counterexamples are always re-verified by
+scalar simulation before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netlist import (Netlist, _check, decode, simulate, simulate_packed,
-                      stimuli, trigger_word)
+from .netlist import (EXHAUSTIVE_PIS, Netlist, _check, decode, simulate,
+                      simulate_packed, stimuli, trigger_word)
 
 
 class InterfaceMismatchError(Exception):
@@ -21,13 +21,14 @@ class InterfaceMismatchError(Exception):
 
 @dataclass
 class CheckConfig:
-    exhaustive_bound: int = 24
+    exhaustive_bound: int = EXHAUSTIVE_PIS
     sample_vectors: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
         _check(self.sample_vectors, "sample_vectors", "int", low=1)
         _check(self.exhaustive_bound, "exhaustive_bound", "int", low=0)
+        _check(self.seed, "seed", "int")
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 # check_equivalence stays bound here; bench/test_bench.py checks its patching
 from .equiv import CheckConfig, check_equivalence, check_trojan_semantics  # noqa: F401
 from .analysis import RARE_METRICS
-from .netlist import Netlist, _check, simulate, write_netlist
+from .netlist import EXHAUSTIVE_PIS, Netlist, _check, simulate, write_netlist
 from .restructure import RECIPES, _stream_seed, apply_recipe
 from .trojan import (InsertionError, InsufficientRareNetsError, TrojanSpec,
                      insert_trojan)
@@ -73,7 +73,7 @@ class ForgeConfig:
     master_seed: int = 0
     set_name: str = "set"
     release_date: str = "2026-01-01"
-    exhaustive_bound: int = 24
+    exhaustive_bound: int = EXHAUSTIVE_PIS
     equiv_vectors: int = 100_000
 
     def __post_init__(self):

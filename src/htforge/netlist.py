@@ -34,6 +34,7 @@ _BEHAVIORAL_KEYWORDS = {
 _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*\Z")
 
 CHUNK_VARS = 16  # PIs an exhaustive stimuli() chunk enumerates within it
+EXHAUSTIVE_PIS = 24  # most PIs a search or check enumerates in full
 
 
 class NetlistError(Exception):

@@ -34,7 +34,7 @@ from .aig import (
     tree_roots,
     tt_var,
 )
-from .netlist import Netlist, _check, simulate
+from .netlist import EXHAUSTIVE_PIS, Netlist, _check, simulate
 
 
 class RestructureError(Exception):
@@ -1023,8 +1023,8 @@ def _run_step(aig, step, eff_seed):
     raise ValueError(f"unknown pass '{step.name}'")
 
 
-def apply_recipe(n: Netlist, recipe: Recipe, seed=0, exhaustive_bound=24,
-                 sample_vectors=100_000):
+def apply_recipe(n: Netlist, recipe: Recipe, seed=0,
+                 exhaustive_bound=EXHAUSTIVE_PIS, sample_vectors=100_000):
     """Run a recipe over a netlist; returns (netlist, pass reports).
 
     The output preserves PI/PO names and order and is equivalence-checked

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 
 from .analysis import RARE_METRICS, rare_nets, scoap, signal_prob
-from .netlist import (Gate, Netlist, _check, simulate, simulate3,
-                      simulate_packed, stimuli, trigger_word)
+from .netlist import (EXHAUSTIVE_PIS, Gate, Netlist, _check, simulate,
+                      simulate3, simulate_packed, stimuli, trigger_word)
 
 
 class InsertionError(Exception):
@@ -42,6 +42,8 @@ class TrojanSpec:
         _check(self.rare_count, "rare_count", "int", choices=range(self.q + 1))
         _check(self.metric, "metric", "str", choices=RARE_METRICS)
         _check(self.threshold, "threshold", "number")
+        _check(self.seed, "seed", "int")
+        _check(self.sample_vectors, "sample_vectors", "int", low=1)
 
 
 @dataclass
@@ -211,9 +213,9 @@ def _search_backtrack(cone, trigger, budget, seed):
 PROBE_VECTORS = 1 << 18
 
 
-def _probe(n: Netlist, triggers, seed, limit=48):
+def _probe(n: Netlist, triggers, seed, limit=48, vectors=PROBE_VECTORS):
     """Count every trigger's joint activations over one seeded stream of
-    PROBE_VECTORS vectors through one simulation of ``n``.
+    ``vectors`` vectors through one simulation of ``n``.
 
     Returns (hits, kept): ``hits[k]`` is the number of vectors activating
     ``triggers[k]``, ``kept[k]`` the ``(patterns, act)`` chunk pieces that
@@ -224,7 +226,7 @@ def _probe(n: Netlist, triggers, seed, limit=48):
     hits = [0] * len(triggers)
     kept = [[] for _ in triggers]
     keep = frozenset(net for trigger in triggers for net, _ in trigger)
-    for patterns, width in stimuli(n.inputs, PROBE_VECTORS, seed):
+    for patterns, width in stimuli(n.inputs, vectors, seed):
         vals = simulate_packed(n, patterns, width, keep=keep)
         for k, trigger in enumerate(triggers):
             act = trigger_word(vals, trigger, width)
@@ -243,31 +245,28 @@ def _decode(kept, limit=48):
 
 
 def _rare_activations(cone, trigger, limit, seed):
-    """Activating assignments for a trigger the random probe missed."""
-    if len(cone.inputs) <= 14:
+    """The trigger search: up to ``limit`` activating assignments over the
+    cone PIs.  A cone of at most EXHAUSTIVE_PIS PIs is scanned in full,
+    lowest index first, so [] proves the trigger unsatisfiable; above the
+    bound, seeded backtracking returns at most one, and [] is inconclusive.
+    """
+    if len(cone.inputs) <= EXHAUSTIVE_PIS:
         return _search_exhaustive(cone, trigger, limit)
     hit = _search_backtrack(cone, trigger, budget=4000, seed=seed)
     return [hit] if hit else []
 
 
-def find_trigger_witness(n: Netlist, rec: TrojanRecord, budget: int = 100_000):
+def find_trigger_witness(n: Netlist, rec: TrojanRecord):
     """An input assignment driving every trigger net to its required
-    polarity, or None.  Exhaustive over the trigger support when it has at
-    most 24 PIs, guided backtracking with restarts within ``budget``
-    otherwise; a None result above the exhaustive bound is inconclusive.
+    polarity, or None.  Within EXHAUSTIVE_PIS trigger-support PIs None
+    means that no witness exists; above the bound it is inconclusive (see
+    _rare_activations).
     """
     cone = _cone_netlist(n, [net for net, _ in rec.trigger])
-    support = cone.inputs
-    if len(support) <= 24:
-        hits = _search_exhaustive(cone, rec.trigger, 1)
-        if not hits:
-            return None
-        stim = hits[0]
-    else:
-        stim = _search_backtrack(cone, rec.trigger, budget, rec.seed)
-        if stim is None:
-            return None
-    full = {p: stim.get(p, 0) for p in n.inputs}
+    hits = _rare_activations(cone, rec.trigger, 1, rec.seed)
+    if not hits:
+        return None
+    full = {p: hits[0].get(p, 0) for p in n.inputs}
     vals = simulate(n, full)
     if not all(vals[net] == pol for net, pol in rec.trigger):
         raise RuntimeError("trigger witness does not reproduce in simulate()")
@@ -277,11 +276,8 @@ def find_trigger_witness(n: Netlist, rec: TrojanRecord, budget: int = 100_000):
 def activation_estimate(n: Netlist, rec: TrojanRecord, vectors: int,
                         seed: int = 0) -> float:
     """Fraction of uniform random input vectors that activate the trigger."""
-    hits = 0
-    keep = frozenset(net for net, _ in rec.trigger)
-    for patterns, width in stimuli(n.inputs, vectors, seed):
-        vals = simulate_packed(n, patterns, width, keep=keep)
-        hits += trigger_word(vals, rec.trigger, width).bit_count()
+    _check(vectors, "vectors", "int", low=1)
+    hits = _probe(n, [rec.trigger], seed, limit=0, vectors=vectors)[0][0]
     return hits / vectors
 
 

@@ -160,7 +160,7 @@ def test_criterion_03_trigger_rarity():
                                       seed=ci * 77 + seed)
             if est == 0.0:
                 zero_hits += 1
-            wit = find_trigger_witness(infected, rec, budget=100_000)
+            wit = find_trigger_witness(infected, rec)
             if wit is not None:
                 witnesses += 1
     assert total == 100

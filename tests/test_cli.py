@@ -498,6 +498,31 @@ def test_features_pca_pipeline(tmp_path, capsys):
         assert labels == ["PC1", "PC2", "PC3", "PC4"][:2 * panels]
 
 
+
+def test_pca_labels_are_a_submission_csv(tmp_path, capsys):
+    # --labels is read as a submission: rows are stripped, so "a, infected"
+    # marks a; a row without a label of infected/clean is a usage error
+    feats = tmp_path / "f.csv"
+    feats.write_text("name,x,y\na,1,2\nb,3,1\nc,0,5\n")
+    labels, svg = tmp_path / "labels.csv", tmp_path / "s.svg"
+    argv = ["pca", str(feats), "--components", "2", "--svg", str(svg),
+            "--labels", str(labels)]
+    labels.write_text("circuit_id,label\na, infected\nb,clean\n")
+    assert run(argv) == 0
+    marks = [t.text for t in ElementTree.fromstring(svg.read_text())
+             if t.text in ("+", "\u2212")]
+    assert marks == ["+", "\u2212", "\u2212"]
+    capsys.readouterr()
+    for row in ("c infected", "b,1"):
+        labels.write_text(f"circuit_id,label\na, infected\n{row}\n")
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: bad submission row: {row!r}\n"
+    labels.write_text("a,infected\n")
+    assert run(argv) == 2
+    assert capsys.readouterr().err == ("error: submission CSV must start "
+                                       "with 'circuit_id,label'\n")
+
+
 def test_space_command(tmp_path, capsys):
     p = tmp_path / "profile.json"
     p.write_text(json.dumps({"strategies": [[3, 2]], "max_width": 3}))

@@ -18,7 +18,9 @@ from htforge.aig import export_aiger, strash, to_aig
 from htforge.netlist import write_netlist
 from htforge.restructure import RECIPES, apply_recipe, fraig
 
-from htforge.judge import forge_benchmark
+import htforge.trojan
+from htforge.judge import ForgeConfig, forge_benchmark
+from htforge.netlist import EXHAUSTIVE_PIS
 
 from conftest import array_multiplier, random_netlist, rarity_netlist, twin_netlist
 from test_acceptance import _acceptance_forge_cfg
@@ -131,6 +133,16 @@ ACCEPTANCE_SET_DIGESTS = {
 }
 ACCEPTANCE_KEY_DIGEST = "b766a070837ed84c527f9e362631c8b41a363c8ae3de7b09774f9bc7a8b7518f"
 
+# one infected variant of a 20-PI rarity golden whose width-4 trigger the
+# random probe never sees fire, so its activation comes from the trigger
+# search on a cone above the probe's reach and within EXHAUSTIVE_PIS:
+# circuit, manifest and key
+RAR20_DIGESTS = (
+    "ce0ff9512989694803a745d374c2f55d163bbdf57caf31a474757b1080dfbdee",
+    "7d5621efc12eb508eaefc2049628ba79ccbeaf699e3cfa47f5dea128eacc8032",
+    "2c01a555df5286aa238f171420d0a9c1983fc6b0f1b0ac0278c485ba81e57bb1",
+)
+
 
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -180,3 +192,23 @@ def test_acceptance_set_and_key_bytes_pinned(tmp_path):
                    if got.get(f) != ACCEPTANCE_SET_DIGESTS.get(f))
     assert not moved, f"set files whose bytes changed: {moved}"
     assert _sha(key.to_json_text()) == ACCEPTANCE_KEY_DIGEST
+
+
+def test_searched_trigger_set_and_key_bytes_pinned(monkeypatch):
+    cones = []
+    search = htforge.trojan._rare_activations
+
+    def spy(cone, trigger, limit, seed):
+        found = search(cone, trigger, limit, seed)
+        cones.append((len(cone.inputs), len(found)))
+        return found
+    monkeypatch.setattr(htforge.trojan, "_rare_activations", spy)
+    cfg = ForgeConfig(golden=(("rar20", rarity_netlist(1, pis_per_branch=5)),),
+                      nb=1, infected_counts={"rar20": 1}, recipe_pool=(1,),
+                      trigger_widths=(4,), master_seed=1)
+    bench, key = forge_benchmark(cfg)
+    (_, text), = bench.entries
+    assert (_sha(text), _sha(bench.manifest_text()),
+            _sha(key.to_json_text())) == RAR20_DIGESTS
+    # the shipped trigger was searched for, on a cone the scan decides
+    assert any(15 <= pis <= EXHAUSTIVE_PIS and found for pis, found in cones)

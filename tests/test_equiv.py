@@ -72,9 +72,12 @@ def test_sampled_mode_above_bound():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("sample_vectors", 0), ("sample_vectors", -1), ("exhaustive_bound", -1)])
+    ("sample_vectors", 0), ("sample_vectors", -1), ("exhaustive_bound", -1),
+    ("seed", None), ("seed", "7"), ("seed", 1.5)])
 def test_check_config_rejects_empty_checks(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be >= "):
+    # a seed that is not an int would seed the sampled check from OS
+    # entropy (None) or from a hash of the value, not from the config
+    with pytest.raises(ValueError, match=f"{field} must be (>= |an int)"):
         CheckConfig(**{field: value})
 
 

@@ -108,3 +108,31 @@ def test_import_loads_only_the_standard_library():
                          capture_output=True, text=True).stdout.split()
     assert "numpy" not in out
     assert set(out) - set(sys.stdlib_module_names) == {"htforge"}
+
+
+def _pi_count(node):
+    # len(<netlist>.inputs), or len() of a name that holds a support
+    if not (isinstance(node, ast.Call) and len(node.args) == 1
+            and getattr(node.func, "id", None) == "len"):
+        return False
+    arg = node.args[0]
+    return ((isinstance(arg, ast.Attribute) and arg.attr == "inputs")
+            or (isinstance(arg, ast.Name) and "support" in arg.id))
+
+
+def test_pi_bounds_are_named():
+    # a PI count is compared with a named bound (netlist.EXHAUSTIVE_PIS,
+    # CHUNK_VARS, a config field), never an integer literal, so that each
+    # bound is written down once
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = (node.left, *node.comparators)
+            if any(map(_pi_count, sides)) and any(
+                    isinstance(s, ast.Constant) and type(s.value) is int
+                    for s in sides):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found

@@ -7,8 +7,9 @@ import pytest
 import htforge.trojan
 from htforge.analysis import exact_signal_prob, signal_prob
 from htforge.equiv import CheckConfig, check_trojan_semantics
-from htforge.netlist import (Gate, Netlist, decode, parse_netlist, simulate,
-                             simulate_packed, stimuli, trigger_word, validate)
+from htforge.netlist import (EXHAUSTIVE_PIS, Gate, Netlist, decode,
+                             parse_netlist, simulate, simulate_packed, stimuli,
+                             trigger_word, validate)
 from htforge.trojan import (
     PROBE_VECTORS,
     InsertionError,
@@ -21,7 +22,9 @@ from htforge.trojan import (
     _decode,
     _fresh_namer,
     _probe,
+    _rare_activations,
     _search_backtrack,
+    _search_exhaustive,
     activation_estimate,
     find_trigger_witness,
     insert_trojan,
@@ -126,6 +129,9 @@ def test_spec_validation():
     ({"q": 3.0}, "q must be an int, got 3.0"),
     ({"q": 3, "rare_count": "2"}, "rare_count must be an int, got '2'"),
     ({"q": 3, "rare_count": True}, "rare_count must be an int, got True"),
+    ({"seed": "x"}, "seed must be an int, got 'x'"),
+    ({"seed": None}, "seed must be an int, got None"),
+    ({"sample_vectors": 4096.0}, "sample_vectors must be an int, got 4096.0"),
 ])
 def test_spec_rejects_non_int_fields(fields, message):
     with pytest.raises(ValueError) as info:
@@ -139,6 +145,7 @@ def test_spec_rejects_non_int_fields(fields, message):
     ({"threshold": float("nan")}, "threshold must be a finite number, got nan"),
     ({"threshold": float("inf")}, "threshold must be a finite number, got inf"),
     ({"q": 3, "rare_count": 4}, "rare_count must be one of range(0, 4), got 4"),
+    ({"sample_vectors": 0}, "sample_vectors must be >= 1, got 0"),
 ])
 def test_spec_rejects_unknown_metric_and_bad_ranges(fields, message):
     with pytest.raises(ValueError) as info:
@@ -325,6 +332,79 @@ def test_at_most_two_probe_streams_per_insertion(monkeypatch):
         insert_trojan(n, TrojanSpec(q=4, threshold=0.05, seed=seed,
                                     sample_vectors=20_000))
         assert draws == [seed, seed ^ 0x7F4A]
+
+
+def _record(trigger, seed=0):
+    return TrojanRecord(trigger=trigger, trigger_net="t", victim="o",
+                        victim_pre="p", payload_gate="gp", witness=None,
+                        added_gates=(), q=len(trigger), seed=seed)
+
+
+@pytest.mark.parametrize("vectors", [0, -1, 100.0])
+def test_activation_estimate_rejects_bad_vector_counts(vectors):
+    with pytest.raises(ValueError, match="vectors must be"):
+        activation_estimate(_wide_and(4), _record((("y", 1),)), vectors)
+
+
+def _and_branches(widths):
+    """Branch b ANDs its own ``widths[b]`` PIs into a{b}; o ORs every a{b}."""
+    pis, gates = [], []
+    for b, w in enumerate(widths):
+        ins = tuple(f"i{b}_{k}" for k in range(w))
+        pis += ins
+        gates.append(Gate("AND", f"a{b}", ins, f"g{b}"))
+    gates.append(Gate("OR", "o", tuple(f"a{b}" for b in range(len(widths))),
+                      "go"))
+    return Netlist("branches", tuple(pis), ("o",), tuple(gates))
+
+
+def _no_backtracking(*args, **kwargs):
+    raise AssertionError("_search_backtrack called within the bound")
+
+
+def test_trigger_refuted_within_the_bound_without_backtracking(monkeypatch):
+    # a0 = 1 forces o = 1, so the 4-net trigger over all 20 PIs never fires;
+    # the scan proves it, and the backtracker is never asked
+    monkeypatch.setattr(htforge.trojan, "_search_backtrack", _no_backtracking)
+    n = _and_branches([5, 5, 5, 5])
+    trigger = (("a0", 1), ("a1", 1), ("a2", 1), ("o", 0))
+    cone = _cone_netlist(n, [net for net, _ in trigger])
+    assert len(cone.inputs) == 20
+    assert _rare_activations(cone, trigger, 48, seed=1) == []
+    assert find_trigger_witness(n, _record(trigger)) is None
+
+
+@pytest.mark.parametrize("widths", [[5, 5, 5], [5, 5, 5, 5], [6, 6, 6, 6]])
+def test_satisfiable_cone_gets_the_lowest_index_activation(monkeypatch,
+                                                           widths):
+    # the first activation in assignment order has every PI of a0..a{k-1}
+    # at 1 and the last branch at 0
+    monkeypatch.setattr(htforge.trojan, "_search_backtrack", _no_backtracking)
+    n = _and_branches(widths)
+    last = len(widths) - 1
+    trigger = tuple((f"a{b}", int(b < last)) for b in range(len(widths)))
+    cone = _cone_netlist(n, [net for net, _ in trigger])
+    assert 15 <= len(cone.inputs) <= EXHAUSTIVE_PIS
+    lowest = {p: int(not p.startswith(f"i{last}_")) for p in n.inputs}
+    found = _rare_activations(cone, trigger, 48, seed=1)
+    assert found == _search_exhaustive(cone, trigger, 48)
+    assert len(found) == min(48, (1 << widths[last]) - 1)
+    assert found[0] == lowest
+    assert find_trigger_witness(n, _record(trigger)) == lowest
+
+
+def test_backtracking_only_above_the_bound(monkeypatch):
+    calls = []
+
+    def spy(cone, trigger, budget, seed):
+        calls.append(len(cone.inputs))
+        return _search_backtrack(cone, trigger, budget, seed)
+    monkeypatch.setattr(htforge.trojan, "_search_backtrack", spy)
+    n = _and_branches([EXHAUSTIVE_PIS + 1 - 15, 5, 5, 5])
+    trigger = (("a0", 1), ("a1", 1), ("a2", 1), ("a3", 1))
+    assert find_trigger_witness(n, _record(trigger, seed=3)) == \
+        dict.fromkeys(n.inputs, 1)
+    assert calls == [EXHAUSTIVE_PIS + 1]
 
 
 def _backtrack_corpus():
