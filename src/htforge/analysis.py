@@ -113,6 +113,7 @@ def signal_prob(n: Netlist, vectors: int, seed: int = 0) -> NetStats:
     per-vector toggle chance 2*p*(1-p).
     """
     _check(vectors, "vectors", "int", low=1)
+    _check(seed, "seed", "int")
     return _ones_fraction(n, vectors, seed)
 
 

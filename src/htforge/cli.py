@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import reprlib
 import sys
 
 from . import __version__
@@ -50,7 +51,11 @@ from .trojan import InsertionError, TrojanSpec, insert_trojan
 def _seed_from(args):
     env = os.environ.get("FORGE_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"FORGE_SEED must be an int, "
+                             f"got {reprlib.repr(env)}") from None
     return getattr(args, "seed", 0) or 0
 
 

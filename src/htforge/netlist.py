@@ -61,11 +61,12 @@ _KINDS = {"int": (int, "an int"), "number": ((int, float), "a finite number"),
           "dict": (dict, "a dict")}
 
 
-def _check(value, name, kind, low=None, choices=None):
-    """``value`` if it is of ``kind`` (a key of _KINDS), >= ``low`` and in
-    ``choices`` (when given), else a ValueError naming ``name``.  A bool is
-    no int or number, a number is finite, and a list, tuple or range comes
-    back as a tuple.  reprlib keeps the message short for any value."""
+def _check(value, name, kind, low=None, high=None, choices=None):
+    """``value`` if it is of ``kind`` (a key of _KINDS), >= ``low``, <=
+    ``high`` and in ``choices`` (when given), else a ValueError naming
+    ``name``.  A bool is no int or number, a number is finite, and a list,
+    tuple or range comes back as a tuple.  reprlib keeps the message short
+    for any value."""
     types, phrase = _KINDS[kind]
     if (not isinstance(value, types) or isinstance(value, bool)
             or isinstance(value, float) and not math.isfinite(value)):
@@ -74,6 +75,8 @@ def _check(value, name, kind, low=None, choices=None):
         value = tuple(value)
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {reprlib.repr(value)}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {reprlib.repr(value)}")
     if choices is not None and value not in choices:
         raise ValueError(f"{name} must be one of {choices}, "
                          f"got {reprlib.repr(value)}")
@@ -421,8 +424,10 @@ def stimuli(pis, vectors=None, seed=0, chunk_bits=None):
     chunk width.  Otherwise ``vectors`` seeded random assignments are
     drawn, ``getrandbits(width)`` per PI in ``pis`` order and chunk by
     chunk, at most 2^``chunk_bits`` (default 2^14) bits at a time.  Either
-    way, decode(patterns, bit) is the assignment of one bit.
+    way, decode(patterns, bit) is the assignment of one bit.  A ``seed``
+    that is not an int raises ValueError when the first chunk is drawn.
     """
+    _check(seed, "seed", "int")
     if chunk_bits is None:
         chunk_bits = CHUNK_VARS if vectors is None else 14
     if vectors is None:
@@ -751,29 +756,29 @@ def _emit_ident(name):
 
 def write_netlist(n: Netlist) -> str:
     """Serialize to the structural subset; parse(write(n)) is graph-isomorphic to n."""
+    # each net name is escaped once, though a net is written about three
+    # times; a connection to a constant net writes the constant itself
+    nets = {*n.inputs, *n.outputs, *[g.output for g in n.gates]}
+    nets.update(itertools.chain.from_iterable([g.inputs for g in n.gates]))
+    ids = dict(zip(nets, map(_emit_ident, nets)))
+    conn = {**ids, CONST0: CONST0, CONST1: CONST1}
     lines = [f"module {_emit_ident(n.name)} ("]
-    ports = [_emit_ident(p) for p in (*n.inputs, *n.outputs)]
+    ports = [ids[p] for p in (*n.inputs, *n.outputs)]
     lines.append("  " + ", ".join(ports))
     lines.append(");")
     if n.inputs:
-        lines.append("  input " + ", ".join(_emit_ident(p) for p in n.inputs) + ";")
+        lines.append("  input " + ", ".join([ids[p] for p in n.inputs]) + ";")
     if n.outputs:
-        lines.append("  output " + ", ".join(_emit_ident(p) for p in n.outputs) + ";")
+        lines.append("  output " + ", ".join([ids[p] for p in n.outputs]) + ";")
     port_set = set(n.inputs) | set(n.outputs)
-    wires = [g.output for g in n.gates if g.output not in port_set]
+    wires = [ids[g.output] for g in n.gates if g.output not in port_set]
     if wires:
-        lines.append("  wire " + ", ".join(_emit_ident(w) for w in wires) + ";")
-    for g in n.gates:
-        conns = ", ".join(_emit_conn(c) for c in (g.output, *g.inputs))
-        lines.append(f"  {g.kind.lower()} {_emit_ident(g.name)} ({conns});")
+        lines.append("  wire " + ", ".join(wires) + ";")
+    for kind, out, ins, name in n.gates:
+        conns = ", ".join([conn[c] for c in (out, *ins)])
+        lines.append(f"  {kind.lower()} {_emit_ident(name)} ({conns});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
-
-
-def _emit_conn(net):
-    if net in (CONST0, CONST1):
-        return net
-    return _emit_ident(net)
 
 
 def to_json_dict(n: Netlist) -> dict:

@@ -45,6 +45,17 @@ class _OverCap(Exception):
     """A trial planned more new nodes than the root's MFFC can free."""
 
 
+# the widest truth table rewrite and refactor synthesize (_factored counts
+# literals in 16-bit fields), and the most cuts rewrite keeps per node
+MAX_TT_INPUTS = 16
+MAX_CUTS = 16
+
+# per width m up to MAX_TT_INPUTS: the all-ones table and the m leaf
+# patterns over it, built once at import (tt_var holds the patterns anyway)
+_LEAF_TTS = tuple(((1 << (1 << m)) - 1, tuple(tt_var(j, m) for j in range(m)))
+                  for m in range(MAX_TT_INPUTS + 1))
+
+
 # ---------------------------------------------------------------------------
 # mutable work graph
 
@@ -201,10 +212,12 @@ class _Work:
         walk steps.  Local passes keep the default cap; fraig's proofs
         pass ``math.inf``."""
         m = len(leaves)
-        mask = (1 << (1 << m)) - 1
+        if m <= MAX_TT_INPUTS:
+            mask, pats = _LEAF_TTS[m]
+        else:  # fraig's proofs over wider supports
+            mask, pats = (1 << (1 << m)) - 1, [tt_var(j, m) for j in range(m)]
         val = {0: mask}
-        for j, leaf in enumerate(leaves):
-            val[leaf] = tt_var(j, m)
+        val.update(zip(leaves, pats))
         if root in val:
             return val[root]
         fan0, fan1, dead, first = self.fan0, self.fan1, self.dead, self.first_and
@@ -412,41 +425,51 @@ class _Work:
 # ---------------------------------------------------------------------------
 # truth-table synthesis: irredundant SOP + algebraic factoring
 
+# isop's constants per width m up to MAX_TT_INPUTS: (delta, mask) of the
+# swap of variables j and m-1-j for each j < m // 2, and per level var the
+# half width, the low half's mask and the cube bit
+_SWAPS = tuple(tuple(((1 << (m - 1 - j)) - (1 << j), pats[j] & ~pats[m - 1 - j])
+                     for j in range(m // 2))
+               for m, (_, pats) in enumerate(_LEAF_TTS))
+_LEVELS = tuple(tuple((1 << (m - 1 - var), _LEAF_TTS[m - 1 - var][0], 1 << var)
+                      for var in range(m))
+                for m in range(MAX_TT_INPUTS + 1))
+
+
 def isop(f, m):
-    """Minato-Morreale irredundant sum-of-products.
+    """Minato-Morreale irredundant sum-of-products of a table over at most
+    MAX_TT_INPUTS variables.
 
     Returns cubes as (pos_mask, neg_mask) pairs over variables 0..m-1; the
     empty cube (0, 0) is the tautology.  The table's variable order is
     reversed first, so splitting on variable ``var`` takes the low (0) and
     high (1) half of a table over variables var..m-1 that halves per level.
     """
-    full = (1 << (1 << m)) - 1
+    full = _LEAF_TTS[m][0]
     f &= full
-    for j in range(m // 2):  # delta swap of variables j and m-1-j
-        d = (1 << (m - 1 - j)) - (1 << j)
-        x = (f ^ (f >> d)) & tt_var(j, m) & ~tt_var(m - 1 - j, m)
+    for d, keep in _SWAPS[m]:  # delta swap of variables j and m-1-j
+        x = (f ^ (f >> d)) & keep
         f ^= x | (x << d)
-    ones = [(1 << (1 << k)) - 1 for k in range(m + 1)]
+    levels = _LEVELS[m]
     cubes = []  # in call order, each with the literals fixed above it
+    append = cubes.append
 
     def rec(lo, up, var, p, q):
         # lo != 0 and up is not the tautology of its 2^(m - var) rows;
         # returns the cover of the cubes this call appends
         if var >= m:
             raise RestructureError("isop ran out of variables")
-        half = 1 << (m - 1 - var)
-        low = ones[m - 1 - var]
+        half, low, bit = levels[var]
         lo0, lo1, up0, up1 = lo & low, lo >> half, up & low, up >> half
         if lo0 == lo1 and up0 == up1:  # neither depends on var: skip it
             cov = rec(lo0, up0, var + 1, p, q)
             return cov | (cov << half)
         # a child with lo == 0 or up all ones is answered here, not by a call
-        bit = 1 << var
         l = lo0 & ~up1
         if l and up0 != low:
             cov0 = rec(l, up0, var + 1, p, q | bit)
         elif l:
-            cubes.append((p, q | bit))
+            append((p, q | bit))
             cov0 = low
         else:
             cov0 = 0
@@ -454,7 +477,7 @@ def isop(f, m):
         if l and up1 != low:
             cov1 = rec(l, up1, var + 1, p | bit, q)
         elif l:
-            cubes.append((p | bit, q))
+            append((p | bit, q))
             cov1 = low
         else:
             cov1 = 0
@@ -462,7 +485,7 @@ def isop(f, m):
         if l and u != low:
             covs = rec(l, u, var + 1, p, q)
         elif l:
-            cubes.append((p, q))
+            append((p, q))
             covs = low
         else:
             covs = 0
@@ -485,6 +508,15 @@ def _bits(mask):
         mask ^= low
 
 
+# a variable mask's literal counts as 16-bit fields, field v for variable
+# v: _LIT_LO[x & 255] + _LIT_HI[x >> 8].  A literal of an irredundant cover
+# over at most MAX_TT_INPUTS variables is in at most 2^15 cubes, each with
+# a minterm of its own, so summed over the cubes no field overflows.
+_LIT_LO = tuple(sum(1 << 16 * v for v in range(8) if x >> v & 1)
+                for x in range(256))
+_LIT_HI = tuple(c << 128 for c in _LIT_LO)
+
+
 def _factor_distinct(cubes, memo):
     """Algebraic factoring of a cube list into a ('literal'|'and'|'or') tree:
     divides by the most frequent literal, the lowest variable on a tie and
@@ -500,36 +532,37 @@ def _factor_distinct(cubes, memo):
         p, q = cubes[0]
         out = memo[key] = _cube_tree(p, q), p.bit_count() + q.bit_count() - 1
         return out
-    counts = {}  # literal key 2 * (1 << v) + negated: order is the tie-break
-    n_lits = 0
+    lo, hi = _LIT_LO, _LIT_HI
+    pos = neg = 0
     for p, q in cubes:
-        n_lits += p.bit_count() + q.bit_count()
-        while p:
-            b = p & -p
-            p ^= b
-            counts[2 * b] = counts.get(2 * b, 0) + 1
-        while q:
-            b = q & -q
-            q ^= b
-            counts[2 * b + 1] = counts.get(2 * b + 1, 0) + 1
-    best = lkey = 0
-    for k, c in counts.items():
-        if c > best or (c == best and k < lkey):
-            best, lkey = c, k
-    if best < 2:
-        out = memo[key] = (_balanced("or", [_cube_tree(p, q) for p, q in cubes]),
-                           n_lits - 1)
+        pos += lo[p & 255] + hi[p >> 8]
+        neg += lo[q & 255] + hi[q >> 8]
+    # fields for v = 0, 1, ..., positive before negative: the first largest
+    # count is the lowest variable on a tie, and then the positive one
+    best = v = 0
+    while pos or neg:
+        c, d = pos & 0xFFFF, neg & 0xFFFF
+        if c > best:
+            best, bit, neg_lit = c, 1 << v, 0
+        if d > best:
+            best, bit, neg_lit = d, 1 << v, 1
+        pos >>= 16
+        neg >>= 16
+        v += 1
+    if best < 2:  # no literal is shared: each is in one AND of the OR
+        out = memo[key] = (
+            _balanced("or", [_cube_tree(p, q) for p, q in cubes]),
+            sum([p.bit_count() + q.bit_count() for p, q in cubes]) - 1)
         return out
-    bit, neg = lkey >> 1, lkey & 1
     quot, rest = [], []
     for p, q in cubes:
-        if neg and q & bit:
-            quot.append((p, q & ~bit))
-        elif not neg and p & bit:
-            quot.append((p & ~bit, q))
+        if neg_lit and q & bit:
+            quot.append((p, q ^ bit))
+        elif not neg_lit and p & bit:
+            quot.append((p ^ bit, q))
         else:
             rest.append((p, q))
-    tree, n = ("literal", bit.bit_length() - 1, 1 - neg), 0
+    tree, n = ("literal", bit.bit_length() - 1, 1 - neg_lit), 0
     if (0, 0) not in quot:
         sub, k = _factor_distinct(quot, memo)
         tree, n = ("and", tree, sub), k + 1
@@ -554,19 +587,17 @@ def _balanced(op, items):
 
 def _factored(tt, m):
     """(inverted, tree over leaf indices): the cheaper of the factored ISOP
-    of tt and of its complement.  A pass keeps one memo of it per (tt, m),
-    so each function it meets is synthesized once."""
-    full = (1 << (1 << m)) - 1
+    of tt and of its complement, the positive one on a tie (so a literal
+    comes back as itself).  A pass keeps one memo of it per (tt, m), so
+    each function it meets is synthesized once."""
+    if m > MAX_TT_INPUTS:
+        raise RestructureError(f"cannot synthesize {m} inputs, "
+                               f"the most is {MAX_TT_INPUTS}")
+    full = _LEAF_TTS[m][0]
     if tt == 0:
         return False, ("const", 0)
     if tt == full:
         return False, ("const", 1)
-    for v in range(m):
-        pv = tt_var(v, m)
-        if tt == pv:
-            return False, ("literal", v, 1)
-        if tt == (~pv & full):
-            return False, ("literal", v, 0)
     memo = {}  # sub-cover -> (tree, AND count), shared by both polarities
     pos, n_pos = _factor_distinct(isop(tt, m), memo)
     neg, n_neg = _factor_distinct(isop(~tt & full, m), memo)
@@ -664,6 +695,8 @@ def _resynthesize(g: AigGraph, seed, name, leaf_sets) -> AigGraph:
 def rewrite(g: AigGraph, cut_size=4, max_cuts=8, seed=0) -> AigGraph:
     """Cut-based local rewriting: resynthesize each node's cut function from
     its truth table; replacements accepted only with non-negative gain."""
+    _check(cut_size, "cut_size", "int", high=MAX_TT_INPUTS)
+    _check(max_cuts, "max_cuts", "int", high=MAX_CUTS)
     g = strash(g)
     node_cuts = enumerate_cuts(g, cut_size, max_cuts)
     return _resynthesize(g, seed, "rewrite", lambda w, node: node_cuts[node])
@@ -698,8 +731,7 @@ def _greedy_cone(w, node, max_cone_inputs):
 def refactor(g: AigGraph, max_cone_inputs=10, seed=0) -> AigGraph:
     """Collapse reconvergent cones to truth tables and rebuild them from a
     factored irredundant SOP; accepted only when node count does not grow."""
-    if max_cone_inputs > 16:
-        raise ValueError("max_cone_inputs is capped at 16 (truth-table width)")
+    _check(max_cone_inputs, "max_cone_inputs", "int", high=MAX_TT_INPUTS)
     return _resynthesize(
         strash(g), seed, "refactor",
         lambda w, node: (_greedy_cone(w, node, max_cone_inputs),))
@@ -883,13 +915,16 @@ def fraig(g: AigGraph, sim_words=16, seed=0) -> AigGraph:
 # ---------------------------------------------------------------------------
 # recipes
 
-# pass name -> {keyword param its pass function takes: least value} (see
-# _run_step); below it a pass changes nothing (a cut or a cone needs two
-# leaves, one cut slot is the trivial cut) or reads the value as the least
+# pass name -> {keyword param its pass function takes: (least value, most
+# value or None)} (see _run_step); below the least a pass changes nothing (a
+# cut or a cone needs two leaves, one cut slot is the trivial cut) or reads
+# the value as the least; the pass itself rejects a value above the most
 PASS_PARAMS = {"strash": {}, "balance": {},
-               "rewrite": {"cut_size": 2, "max_cuts": 2},
-               "refactor": {"max_cone_inputs": 2}, "resub": {"max_divisors": 1},
-               "fraig": {"sim_words": 1}, "gate_size": {}}
+               "rewrite": {"cut_size": (2, MAX_TT_INPUTS),
+                           "max_cuts": (2, MAX_CUTS)},
+               "refactor": {"max_cone_inputs": (2, MAX_TT_INPUTS)},
+               "resub": {"max_divisors": (1, None)},
+               "fraig": {"sim_words": (1, None)}, "gate_size": {}}
 
 
 @dataclass(frozen=True)
@@ -916,8 +951,9 @@ class Recipe:
             for key, value in s.params:
                 if key not in PASS_PARAMS[s.name]:
                     raise ValueError(f"unknown param '{key}' for pass '{s.name}'")
+                low, high = PASS_PARAMS[s.name][key]
                 _check(value, f"param '{key}' for pass '{s.name}'", "int",
-                       low=PASS_PARAMS[s.name][key])
+                       low=low, high=high)
 
 
 @dataclass

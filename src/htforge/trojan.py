@@ -277,6 +277,7 @@ def activation_estimate(n: Netlist, rec: TrojanRecord, vectors: int,
                         seed: int = 0) -> float:
     """Fraction of uniform random input vectors that activate the trigger."""
     _check(vectors, "vectors", "int", low=1)
+    _check(seed, "seed", "int")
     hits = _probe(n, [rec.trigger], seed, limit=0, vectors=vectors)[0][0]
     return hits / vectors
 

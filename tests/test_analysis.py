@@ -400,3 +400,11 @@ def test_scoap_matches_the_list_reference():
         saturated += sum(v == SCOAP_CAP for m in (sc.cc0, sc.cc1)
                          for net, v in m.items() if net not in (CONST0, CONST1))
     assert saturated > 50
+
+
+@pytest.mark.parametrize("seed", [None, "7", 1.5])
+def test_signal_prob_rejects_a_seed_that_is_not_an_int(seed):
+    # None would seed from OS entropy and give different p per call
+    n = random_netlist(3, n_pis=12, n_gates=60)
+    with pytest.raises(ValueError, match="seed must be an int"):
+        signal_prob(n, 1000, seed=seed)

@@ -95,6 +95,9 @@ def test_recipe_file(adder_file, tmp_path):
     pytest.param([{"pass": "rewrite", "params": {"cut_size": "x"}}],
                  "param 'cut_size' for pass 'rewrite' must be an int, got 'x'",
                  id="steps3-recipe step 0: 'params' must map names to ints"),
+    pytest.param([{"pass": "rewrite", "params": {"max_cuts": 400}}],
+                 "param 'max_cuts' for pass 'rewrite' must be <= 16, got 400",
+                 id="steps4-a param above its bound"),
 ])
 def test_recipe_file_malformed_is_a_usage_error(adder_file, tmp_path, capsys,
                                                  steps, message):
@@ -196,6 +199,15 @@ def test_forge_seed_env_override(adder_file, tmp_path, monkeypatch):
     monkeypatch.delenv("FORGE_SEED")
     run(["restructure", adder_file, "--recipe", "3", "--seed", "77", "-o", b])
     assert open(a).read() == open(b).read()
+
+
+def test_forge_seed_env_that_is_not_an_int_names_the_variable(
+        adder_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FORGE_SEED", "abc")
+    out = str(tmp_path / "a.v")
+    assert run(["restructure", adder_file, "--recipe", "3", "-o", out]) == 2
+    assert "error: FORGE_SEED must be an int, got 'abc'" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def _bench_config(tmp_path, seed=5):

@@ -22,6 +22,7 @@ from htforge.netlist import (
     ValidationError,
     _TOKEN_RE,
     _Parser,
+    _emit_ident,
     decode,
     parse_netlist,
     simulate,
@@ -330,6 +331,61 @@ def test_write_parse_round_trips_awkward_names(name):
         back = parse_netlist(write_netlist(n))
         assert (back.name, back.inputs, back.outputs, back.gates) \
             == (n.name, n.inputs, n.outputs, n.gates)
+
+
+# write_netlist used to escape a name each time it wrote it; that version is
+# kept here as the reference, and the one that escapes each net name once
+# per call must write the same text
+def _ref_write_netlist(n):
+    def conn(net):
+        return net if net in (CONST0, CONST1) else _emit_ident(net)
+
+    lines = [f"module {_emit_ident(n.name)} ("]
+    lines.append("  " + ", ".join(_emit_ident(p) for p in (*n.inputs, *n.outputs)))
+    lines.append(");")
+    if n.inputs:
+        lines.append("  input " + ", ".join(_emit_ident(p) for p in n.inputs) + ";")
+    if n.outputs:
+        lines.append("  output " + ", ".join(_emit_ident(p) for p in n.outputs) + ";")
+    port_set = set(n.inputs) | set(n.outputs)
+    wires = [g.output for g in n.gates if g.output not in port_set]
+    if wires:
+        lines.append("  wire " + ", ".join(_emit_ident(w) for w in wires) + ";")
+    for g in n.gates:
+        conns = ", ".join(conn(c) for c in (g.output, *g.inputs))
+        lines.append(f"  {g.kind.lower()} {_emit_ident(g.name)} ({conns});")
+    lines.append("endmodule")
+    return "\n".join(lines) + "\n"
+
+
+def test_write_netlist_matches_the_reference():
+    # escaped names (module, ports, wires, instances), the constants as gate
+    # inputs, nets named by a keyword that is escaped ("always") or not
+    # ("wire"), a PI named like a constant, and nets read many times
+    wide = tuple(f"w{k}" for k in range(20))
+    odd = Netlist("my mod", ("a[0]", "always", "wire", "1'b0", "b"),
+                  ("y", "z.q", "always_o"), (
+        Gate("AND", "t 1", ("a[0]", CONST1, "wire"), "1g"),
+        Gate("XOR", "y", ("t 1", CONST0, "1'b0"), "g$y"),
+        *(Gate("NAND", w, ("t 1", "always", "b"), f"\\g{k}")
+          for k, w in enumerate(wide)),
+        Gate("OR", "z.q", wide + ("t 1", "t 1"), "end"),
+        Gate("BUF", "always_o", ("always",), "always"),
+        Gate("NOT", "begin", (CONST0,), "g_nc")))
+    nets = [odd, parse_netlist(FULL_ADDER), parse_netlist(C17),
+            rarity_netlist(3, pis_per_branch=4)]
+    nets += [random_netlist(s, n_pis=6, n_gates=40) for s in range(4)]
+    cfg = ForgeConfig(golden=(("c17", parse_netlist(C17)),), nb=4,
+                      infection_rate=0.5, master_seed=3, set_name="w",
+                      threshold=0.2, sample_vectors=4096,
+                      release_date="2026-03-01")
+    nets += [parse_netlist(t) for _, t in forge_benchmark(cfg)[0].entries]
+    for n in nets:
+        assert write_netlist(n) == _ref_write_netlist(n), n.name
+    text = write_netlist(odd)
+    # a port named like a constant is escaped where it is declared only
+    assert "  input \\a[0] , \\always , wire, \\1'b0 , b;" in text
+    assert "  xor g$y (y, \\t 1 , 1'b0, 1'b0);" in text
 
 
 # sha256 of the parsed forms of every circuit of a small forged set
@@ -976,3 +1032,11 @@ def test_stimuli_random_draw_order():
     for width in (8, 8, 4):
         want.append(({p: rng.getrandbits(width) for p in pis}, width))
     assert got == want
+
+
+@pytest.mark.parametrize("seed", [None, "7", 1.5])
+def test_stimuli_rejects_a_seed_that_is_not_an_int(seed):
+    # sampled or exhaustive, the first chunk is never drawn
+    for vectors in (100, None):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            next(stimuli(["a", "b"], vectors, seed=seed))

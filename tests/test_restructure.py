@@ -18,6 +18,8 @@ from htforge.aig import (
 )
 from htforge.netlist import Gate, Netlist, parse_netlist, write_netlist
 from htforge.restructure import (
+    MAX_CUTS,
+    MAX_TT_INPUTS,
     RECIPES,
     Recipe,
     RestructureError,
@@ -382,6 +384,13 @@ def test_factored_constant_and_literal_shortcuts():
     assert _factored(0b1111, 2) == (False, ("const", 1))
     assert _factored(0b1010, 2) == (False, ("literal", 0, 1))
     assert _factored(0b0101, 2) == (False, ("literal", 0, 0))
+    # a literal is synthesized like any table, and the tie between its two
+    # polarities (no AND either way) keeps the positive one
+    for m in (5, MAX_TT_INPUTS):
+        full = (1 << (1 << m)) - 1
+        for v in (0, m // 2, m - 1):
+            assert _factored(tt_var(v, m), m) == (False, ("literal", v, 1))
+            assert _factored(~tt_var(v, m) & full, m) == (False, ("literal", v, 0))
 
 
 def test_factored_memo_gives_the_uncached_plan(monkeypatch):
@@ -618,6 +627,19 @@ def _kernel_tables():
                 f &= rng.randrange(full + 1) & rng.randrange(full + 1)
             tables.append((f, m))
     tables += [(_over_three_vars(rng, m), m) for m in (10, 12) for _ in range(6)]
+    # the widest tables a pass synthesizes, sparse so that the reference
+    # stays quick, and the parity of 10 inputs: each of its literals is in
+    # 256 cubes, more than an 8-bit literal count holds
+    for m, ands in ((14, 3), (16, 5)):
+        f = rng.randrange(1 << (1 << m))
+        for _ in range(ands):
+            f &= rng.randrange(1 << (1 << m))
+        tables.append((f, m))
+    tables += [(_over_three_vars(rng, m), m) for m in (14, 16)]
+    parity = 0
+    for v in range(10):
+        parity ^= tt_var(v, 10)
+    tables.append((parity, 10))
     return tables
 
 
@@ -1071,6 +1093,13 @@ def test_cone_tt_stops_where_the_reference_stops():
     assert w.cone_tt(root, leaves, cap - 1) is None
     assert w.cone_tt(root, leaves, cap) == _ref_cone_tt(w, root, leaves, cap)
     assert w.cone_tt(root, leaves, cap) is not None
+    # leaf sets at the widest import-time table and past it, as fraig asks
+    for k in (MAX_TT_INPUTS, MAX_TT_INPUTS + 2):
+        g = strash(to_aig(_and_chain(k)))
+        w = _Work(g)
+        root, leaves = g.pos[0][1] >> 1, tuple(range(1, w.first_and))
+        want = _ref_cone_tt(w, root, leaves, math.inf)
+        assert w.cone_tt(root, leaves, math.inf) == want == 1 << (1 << k) - 1
 
 
 def test_plans_match_the_literal_tree_reference(monkeypatch):
@@ -1390,12 +1419,42 @@ def test_recipe_rejects_params_below_their_bound(name, key, value):
         recipe_from_steps([{"pass": name, "params": {key: value}}])
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("rewrite", "cut_size", 17), ("rewrite", "max_cuts", 17),
+    ("rewrite", "max_cuts", 400), ("refactor", "max_cone_inputs", 17),
+])
+def test_recipe_rejects_params_above_their_bound(name, key, value):
+    with pytest.raises(ValueError,
+                       match=f"'{key}' for pass '{name}' must be <= 16, "
+                             f"got {value}"):
+        recipe_from_steps([{"pass": name, "params": {key: value}}])
+
+
 def test_recipe_accepts_params_at_their_bound():
     r = recipe_from_steps([
         {"pass": "rewrite", "params": {"cut_size": 2, "max_cuts": 2}},
         {"pass": "refactor", "params": {"max_cone_inputs": 2}},
         {"pass": "resub", "params": {"max_divisors": 1}}])
     assert len(r.steps) == 4
+    r = recipe_from_steps([
+        {"pass": "rewrite", "params": {"cut_size": MAX_TT_INPUTS,
+                                       "max_cuts": MAX_CUTS}},
+        {"pass": "refactor", "params": {"max_cone_inputs": MAX_TT_INPUTS}}])
+    assert len(r.steps) == 3
+
+
+def test_passes_reject_the_widths_a_recipe_rejects():
+    # the recipe check and each pass read the same named bound; past it
+    # _factored raises instead of overflowing its 16-bit literal counts
+    g = strash(to_aig(_and_chain(4)))
+    with pytest.raises(ValueError, match="cut_size must be <= 16"):
+        rewrite(g, cut_size=MAX_TT_INPUTS + 1)
+    with pytest.raises(ValueError, match="max_cuts must be <= 16"):
+        rewrite(g, max_cuts=MAX_CUTS + 1)
+    with pytest.raises(ValueError, match="max_cone_inputs must be <= 16"):
+        refactor(g, max_cone_inputs=MAX_TT_INPUTS + 1)
+    with pytest.raises(RestructureError, match="17 inputs"):
+        _factored(1, MAX_TT_INPUTS + 1)
 
 
 @pytest.mark.parametrize("steps, message", [

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import htforge
 
 SRC = Path(htforge.__file__).parent
@@ -47,6 +49,61 @@ def test_no_exec_eval_or_compile():
     assert not found, found
 
 
+_MUTABLE = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+            ast.SetComp)
+_MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop",
+             "popitem", "clear", "add", "discard", "remove", "__setitem__"}
+# tt_var's patterns: at most 136 entries, one per (j, m) with j < m <= 16
+_BOUNDED_TABLES = {"_TT_VAR_CACHE"}
+
+
+def _is_mutable(node):
+    # a dict, list or set display or comprehension, or a call of a type
+    # that builds one
+    return isinstance(node, _MUTABLE) or (
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+            "dict", "list", "set", "defaultdict", "Counter", "OrderedDict"))
+
+
+def _process_wide_caches(tree):
+    """(line, what) of each cache in a module that outlives a call: an
+    @lru_cache or @cache, a mutable default argument, and a module-level
+    dict, list or set that a function stores into, deletes from or calls a
+    mutating method on (by name, so a local that shadows one counts too)."""
+    tables = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value \
+                is not None and _is_mutable(stmt.value):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            tables |= {t.id for t in targets if isinstance(t, ast.Name)}
+    tables -= _BOUNDED_TABLES
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        for d in (*func.args.defaults, *func.args.kw_defaults):
+            if d is not None and _is_mutable(d):
+                yield d.lineno, "mutable default"
+        for dec in getattr(func, "decorator_list", ()):
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = (target.attr if isinstance(target, ast.Attribute)
+                    else getattr(target, "id", None))
+            if name in ("lru_cache", "cache"):
+                yield dec.lineno, f"@{name}"
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                name = getattr(node.value, "id", None)
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _MUTATORS):
+                name = getattr(node.func.value, "id", None)
+            else:
+                continue
+            if name in tables:
+                yield node.lineno, f"writes module-level {name}"
+
+
 def test_no_process_wide_cache():
     # caches live in an object a caller creates and passes (a pass's synthesis
     # memo, a netlist's lowered program, an exhaustive sweep's registers), so
@@ -54,17 +111,34 @@ def test_no_process_wide_cache():
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
-            for dec in node.decorator_list:
-                target = dec.func if isinstance(dec, ast.Call) else dec
-                name = (target.attr if isinstance(target, ast.Attribute)
-                        else getattr(target, "id", None))
-                if name in ("lru_cache", "cache"):
-                    found.append(f"{path.name}:{dec.lineno} @{name}")
+        found += [f"{path.name}:{line} {what}"
+                  for line, what in _process_wide_caches(tree)]
     assert not found, found
+
+
+@pytest.mark.parametrize("text, caches", [
+    pytest.param("@functools.lru_cache(None)\ndef f(x):\n    return x\n", 1,
+                 id="lru_cache"),
+    pytest.param("def f(x, seen={}):\n    return seen\n", 1,
+                 id="dict-default"),
+    pytest.param("def f(x, *, seen=list()):\n    return seen\n", 1,
+                 id="list-keyword-default"),
+    pytest.param("g = lambda x, seen=[]: seen\n", 1, id="lambda-default"),
+    pytest.param("_T = {}\ndef f(x):\n    _T[x] = 1\n    del _T[x]\n", 2,
+                 id="module-dict-stored-and-deleted"),
+    pytest.param("_T: list = []\ndef f(x):\n    _T.append(x)\n", 1,
+                 id="module-list-appended"),
+    pytest.param("_T = (1, 2)\ndef f(x):\n    return _T[x]\n", 0,
+                 id="module-tuple-read"),
+    pytest.param("_T = {}\ndef f(x):\n    return _T.get(x)\n", 0,
+                 id="module-dict-read"),
+    pytest.param("def f(x, seen=None):\n    seen = {}\n    seen[x] = 1\n", 0,
+                 id="local-dict"),
+    pytest.param("_TT_VAR_CACHE = {}\ndef f(x):\n    _TT_VAR_CACHE[x] = 1\n",
+                 0, id="bounded-table-by-name"),
+])
+def test_process_wide_cache_scan_finds_each_kind(text, caches):
+    assert len(list(_process_wide_caches(ast.parse(text)))) == caches
 
 
 def test_tracer_wrapped_names_resolve():

@@ -200,6 +200,17 @@ def test_activation_estimate_wide_and():
     assert est <= 0.004  # true rate 1/256
 
 
+@pytest.mark.parametrize("seed", [None, "7", 1.5])
+def test_activation_estimate_rejects_a_seed_that_is_not_an_int(seed):
+    # None would seed from OS entropy and give a different estimate per call
+    n = _wide_and(8)
+    rec = TrojanRecord(trigger=(("y", 1),), trigger_net="t", victim="y",
+                       victim_pre="p", payload_gate="gp", witness=None,
+                       added_gates=(), q=1)
+    with pytest.raises(ValueError, match="seed must be an int"):
+        activation_estimate(n, rec, 1000, seed=seed)
+
+
 def test_activation_estimate_unsatisfiable():
     n = parse_netlist("module m(a,y,z); input a; output y,z;"
                       " not g1(y,a); buf g2(z,a); endmodule")
