@@ -51,7 +51,7 @@ MAX_TT_INPUTS = 16
 MAX_CUTS = 16
 
 # per width m up to MAX_TT_INPUTS: the all-ones table and the m leaf
-# patterns over it, built once at import (tt_var holds the patterns anyway)
+# patterns over it, built once at import for the synthesis kernels below
 _LEAF_TTS = tuple(((1 << (1 << m)) - 1, tuple(tt_var(j, m) for j in range(m)))
                   for m in range(MAX_TT_INPUTS + 1))
 
@@ -212,12 +212,10 @@ class _Work:
         walk steps.  Local passes keep the default cap; fraig's proofs
         pass ``math.inf``."""
         m = len(leaves)
-        if m <= MAX_TT_INPUTS:
-            mask, pats = _LEAF_TTS[m]
-        else:  # fraig's proofs over wider supports
-            mask, pats = (1 << (1 << m)) - 1, [tt_var(j, m) for j in range(m)]
+        mask = (1 << (1 << m)) - 1
         val = {0: mask}
-        val.update(zip(leaves, pats))
+        for j, leaf in enumerate(leaves):
+            val[leaf] = tt_var(j, m)
         if root in val:
             return val[root]
         fan0, fan1, dead, first = self.fan0, self.fan1, self.dead, self.first_and

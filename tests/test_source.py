@@ -67,9 +67,10 @@ def _is_mutable(node):
 
 def _process_wide_caches(tree):
     """(line, what) of each cache in a module that outlives a call: an
-    @lru_cache or @cache, a mutable default argument, and a module-level
-    dict, list or set that a function stores into, deletes from or calls a
-    mutating method on (by name, so a local that shadows one counts too)."""
+    @lru_cache or @cache on a function or class, a mutable default
+    argument, and a module-level dict, list or set that a function stores
+    into, deletes from or calls a mutating method on (by name, so a local
+    that shadows one counts too)."""
     tables = set()
     for stmt in tree.body:
         if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value \
@@ -78,18 +79,18 @@ def _process_wide_caches(tree):
             tables |= {t.id for t in targets if isinstance(t, ast.Name)}
     tables -= _BOUNDED_TABLES
     for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-            continue
-        for d in (*func.args.defaults, *func.args.kw_defaults):
-            if d is not None and _is_mutable(d):
-                yield d.lineno, "mutable default"
         for dec in getattr(func, "decorator_list", ()):
             target = dec.func if isinstance(dec, ast.Call) else dec
             name = (target.attr if isinstance(target, ast.Attribute)
                     else getattr(target, "id", None))
             if name in ("lru_cache", "cache"):
                 yield dec.lineno, f"@{name}"
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        for d in (*func.args.defaults, *func.args.kw_defaults):
+            if d is not None and _is_mutable(d):
+                yield d.lineno, "mutable default"
         for node in ast.walk(func):
             if (isinstance(node, ast.Subscript)
                     and isinstance(node.ctx, (ast.Store, ast.Del))):
@@ -119,6 +120,10 @@ def test_no_process_wide_cache():
 @pytest.mark.parametrize("text, caches", [
     pytest.param("@functools.lru_cache(None)\ndef f(x):\n    return x\n", 1,
                  id="lru_cache"),
+    pytest.param("@functools.cache\nclass C:\n    pass\n", 1,
+                 id="cached-class"),
+    pytest.param("class C:\n    @cache\n    def f(self):\n        return 1\n", 1,
+                 id="cached-method"),
     pytest.param("def f(x, seen={}):\n    return seen\n", 1,
                  id="dict-default"),
     pytest.param("def f(x, *, seen=list()):\n    return seen\n", 1,
