@@ -278,6 +278,7 @@ def seek_simulate(n_nodes: int, k: int, trials: int = 10_000,
     budget = n_nodes if budget is None else budget
     _check(budget, "budget", "int", low=1)
     _check(trials, "trials", "int", low=1)
+    _check(seed, "seed", "int")
     rng = random.Random(seed)
     hist = {}
     total = 0

@@ -300,20 +300,20 @@ def _lower(n: Netlist, keep):
         cut = len(steps)   # left where the rest starts
         for g in part:
             op, inv = GATE_OPS[g.kind]
-            ins = [reg[i] for i in g.inputs]
+            ins = g.inputs
             if free:
                 out = free.pop()
             else:
                 out, size = size, size + 1
-            reg[g.output] = out
             if op is None or len(ins) == 1:
-                steps += xor, out, ins[0], inv
+                steps += xor, out, reg[ins[0]], inv
             else:
-                steps += op, out, ins[0], ins[1]
+                steps += op, out, reg[ins[0]], reg[ins[1]]
                 for b in ins[2:]:
-                    steps += op, out, out, b
+                    steps += op, out, out, reg[b]
                 if inv:
                     steps += xor, out, out, 1
+            reg[g.output] = out   # no gate reads its own output
             if last_reader:
                 for i in g.inputs:
                     if last_reader.get(i) is g:
@@ -533,6 +533,35 @@ _TOKEN_RE = re.compile(
 
 _IDENT_START = frozenset(string.ascii_letters + "_")
 
+# Byte classes of an ASCII source for _tokens: "a" for letters and _, "0"
+# for digits and $, " " for blanks and (),;, and "!" for every other byte
+# (comments, escapes, literals, other punctuation).  Only bytes below 128
+# are ever looked up.
+_CLASSES = bytes(
+    ord("a") if c in _IDENT_START
+    else ord("0") if c in string.digits + "$"
+    else ord(" ") if c.isspace() or c in "(),;"
+    else ord("!") for c in map(chr, range(256)))
+
+
+def _tokens(source):
+    """``_TOKEN_RE.findall(source)``.  An ASCII source with no "!" byte and
+    no blank before a digit or $ (which would start a number or a lone $)
+    holds only identifiers and (),;, so str methods split it; any other
+    source goes through the regex."""
+    if source.isascii():
+        classes = (" " + source).encode().translate(_CLASSES)
+        if b"!" not in classes and b" 0" not in classes:
+            text = source
+            for p in "(),;":
+                text = text.replace(p, f" {p} ")
+            toks = text.split()
+            # the regex matches EOF once, and again after a trailing blank
+            toks += ("", "") if source[-1:].isspace() else ("",)
+            return toks
+    return _TOKEN_RE.findall(source)
+
+
 MAX_RANGE_BITS = 65_536   # widest [msb:lsb] range a parse bit-blasts
 MAX_BLASTED_BITS = 65_536  # most names all ranges of one module bit-blast
 
@@ -543,7 +572,7 @@ class _Parser:
 
     def __init__(self, source):
         self.source = source
-        self.toks = _TOKEN_RE.findall(source)
+        self.toks = _tokens(source)
         self.blasted = 0  # names bit-blasted from ranges so far
 
     def kind(self, k):

@@ -610,6 +610,7 @@ def _factored(tt, m):
 def balance(g: AigGraph, seed=0) -> AigGraph:
     """Rebuild AND trees level-minimally.  Tie-breaks among equal-level
     operands are seeded, which varies structure without affecting depth."""
+    _check(seed, "seed", "int")
     g = strash(g)
     rng = random.Random(seed)
     roots = tree_roots(g, range(1 + g.n_pis, g.n_nodes))
@@ -695,6 +696,7 @@ def rewrite(g: AigGraph, cut_size=4, max_cuts=8, seed=0) -> AigGraph:
     its truth table; replacements accepted only with non-negative gain."""
     _check(cut_size, "cut_size", "int", high=MAX_TT_INPUTS)
     _check(max_cuts, "max_cuts", "int", high=MAX_CUTS)
+    _check(seed, "seed", "int")
     g = strash(g)
     node_cuts = enumerate_cuts(g, cut_size, max_cuts)
     return _resynthesize(g, seed, "rewrite", lambda w, node: node_cuts[node])
@@ -730,6 +732,7 @@ def refactor(g: AigGraph, max_cone_inputs=10, seed=0) -> AigGraph:
     """Collapse reconvergent cones to truth tables and rebuild them from a
     factored irredundant SOP; accepted only when node count does not grow."""
     _check(max_cone_inputs, "max_cone_inputs", "int", high=MAX_TT_INPUTS)
+    _check(seed, "seed", "int")
     return _resynthesize(
         strash(g), seed, "refactor",
         lambda w, node: (_greedy_cone(w, node, max_cone_inputs),))
@@ -789,6 +792,7 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
     node count.  Candidates are filtered by simulation signatures and
     validated by an exact check over the local PI support; a divisor pair
     of positive gain ends a node's search even when commit() refuses it."""
+    _check(seed, "seed", "int")
     g = strash(g)
     rng = random.Random(seed ^ 0x5EED)
     mask = (1 << 128) - 1
@@ -840,6 +844,7 @@ def fraig(g: AigGraph, sim_words=16, seed=0) -> AigGraph:
     simulation, prove merges exactly over the pair's PI support, and rebuild
     with proven-equivalent nodes shared.  Pairs over more than 20 PIs are
     left unresolved and never merged."""
+    _check(seed, "seed", "int")
     g = strash(g)
     rng = random.Random(seed)
     width = 64 * max(1, sim_words)

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import os
 import subprocess
 import sys
@@ -245,3 +246,56 @@ def test_work_rebuild_after_replace_is_equivalent():
     out = w.rebuild()
     assert po_signatures(out, exhaustive_signatures(out), 8) == ref
     assert out.n_ands == 2  # only t&c remains, shared by both POs
+
+
+def _seeded_calls():
+    """A minimal valid call, by seed, of every public callable that draws
+    from a seed."""
+    n = random_netlist(5, n_pis=4, n_gates=12)
+    g = to_aig(n)
+    rec = TrojanRecord(trigger=((n.outputs[0], 1),), trigger_net="t",
+                       victim=n.outputs[0], victim_pre="p", payload_gate="gp",
+                       witness=None, added_gates=(), q=1)
+    return {
+        "CheckConfig": lambda s: htforge.CheckConfig(seed=s),
+        "TrojanSpec": lambda s: htforge.TrojanSpec(seed=s),
+        "activation_estimate": lambda s: htforge.activation_estimate(
+            n, rec, 10, seed=s),
+        "apply_recipe": lambda s: apply_recipe(n, RECIPES[1], seed=s),
+        "balance": lambda s: htforge.balance(g, seed=s),
+        "fraig": lambda s: htforge.fraig(g, seed=s),
+        "refactor": lambda s: htforge.refactor(g, seed=s),
+        "resubstitute": lambda s: htforge.resubstitute(g, seed=s),
+        "rewrite": lambda s: htforge.rewrite(g, seed=s),
+        "seek_simulate": lambda s: htforge.seek_simulate(5, 2, trials=10,
+                                                         seed=s),
+        "signal_prob": lambda s: htforge.signal_prob(n, 10, seed=s),
+    }
+
+
+# a TrojanRecord stores the seed its insertion used; it draws nothing
+_SEED_RECORDS = {"TrojanRecord"}
+
+
+def test_every_public_callable_with_a_seed_is_checked_below():
+    takes_seed = set()
+    for name, obj in vars(htforge).items():
+        if name.startswith("_") or not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:   # exception classes
+            continue
+        if "seed" in params:
+            takes_seed.add(name)
+    assert takes_seed == set(_seeded_calls()) | _SEED_RECORDS
+
+
+@pytest.mark.parametrize("name", sorted(_seeded_calls()))
+def test_a_seed_that_is_not_an_int_is_rejected(name):
+    # None would seed random.Random from OS entropy, so two calls differ
+    call = _seeded_calls()[name]
+    call(0)
+    for seed in (None, "7", 1.5):
+        with pytest.raises(ValueError, match=r"^seed must be an int"):
+            call(seed)

@@ -4,17 +4,21 @@ import json
 import random
 import re
 import tracemalloc
+from operator import xor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from htforge import netlist
 from htforge.judge import ForgeConfig, forge_benchmark
 from htforge.netlist import (
     _BEHAVIORAL_KEYWORDS,
     _IDENT_START,
+    CHUNK_VARS,
     CONST0,
     CONST1,
     GATE_KINDS,
+    GATE_OPS,
     Gate,
     Netlist,
     NetlistError,
@@ -23,6 +27,8 @@ from htforge.netlist import (
     _TOKEN_RE,
     _Parser,
     _emit_ident,
+    _lower,
+    _tokens,
     decode,
     parse_netlist,
     simulate,
@@ -35,8 +41,8 @@ from htforge.netlist import (
     write_netlist,
 )
 
-from conftest import (C17, FULL_ADDER, all_stimuli, brute_eval, random_netlist,
-                      rarity_netlist)
+from conftest import (C17, FULL_ADDER, all_stimuli, array_multiplier, brute_eval,
+                      random_netlist, rarity_netlist)
 
 
 def test_parse_two_gate_module():
@@ -711,6 +717,65 @@ def test_tokenizer_matches_the_reference(acceptance_entries):
     corpus += [src + "//" for src in corpus[-200:]]   # a line comment at EOF
     for src in corpus:
         assert _token_list(_TOKEN_RE, src) == _token_list(_REF_TOKEN_RE, src), src
+        assert _tokens(src) == _TOKEN_RE.findall(src), src
+
+
+class _RegexSplitsNothing:
+    """Stands in for _TOKEN_RE: error() may still re-scan with finditer,
+    but a source that reaches findall raises."""
+
+    finditer = _TOKEN_RE.finditer
+
+    def findall(self, source):
+        raise AssertionError("the regex split the source")
+
+
+# Pieces of sources that hold only identifiers, (),; and blanks, the
+# alphabet _tokens splits with str methods, and of near misses: tokens that
+# start with a digit or $, and U+00A0, a blank outside ASCII.
+_PLAIN_PIECES = (
+    "a", "_x", "n261", "x$1", "Z9_", "and", "module", "(", ")", ",", ";",
+    " ", "  ", "\t", "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d",
+    "\x1e", "\x1f", "0", "42", "9x", "$", "$a", "\xa0")
+
+
+def test_plain_alphabet_tokens_match_the_regex(monkeypatch):
+    rng = random.Random(24)
+    corpus = ["", " ", " \t\n\v\f\r\x1c\x1d\x1e\x1f", "a ", "a;", "a; \n",
+              "(a,b);", "a\x1fb", "a 0", "(0)", ";$", "a\xa0b", "\xa0"]
+    corpus += ["".join(rng.choices(_PLAIN_PIECES, k=rng.randint(0, 16)))
+               for _ in range(20_000)]
+    monkeypatch.setattr(netlist, "_TOKEN_RE", _RegexSplitsNothing())
+    split = {True: 0, False: 0}   # by whether str methods split it
+    for src in corpus:
+        try:
+            got = _tokens(src)
+        except AssertionError:   # the regex path, findall itself
+            split[False] += 1
+            continue
+        split[True] += 1
+        assert got == _TOKEN_RE.findall(src), src
+    assert min(split.values()) > 5000, split
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_netlist(24, n_pis=20, n_gates=150),
+    lambda: rarity_netlist(24),
+    lambda: array_multiplier(6)], ids=["random", "rarity", "multiplier"])
+def test_written_netlists_are_split_without_the_regex(make, monkeypatch):
+    # the writer emits only identifiers, (),; and blanks when no name needs
+    # escaping and no connection is a constant; such a text must not fall
+    # back to the regex
+    n = make()
+    text = write_netlist(n)
+    monkeypatch.setattr(netlist, "_TOKEN_RE", _RegexSplitsNothing())
+    back = parse_netlist(text)
+    assert (back.name, back.inputs, back.outputs, back.gates) == \
+        (n.name, n.inputs, n.outputs, n.gates)
+    # a ParseError still takes its line and column from a finditer re-scan
+    bad = text.replace("endmodule", "wire")
+    assert _outcome(lambda s: _Parser(s).parse_module(), bad) == \
+        _outcome(lambda s: _RefParser(s).parse_module(), bad)
 
 
 def test_write_round_trip_two_gates():
@@ -874,6 +939,114 @@ def test_simulate_packed_kernel_matches_scalar_at_two_widths(keep):
                 if vals[net]:
                     expect[net] |= rows
         assert packed == expect, (w, keep)
+
+
+def _ref_lower(n, keep):
+    """_lower with a list of input registers built per gate: the reference
+    its programs must equal, step for step."""
+    if len(set(n.inputs)) != len(n.inputs):
+        raise NetlistError("simulate_packed needs distinct primary inputs")
+    if keep is None:
+        keep, gates, last_reader = frozenset(n.nets), n.topo_gates, {}
+    elif not keep.issubset(n.nets):
+        raise NetlistError("simulate_packed cannot keep undriven nets "
+                           f"{sorted(keep.difference(n.nets))}")
+    else:
+        gates, need, last_reader = [], set(keep), {}
+        for g in reversed(n.topo_gates):
+            if g.output in need:
+                gates.append(g)
+                need.update(g.inputs)
+                for i in g.inputs:
+                    if i not in keep:
+                        last_reader.setdefault(i, g)
+        gates.reverse()
+        last_reader.pop(CONST0, None)
+        last_reader.pop(CONST1, None)
+    reg = {CONST0: 0, CONST1: 1}
+    reg.update((p, k) for k, p in enumerate(n.inputs, 2))
+    free = [reg[p] for p in reversed(n.inputs)
+            if p not in keep and p not in last_reader]
+    loads = tuple([reg[p] for p in n.inputs[CHUNK_VARS:]
+                   if p in keep or p in last_reader])
+    prologue, rest = gates, ()
+    if len(n.inputs) > CHUNK_VARS:
+        late = set(n.inputs[CHUNK_VARS:])   # later PIs and the nets they reach
+        prologue, rest = [], []
+        for g in gates:
+            if late.isdisjoint(g.inputs):
+                prologue.append(g)
+            else:
+                rest.append(g)
+                late.add(g.output)
+                for i in g.inputs:
+                    if i not in late:
+                        last_reader.pop(i, None)   # read again on every rerun
+    size = len(reg)
+    steps = []
+    for part in (prologue, rest):
+        cut = len(steps)   # left where the rest starts
+        for g in part:
+            op, inv = GATE_OPS[g.kind]
+            ins = [reg[i] for i in g.inputs]
+            if free:
+                out = free.pop()
+            else:
+                out, size = size, size + 1
+            reg[g.output] = out
+            if op is None or len(ins) == 1:
+                steps += xor, out, ins[0], inv
+            else:
+                steps += op, out, ins[0], ins[1]
+                for b in ins[2:]:
+                    steps += op, out, out, b
+                if inv:
+                    steps += xor, out, out, 1
+            if last_reader:
+                for i in g.inputs:
+                    if last_reader.get(i) is g:
+                        del last_reader[i]
+                        free.append(reg[i])
+    kept = tuple([(net, reg[net]) for net in n.nets if net in keep])
+    return size, tuple(steps), cut, kept, loads
+
+
+def _lowering_netlist(seed, n_pis):
+    """Every gate kind, BUF and NOT with one input and the rest with 2-4,
+    reading PIs, earlier gates and both constants."""
+    rng = random.Random(seed)
+    nets = [f"i{k}" for k in range(n_pis)]
+    gates = []
+    for k in range(6 * n_pis):
+        kind = rng.choice(GATE_KINDS)
+        arity = 1 if kind in ("BUF", "NOT") else rng.choice((2, 2, 3, 4))
+        ins = tuple(rng.choice(nets) if rng.random() > 0.05
+                    else rng.choice((CONST0, CONST1)) for _ in range(arity))
+        gates.append(Gate(kind, f"w{k}", ins, f"g{k}"))
+        nets.append(f"w{k}")
+    outs = tuple(rng.sample(nets[n_pis:], 4))
+    return Netlist(f"low{seed}", tuple(nets[:n_pis]), outs, tuple(gates))
+
+
+@pytest.mark.parametrize("n_pis", [3, 12, 17, 24])
+def test_lowered_program_matches_the_reference(n_pis):
+    progs = []
+    for seed in range(6):
+        n = _lowering_netlist(100 * n_pis + seed, n_pis)
+        rng = random.Random(seed)
+        keeps = [None, frozenset(n.outputs),
+                 frozenset(rng.sample(n.nets, 5)),
+                 frozenset(rng.sample(n.nets, len(n.nets) // 2)),
+                 frozenset((*n.inputs[-2:], CONST1, n.outputs[0]))]
+        for keep in keeps:
+            progs.append(_lower(n, keep))
+            assert progs[-1] == _ref_lower(n, keep), (seed, keep)
+    # past CHUNK_VARS PIs a program has a prologue (cut > 0) and loads
+    assert any(cut and loads for _, _, cut, _, loads in progs) == \
+        (n_pis > CHUNK_VARS)
+    n = _kernel_netlist()
+    for keep in (None, frozenset(n.outputs), frozenset({"mix", "c"})):
+        assert _lower(n, keep) == _ref_lower(n, keep), keep
 
 
 def test_simulate_packed_rejects_duplicate_inputs():
