@@ -3,8 +3,8 @@
 Every golden circuit becomes nb anonymized variants; each variant may or
 may not carry a Trojan (the per-variant coin is flipped before and
 independently of the recipe draw).  The public set reveals nothing; the
-sealed key scores submissions into TP/TN/FP/FN and the confidence value
-(1 - FP) / (1/alpha + FN).
+private key scores submissions into TP/TN/FP/FN and the confidence value
+(1 - FP) / (1/alpha + FN), and adds per-entry truth from its expiry date on.
 """
 
 import random
@@ -14,7 +14,6 @@ from htforge import (
     ForgeConfig,
     Submission,
     forge_benchmark,
-    judge_window,
     parse_netlist,
     score_submission,
 )
@@ -71,10 +70,11 @@ for name, sub in (("perfect", truth), ("all-infected", paranoid),
     print(f"{name:14s}  {rep.tp:2d} {rep.tn:2d} {rep.fp:2d} {rep.fn:2d}   "
           f"{rep.fp_rate:7.3f} {rep.fn_rate:7.3f}  {rep.conf_val:8.3f}")
 
-sub = Submission(dict(truth.verdicts), timestamp="2026-04-12")
-outcome = judge_window(sub, key, alpha=10, now="2026-04-20")
-print(f"\nmid-month submission -> deferred until {outcome.release_date}")
-outcome = judge_window(sub, key, alpha=10, now="2026-05-01")
-print(f"at the boundary      -> report released, conf_val "
-      f"{outcome.conf_val:.2f}")
-print(f"key stays sealed until {key.expiry_date}")
+before = score_submission(coin, key, alpha=10, now="2027-06-01")
+print(f"\njudged 2027-06-01, before expiry: per_entry {before.per_entry}")
+after = score_submission(coin, key, alpha=10, now=key.expiry_date)
+print(f"judged {key.expiry_date} (key expiry): per-entry truth for "
+      f"{len(after.per_entry)} circuits")
+for eid, entry in sorted(after.per_entry.items())[:3]:
+    print(f"  {eid}: k={entry['k']} label={entry['label']:8s} "
+          f"-> {entry['outcome']}")

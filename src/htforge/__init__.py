@@ -61,7 +61,6 @@ from .judge import (
     Submission,
     confidence_value,
     forge_benchmark,
-    judge_window,
     score_submission,
 )
 from .analytics import (

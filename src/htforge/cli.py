@@ -424,7 +424,8 @@ def build_parser():
     p.add_argument("--submission", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--now", default=None,
-                   help="date for key-expiry checks (YYYY-MM-DD)")
+                   help="judging date (YYYY-MM-DD); on or after the key's "
+                        "expiry_date the report adds per-entry truth")
     p.add_argument("--json", dest="json_out", default="-")
     p.set_defaults(fn=_cmd_judge)
 

@@ -3,10 +3,10 @@
 forge_benchmark() turns golden circuits into an anonymized set of
 restructured variants, each infected with probability given by the config
 (decided before and independently of the recipe draw, so the recipe leaks
-nothing), plus a sealed answer key whose checksum binds to the public
-manifest.  score_submission() reproduces the four confusion outcomes and
-the confidence value (1 - FP) / (1/alpha + FN); judge_window() enforces the
-monthly release cadence and the three-year retirement.
+nothing), plus a private answer key whose checksum binds to the public
+manifest.  score_submission() is the one judge; it reports per-entry truth
+only on or after the key's expiry date.  Release cadence and retirement are
+the organizer's process, not the tool's.
 
 All randomness is split from the master seed with SHA-256 streams, so a
 config maps to byte-identical artifacts on every run.
@@ -21,6 +21,7 @@ import os
 import random
 from dataclasses import dataclass, field
 
+from . import __version__
 # check_equivalence stays bound here; bench/test_bench.py checks its patching
 from .equiv import CheckConfig, check_equivalence, check_trojan_semantics  # noqa: F401
 from .analysis import RARE_METRICS
@@ -31,15 +32,11 @@ from .trojan import (InsertionError, InsufficientRareNetsError, TrojanSpec,
 
 LIFESPAN_YEARS = 3
 FORMAT_VERSION = 1
+_COUNTS = ("tp", "tn", "fp", "fn")   # ConfusionReport's outcome fields
 
 
 class JudgeError(Exception):
     pass
-
-
-def _tool_version():
-    from . import __version__
-    return __version__
 
 
 def _sha256_text(text):
@@ -50,8 +47,14 @@ def _json_text(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _add_years(iso_date, years):
-    d = datetime.date.fromisoformat(iso_date)
+def _iso_date(text, name):
+    try:
+        return datetime.date.fromisoformat(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an ISO date, got {text!r}") from None
+
+
+def _add_years(d, years):
     try:
         out = d.replace(year=d.year + years)
     except ValueError:  # Feb 29
@@ -109,11 +112,8 @@ class ForgeConfig:
         _check(self.master_seed, "master_seed", "int")
         _check(self.set_name, "set_name", "str")
         _check(self.release_date, "release_date", "str")
-        try:
-            self.expiry_date = _add_years(self.release_date, LIFESPAN_YEARS)
-        except ValueError:
-            raise ValueError(f"release_date must be an ISO date, "
-                             f"got {self.release_date!r}") from None
+        self.expiry_date = _add_years(
+            _iso_date(self.release_date, "release_date"), LIFESPAN_YEARS)
         _check(self.exhaustive_bound, "exhaustive_bound", "int", low=0)
         _check(self.equiv_vectors, "equiv_vectors", "int", low=1)
         if self.set_name in ("", ".", "..") or any(
@@ -188,13 +188,15 @@ class AnswerKey:
     @staticmethod
     def from_json_text(text):
         """Parse a key; text that is not JSON, or JSON nested too deeply,
-        and a missing or mistyped field raise JudgeError."""
+        and a missing, mistyped or non-ISO-date field raise JudgeError."""
         try:
             d = _check(json.loads(text), "answer key", "dict")
             for name, kind in (("set_name", "str"), ("manifest_sha256", "str"),
                                ("master_seed", "int"), ("release_date", "str"),
                                ("expiry_date", "str"), ("entries", "dict")):
                 _check(d.get(name), f"answer key '{name}'", kind)
+            for name in ("release_date", "expiry_date"):
+                _iso_date(d[name], f"answer key '{name}'")
             for eid, e in d["entries"].items():
                 entry = f"answer key entry '{eid}'"
                 _check(e, entry, "dict")
@@ -214,10 +216,9 @@ class AnswerKey:
 @dataclass
 class Submission:
     verdicts: dict    # opaque id -> "infected" | "clean"
-    timestamp: str = ""
 
     @staticmethod
-    def from_csv_text(text, timestamp=""):
+    def from_csv_text(text):
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
         if not lines or lines[0].lower().replace(" ", "") != "circuit_id,label":
             raise JudgeError("submission CSV must start with 'circuit_id,label'")
@@ -229,7 +230,7 @@ class Submission:
             if parts[0] in verdicts:
                 raise JudgeError(f"duplicate verdict for id {parts[0]}")
             verdicts[parts[0]] = parts[1]
-        return Submission(verdicts, timestamp)
+        return Submission(verdicts)
 
     def to_csv_text(self):
         rows = ["circuit_id,label"]
@@ -313,7 +314,7 @@ def forge_benchmark(cfg: ForgeConfig):
         }
     entries.sort(key=lambda e: e[0])
 
-    provenance = {"tool": "htforge", "version": _tool_version(),
+    provenance = {"tool": "htforge", "version": __version__,
                   "config_sha256": cfg.fingerprint()}
     manifest = {
         "set_name": cfg.set_name,
@@ -417,80 +418,31 @@ def score_submission(sub: Submission, key: AnswerKey, alpha: float,
                      now=None) -> ConfusionReport:
     """Count the four outcomes and the confidence value.
 
-    Per-entry truth is included only when the key has expired.
+    Per-entry truth is included only when ``now`` is on or after expiry.
     """
     try:
         confidence_value(0.0, 0.0, alpha)  # checks alpha before scoring
     except ValueError as e:
         raise JudgeError(str(e)) from e
-    ids = set(key.entries)
-    got = set(sub.verdicts)
+    ids, got = set(key.entries), set(sub.verdicts)
     if got != ids:
-        missing = sorted(ids - got)[:5]
-        extra = sorted(got - ids)[:5]
         raise JudgeError(f"submission does not cover the benchmark exactly "
-                         f"(missing {missing}, unknown {extra})")
-    tp = tn = fp = fn = 0
+                         f"(missing {sorted(ids - got)[:5]}, "
+                         f"unknown {sorted(got - ids)[:5]})")
     per_golden = {}
     per_entry = {}
     for eid, truth in key.entries.items():
         label = sub.verdicts[eid]
         k = truth["k"]
-        g = truth["golden"]
-        slot = per_golden.setdefault(g, {"tp": 0, "tn": 0, "fp": 0, "fn": 0})
-        if k == 1 and label == "infected":
-            tp += 1
-            slot["tp"] += 1
-            outcome = "TP"
-        elif k == 1:
-            fn += 1
-            slot["fn"] += 1
-            outcome = "FN"
-        elif label == "infected":
-            fp += 1
-            slot["fp"] += 1
-            outcome = "FP"
+        if label == "infected":
+            outcome = "TP" if k == 1 else "FP"
         else:
-            tn += 1
-            slot["tn"] += 1
-            outcome = "TN"
+            outcome = "FN" if k == 1 else "TN"
+        slot = per_golden.setdefault(truth["golden"], dict.fromkeys(_COUNTS, 0))
+        slot[outcome.lower()] += 1
         per_entry[eid] = {"k": k, "label": label, "outcome": outcome}
-    report = ConfusionReport(tp, tn, fp, fn, float(alpha), per_golden)
+    report = ConfusionReport(*(sum(s[o] for s in per_golden.values())
+                               for o in _COUNTS), float(alpha), per_golden)
     if now is not None and key.expired(now):
         report.per_entry = per_entry
     return report
-
-
-@dataclass
-class DeferredReceipt:
-    release_date: str
-
-
-def _next_month_start(iso_date):
-    d = datetime.date.fromisoformat(iso_date)
-    if d.month == 12:
-        return datetime.date(d.year + 1, 1, 1).isoformat()
-    return datetime.date(d.year, d.month + 1, 1).isoformat()
-
-
-def judge_window(sub: Submission, key: AnswerKey, alpha: float, now: str):
-    """Monthly-cadence judging: reports release at month boundaries;
-    submissions on or after the key's expiry date are rejected."""
-    expiry = key.expiry_date
-    sub_date = sub.timestamp or now
-    if datetime.date.fromisoformat(str(sub_date)) >= \
-            datetime.date.fromisoformat(expiry):
-        raise JudgeError("benchmark retired: submissions closed after "
-                         f"{expiry}")
-    release = _next_month_start(str(sub_date))
-    if datetime.date.fromisoformat(str(now)) < \
-            datetime.date.fromisoformat(release):
-        return DeferredReceipt(release)
-    return score_submission(sub, key, alpha, now=now)
-
-
-def export_answer_key(key: AnswerKey, now) -> str:
-    """Public key dump, refused until the benchmark has expired."""
-    if not key.expired(now):
-        raise JudgeError(f"answer key is sealed until {key.expiry_date}")
-    return key.to_json_text()

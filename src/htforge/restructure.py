@@ -46,9 +46,11 @@ class _OverCap(Exception):
 
 
 # the widest truth table rewrite and refactor synthesize (_factored counts
-# literals in 16-bit fields), and the most cuts rewrite keeps per node
+# literals in 16-bit fields), the most cuts rewrite keeps per node, and the
+# widest PI support over which resubstitute and fraig prove a candidate
 MAX_TT_INPUTS = 16
 MAX_CUTS = 16
+MAX_PROOF_PIS = 20
 
 # per width m up to MAX_TT_INPUTS: the all-ones table and the m leaf
 # patterns over it, built once at import for the synthesis kernels below
@@ -805,7 +807,7 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
         mffc = w.mffc(node)
         s_node = w.support(node)
         pi_nodes = tuple(1 + k for k in _bits(s_node))
-        if not pi_nodes or len(pi_nodes) > 20:
+        if not pi_nodes or len(pi_nodes) > MAX_PROOF_PIS:
             continue
         full = (1 << (1 << len(pi_nodes))) - 1
         divs = []
@@ -842,8 +844,8 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
 def fraig(g: AigGraph, sim_words=16, seed=0) -> AigGraph:
     """Functionally reduce: group nodes into candidate classes by random
     simulation, prove merges exactly over the pair's PI support, and rebuild
-    with proven-equivalent nodes shared.  Pairs over more than 20 PIs are
-    left unresolved and never merged."""
+    with proven-equivalent nodes shared.  Pairs over more than MAX_PROOF_PIS
+    PIs are left unresolved and never merged."""
     _check(seed, "seed", "int")
     g = strash(g)
     rng = random.Random(seed)
@@ -855,9 +857,9 @@ def fraig(g: AigGraph, sim_words=16, seed=0) -> AigGraph:
 
     def proven_equal(a, b_, comp):
         """True / False for f_a == f_b ^ comp, None (unresolved) when the
-        pair's PI support exceeds 20."""
+        pair's PI support exceeds MAX_PROOF_PIS."""
         pis = tuple(1 + k for k in _bits(w.support(a) | w.support(b_)))
-        if len(pis) > 20:
+        if len(pis) > MAX_PROOF_PIS:
             return None
         ta = w.cone_tt(a, pis, max_steps=math.inf)
         tb = w.cone_tt(b_, pis, max_steps=math.inf)

@@ -261,6 +261,18 @@ def test_bench_judge_round_trip(tmp_path, capsys):
     assert report["fp"] == 0 and report["fn"] == 0
     assert report["conf_val"] == 10.0
     assert report["tp"] + report["tn"] == 4
+    # per-entry truth appears on the key's expiry date, not the day before
+    assert key["expiry_date"] == "2029-03-01"
+    dated = {}
+    for now in ("2029-02-28", "2029-03-01"):
+        assert run(["judge", "--key", key_path, "--submission", str(sub),
+                    "--alpha", "10", "--now", now]) == 0
+        dated[now] = json.loads(capsys.readouterr().out)
+    per_entry = dated["2029-03-01"].pop("per_entry")
+    assert dated["2029-02-28"] == dated["2029-03-01"] == report
+    assert sorted(per_entry) == sorted(key["entries"])
+    assert all(e["k"] == key["entries"][eid]["k"]
+               and e["outcome"] in ("TP", "TN") for eid, e in per_entry.items())
 
 
 _KEY = {"set_name": "s", "manifest_sha256": "0" * 64, "master_seed": 0,
@@ -277,6 +289,12 @@ _KEY = {"set_name": "s", "manifest_sha256": "0" * 64, "master_seed": 0,
     pytest.param(dict(_KEY, entries={"b0000": {"golden": "adder", "k": 2}}),
                  "answer key entry 'b0000': 'k' must be one of (0, 1), got 2",
                  id="k-2"),
+    pytest.param(dict(_KEY, expiry_date="soon"),
+                 "answer key 'expiry_date' must be an ISO date, got 'soon'",
+                 id="expiry-not-a-date"),
+    pytest.param(dict(_KEY, release_date="2026-13-01"),
+                 "answer key 'release_date' must be an ISO date, "
+                 "got '2026-13-01'", id="release-not-a-date"),
 ])
 def test_judge_malformed_key_is_a_usage_error(tmp_path, capsys, key, message):
     sub = tmp_path / "sub.csv"

@@ -190,13 +190,15 @@ def test_import_loads_only_the_standard_library():
 
 
 def _pi_count(node):
-    # len(<netlist>.inputs), or len() of a name that holds a support
+    # len(<netlist>.inputs), or len() of a name that holds a support or
+    # PIs (support, pi_nodes, pis)
     if not (isinstance(node, ast.Call) and len(node.args) == 1
             and getattr(node.func, "id", None) == "len"):
         return False
     arg = node.args[0]
     return ((isinstance(arg, ast.Attribute) and arg.attr == "inputs")
-            or (isinstance(arg, ast.Name) and "support" in arg.id))
+            or (isinstance(arg, ast.Name)
+                and ("support" in arg.id or arg.id.startswith("pi"))))
 
 
 def test_pi_bounds_are_named():
