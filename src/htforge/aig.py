@@ -8,6 +8,7 @@ strictly smaller than the node's own index).
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import and_, or_, xor
 
 from .netlist import (CONST0, CONST1, GATE_OPS, Gate, Netlist, NetlistError,
@@ -256,17 +257,32 @@ def enumerate_cuts(g: AigGraph, k=6, max_cuts=8):
     Every node keeps its trivial cut (listed last) plus up to max_cuts-1
     merged cuts, prioritized by leaf count; the constant node has none.
     Truth tables over a cut come from ``restructure._Work.cone_tt``.
+
+    A cut's signature ORs ``1 << (leaf & 63)`` over its leaves; leaves may
+    share a bit, so a pair whose OR has over k bits is skipped unmerged.
     """
-    cuts = [()] * g.n_nodes
-    for node in range(1, 1 + g.n_pis):
-        cuts[node] = ((node,),)
-    base = 1 + g.n_pis
-    for j in range(g.n_ands):
-        node = base + j
-        ones = [frozenset(c) for c in cuts[g.fan1[j] >> 1]]
-        merged = {c1.union(c0) for c0 in cuts[g.fan0[j] >> 1] for c1 in ones}
-        kept = sorted((len(c), tuple(sorted(c))) for c in merged if len(c) <= k)
-        cuts[node] = tuple(t for _, t in kept[:max_cuts - 1]) + ((node,),)
+    cuts = [()] + [((v,),) for v in range(1, g.n_nodes)]
+    # (signature, leaf frozenset) per cut, dropped after the last reader
+    sets = [()] + [((1 << (v & 63), frozenset((v,))),)
+                   for v in range(1, g.n_nodes)]
+    uses = Counter(f >> 1 for f in g.fan0 + g.fan1)
+    for node, f0, f1 in zip(range(1 + g.n_pis, g.n_nodes), g.fan0, g.fan1):
+        merged = {}
+        for s0, c0 in sets[f0 >> 1]:
+            for s1, c1 in sets[f1 >> 1]:
+                s = s0 | s1
+                if s.bit_count() > k:
+                    continue
+                c = c0 | c1
+                if len(c) <= k:
+                    merged[c] = s
+        kept = sorted((len(c), tuple(sorted(c)), c) for c in merged)[:max_cuts - 1]
+        cuts[node] = tuple(t for _, t, _ in kept) + cuts[node]
+        sets[node] = tuple((merged[c], c) for _, _, c in kept) + sets[node]
+        for v in (f0 >> 1, f1 >> 1):
+            uses[v] -= 1
+            if not uses[v]:
+                sets[v] = None
     return cuts
 
 

@@ -419,9 +419,12 @@ def score_submission(sub: Submission, key: AnswerKey, alpha: float,
     """Count the four outcomes and the confidence value.
 
     Per-entry truth is included only when ``now`` is on or after expiry.
+    A label other than the two verdicts, or a non-ISO ``now``, is an error.
     """
     try:
         confidence_value(0.0, 0.0, alpha)  # checks alpha before scoring
+        if now is not None:
+            now = _iso_date(str(now), "now")
     except ValueError as e:
         raise JudgeError(str(e)) from e
     ids, got = set(key.entries), set(sub.verdicts)
@@ -433,6 +436,9 @@ def score_submission(sub: Submission, key: AnswerKey, alpha: float,
     per_entry = {}
     for eid, truth in key.entries.items():
         label = sub.verdicts[eid]
+        if label not in ("infected", "clean"):
+            raise JudgeError(f"verdict for id {eid} must be 'infected' or "
+                             f"'clean', got {label!r}")
         k = truth["k"]
         if label == "infected":
             outcome = "TP" if k == 1 else "FP"

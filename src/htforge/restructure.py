@@ -41,10 +41,6 @@ class RestructureError(Exception):
     """Raised when a pipeline equivalence check fails (an internal bug trap)."""
 
 
-class _OverCap(Exception):
-    """A trial planned more new nodes than the root's MFFC can free."""
-
-
 # the widest truth table rewrite and refactor synthesize (_factored counts
 # literals in 16-bit fields), the most cuts rewrite keeps per node, and the
 # widest PI support over which resubstitute and fraig prove a candidate
@@ -214,10 +210,9 @@ class _Work:
         walk steps.  Local passes keep the default cap; fraig's proofs
         pass ``math.inf``."""
         m = len(leaves)
-        mask = (1 << (1 << m)) - 1
-        val = {0: mask}
-        for j, leaf in enumerate(leaves):
-            val[leaf] = tt_var(j, m)
+        mask, pats = _LEAF_TTS[m] if m <= MAX_TT_INPUTS else (
+            (1 << (1 << m)) - 1, [tt_var(j, m) for j in range(m)])
+        val = dict(zip((0, *leaves), (mask, *pats)))
         if root in val:
             return val[root]
         fan0, fan1, dead, first = self.fan0, self.fan1, self.dead, self.first_and
@@ -290,47 +285,43 @@ class _Work:
         no-op or as soon as the plan adds more than ``cap`` new nodes: with
         ``cap`` at ``len(self.mffc(root))``, that gain would be negative.
 
-        A plan is (inverted, tree, leaf literals), the tree as _factored
-        gives it over indices into the leaf literals; an 'or' is an AND of
-        the complements, complemented.  ``overlay`` maps the fanin pairs of
-        the nodes and2 would add, in that order, to literals from
-        ``2 * len(self.fan0)`` up; ``out`` is the plan's literal.
-        References they place on existing nodes pin those nodes when
-        computing the freed count.
+        A plan is (inverted, program, leaf literals), the program as
+        _program compiles it.  ``overlay`` maps the fanin pairs of the nodes
+        and2 would add, in that order, to literals from ``2 * len(self.fan0)``
+        up; ``out`` is the plan's literal.  References they place on
+        existing nodes pin those nodes when computing the freed count.
         """
-        inverted, tree, leaf_lits = plan
+        inverted, program, leaf_lits = plan
         first = 2 * len(self.fan0)
-        overlay = {}
-        pins = {}
-
-        def walk(t):
-            kind = t[0]
-            if kind == "literal":
-                return leaf_lits[t[1]] ^ 1 ^ t[2]
-            if kind == "const":
-                return TRUE if t[1] else FALSE
-            c = kind == "or"
-            key = and_key(walk(t[1]) ^ c, walk(t[2]) ^ c)
-            if type(key) is int:
-                return key ^ c
-            hit = self.table.get(key) if key[1] < first else None
-            if hit is not None:
-                return lit(hit, c)
-            hit = overlay.get(key)
-            if hit is not None:
-                return hit ^ c
-            if len(overlay) >= cap:
-                raise _OverCap
-            for f in key:
-                if f < first:
-                    pins[f >> 1] = pins.get(f >> 1, 0) + 1
-            hit = overlay[key] = first + 2 * len(overlay)
-            return hit ^ c
-
-        try:
-            out = walk(tree) ^ inverted
-        except _OverCap:
-            return None
+        table = self.table
+        overlay, pins = {}, {}
+        vals = [TRUE, FALSE]
+        for l in leaf_lits:
+            vals += (l, l ^ 1)
+        for a, b, c in program:
+            a, b = vals[a] ^ c, vals[b] ^ c
+            if a == b or b == TRUE:  # and_key, inlined
+                r = a
+            elif a == TRUE:
+                r = b
+            elif a == b ^ 1 or a == FALSE or b == FALSE:
+                r = FALSE
+            else:
+                key = (a, b) if a < b else (b, a)
+                hit = table.get(key) if key[1] < first else None
+                if hit is not None:
+                    r = 2 * hit
+                else:
+                    r = overlay.get(key)
+                    if r is None:
+                        if len(overlay) >= cap:
+                            return None
+                        for f in key:
+                            if f < first:
+                                pins[f >> 1] = pins.get(f >> 1, 0) + 1
+                        r = overlay[key] = first + 2 * len(overlay)
+            vals.append(r ^ c)
+        out = vals[-1] ^ inverted
         if out < first:
             if (out >> 1) == root:
                 return None
@@ -606,6 +597,27 @@ def _factored(tt, m):
     return False, pos
 
 
+def _program(tree, m):
+    """A factored tree over m leaves as flat steps (a, b, c) in its left-first
+    post-order: slots 0 and 1 hold TRUE and FALSE, slot 2 + 2j + p leaf j
+    complemented p times, and each step appends AND(slot a ^ c, slot b ^ c)
+    ^ c, c = 1 for an 'or'.  The last slot is the tree's value."""
+    steps = []
+    append = steps.append
+
+    def slot(t):
+        kind = t[0]
+        if kind == "literal":
+            return 3 + 2 * t[1] - t[2]
+        if kind == "const":
+            return 1 - t[1]
+        append((slot(t[1]), slot(t[2]), kind == "or"))  # after both fanins
+        return 2 * m + 1 + len(steps)
+
+    top = slot(tree)
+    return tuple(steps) or ((top, top, 0),)
+
+
 # ---------------------------------------------------------------------------
 # passes
 
@@ -662,15 +674,18 @@ def _resynthesize(g: AigGraph, seed, name, leaf_sets) -> AigGraph:
     rng = random.Random(seed)
     w = _Work(g)
     before = w.live
-    memo = {}  # (tt, m) -> _factored(tt, m), for this pass only
+    memo = {}  # (tt, m) -> (inverted, _program), for this pass only
     for node in range(w.first_and, g.n_nodes):
         if w.dead[node] or w.nref[node] == 0:
             continue
         cand = []
         cap = len(w.mffc(node))
+        # a plan over the fanin pair node is hashed under yields node: no-op
+        f0, f1 = w.fan0[node], w.fan1[node]
+        own = (f0 >> 1, f1 >> 1) if w.table.get((f0, f1)) == node else None
         for leaves in leaf_sets(w, node):
-            if len(leaves) < 2 or any(v >= w.first_and and w.dead[v]
-                                      for v in leaves):
+            if (len(leaves) < 2 or leaves == own
+                    or any(map(w.dead.__getitem__, leaves))):
                 continue
             tt = w.cone_tt(node, leaves)
             if tt is None:
@@ -678,7 +693,8 @@ def _resynthesize(g: AigGraph, seed, name, leaf_sets) -> AigGraph:
             key = (tt, len(leaves))
             hit = memo.get(key)
             if hit is None:
-                hit = memo[key] = _factored(tt, len(leaves))
+                inverted, tree = _factored(tt, len(leaves))
+                hit = memo[key] = inverted, _program(tree, len(leaves))
             res = w.trial(node, (*hit, [lit(v) for v in leaves]), cap)
             if res is not None and res[0] >= 0:
                 cand.append((*res, leaves))
@@ -741,10 +757,10 @@ def refactor(g: AigGraph, max_cone_inputs=10, seed=0) -> AigGraph:
 
 
 def _resub_candidates(divs, sig, s_node, mask, pairs):
-    """resubstitute's plans for a node of signature ``s_node``, in the order
-    it tries them: each divisor whose signature matches the node's or its
-    complement, then, with ``pairs``, for each divisor pair the first
-    complement choice (c1, c2) whose AND matches."""
+    """resubstitute's (inverted, tree, leaf literals) for a node of signature
+    ``s_node``, in the order it tries them: each divisor whose signature
+    matches the node's or its complement, then, with ``pairs``, for each
+    divisor pair the first complement choice (c1, c2) whose AND matches."""
     for d in divs:
         if sig[d] == s_node or sig[d] ^ mask == s_node:
             yield sig[d] != s_node, ("literal", 0, 1), (lit(d),)
@@ -774,19 +790,20 @@ def _resub_candidates(divs, sig, s_node, mask, pairs):
 
 
 def _plan_tt(plan, tables, full):
-    """Truth table of a plan of literals and ANDs whose leaf nodes have the
-    given tables; None when one of them has none."""
-    inverted, tree, leaf_lits = plan
-    ts = [tables[l >> 1] for l in leaf_lits]
-    if None in ts:
-        return None
-
-    def ev(t):
-        if t[0] == "literal":
-            return ts[t[1]] ^ (full if (leaf_lits[t[1]] ^ 1 ^ t[2]) & 1 else 0)
-        return ev(t[1]) & ev(t[2])
-
-    return ev(tree) ^ (full if inverted else 0)
+    """Truth table of a plan whose leaf nodes have the given tables; None
+    when one of them has none."""
+    inverted, program, leaf_lits = plan
+    vals = [full, 0]
+    for l in leaf_lits:
+        t = tables[l >> 1]
+        if t is None:
+            return None
+        t ^= full * (l & 1)
+        vals += (t, t ^ full)
+    for a, b, c in program:
+        c *= full
+        vals.append(((vals[a] ^ c) & (vals[b] ^ c)) ^ c)
+    return vals[-1] ^ full * inverted
 
 
 def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
@@ -822,9 +839,10 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
             if len(divs) >= max_divisors:
                 break
         tts = {}  # cone_tt over pi_nodes; valid until a commit replaces
-        for plan in _resub_candidates(divs, sig, sig[node], mask,
-                                      len(mffc) >= 2):
-            for v in (node, *(l >> 1 for l in plan[2])):
+        for inverted, tree, lits in _resub_candidates(divs, sig, sig[node],
+                                                      mask, len(mffc) >= 2):
+            plan = inverted, _program(tree, len(lits)), lits
+            for v in (node, *(l >> 1 for l in lits)):
                 if v not in tts:
                     tts[v] = w.cone_tt(v, pi_nodes)
             if tts[node] is None or _plan_tt(plan, tts, full) != tts[node]:
@@ -834,7 +852,7 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
                 continue
             # after a replace() a divisor may lie in node's fanout, so the
             # cone check walks down to the PIs
-            if w.commit(node, res[1]) or len(plan[2]) > 1:
+            if w.commit(node, res[1]) or len(lits) > 1:
                 break
     if w.live > before:
         raise RestructureError("resubstitute grew the AND count")

@@ -309,6 +309,21 @@ def test_judge_malformed_key_is_a_usage_error(tmp_path, capsys, key, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("now", ["2029-13-01", "yesterday", ""])
+def test_judge_malformed_now_is_a_usage_error(tmp_path, capsys, now):
+    sub = tmp_path / "sub.csv"
+    sub.write_text("circuit_id,label\nb0000,infected\n")
+    (tmp_path / "key.json").write_text(json.dumps(_KEY))
+    args = ["judge", "--key", str(tmp_path / "key.json"),
+            "--submission", str(sub), "--alpha", "10"]
+    assert run(args + ["--now", "2029-01-01"]) == 0
+    capsys.readouterr()
+    assert run(args + ["--now", now]) == 2
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (
+        f"error: now must be an ISO date, got {now!r}\n", "")
+
+
 def test_bench_byte_identical_reruns(tmp_path):
     cfg = _bench_config(tmp_path)
     d1 = str(tmp_path / "s1")

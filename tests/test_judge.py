@@ -148,6 +148,23 @@ def test_score_validates_coverage(forged):
             Submission({eid: "clean" for eid in ids}), key, 0)
 
 
+@pytest.mark.parametrize("label", ["Infected", "CLEAN", "", "yes", None, 1])
+def test_score_rejects_a_label_that_is_neither_verdict(label):
+    # a Submission built in code is not checked by from_csv_text: a label
+    # other than the two verdicts would otherwise score as clean
+    key = AnswerKey("s", "0" * 64, 0, "2026-01-01", "2029-01-01",
+                    {"b0000": {"golden": "adder", "k": 1},
+                     "b0001": {"golden": "adder", "k": 0}})
+    rep = score_submission(Submission({"b0000": "infected",
+                                       "b0001": "clean"}), key, 10)
+    assert (rep.tp, rep.tn, rep.fp, rep.fn) == (1, 1, 0, 0)
+    with pytest.raises(JudgeError) as err:
+        score_submission(Submission({"b0000": label, "b0001": "clean"}),
+                         key, 10)
+    assert str(err.value) == ("verdict for id b0000 must be 'infected' or "
+                              f"'clean', got {label!r}")
+
+
 def test_score_accounting_identity(forged):
     _, _, key = forged
     rng = random.Random(5)

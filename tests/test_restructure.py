@@ -27,6 +27,7 @@ from htforge.restructure import (
     _balanced,
     _factor_distinct,
     _factored,
+    _program,
     apply_recipe,
     balance,
     fraig,
@@ -408,7 +409,8 @@ def test_factored_memo_gives_the_uncached_plan(monkeypatch):
     def trial(self, root, plan, cap=math.inf):
         leaves = [l >> 1 for l in plan[2]]
         tt = self.cone_tt(root, leaves)
-        assert plan[:2] == _factored(tt, len(leaves))
+        inverted, tree = _factored(tt, len(leaves))
+        assert plan[:2] == (inverted, _program(tree, len(leaves)))
         tables.append((tt, len(leaves)))
         return plain(self, root, plan, cap)
 
@@ -458,12 +460,13 @@ def test_factored_memo_maps_onto_each_calls_leaves(monkeypatch):
     nmaj = 0b00010111  # each root is the complement of majority
     assert calls.count((nmaj, 3)) == 1
     (i0, t0, l0), (i1, t1, l1) = plans
-    assert t0 is t1 and i0 == i1 and (i0, t0) == _factored(nmaj, 3)
+    inverted, tree = _factored(nmaj, 3)
+    assert t0 is t1 and i0 == i1 and (i0, t0) == (inverted, _program(tree, 3))
     assert (l0, l1) == ([2, 4, 6], [8, 10, 12])
     assert _sig(out) == _sig(g)
     w = _Work(g)
     for plan in plans:
-        top = _ref_build(w, _ref_lit_tree(plan))
+        top = _ref_build(w, _ref_lit_tree((inverted, tree, plan[2])))
         leaves = [l >> 1 for l in plan[2]]
         assert w.support(top >> 1) == sum(1 << (v - 1) for v in leaves)
         assert w.cone_tt(top >> 1, leaves) ^ (top & 1) * 0xFF == nmaj
@@ -1026,6 +1029,74 @@ def test_cuts_and_cones_match_the_set_building_reference(monkeypatch):
     assert twice > 100
 
 
+def _shared_bit_graph():
+    # 70 PIs, so PI nodes 1-6 and 65-70 share their low six bits: the
+    # top AND keeps the cut {1, 2, 65, 66}, four leaves in two bits
+    b = AigBuilder([f"x{k}" for k in range(70)])
+    x = [b.pi(k) for k in range(70)]
+    top = b.and2(b.and2(x[0], x[64]), b.and2(x[1] ^ 1, x[65]) ^ 1)
+    b.add_po("top", top)
+    for k in range(64):
+        b.add_po(f"y{k}", b.and2(top, b.or2(x[k], x[k + 6] ^ 1)))
+    return strash(b.build())
+
+
+def test_cuts_match_the_reference_at_every_size():
+    # leaf signatures only skip unions that could not fit, also where two
+    # leaves of a kept cut share a signature bit, on graphs of more than 64
+    # nodes
+    graphs = [_shared_bit_graph(), strash(to_aig(array_multiplier(6))),
+              strash(to_aig(random_netlist(7, n_pis=70, n_gates=160)))]
+    shared = 0
+    for g in graphs:
+        assert g.n_nodes > 64
+        for k in range(2, 7):
+            for max_cuts in (2, 3, 8, 16):
+                got = enumerate_cuts(g, k, max_cuts)
+                assert got == _ref_enumerate_cuts(g, k, max_cuts), (k, max_cuts)
+                shared += sum(len({v & 63 for v in c}) < len(c)
+                              for cuts in got for c in cuts)
+    assert (1, 2, 65, 66) in enumerate_cuts(graphs[0], 4, 8)[
+        graphs[0].pos[0][1] >> 1]
+    assert shared > 100
+
+
+def test_a_plan_over_a_nodes_own_fanin_pair_trials_to_none(monkeypatch):
+    # why _resynthesize skips that leaf set for a node hashed under its
+    # fanin pair: the plan over that pair is the node itself; checked on
+    # every such live node before a rewrite pass and on the pass's own graph
+    # after it
+    works = []
+    plain = _Work.rebuild
+
+    def rebuild(self):
+        works.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(_Work, "rebuild", rebuild)
+    checked = 0
+    for n in _loop_corpus():
+        g = strash(to_aig(n))
+        works.clear()
+        rewrite(g, seed=1)
+        for w in (_Work(g), works[0]):
+            for node in range(w.first_and, len(w.fan0)):
+                if w.dead[node] or w.nref[node] == 0:
+                    continue
+                pair = (w.fan0[node], w.fan1[node])
+                if w.table.get(pair) != node:
+                    continue
+                leaves = [f >> 1 for f in pair]
+                inverted, tree = _factored(w.cone_tt(node, leaves), 2)
+                lits = [2 * v for v in leaves]
+                plan = (inverted, _program(tree, 2), lits)
+                assert w.trial(node, plan) is None
+                assert _ref_trial(w, node, _ref_lit_tree((inverted, tree, lits)),
+                                  math.inf) is None
+                checked += 1
+    assert checked > 1000
+
+
 def test_cone_tt_matches_the_list_building_reference(monkeypatch):
     # every cone the passes ask for, cuts gone stale after commits and
     # fraig's uncapped proofs included
@@ -1107,15 +1178,29 @@ def test_plans_match_the_literal_tree_reference(monkeypatch):
     # recipes 15 and 17; commit adds exactly the nodes its trial planned,
     # after which the literal-tree build gives the trial's literal without
     # adding any; and commit's leaf-bounded cone check agrees with the full
-    # walk
+    # walk.  Each program a pass compiles is kept with its tree, so every
+    # trial is compared with the tree it was compiled from
+    import htforge.restructure as rs
     plain_trial, plain_commit, plain_in_cone = (_Work.trial, _Work.commit,
                                                 _Work._in_cone)
+    plain_program = rs._program
     seen = {"trial": 0, "commit": 0, "cone": 0}
-    planned, pending = {}, []
+    planned, pending, compiled = {}, [], {}
+
+    def program(tree, m):
+        got = plain_program(tree, m)
+        compiled[id(got)] = (got, tree)
+        return got
+
+    def tree_plan(plan):
+        inverted, steps, leaf_lits = plan
+        got, tree = compiled[id(steps)]
+        assert got is steps
+        return inverted, tree, leaf_lits
 
     def trial(self, root, plan, cap=math.inf):
         got = plain_trial(self, root, plan, cap)
-        ref = _ref_trial(self, root, _ref_lit_tree(plan), cap)
+        ref = _ref_trial(self, root, _ref_lit_tree(tree_plan(plan)), cap)
         assert (got is None) == (ref is None)
         assert got is None or got[0] == ref[0]
         if got is not None:
@@ -1136,7 +1221,7 @@ def test_plans_match_the_literal_tree_reference(monkeypatch):
         if pending:
             plan, (overlay, out), size = pending.pop()
             assert len(self.fan0) == size + len(overlay)
-            assert _ref_build(self, _ref_lit_tree(plan)) == out
+            assert _ref_build(self, _ref_lit_tree(tree_plan(plan))) == out
             assert len(self.fan0) == size + len(overlay)
         got = plain_in_cone(self, node, top, stop)
         if stop:
@@ -1144,6 +1229,7 @@ def test_plans_match_the_literal_tree_reference(monkeypatch):
             seen["cone"] += 1
         return got
 
+    monkeypatch.setattr(rs, "_program", program)
     monkeypatch.setattr(_Work, "trial", trial)
     monkeypatch.setattr(_Work, "commit", commit)
     monkeypatch.setattr(_Work, "_in_cone", in_cone)
@@ -1160,7 +1246,8 @@ def test_commit_refuses_a_plan_that_strays_from_its_trial():
     g = strash(to_aig(array_multiplier(3)))
     w = _Work(g)
     root = g.pos[-1][1] >> 1
-    plan = (0, ("and", ("literal", 0, 1), ("literal", 1, 1)), [2, 4])
+    plan = (0, _program(("and", ("literal", 0, 1), ("literal", 1, 1)), 2),
+            [2, 4])
     gain, cand = w.trial(root, plan)
     assert list(cand[0]) == [(2, 4)] and cand[1] == 2 * len(w.fan0)
     w.and2(2, 4)
