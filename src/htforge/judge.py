@@ -208,9 +208,8 @@ class AnswerKey:
                          d["release_date"], d["expiry_date"], d["entries"],
                          d.get("provenance", {}))
 
-    def expired(self, now):
-        return datetime.date.fromisoformat(str(now)) >= \
-            datetime.date.fromisoformat(self.expiry_date)
+    def expired(self, now: datetime.date):
+        return now >= datetime.date.fromisoformat(self.expiry_date)
 
 
 @dataclass

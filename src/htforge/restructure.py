@@ -210,9 +210,10 @@ class _Work:
         walk steps.  Local passes keep the default cap; fraig's proofs
         pass ``math.inf``."""
         m = len(leaves)
-        mask, pats = _LEAF_TTS[m] if m <= MAX_TT_INPUTS else (
-            (1 << (1 << m)) - 1, [tt_var(j, m) for j in range(m)])
-        val = dict(zip((0, *leaves), (mask, *pats)))
+        mask = (1 << (1 << m)) - 1
+        val = {0: mask}
+        for j, leaf in enumerate(leaves):
+            val[leaf] = tt_var(j, m)
         if root in val:
             return val[root]
         fan0, fan1, dead, first = self.fan0, self.fan1, self.dead, self.first_and
@@ -300,7 +301,7 @@ class _Work:
             vals += (l, l ^ 1)
         for a, b, c in program:
             a, b = vals[a] ^ c, vals[b] ^ c
-            if a == b or b == TRUE:  # and_key, inlined
+            if a == b or b == TRUE:  # and_key's rules, inlined: 1/4 faster
                 r = a
             elif a == TRUE:
                 r = b
