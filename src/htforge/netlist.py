@@ -369,28 +369,6 @@ def simulate_packed(n: Netlist, patterns: dict, width: int, keep=None,
     return {net: v[r] for net, r in kept}
 
 
-def simulate3(n: Netlist, partial: dict) -> dict:
-    """Three-valued simulation: net -> 0, 1, or None where the PIs missing
-    from ``partial`` leave it open.  Runs the all-nets lowered program on
-    (can-be-1, can-be-0) bit pairs; no correlation is kept, so ``a & ~a``
-    with ``a`` open is open."""
-    size, steps, _, kept, _ = n._program()
-    given = [0, 1] + [partial.get(p) for p in n.inputs]
-    given += [None] * (size - len(given))
-    one = [int(x != 0) for x in given]    # can be 1
-    zero = [int(x != 1) for x in given]   # can be 0
-    it = iter(steps)
-    for f, o, a, b in zip(it, it, it, it):
-        if f is xor:
-            one[o], zero[o] = (one[a] & zero[b] | zero[a] & one[b],
-                               one[a] & one[b] | zero[a] & zero[b])
-        elif f is and_:
-            one[o], zero[o] = one[a] & one[b], zero[a] | zero[b]
-        else:
-            one[o], zero[o] = one[a] | one[b], zero[a] & zero[b]
-    return {net: None if one[r] & zero[r] else one[r] for net, r in kept}
-
-
 _TT_VAR_CACHE = {}
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .analysis import RARE_METRICS, rare_nets, scoap, signal_prob
 from .netlist import (EXHAUSTIVE_PIS, Gate, Netlist, _check, simulate,
-                      simulate3, simulate_packed, stimuli, trigger_word)
+                      simulate_packed, stimuli, trigger_word)
 
 
 class InsertionError(Exception):
@@ -114,11 +114,6 @@ def _po_reachable(n: Netlist):
 # ---------------------------------------------------------------------------
 # activation search
 
-def _conflict(vals, trigger):
-    return any(vals[net] is not None and vals[net] != pol
-               for net, pol in trigger)
-
-
 def _activations(patterns, act, limit):
     """Decode up to ``limit`` set bits of ``act``, lowest first.
 
@@ -161,55 +156,6 @@ def _search_exhaustive(cone, trigger, limit):
     return found
 
 
-def _search_backtrack(cone, trigger, budget, seed):
-    """Guided DFS over the cone PIs with three-valued propagation and
-    seeded restarts; returns one activating assignment or None.
-
-    The first two restarts prefer all-ones and all-zeros (cheap wins on
-    unate trigger cones), later ones use seeded random preferences.
-    """
-    pis = list(cone.inputs)
-    weight = {p: 0 for p in pis}
-    for net, _ in trigger:
-        for p in _tfi_nets(cone, [net]):
-            if p in weight:
-                weight[p] += 1
-    order = sorted(pis, key=lambda p: (-weight[p], p))
-    rng = random.Random(seed)
-    decisions = 0
-    restarts = 0
-    while decisions < budget and restarts < 32:
-        if restarts == 0:
-            prefer = {p: 1 for p in order}
-        elif restarts == 1:
-            prefer = {p: 0 for p in order}
-        else:
-            prefer = {p: rng.getrandbits(1) for p in order}
-        stack = [({}, 0)]
-        conflict_cap = max(64, budget // 32)
-        conflicts = 0
-        while stack and decisions < budget and conflicts < conflict_cap:
-            partial, depth = stack.pop()
-            vals = simulate3(cone, partial)
-            if _conflict(vals, trigger):
-                conflicts += 1
-                continue
-            if all(vals[net] == pol for net, pol in trigger):
-                return {p: partial.get(p, 0) for p in pis}
-            if depth >= len(order):
-                conflicts += 1
-                continue
-            var = order[depth]
-            decisions += 1
-            first = prefer[var]
-            for val in (1 - first, first):
-                nxt = dict(partial)
-                nxt[var] = val
-                stack.append((nxt, depth + 1))
-        restarts += 1
-    return None
-
-
 PROBE_VECTORS = 1 << 18
 
 
@@ -244,16 +190,15 @@ def _decode(kept, limit=48):
     return found
 
 
-def _rare_activations(cone, trigger, limit, seed):
+def _rare_activations(cone, trigger, limit):
     """The trigger search: up to ``limit`` activating assignments over the
     cone PIs.  A cone of at most EXHAUSTIVE_PIS PIs is scanned in full,
     lowest index first, so [] proves the trigger unsatisfiable; above the
-    bound, seeded backtracking returns at most one, and [] is inconclusive.
+    bound nothing is searched and [] means undecided.
     """
     if len(cone.inputs) <= EXHAUSTIVE_PIS:
         return _search_exhaustive(cone, trigger, limit)
-    hit = _search_backtrack(cone, trigger, budget=4000, seed=seed)
-    return [hit] if hit else []
+    return []
 
 
 def find_trigger_witness(n: Netlist, rec: TrojanRecord):
@@ -263,7 +208,7 @@ def find_trigger_witness(n: Netlist, rec: TrojanRecord):
     _rare_activations).
     """
     cone = _cone_netlist(n, [net for net, _ in rec.trigger])
-    hits = _rare_activations(cone, rec.trigger, 1, rec.seed)
+    hits = _rare_activations(cone, rec.trigger, 1)
     if not hits:
         return None
     full = {p: hits[0].get(p, 0) for p in n.inputs}
@@ -421,12 +366,12 @@ def insert_trojan(n: Netlist, spec: TrojanSpec):
         ((1, h, drawn[t]) if h else (0, hits2[t], drawn[t]), t, pieces)
         for t, h, pieces in zip(triggers, hits, kept))
 
-    for (_, _, attempt), trigger, pieces in candidates:
+    for _, trigger, pieces in candidates:
         roots = [net for net, _ in trigger]
         activations = _decode(pieces) or _rare_activations(
-            _cone_netlist(n, roots), trigger, 48, seed=spec.seed + attempt)
+            _cone_netlist(n, roots), trigger, 48)
         if not activations:
-            continue  # unsatisfiable or not found within budget
+            continue  # unsatisfiable, or undecided above EXHAUSTIVE_PIS
         tfi = _tfi_nets(n, roots)
         victims = [v for v in gate_outs if v not in tfi and v in po_reach]
         if not victims:

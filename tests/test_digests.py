@@ -143,6 +143,18 @@ RAR20_DIGESTS = (
     "2c01a555df5286aa238f171420d0a9c1983fc6b0f1b0ac0278c485ba81e57bb1",
 )
 
+# a 16x16 array multiplier (the function of ISCAS-85 c6288, 32 PIs) forged
+# into four variants, two infected: the first pin above EXHAUSTIVE_PIS.
+# Circuits b0000-b0003, manifest and key
+MUL16_DIGESTS = (
+    "2637cf918860b9d4ef80ae2287d330ed83ad7ac7a7ba6c52f2881e1a121a3ee2",
+    "3c618fea58cc8e562acd02d3900c17be1b006a8911ef80966895b26974a1419c",
+    "3da40de2cd779dc7ed52a2a70e8979517fb934b867c45c0d2930ef5bb6e37ec4",
+    "a05fc8ffe9195a8c1ad26d1f8d013472b18a582114c1be9774a49462382762f0",
+    "6e240f7cadd0cf76961ce5aa43415fbbb05e73935b6d813c282c01ff37c6758f",
+    "8f8a7a9d73e6ea950c66e6ca33870ef7d233bfa3d2d76a1a873cc188eef253e5",
+)
+
 
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -198,8 +210,8 @@ def test_searched_trigger_set_and_key_bytes_pinned(monkeypatch):
     cones = []
     search = htforge.trojan._rare_activations
 
-    def spy(cone, trigger, limit, seed):
-        found = search(cone, trigger, limit, seed)
+    def spy(cone, trigger, limit):
+        found = search(cone, trigger, limit)
         cones.append((len(cone.inputs), len(found)))
         return found
     monkeypatch.setattr(htforge.trojan, "_rare_activations", spy)
@@ -212,3 +224,17 @@ def test_searched_trigger_set_and_key_bytes_pinned(monkeypatch):
             _sha(key.to_json_text())) == RAR20_DIGESTS
     # the shipped trigger was searched for, on a cone the scan decides
     assert any(15 <= pis <= EXHAUSTIVE_PIS and found for pis, found in cones)
+
+
+def test_paper_scale_multiplier_set_and_key_bytes_pinned():
+    cfg = ForgeConfig(golden=(("mul16", array_multiplier(16)),), nb=4,
+                      infected_counts={"mul16": 2}, master_seed=5)
+    bench, key = forge_benchmark(cfg)
+    got = tuple(_sha(text) for _, text in bench.entries)
+    got += (_sha(bench.manifest_text()), _sha(key.to_json_text()))
+    assert got == MUL16_DIGESTS
+    # both infected variants relaxed the width-4 trigger to 3 rare nets
+    # after four failed insertions
+    infected = [e["seeds"] for e in key.entries.values() if e["trojan"]]
+    assert [(s["attempts"], s["rare_count_used"]) for s in infected] == \
+        [(4, 3), (4, 3)]

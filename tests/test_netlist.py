@@ -32,7 +32,6 @@ from htforge.netlist import (
     decode,
     parse_netlist,
     simulate,
-    simulate3,
     simulate_packed,
     stimuli,
     to_json_dict,
@@ -1118,44 +1117,6 @@ def test_sweep_state_reruns_the_prologue_on_a_new_word_or_width():
     regs = sweep["regs"]
     both(pats, w // 2, keep=None)   # another program
     assert sweep["regs"] is not regs
-
-
-def test_simulate3_is_exact_when_complete_and_sound_when_partial():
-    rng = random.Random(5)
-    circuits = [_kernel_netlist()] + [random_netlist(s, n_pis=rng.randint(2, 8))
-                                      for s in range(30)]
-    determined = 0
-    for n in circuits:
-        full = {}
-        for stim in all_stimuli(n):
-            full[tuple(stim.items())] = vals = simulate(n, stim)
-            assert simulate3(n, stim) == vals
-        for _ in range(20):
-            partial = {p: rng.getrandbits(1) for p in n.inputs
-                       if rng.random() < 0.5}
-            known = {net: v for net, v in simulate3(n, partial).items()
-                     if v is not None}
-            determined += sum(net in n.driver and n.driver[net] is not None
-                              for net in known)
-            for stim, vals in full.items():
-                if all(dict(stim)[p] == v for p, v in partial.items()):
-                    assert all(vals[net] == v for net, v in known.items())
-    # partial assignments do settle gate outputs, not only the given PIs
-    assert determined > 1000
-
-
-def test_simulate3_hand_cases():
-    n = parse_netlist("module m (a, b, y, z); input a, b; output y, z;"
-                      " and g1 (y, a, b); not g2 (na, a); and g3 (z, a, na);"
-                      " endmodule")
-    assert simulate3(n, {"a": 0})["y"] == 0
-    assert simulate3(n, {"b": 0})["y"] == 0
-    assert simulate3(n, {"a": 1})["y"] is None
-    assert simulate3(n, {"a": 1, "b": 1})["y"] == 1
-    # no correlation is kept: a & ~a with a open stays open
-    vals = simulate3(n, {})
-    assert vals["na"] is None and vals["z"] is None
-    assert simulate3(n, {"a": 1})["z"] == 0
 
 
 def _tt_var_formula(j, m):

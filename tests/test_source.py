@@ -146,6 +146,53 @@ def test_process_wide_cache_scan_finds_each_kind(text, caches):
     assert len(list(_process_wide_caches(ast.parse(text)))) == caches
 
 
+def _orphan_private_defs(trees):
+    """Module-level ``_`` functions and classes of ``trees`` (file name ->
+    module AST) that no statement names but their own definition."""
+    users = {}   # name -> {(file, statement index)} of the statements naming it
+    for name, tree in trees.items():
+        for k, stmt in enumerate(tree.body):
+            for node in ast.walk(stmt):
+                used = (getattr(node, "id", None) if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias)
+                        else None)
+                if used:
+                    users.setdefault(used, set()).add((name, k))
+    return [f"{name}:{stmt.lineno} {stmt.name}"
+            for name, tree in trees.items()
+            for k, stmt in enumerate(tree.body)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_") and not stmt.name.startswith("__")
+            and not users.get(stmt.name, set()) - {(name, k)}]
+
+
+def test_private_functions_have_a_src_caller():
+    # a private helper that nothing in the package names is dead code left
+    # behind by a deletion
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    found = _orphan_private_defs(trees)
+    assert not found, found
+
+
+@pytest.mark.parametrize("texts, orphans", [
+    pytest.param({"a.py": "def _f(x):\n    return _f(x - 1)\n"},
+                 ["a.py:1 _f"], id="recursion-only"),
+    pytest.param({"a.py": "class _C:\n    pass\n"}, ["a.py:1 _C"],
+                 id="unused-class"),
+    pytest.param({"a.py": "def _f():\n    pass\n", "b.py": "from a import _f\n"},
+                 [], id="imported"),
+    pytest.param({"a.py": "def _f():\n    pass\n", "b.py": "import a\na._f()\n"},
+                 [], id="attribute"),
+    pytest.param({"a.py": "def __getattr__(name):\n    pass\n"}, [],
+                 id="dunder"),
+])
+def test_orphan_scan_finds_each_kind(texts, orphans):
+    trees = {name: ast.parse(text) for name, text in texts.items()}
+    assert _orphan_private_defs(trees) == orphans
+
+
 def test_tracer_wrapped_names_resolve():
     # the benchmark tracer reports a missing function as absent and drops
     # its layer metric; read its WRAPPED table without importing bench/
