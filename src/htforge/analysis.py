@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import and_, or_, xor
 
 from .netlist import (CONST0, CONST1, EXHAUSTIVE_PIS, GATE_OPS, Netlist,
-                      _check, simulate_packed, stimuli)
+                      _check, sweep)
 
 SCOAP_CAP = 2**31 - 1
 
@@ -126,23 +126,12 @@ def exact_signal_prob(n: Netlist) -> NetStats:
 
 
 def _ones_fraction(n, vectors, seed):
-    """Per-net share of ones over stimuli(n.inputs, vectors, seed).
-
-    In a sweep a net whose word is the same object as in the last chunk
-    (the prologue's, see simulate_packed) reuses that chunk's count."""
-    ones = {net: 0 for net in n.nets}
-    if vectors is not None:
-        for patterns, width in stimuli(n.inputs, vectors, seed, chunk_bits=16):
-            for net, v in simulate_packed(n, patterns, width).items():
-                ones[net] += v.bit_count()
-    else:
-        sweep, last = {}, {}   # net -> (word, its count) of the last chunk
-        for patterns, width in stimuli(n.inputs, None, seed, chunk_bits=16):
-            for net, v in simulate_packed(n, patterns, width, sweep=sweep).items():
-                hit = last.get(net)
-                if hit is None or hit[0] is not v:
-                    hit = last[net] = (v, v.bit_count())
-                ones[net] += hit[1]
+    """Per-net share of ones over sweep([(n, None)], vectors, seed).  Each
+    chunk's words are popped, so they are freed before the next chunk."""
+    ones = dict.fromkeys(n.nets, 0)
+    for _, _, vals in sweep([(n, None)], vectors, seed, chunk_bits=16):
+        for net, v in vals.pop().items():
+            ones[net] += v.bit_count()
     total = 1 << len(n.inputs) if vectors is None else vectors
     return NetStats({net: c / total for net, c in ones.items()})
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .netlist import (EXHAUSTIVE_PIS, Netlist, _check, decode, simulate,
-                      simulate_packed, stimuli, trigger_word)
+                      sweep, trigger_word)
 
 
 class InterfaceMismatchError(Exception):
@@ -58,26 +58,20 @@ def _first_divergence(a: Netlist, b: Netlist, cfg: CheckConfig, trigger=None):
     inactive in ``b``.  Exhaustive up to the configured PI bound, seeded
     sampling above it.  Returns (mode, vectors checked, assignment or None).
     """
+    mode, total, vectors = "sampled", cfg.sample_vectors, cfg.sample_vectors
     if len(a.inputs) <= cfg.exhaustive_bound:
-        mode, total = "exhaustive", 1 << len(a.inputs)
-        chunks = stimuli(a.inputs)  # 2^16 assignments per chunk
-        sweep_a, sweep_b = {}, {}   # each side's prologue runs once
-    else:
-        mode, total = "sampled", cfg.sample_vectors
-        chunks = stimuli(a.inputs, cfg.sample_vectors, cfg.seed)
-        sweep_a = sweep_b = None
+        mode, total, vectors = "exhaustive", 1 << len(a.inputs), None
     keep_a = frozenset(a.outputs)
     keep_b = keep_a.union(net for net, _ in trigger or ())
-    for patterns, width in chunks:
-        va = simulate_packed(a, patterns, width, keep=keep_a, sweep=sweep_a)
-        vb = simulate_packed(b, patterns, width, keep=keep_b, sweep=sweep_b)
+    for patterns, width, (va, vb) in sweep([(a, keep_a), (b, keep_b)],
+                                           vectors, cfg.seed):
         diff = 0
         for po in a.outputs:
             diff |= va[po] ^ vb[po]
         if trigger is not None:
             diff &= ~trigger_word(vb, trigger, width)
         if diff:
-            return mode, total, decode(patterns, (diff & -diff).bit_length() - 1)
+            return mode, total, decode(patterns, diff, 1)[0]
     return mode, total, None
 
 
@@ -110,16 +104,23 @@ def check_trojan_semantics(golden: Netlist, infected: Netlist, rec,
 
     (i) on every checked input with the trigger inactive, the infected
     circuit agrees with the golden one; (ii) the stored witness activates
-    the trigger and flips at least one output.  A record without a witness
-    fails as unproven.
+    the trigger and flips at least one output.  A record without a witness,
+    with one that leaves a PI unbound, or whose trigger names a net the
+    infected circuit lacks fails.
     """
     cfg = config or CheckConfig()
     _check_interface(golden, infected)
     if rec.witness is None:
         return TrojanVerdict(False, "unproven HT: record carries no witness")
+    unbound = [p for p in golden.inputs if p not in rec.witness]
+    if unbound:
+        return TrojanVerdict(False, f"witness does not bind PIs {unbound}")
     wit = {p: rec.witness[p] & 1 for p in golden.inputs}
     vg = simulate(golden, wit)
     vi = simulate(infected, wit)
+    absent = [net for net, _ in rec.trigger if net not in vi]
+    if absent:
+        return TrojanVerdict(False, f"infected lacks trigger nets {absent}", wit)
     act = all((vi[net] if pol else 1 - vi[net]) for net, pol in rec.trigger)
     if not act:
         return TrojanVerdict(False, "witness does not activate the trigger", wit)

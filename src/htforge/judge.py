@@ -155,12 +155,32 @@ class BenchmarkSet:
 
     @staticmethod
     def load_dir(path):
-        with open(os.path.join(path, "manifest.json")) as f:
-            manifest = json.load(f)
+        """Read a set that write_dir wrote.  A missing or mistyped manifest
+        field, an entry whose file is not circuits/<id>.v and a circuit
+        whose sha256 is not the manifest's raise JudgeError."""
+        try:
+            with open(os.path.join(path, "manifest.json")) as f:
+                manifest = _check(json.load(f), "manifest", "dict")
+            _check(manifest.get("set_name"), "manifest 'set_name'", "str")
+            for e in _check(manifest.get("entries"), "manifest 'entries'",
+                            "list"):
+                _check(e, "manifest entry", "dict")
+                for name in ("id", "file", "sha256"):
+                    _check(e.get(name), f"manifest entry '{name}'", "str")
+        except (ValueError, RecursionError) as e:
+            raise JudgeError(str(e)) from e
         entries = []
         for e in manifest["entries"]:
+            eid = e["id"]
+            if e["file"] != f"{eid}.v" or os.path.basename(eid) != eid:
+                raise JudgeError(f"manifest entry '{eid}' names file "
+                                 f"{e['file']!r}, not circuits/<id>.v")
             with open(os.path.join(path, "circuits", e["file"])) as f:
-                entries.append((e["id"], f.read()))
+                text = f.read()
+            if _sha256_text(text) != e["sha256"]:
+                raise JudgeError(f"circuit '{eid}' does not match its "
+                                 "manifest sha256")
+            entries.append((eid, text))
         return BenchmarkSet(manifest["set_name"], tuple(entries), manifest)
 
 

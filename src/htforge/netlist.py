@@ -18,7 +18,7 @@ import reprlib
 import string
 from dataclasses import dataclass
 from functools import cached_property
-from operator import and_, is_, or_, xor
+from operator import and_, or_, xor
 from typing import NamedTuple
 
 GATE_KINDS = ("BUF", "NOT", "AND", "OR", "XOR", "NAND", "NOR", "XNOR")
@@ -324,7 +324,7 @@ def _lower(n: Netlist, keep):
 
 
 def simulate_packed(n: Netlist, patterns: dict, width: int, keep=None,
-                    sweep=None) -> dict:
+                    _regs=None) -> dict:
     """Bit-parallel simulation: each net carries ``width`` stimuli packed in an int.
 
     Returns ``{net: value}`` for the nets in ``keep``, or for every net when
@@ -332,27 +332,20 @@ def simulate_packed(n: Netlist, patterns: dict, width: int, keep=None,
     net nobody keeps gives its register up after its last read.  The
     program for each keep set is built on first use, then cached on the
     netlist; pass the same frozenset on every call to look it up cheaply.
-
-    ``sweep`` is a dict that one caller creates for one exhaustive sweep
-    over ``n`` and drops afterwards.  It holds the registers of the last
-    call, and a call with the same keep set whose first CHUNK_VARS PI
-    words are the same objects, at the same width, as the ones the
-    prologue last ran on skips the prologue (see _lower).  A program
-    with no steps past the prologue keeps nothing there.  A PI missing
-    from ``patterns`` raises NetlistError.
+    A PI missing from ``patterns`` raises NetlistError.  ``_regs`` is
+    sweep()'s: a list the first chunk of an exhaustive sweep puts its
+    registers in, for later chunks to run only the steps past the prologue.
     """
-    prog = n._program(None if keep is None else frozenset(keep))
-    size, steps, cut, kept, loads = prog
+    size, steps, cut, kept, loads = n._program(
+        None if keep is None else frozenset(keep))
     try:
         words = [patterns[p] for p in n.inputs]
     except KeyError:
         missing = [p for p in n.inputs if p not in patterns]
         raise NetlistError(f"patterns missing primary inputs: {missing}") from None
     mask = (1 << width) - 1
-    low = words[:CHUNK_VARS]
-    if (sweep and sweep["prog"] is prog and sweep["width"] == width
-            and all(map(is_, low, sweep["low"]))):
-        v = sweep["regs"]
+    if _regs:
+        v = _regs[0]
         for k in loads:
             v[k] = words[k - 2] & mask
         it = itertools.islice(steps, cut, None)
@@ -362,8 +355,8 @@ def simulate_packed(n: Netlist, patterns: dict, width: int, keep=None,
         for k, w in enumerate(words, 2):
             v[k] = w & mask
         it = iter(steps)
-        if sweep is not None and cut < len(steps):   # else one chunk is all
-            sweep.update(prog=prog, width=width, low=low, regs=v)
+        if _regs is not None and cut < len(steps):   # else one chunk is all
+            _regs.append(v)
     for f, o, a, b in zip(it, it, it, it):
         v[o] = f(v[a], v[b])
     return {net: v[r] for net, r in kept}
@@ -392,24 +385,20 @@ def tt_var(j, m):
     return out
 
 
-def stimuli(pis, vectors=None, seed=0, chunk_bits=None):
+def stimuli(pis, vectors=None, seed=0, chunk_bits=14):
     """Yield ``(patterns, width)`` chunks of packed PI stimuli.
 
-    With ``vectors`` None the chunks enumerate all 2^len(pis) assignments:
-    the first ``chunk_bits`` PIs (default 16) vary within a chunk (bit i of
-    PI k is ``(i >> k) & 1``), the others are constant per chunk and count
-    up from chunk to chunk, so PI k is bit k of the assignment index at any
-    chunk width.  Otherwise ``vectors`` seeded random assignments are
-    drawn, ``getrandbits(width)`` per PI in ``pis`` order and chunk by
-    chunk, at most 2^``chunk_bits`` (default 2^14) bits at a time.  Either
-    way, decode(patterns, bit) is the assignment of one bit.  A ``seed``
-    that is not an int raises ValueError when the first chunk is drawn.
+    With ``vectors`` None, chunks of 2^min(len(pis), CHUNK_VARS) enumerate
+    all 2^len(pis) assignments: the first CHUNK_VARS PIs vary within a
+    chunk (bit i of PI k is ``(i >> k) & 1``), the others count up from
+    chunk to chunk, so PI k is bit k of the assignment index.  Otherwise
+    ``vectors`` seeded random assignments are drawn, ``getrandbits(width)``
+    per PI in ``pis`` order, at most 2^``chunk_bits`` bits a chunk.  A
+    ``seed`` that is not an int raises ValueError at the first chunk.
     """
     _check(seed, "seed", "int")
-    if chunk_bits is None:
-        chunk_bits = CHUNK_VARS if vectors is None else 14
     if vectors is None:
-        chunk_vars = min(len(pis), chunk_bits)
+        chunk_vars = min(len(pis), CHUNK_VARS)
         width = 1 << chunk_vars
         mask = (1 << width) - 1
         low = {p: tt_var(k, chunk_vars) for k, p in enumerate(pis[:chunk_vars])}
@@ -427,9 +416,44 @@ def stimuli(pis, vectors=None, seed=0, chunk_bits=None):
         yield {p: rng.getrandbits(width) for p in pis}, width
 
 
-def decode(patterns, bit):
-    """The PI assignment carried by bit ``bit`` of a stimuli() chunk."""
-    return {p: (w >> bit) & 1 for p, w in patterns.items()}
+def sweep(sims, vectors=None, seed=0, chunk_bits=14):
+    """Yield ``(patterns, width, [values per sim])`` for each chunk of
+    stimuli(pis, vectors, seed, chunk_bits), simulating every ``(netlist,
+    keep)`` of ``sims``; ``pis`` are the first netlist's.  Exhaustive
+    chunks share their width and first CHUNK_VARS PI words, so each
+    program runs its prologue once, in registers the generator drops.
+    """
+    regs = [[] if vectors is None else None for _ in sims]
+    for patterns, width in stimuli(sims[0][0].inputs, vectors, seed,
+                                   chunk_bits):
+        yield patterns, width, [
+            simulate_packed(n, patterns, width, keep, _regs=r)
+            for (n, keep), r in zip(sims, regs)]
+
+
+def decode(patterns, act, limit):
+    """The PI assignments of up to ``limit`` set bits of ``act`` over a
+    stimuli() chunk's ``patterns``, lowest first.  A chunk word is
+    thousands of bits wide, so one bin() of ``act`` locates the bits and
+    one to_bytes() per PI word reads them."""
+    s = bin(act)
+    bits = []
+    k = len(s)
+    while len(bits) < limit:
+        k = s.rfind("1", 2, k)
+        if k < 0:
+            break
+        bits.append(len(s) - 1 - k)
+    if not bits:
+        return []
+    nbytes = (bits[-1] >> 3) + 1
+    low = (1 << 8 * nbytes) - 1
+    found = [{} for _ in bits]
+    for p, w in patterns.items():
+        wb = (w & low).to_bytes(nbytes, "little")
+        for row, bit in zip(found, bits):
+            row[p] = wb[bit >> 3] >> (bit & 7) & 1
+    return found
 
 
 def trigger_word(vals, trigger, width):

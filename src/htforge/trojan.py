@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 
 from .analysis import RARE_METRICS, rare_nets, scoap, signal_prob
-from .netlist import (EXHAUSTIVE_PIS, Gate, Netlist, _check, simulate,
-                      simulate_packed, stimuli, trigger_word)
+from .netlist import (EXHAUSTIVE_PIS, Gate, Netlist, _check, decode, simulate,
+                      simulate_packed, sweep, trigger_word)
 
 
 class InsertionError(Exception):
@@ -114,48 +114,6 @@ def _po_reachable(n: Netlist):
 # ---------------------------------------------------------------------------
 # activation search
 
-def _activations(patterns, act, limit):
-    """Decode up to ``limit`` set bits of ``act``, lowest first.
-
-    Same result as decode() per bit, but a chunk word is thousands of bits
-    wide, so each word is converted once: one bin() of ``act`` locates the
-    bits, one to_bytes() per PI word reads them.
-    """
-    s = bin(act)
-    bits = []
-    k = len(s)
-    while len(bits) < limit:
-        k = s.rfind("1", 2, k)
-        if k < 0:
-            break
-        bits.append(len(s) - 1 - k)
-    if not bits:
-        return []
-    nbytes = (bits[-1] >> 3) + 1
-    low = (1 << 8 * nbytes) - 1
-    found = [{} for _ in bits]
-    for p, w in patterns.items():
-        wb = (w & low).to_bytes(nbytes, "little")
-        for row, bit in zip(found, bits):
-            row[p] = wb[bit >> 3] >> (bit & 7) & 1
-    return found
-
-
-def _search_exhaustive(cone, trigger, limit):
-    """Exhaustively scan the cone's support; returns up to ``limit``
-    activating assignments over the cone PIs."""
-    found = []
-    keep = frozenset(net for net, _ in trigger)
-    sweep = {}
-    for patterns, width in stimuli(cone.inputs):
-        vals = simulate_packed(cone, patterns, width, keep=keep, sweep=sweep)
-        found += _activations(patterns, trigger_word(vals, trigger, width),
-                              limit - len(found))
-        if len(found) >= limit:
-            break
-    return found
-
-
 PROBE_VECTORS = 1 << 18
 
 
@@ -172,8 +130,7 @@ def _probe(n: Netlist, triggers, seed, limit=48, vectors=PROBE_VECTORS):
     hits = [0] * len(triggers)
     kept = [[] for _ in triggers]
     keep = frozenset(net for trigger in triggers for net, _ in trigger)
-    for patterns, width in stimuli(n.inputs, vectors, seed):
-        vals = simulate_packed(n, patterns, width, keep=keep)
+    for patterns, width, (vals,) in sweep([(n, keep)], vectors, seed):
         for k, trigger in enumerate(triggers):
             act = trigger_word(vals, trigger, width)
             if act and hits[k] < limit:
@@ -186,7 +143,7 @@ def _decode(kept, limit=48):
     """The first ``limit`` activating assignments held by _probe's pieces."""
     found = []
     for patterns, act in kept:
-        found += _activations(patterns, act, limit - len(found))
+        found += decode(patterns, act, limit - len(found))
     return found
 
 
@@ -196,9 +153,16 @@ def _rare_activations(cone, trigger, limit):
     lowest index first, so [] proves the trigger unsatisfiable; above the
     bound nothing is searched and [] means undecided.
     """
-    if len(cone.inputs) <= EXHAUSTIVE_PIS:
-        return _search_exhaustive(cone, trigger, limit)
-    return []
+    if len(cone.inputs) > EXHAUSTIVE_PIS:
+        return []
+    found = []
+    keep = frozenset(net for net, _ in trigger)
+    for patterns, width, (vals,) in sweep([(cone, keep)]):
+        found += decode(patterns, trigger_word(vals, trigger, width),
+                        limit - len(found))
+        if len(found) >= limit:
+            break
+    return found
 
 
 def find_trigger_witness(n: Netlist, rec: TrojanRecord):

@@ -229,8 +229,8 @@ def test_exact_signal_prob_pi_bound():
 
 @pytest.mark.parametrize("name", sorted(_SPLIT_NETLISTS))
 def test_exact_signal_prob_equals_the_per_chunk_count(name):
-    # a sweep reuses the count of a word that is the same object as in the
-    # last chunk; counting every word of every chunk must give the same p
+    # the sweep runs the prologue on its first chunk only; counting every
+    # word of every stateless chunk must give the same p
     n = _SPLIT_NETLISTS[name]()
     ones = dict.fromkeys(n.nets, 0)
     for patterns, width in stimuli(n.inputs):

@@ -27,38 +27,40 @@ from conftest import (exhaustive_signatures, po_signatures, random_netlist,
 
 @pytest.mark.parametrize("chunk_bits", [12, 14, 16])
 def test_equivalence_check_spans_multiple_chunks(chunk_bits, monkeypatch):
-    # PI k is bit k of the assignment index at every chunk width, so the
-    # first counterexample and the first trigger activation, both outside
-    # the first chunk of 2^12, do not depend on the width
-    width = chunk_bits
-
-    def chunked(pis, vectors=None, seed=0, chunk_bits=None):
-        return stimuli(pis, vectors, seed, width)  # whatever the caller asks
-
-    monkeypatch.setattr(htforge.equiv, "stimuli", chunked)
+    # PI k is bit k of the assignment index at every exhaustive chunk
+    # width, so the first counterexample, at i3 and i16, and the first
+    # trigger activation, both outside the first chunk of 2^12, do not
+    # depend on the width; the netlists are built after the width is set,
+    # so their programs split prologue from rest at that width
+    monkeypatch.setattr(htforge.netlist, "CHUNK_VARS", chunk_bits)
     n = random_netlist(61, n_pis=18, n_gates=60)
+    assert [w for _, w in stimuli(n.inputs)] == (
+        [1 << chunk_bits] * (1 << 18 - chunk_bits))
     cfg = CheckConfig(exhaustive_bound=18)
     verdict = check_equivalence(n, n, cfg)
     assert verdict.mode == "exhaustive"
     assert verdict.result == "equivalent"
-    po = n.outputs[0]
-    gates = [Gate(g.kind, "pre" if g.output == po else g.output, g.inputs,
-                  g.name) for g in n.gates]
-    gates += [Gate("OR", "u", ("i16", "i17"), "gu"),
-              Gate("AND", "t", ("i3", "u"), "gt"),
-              Gate("XOR", po, ("pre", "t"), "gp")]
-    other = Netlist(n.name, n.inputs, n.outputs, tuple(gates))
+    other = _xor_into_po(n, ("i3",), ("i16", "i17"))
     cex = check_equivalence(n, other, cfg).counterexample
     assert cex == {p: int(p in ("i3", "i16")) for p in n.inputs}
 
     rec = TrojanRecord(trigger=(("t", 1), ("w42", 0), ("w55", 1)),
-                       trigger_net="t", victim=po, victim_pre="pre",
+                       trigger_net="t", victim=n.outputs[0], victim_pre="pre",
                        payload_gate="gp", witness=None, added_gates=())
     assert len(_cone_netlist(other, ["t", "w42", "w55"]).inputs) == 16
     want = find_trigger_witness(other, rec)
-    monkeypatch.setattr(htforge.trojan, "stimuli", chunked)
-    assert find_trigger_witness(other, rec) == want
     assert {p for p, bit in want.items() if bit} == {"i0", "i3", "i15", "i17"}
+
+
+def _xor_into_po(n, ands, ors):
+    """``n`` with its first PO xored with t = AND(ands..., OR(ors...))."""
+    po = n.outputs[0]
+    gates = [Gate(g.kind, "pre" if g.output == po else g.output, g.inputs,
+                  g.name) for g in n.gates]
+    gates += [Gate("OR", "u", ors, "gu"),
+              Gate("AND", "t", (*ands, "u"), "gt"),
+              Gate("XOR", po, ("pre", "t"), "gp")]
+    return Netlist(n.name, n.inputs, n.outputs, tuple(gates))
 
 
 def _reachable(root):
@@ -77,8 +79,9 @@ def _reachable(root):
 
 
 def test_no_chunk_wide_value_outlives_a_sweep():
-    # an exhaustive sweep keeps its registers in state that it drops when it
-    # ends; the netlist keeps only its lowered program, which holds no value
+    # an exhaustive sweep keeps its registers in the generator, which they
+    # leave with, also when its caller stops at a counterexample; the
+    # netlist keeps only its lowered programs, which hold no value
     n = rarity_netlist(7)
     other = Netlist(n.name, n.inputs, n.outputs, n.gates)
     assert len(n.inputs) == 24
@@ -89,10 +92,18 @@ def test_no_chunk_wide_value_outlives_a_sweep():
                        added_gates=())
     assert len(_cone_netlist(n, [net for net, _ in trigger]).inputs) == 24
     assert find_trigger_witness(n, rec) == dict.fromkeys(n.inputs, 1)
+    # i2_5 and i3_0 are PIs 17 and 18: the sweep stops in its seventh chunk
+    bad = _xor_into_po(n, ("i2_5",), ("i3_0",))
+    verdict = check_equivalence(n, bad)
+    assert verdict.mode == "exhaustive"
+    assert verdict.counterexample == {p: int(p in ("i2_5", "i3_0"))
+                                      for p in n.inputs}
+    verdict = check_equivalence(n, bad, CheckConfig(exhaustive_bound=20))
+    assert verdict.mode == "sampled" and verdict.counterexample
     exact_signal_prob(n)
     assert list(n._lowered) == [None]
-    assert list(other._lowered) == [frozenset(n.outputs)]
-    for net in (n, other):
+    assert list(other._lowered) == list(bad._lowered) == [frozenset(n.outputs)]
+    for net in (n, other, bad):
         wide = [obj.bit_length() for obj in _reachable(net)
                 if isinstance(obj, int) and obj.bit_length() > 64]
         assert not wide, wide

@@ -147,3 +147,23 @@ def test_trojan_semantics_missing_witness(full_adder):
     verdict = check_trojan_semantics(full_adder, infected, rec)
     assert not verdict.ok
     assert "unproven" in verdict.reason
+
+
+def test_trojan_semantics_witness_leaving_a_pi_unbound(full_adder):
+    spec = TrojanSpec(q=2, rare_count=0, threshold=0.01, seed=3,
+                      sample_vectors=4096)
+    infected, rec = insert_trojan(full_adder, spec)
+    del rec.witness["b"]
+    verdict = check_trojan_semantics(full_adder, infected, rec)
+    assert not verdict.ok
+    assert verdict.reason == "witness does not bind PIs ['b']"
+
+
+def test_trojan_semantics_trigger_net_the_infected_lacks(full_adder):
+    spec = TrojanSpec(q=2, rare_count=0, threshold=0.01, seed=3,
+                      sample_vectors=4096)
+    infected, rec = insert_trojan(full_adder, spec)
+    rec.trigger = (*rec.trigger, ("nope", 1))
+    verdict = check_trojan_semantics(full_adder, infected, rec)
+    assert not verdict.ok
+    assert verdict.reason == "infected lacks trigger nets ['nope']"

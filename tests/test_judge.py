@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 
 from htforge.judge import (
     AnswerKey,
+    BenchmarkSet,
     ForgeConfig,
     JudgeError,
     Submission,
@@ -247,9 +249,56 @@ def test_key_json_round_trip(forged):
 def test_benchmark_set_dir_round_trip(forged, tmp_path):
     _, bench, _ = forged
     bench.write_dir(str(tmp_path / "set"))
-    from htforge.judge import BenchmarkSet
     loaded = BenchmarkSet.load_dir(str(tmp_path / "set"))
     assert loaded.entries == bench.entries
+    assert loaded.manifest == bench.manifest
+
+
+def _tampered_set(bench, tmp_path, edit):
+    """Write ``bench`` and apply ``edit`` to its manifest dict."""
+    root = tmp_path / "set"
+    bench.write_dir(str(root))
+    manifest = json.loads((root / "manifest.json").read_text())
+    edit(manifest)
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return str(root)
+
+
+def test_benchmark_set_load_rejects_a_path_outside_circuits(forged, tmp_path):
+    _, bench, _ = forged
+    (tmp_path / "outside.v").write_text(bench.entries[0][1])
+    sha = bench.manifest["entries"][0]["sha256"]
+
+    def escape(e):
+        return lambda m: m["entries"][0].update(e, sha256=sha)
+    for e in ({"file": "../../outside.v"},
+              {"id": "../../outside", "file": "../../outside.v"}):
+        root = _tampered_set(bench, tmp_path, escape(e))
+        with pytest.raises(JudgeError, match="not circuits/<id>.v"):
+            BenchmarkSet.load_dir(root)
+
+
+def test_benchmark_set_load_checks_each_circuit_sha256(forged, tmp_path):
+    _, bench, _ = forged
+    root = tmp_path / "set"
+    bench.write_dir(str(root))
+    eid, text = bench.entries[-1]
+    (root / "circuits" / f"{eid}.v").write_text(text + "\n")
+    with pytest.raises(JudgeError, match=f"circuit '{eid}' does not match"):
+        BenchmarkSet.load_dir(str(root))
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda m: m.pop("entries"), "manifest 'entries'"),
+    (lambda m: m.pop("set_name"), "manifest 'set_name'"),
+    (lambda m: m["entries"][0].pop("sha256"), "manifest entry 'sha256'"),
+    (lambda m: m["entries"].__setitem__(1, "b0001.v"), "manifest entry must"),
+], ids=["entries", "set_name", "sha256", "entry-not-a-dict"])
+def test_benchmark_set_load_names_a_missing_field(forged, tmp_path, edit,
+                                                  field):
+    _, bench, _ = forged
+    with pytest.raises(JudgeError, match=field):
+        BenchmarkSet.load_dir(_tampered_set(bench, tmp_path, edit))
 
 
 def test_forge_config_validation():

@@ -34,6 +34,7 @@ from htforge.netlist import (
     simulate,
     simulate_packed,
     stimuli,
+    sweep,
     to_json_dict,
     tt_var,
     validate,
@@ -1068,55 +1069,50 @@ _SPLIT_NETLISTS = {"rand17": lambda: random_netlist(71, n_pis=17, n_gates=90),
 @pytest.mark.parametrize("name", sorted(_SPLIT_NETLISTS))
 def test_sweep_state_matches_stateless_simulation_on_every_chunk(name,
                                                                  chunk_bits):
-    # the prologue reads only the first 16 PIs; with 2^12 or 2^14 chunks
-    # some of those PIs change from chunk to chunk, so the sweep state must
-    # notice and rerun it
+    # an exhaustive sweep reruns only the steps past each program's
+    # prologue after its first chunk; chunk_bits sets the width of sampled
+    # draws and never that of exhaustive chunks
     n = _SPLIT_NETLISTS[name]()
     inner = [g.output for g in n.gates[3::len(n.gates) // 3]]
     keeps = [frozenset(n.outputs),
              frozenset(n.outputs + (n.inputs[0], n.inputs[-1], *inner)),
              None]
-    for keep in keeps:
-        sweep = {}
-        chunks = 0
-        for patterns, width in stimuli(n.inputs, chunk_bits=chunk_bits):
-            want = simulate_packed(n, patterns, width, keep=keep)
-            got = simulate_packed(n, patterns, width, keep=keep, sweep=sweep)
-            assert got == want, (keep, chunks)
-            chunks += 1
-        assert chunks == 1 << (len(n.inputs) - chunk_bits)
+    sims = [(n, keep) for keep in keeps]
+    for vectors in (None, 5 << chunk_bits - 1):
+        widths = []
+        for patterns, width, vals in sweep(sims, vectors, 3, chunk_bits):
+            want = [simulate_packed(n, patterns, width, keep=keep)
+                    for keep in keeps]
+            assert vals == want, (vectors, len(widths))
+            widths.append(width)
+        if vectors is None:
+            assert widths == [1 << CHUNK_VARS] * (
+                1 << len(n.inputs) - CHUNK_VARS)
+        else:
+            assert widths == [1 << chunk_bits] * 2 + [1 << chunk_bits - 1]
 
 
-def test_sweep_state_reruns_the_prologue_on_a_new_word_or_width():
+def test_sweep_runs_the_prologue_once_per_exhaustive_sweep():
+    # a prologue net reads none of the PIs past CHUNK_VARS; its word is the
+    # one the first chunk computed, the same object in every chunk
     n = random_netlist(73, n_pis=24, n_gates=120)
-    keep = frozenset(n.outputs)
-    rng = random.Random(5)
-    w = 1 << 12
-    pats = {p: rng.getrandbits(w) for p in n.inputs}
-    sweep = {}
-
-    def both(pats, width, keep=keep):
-        got = simulate_packed(n, pats, width, keep=keep, sweep=sweep)
-        assert got == simulate_packed(n, pats, width, keep=keep)
-        return got
-
-    both(pats, w)
-    regs = sweep["regs"]
-    later = dict(pats, i20=~pats["i20"])   # a PI past the first 16
-    assert both(later, w) != both(pats, w)
-    assert sweep["regs"] is regs   # the prologue was skipped
-    early = dict(pats, i3=~pats["i3"])     # one of the first 16 PIs
-    assert both(early, w) != both(pats, w)
-    assert sweep["regs"] is not regs
-    regs = sweep["regs"]
-    both(pats, w // 2)   # the same words at another width
-    assert sweep["regs"] is not regs
-    regs = sweep["regs"]
-    both(dict(pats, i3=pats["i3"] ^ 1 ^ 1), w // 2)   # an equal copy
-    assert sweep["regs"] is not regs
-    regs = sweep["regs"]
-    both(pats, w // 2, keep=None)   # another program
-    assert sweep["regs"] is not regs
+    late = set(n.inputs[CHUNK_VARS:])
+    for g in n.topo_gates:
+        if not late.isdisjoint(g.inputs):
+            late.add(g.output)
+    prologue = [g.output for g in n.topo_gates if g.output not in late]
+    first = None
+    chunks = 0
+    for patterns, width, (vals,) in sweep([(n, None)]):
+        first = first or vals
+        assert all(vals[net] is first[net] for net in prologue)
+        chunks += 1
+        # a stateless call computes every word afresh
+        fresh = simulate_packed(n, patterns, width)
+        assert all(fresh[net] is not vals[net] for net in prologue
+                   if vals[net].bit_length() > 64)
+    assert chunks == 256 and len(prologue) > 10
+    assert any(first[net].bit_length() > 64 for net in prologue)
 
 
 def _tt_var_formula(j, m):
@@ -1149,13 +1145,31 @@ def test_json_dump_shape(full_adder):
     assert all({"kind", "name", "output", "inputs"} <= set(g) for g in d["gates"])
 
 
+def _decode_bit(patterns, bit):
+    return {p: (w >> bit) & 1 for p, w in patterns.items()}
+
+
 def test_stimuli_exhaustive_decodes_every_assignment_once():
     pis = ("a", "b", "c", "d", "e")
-    seen = []
-    for patterns, width in stimuli(pis, chunk_bits=3):
-        assert width == 8
-        seen.extend(tuple(decode(patterns, bit).values()) for bit in range(width))
-    assert sorted(seen) == sorted(itertools.product((0, 1), repeat=5))
+    (patterns, width), = stimuli(pis)
+    assert width == 32 and list(stimuli(pis, chunk_bits=3)) == [(patterns, 32)]
+    got = decode(patterns, (1 << width) - 1, width)
+    assert got == [_decode_bit(patterns, bit) for bit in range(width)]
+    assert [tuple(a.values()) for a in got] == [
+        tuple(reversed(t)) for t in itertools.product((0, 1), repeat=5)]
+    # past CHUNK_VARS PIs the later ones count up from chunk to chunk:
+    # bit i of chunk c is assignment c * 2^CHUNK_VARS + i
+    pis = tuple(f"x{k}" for k in range(CHUNK_VARS + 2))
+    chunks = list(stimuli(pis))
+    assert list(stimuli(pis, chunk_bits=3)) == chunks
+    assert [w for _, w in chunks] == [1 << CHUNK_VARS] * 4
+    bits = (0, 5, 4097, (1 << CHUNK_VARS) - 1)
+    for c, (patterns, width) in enumerate(chunks):
+        got = decode(patterns, sum(1 << b for b in bits), 48)
+        assert got == [{p: (c << CHUNK_VARS | b) >> k & 1
+                        for k, p in enumerate(pis)} for b in bits]
+        assert decode(patterns, 1 << 4097 | 1 << 5, 1) == got[1:2]
+    assert decode(patterns, 0, 48) == []
 
 
 def test_stimuli_random_draw_order():

@@ -193,6 +193,23 @@ def test_orphan_scan_finds_each_kind(texts, orphans):
     assert _orphan_private_defs(trees) == orphans
 
 
+def _names(tree, name):
+    """Lines of ``tree`` that name ``name``: a name, an attribute or an
+    imported alias."""
+    return [node.lineno for node in ast.walk(tree)
+            if name in (getattr(node, "id", None), getattr(node, "attr", None))
+            or isinstance(node, ast.alias) and name == node.name]
+
+
+def test_only_netlist_draws_stimuli():
+    # netlist.sweep owns the chunk layout of every sweep and the registers
+    # carried between its chunks; other modules simulate through it
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "netlist.py"
+             for line in _names(ast.parse(path.read_text()), "stimuli")]
+    assert not found, found
+
+
 def test_tracer_wrapped_names_resolve():
     # the benchmark tracer reports a missing function as absent and drops
     # its layer metric; read its WRAPPED table without importing bench/
