@@ -8,6 +8,7 @@ strictly smaller than the node's own index).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from operator import and_, or_, xor
 
@@ -87,12 +88,14 @@ class AigGraph:
 
 class AigBuilder:
     """Incremental constructor.  With hashing enabled, and2() applies the
-    constant rules, normalizes fanin order, and shares identical nodes."""
+    constant rules, normalizes fanin order, and shares identical nodes.
+    ``fan0`` and ``fan1`` are indexed by node (zero below the first AND),
+    so cone_tt() walks a graph while it is being built."""
 
     def __init__(self, pi_names, hashing=True):
         self.pi_names = list(pi_names)
-        self.fan0 = []
-        self.fan1 = []
+        self.fan0 = [0] * (1 + len(self.pi_names))
+        self.fan1 = list(self.fan0)
         self.pos = []
         self.table = {} if hashing else None
 
@@ -108,7 +111,7 @@ class AigBuilder:
             if hit is not None:
                 return hit
             a, b = key
-        node = 1 + len(self.pi_names) + len(self.fan0)
+        node = len(self.fan0)
         self.fan0.append(a)
         self.fan1.append(b)
         out = lit(node)
@@ -126,17 +129,16 @@ class AigBuilder:
         self.pos.append((name, l))
 
     def build(self):
-        return AigGraph(self.pi_names, self.fan0, self.fan1, self.pos)
+        base = 1 + len(self.pi_names)
+        return AigGraph(self.pi_names, self.fan0[base:], self.fan1[base:],
+                        self.pos)
 
 
-def to_aig(n: Netlist) -> AigGraph:
-    """Decompose a netlist into 2-input ANDs and complemented edges.
-
-    Gates are expanded gate-by-gate without structural hashing, so a
-    k-input AND/OR becomes exactly k-1 AND nodes and XOR/XNOR become 3
-    each; run strash() to share structure.
-    """
-    b = AigBuilder(n.inputs, hashing=False)
+def add_netlist(b: AigBuilder, n: Netlist):
+    """Decompose the gates of ``n`` into ``b``, whose PIs are ``n``'s
+    inputs in order, and return the literals of ``n``'s outputs.  A k-input
+    AND/OR folds into k-1 and2() calls and an XOR/XNOR input into one
+    xor2(); constant nets are literals TRUE and FALSE."""
     net2lit = {CONST1: TRUE, CONST0: FALSE}
     for k, p in enumerate(n.inputs):
         net2lit[p] = b.pi(k)
@@ -150,7 +152,19 @@ def to_aig(n: Netlist) -> AigGraph:
     for o in n.outputs:
         if o not in net2lit:
             raise NetlistError(f"primary output '{o}' is undriven")
-        b.add_po(o, net2lit[o])
+    return [net2lit[o] for o in n.outputs]
+
+
+def to_aig(n: Netlist) -> AigGraph:
+    """Decompose a netlist into 2-input ANDs and complemented edges.
+
+    Gates are expanded gate-by-gate without structural hashing, so a
+    k-input AND/OR becomes exactly k-1 AND nodes and XOR/XNOR become 3
+    each; run strash() to share structure.
+    """
+    b = AigBuilder(n.inputs, hashing=False)
+    for o, l in zip(n.outputs, add_netlist(b, n)):
+        b.add_po(o, l)
     return b.build()
 
 
@@ -256,7 +270,7 @@ def enumerate_cuts(g: AigGraph, k=6, max_cuts=8):
 
     Every node keeps its trivial cut (listed last) plus up to max_cuts-1
     merged cuts, prioritized by leaf count; the constant node has none.
-    Truth tables over a cut come from ``restructure._Work.cone_tt``.
+    Truth tables over a cut come from cone_tt().
 
     A cut's signature ORs ``1 << (leaf & 63)`` over its leaves; leaves may
     share a bit, so a pair whose OR has over k bits is skipped unmerged.
@@ -284,6 +298,51 @@ def enumerate_cuts(g: AigGraph, k=6, max_cuts=8):
             if not uses[v]:
                 sets[v] = None
     return cuts
+
+
+def cone_tt(fan0, fan1, first, dead, root, leaves, max_steps=math.inf):
+    """Truth table of node ``root`` over the ``leaves`` nodes, in a graph
+    given by node-indexed fanin literals (``fan0[v]``, ``fan1[v]`` for
+    each AND ``v >= first``) and ``dead`` flags; None when the cone escapes
+    the leaves (reaches a PI or a dead node outside them) or takes more
+    than ``max_steps`` walk steps.  Node 0 is the constant TRUE."""
+    m = len(leaves)
+    mask = (1 << (1 << m)) - 1
+    val = {0: mask}
+    for j, leaf in enumerate(leaves):
+        val[leaf] = tt_var(j, m)
+    if root in val:
+        return val[root]
+    get = val.get
+    stack = [root]
+    steps = 0
+    while stack:
+        nd = stack[-1]
+        if nd in val:
+            stack.pop()
+            continue
+        if nd < first or dead[nd]:
+            return None
+        steps += 1
+        if steps > max_steps:
+            return None
+        f0, f1 = fan0[nd], fan1[nd]
+        a, b = get(f0 >> 1), get(f1 >> 1)
+        if a is None or b is None:
+            # push only the missing fanins, f0's first; a PI is a leaf
+            # or the cone escapes
+            if a is None:
+                if f0 >> 1 < first:
+                    return None
+                stack.append(f0 >> 1)
+            if b is None:
+                if f1 >> 1 < first:
+                    return None
+                stack.append(f1 >> 1)
+            continue
+        val[nd] = (a ^ mask if f0 & 1 else a) & (b ^ mask if f1 & 1 else b)
+        stack.pop()
+    return val[root]
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,27 @@
 Exhaustive bit-parallel enumeration decides circuits up to a configurable
 PI bound (default EXHAUSTIVE_PIS, chunked so memory stays flat); above
 it, randomized sampling gives an explicitly non-definitive
-"no-mismatch-found" verdict.  Counterexamples are always re-verified by
-scalar simulation before being returned.
+"no-mismatch-found" verdict.  An exhaustive check that would sweep more
+than SWEEP_CHUNKS chunks first merges the nodes of one joint AIG that
+truth tables over small cuts prove equal, and sweeps only the outputs
+left unproven.  Counterexamples are always re-verified by scalar
+simulation before being returned.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
-from .netlist import (EXHAUSTIVE_PIS, Netlist, _check, decode, simulate,
-                      sweep, trigger_word)
+from .aig import (AigBuilder, AigGraph, add_netlist, aig_simulate, cone_tt,
+                  from_aig, lit)
+from .netlist import (CHUNK_VARS, EXHAUSTIVE_PIS, MAX_TT_INPUTS,
+                      SWEEP_CHUNKS, Netlist, NetlistError, _check, decode,
+                      simulate, sweep, trigger_word)
+
+SIG_BITS = 2048    # random vectors that sort nodes into candidate classes
+PROOF_TRIES = 4    # most class members a new node is proven against
 
 
 class InterfaceMismatchError(Exception):
@@ -57,22 +68,172 @@ def _first_divergence(a: Netlist, b: Netlist, cfg: CheckConfig, trigger=None):
     ``a`` and ``b`` differs; with a ``trigger``, only where that trigger is
     inactive in ``b``.  Exhaustive up to the configured PI bound, seeded
     sampling above it.  Returns (mode, vectors checked, assignment or None).
+    A plain check of more than SWEEP_CHUNKS chunks sweeps only the PO
+    pairs _unproven() leaves; proven pairs never differ, so the first
+    assignment found is the same.
     """
     mode, total, vectors = "sampled", cfg.sample_vectors, cfg.sample_vectors
     if len(a.inputs) <= cfg.exhaustive_bound:
         mode, total, vectors = "exhaustive", 1 << len(a.inputs), None
     keep_a = frozenset(a.outputs)
     keep_b = keep_a.union(net for net, _ in trigger or ())
-    for patterns, width, (va, vb) in sweep([(a, keep_a), (b, keep_b)],
-                                           vectors, cfg.seed):
+    sims, pairs = [(a, keep_a), (b, keep_b)], [(po, po) for po in a.outputs]
+    if vectors is None and trigger is None and total > SWEEP_CHUNKS << CHUNK_VARS:
+        miter, unproven = _unproven(a, b, cfg.seed)
+        if not unproven:
+            return mode, total, None
+        sims, pairs = [(miter, frozenset(miter.outputs))], unproven.values()
+    for patterns, width, vals in sweep(sims, vectors, cfg.seed):
+        va, vb = vals[0], vals[-1]
         diff = 0
-        for po in a.outputs:
-            diff |= va[po] ^ vb[po]
+        for x, y in pairs:
+            diff |= va[x] ^ vb[y]
         if trigger is not None:
             diff &= ~trigger_word(vb, trigger, width)
         if diff:
             return mode, total, decode(patterns, diff, 1)[0]
     return mode, total, None
+
+
+def _joint(a: Netlist, b: Netlist):
+    """``a`` and ``b`` built into one hashing AIG over their shared PIs:
+    (graph, a's PO literals, b's PO literals).  Repeated inputs are
+    refused as the sweep refuses them."""
+    if len(set(a.inputs)) != len(a.inputs):
+        raise NetlistError("simulate_packed needs distinct primary inputs")
+    jb = AigBuilder(a.inputs)
+    pos_a = add_netlist(jb, a)
+    pos_b = add_netlist(jb, b)
+    return jb.build(), pos_a, pos_b
+
+
+def _unproven(a: Netlist, b: Netlist, seed):
+    """Sweep the joint AIG of ``a`` and ``b`` in order, rebuilding each
+    node over its fanins' representatives; a node whose signature under
+    SIG_BITS random vectors (drawn from ``seed``) matches a class member's,
+    up to complement, merges into it when _same() proves them equal.
+    Returns the netlist of the rebuilt graph cut down to the PO pairs whose
+    two literals still differ, and a dict from each such PO of ``a`` to
+    its pair of outputs in that netlist, which are named by their
+    literals."""
+    g, pos_a, pos_b = _joint(a, b)
+    first = 1 + g.n_pis
+    rng = random.Random(seed)
+    mask = (1 << SIG_BITS) - 1
+    sigs = aig_simulate(g, [rng.getrandbits(SIG_BITS) for _ in a.inputs],
+                        SIG_BITS)
+    r = AigBuilder(a.inputs)
+    fan0, fan1, dead = r.fan0, r.fan1, bytes(g.n_nodes)
+    rep = [lit(v) for v in range(first)]   # rebuilt node -> representative
+    rsig = sigs[:first]
+    support = [0] + [1 << k for k in range(g.n_pis)]   # PI bitmask
+    classes = {}
+    for v, s in enumerate(rsig):
+        classes.setdefault(s ^ mask if s & 1 else s, []).append(v)
+    node_map = list(rep)   # joint node -> rebuilt literal
+    for s, f0, f1 in zip(sigs[first:], g.fan0, g.fan1):
+        l = r.and2(node_map[f0 >> 1] ^ (f0 & 1), node_map[f1 >> 1] ^ (f1 & 1))
+        x = l >> 1
+        if x == len(rep):   # a new node
+            rsig.append(s)
+            support.append(support[fan0[x] >> 1] | support[fan1[x] >> 1])
+            members = classes.setdefault(s ^ mask if s & 1 else s, [])
+            to = lit(x)
+            for c in members[:PROOF_TRIES]:
+                phase = rsig[c] != s
+                if _same(fan0, fan1, first, dead, support, x, c, phase):
+                    to = lit(c, phase)
+                    break
+            else:
+                members.append(x)
+            rep.append(to)
+        node_map.append(rep[x] ^ (l & 1))
+    pairs = {}
+    for po, la, lb in zip(a.outputs, pos_a, pos_b):
+        x = node_map[la >> 1] ^ (la & 1)
+        y = node_map[lb >> 1] ^ (lb & 1)
+        if x != y:
+            pairs[po] = x, y
+    lits = dict.fromkeys(l for pair in pairs.values() for l in pair)
+    miter = from_aig(AigGraph(a.inputs, fan0[first:], fan1[first:],
+                              [(l, l) for l in lits]), name=a.name)
+    return miter, pairs
+
+
+def _same(fan0, fan1, first, dead, support, x, c, phase):
+    """Whether node ``x`` equals node ``c`` (complemented when ``phase``)
+    in the rebuilt graph: their truth tables agree over the pair's PI
+    support when it has at most MAX_TT_INPUTS PIs, else over a cut where
+    their cones meet, deepened by _deepen() on each mismatch while it has
+    at most MAX_TT_INPUTS leaves.  Agreement over a cut implies equality;
+    False only leaves the two apart."""
+    pis = support[x] | support[c]
+    if pis.bit_count() <= MAX_TT_INPUTS:
+        leaves = {k + 1 for k in range(pis.bit_length()) if pis >> k & 1}
+    else:
+        leaves = _meet(fan0, fan1, first, x, c) if c else None
+    while leaves is not None and len(leaves) <= MAX_TT_INPUTS:
+        order = sorted(leaves)
+        tx = cone_tt(fan0, fan1, first, dead, x, order)
+        tc = cone_tt(fan0, fan1, first, dead, c, order)
+        if tx is None or tc is None:
+            return False
+        if tx == (tc ^ (1 << (1 << len(order))) - 1 if phase else tc):
+            return True
+        if order[-1] < first:   # over PIs alone the tables are exact
+            return False
+        leaves = _deepen(fan0, fan1, first, support, leaves)
+    return False
+
+
+def _deepen(fan0, fan1, first, support, leaves):
+    """``leaves`` with one AND leaf replaced by its fanins or by its PI
+    support, whichever leaves fewer; of all such cuts the smallest, the
+    one that replaces the latest node on a tie."""
+    best = None
+    for v in leaves:
+        if v < first:
+            continue
+        rest = leaves - {v}
+        fanins = rest | {fan0[v] >> 1, fan1[v] >> 1}
+        s = support[v]
+        below = rest | {k + 1 for k in range(s.bit_length()) if s >> k & 1}
+        for cut in (fanins, below):
+            key = (len(cut), -v)
+            if best is None or key < best[0]:
+                best = key, cut
+    return best[1]
+
+
+def _meet(fan0, fan1, first, x, c):
+    """The leaves where the cones of AND ``x`` and node ``c`` meet: walking
+    down from both in reverse node order, a node reached from both, or a
+    PI, is a leaf and every other node is expanded.  None as soon as
+    more than MAX_TT_INPUTS nodes are sure to be leaves."""
+    side = {x: 1, c: 2}
+    heap = [-x, -c]
+    heapify(heap)
+    leaves = set()
+    sure = c < first   # queued nodes that will be leaves
+    while heap:
+        u = -heappop(heap)
+        s = side[u]
+        if s == 3 or u < first:
+            leaves.add(u)
+            sure -= 1
+            continue
+        for v in (fan0[u] >> 1, fan1[u] >> 1):
+            t = side.get(v)
+            if t is None:
+                side[v] = s
+                heappush(heap, -v)
+                sure += v < first
+            elif t != 3 and t | s == 3:
+                side[v] = 3
+                sure += v >= first
+        if len(leaves) + sure > MAX_TT_INPUTS:
+            return None
+    return leaves
 
 
 def check_equivalence(a: Netlist, b: Netlist, config: CheckConfig = None) -> EquivVerdict:

@@ -34,6 +34,9 @@ _BEHAVIORAL_KEYWORDS = {
 _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*\Z")
 
 CHUNK_VARS = 16  # PIs an exhaustive stimuli() chunk enumerates within it
+# most exhaustive chunks an equivalence check sweeps before it proves
+# merges first (equiv._unproven); a sweep of more costs more than the proofs
+SWEEP_CHUNKS = 16
 EXHAUSTIVE_PIS = 24  # most PIs a search or check enumerates in full
 
 
@@ -362,12 +365,28 @@ def simulate_packed(n: Netlist, patterns: dict, width: int, keep=None,
     return {net: v[r] for net, r in kept}
 
 
+def prologue_nets(n: Netlist) -> frozenset:
+    """The nets that the program keeping every net computes before its
+    rest: constants, the first CHUNK_VARS PIs and the prologue's gates.
+    Each holds the same word in every chunk of an exhaustive sweep.  A
+    kept net never gives its register up, so these are the nets whose
+    registers neither the rest writes nor a rerun loads."""
+    _, steps, cut, kept, loads = n._program()
+    varying = set(loads)
+    varying.update(steps[cut + 1::4])
+    return frozenset([net for net, r in kept if r not in varying])
+
+
+# the widest truth table tt_var caches its patterns for, synthesis takes
+# (restructure._factored counts literals in 16-bit fields) and a cone
+# truth table proves a merge over (equiv._unproven)
+MAX_TT_INPUTS = 16
 _TT_VAR_CACHE = {}
 
 
 def tt_var(j, m):
     """Truth-table pattern of variable j over 2^m rows (bit i = (i>>j)&1)."""
-    if m <= 16:
+    if m <= MAX_TT_INPUTS:
         hit = _TT_VAR_CACHE.get((j, m))
         if hit is not None:
             return hit
@@ -380,7 +399,7 @@ def tt_var(j, m):
     out = int.from_bytes(block * (nbytes // len(block)), "little")
     if m < 3:
         out &= (1 << (1 << m)) - 1
-    if m <= 16:
+    if m <= MAX_TT_INPUTS:
         _TT_VAR_CACHE[(j, m)] = out
     return out
 
@@ -546,14 +565,27 @@ _CLASSES = bytes(
     else ord("!") for c in map(chr, range(256)))
 
 
+# A constant connection standing alone between blanks or (),; as the
+# writer emits it: the one token outside identifiers and (),; that _tokens
+# still splits with str methods.  The pattern starts with the literal, so
+# re searches for 1' first; a lookbehind then tests the byte before it.
+_LITERAL_RE = re.compile(r"1'[bB][01](?<![^\s(),;]1'[bB][01])(?![^\s(),;])")
+
+
 def _tokens(source):
     """``_TOKEN_RE.findall(source)``.  An ASCII source with no "!" byte and
     no blank before a digit or $ (which would start a number or a lone $)
-    holds only identifiers and (),;, so str methods split it; any other
-    source goes through the regex."""
+    holds only identifiers and (),;, so str methods split it; so does one
+    that passes the same test with its standalone 1'b0/1'b1 literals
+    blanked out.  Any other source goes through the regex."""
     if source.isascii():
         classes = (" " + source).encode().translate(_CLASSES)
-        if b"!" not in classes and b" 0" not in classes:
+        bang = b"!" in classes
+        if bang and "1'" in source:
+            bare = _LITERAL_RE.sub("    ", source)
+            classes = (" " + bare).encode().translate(_CLASSES)
+            bang = b"!" in classes
+        if not bang and b" 0" not in classes:
             text = source
             for p in "(),;":
                 text = text.replace(p, f" {p} ")

@@ -24,6 +24,7 @@ from .aig import (
     _rehash,
     aig_simulate,
     and_key,
+    cone_tt,
     enumerate_cuts,
     from_aig,
     lit,
@@ -34,17 +35,16 @@ from .aig import (
     tree_roots,
     tt_var,
 )
-from .netlist import EXHAUSTIVE_PIS, Netlist, _check, simulate
+from .netlist import EXHAUSTIVE_PIS, MAX_TT_INPUTS, Netlist, _check, simulate
 
 
 class RestructureError(Exception):
     """Raised when a pipeline equivalence check fails (an internal bug trap)."""
 
 
-# the widest truth table rewrite and refactor synthesize (_factored counts
-# literals in 16-bit fields), the most cuts rewrite keeps per node, and the
-# widest PI support over which resubstitute and fraig prove a candidate
-MAX_TT_INPUTS = 16
+# the most cuts rewrite keeps per node, and the widest PI support over
+# which resubstitute and fraig prove a candidate; the widest truth table
+# rewrite and refactor synthesize is netlist.MAX_TT_INPUTS
 MAX_CUTS = 16
 MAX_PROOF_PIS = 20
 
@@ -205,48 +205,12 @@ class _Work:
         return out
 
     def cone_tt(self, root, leaves, max_steps=512):
-        """Truth table of root over the leaf nodes, or None when the cone
-        escapes the leaves (stale cut) or takes more than ``max_steps``
-        walk steps.  Local passes keep the default cap; fraig's proofs
-        pass ``math.inf``."""
-        m = len(leaves)
-        mask = (1 << (1 << m)) - 1
-        val = {0: mask}
-        for j, leaf in enumerate(leaves):
-            val[leaf] = tt_var(j, m)
-        if root in val:
-            return val[root]
-        fan0, fan1, dead, first = self.fan0, self.fan1, self.dead, self.first_and
-        get = val.get
-        stack = [root]
-        steps = 0
-        while stack:
-            nd = stack[-1]
-            if nd in val:
-                stack.pop()
-                continue
-            if nd < first or dead[nd]:
-                return None
-            steps += 1
-            if steps > max_steps:
-                return None
-            f0, f1 = fan0[nd], fan1[nd]
-            a, b = get(f0 >> 1), get(f1 >> 1)
-            if a is None or b is None:
-                # push only the missing fanins, f0's first; a PI is a leaf
-                # or the cone escapes
-                if a is None:
-                    if f0 >> 1 < first:
-                        return None
-                    stack.append(f0 >> 1)
-                if b is None:
-                    if f1 >> 1 < first:
-                        return None
-                    stack.append(f1 >> 1)
-                continue
-            val[nd] = (a ^ mask if f0 & 1 else a) & (b ^ mask if f1 & 1 else b)
-            stack.pop()
-        return val[root]
+        """aig.cone_tt of root over the leaf nodes in this graph: None when
+        the cone escapes the leaves (stale cut) or takes more than
+        ``max_steps`` walk steps.  Local passes keep the default cap;
+        fraig's proofs pass ``math.inf``."""
+        return cone_tt(self.fan0, self.fan1, self.first_and, self.dead,
+                       root, leaves, max_steps)
 
     def support(self, node):
         """PI-index bitmask of the structural support of a node.  Every

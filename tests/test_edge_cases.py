@@ -15,6 +15,7 @@ from htforge.aig import (
     strash,
     to_aig,
 )
+from htforge import equiv
 from htforge.analysis import exact_signal_prob
 from htforge.equiv import CheckConfig, check_equivalence
 from htforge.netlist import Gate, Netlist, parse_netlist, stimuli
@@ -78,10 +79,12 @@ def _reachable(root):
         stack.extend(gc.get_referents(obj))
 
 
-def test_no_chunk_wide_value_outlives_a_sweep():
+def test_no_chunk_wide_value_outlives_a_sweep(monkeypatch):
     # an exhaustive sweep keeps its registers in the generator, which they
     # leave with, also when its caller stops at a counterexample; the
-    # netlist keeps only its lowered programs, which hold no value
+    # netlist keeps only its lowered programs, which hold no value.  The
+    # checks sweep every vector, as checks at or below the crossover do
+    monkeypatch.setattr(equiv, "SWEEP_CHUNKS", 1 << 30)
     n = rarity_netlist(7)
     other = Netlist(n.name, n.inputs, n.outputs, n.gates)
     assert len(n.inputs) == 24
@@ -103,7 +106,17 @@ def test_no_chunk_wide_value_outlives_a_sweep():
     exact_signal_prob(n)
     assert list(n._lowered) == [None]
     assert list(other._lowered) == list(bad._lowered) == [frozenset(n.outputs)]
-    for net in (n, other, bad):
+    # above the crossover a check proves first: the copy's outputs are all
+    # proven without a sweep, and the mutant's first counterexample is the
+    # same, found by a sweep of a miter of the outputs left unproven
+    monkeypatch.undo()
+    proven = Netlist(n.name, n.inputs, n.outputs, n.gates)
+    bad2 = _xor_into_po(n, ("i2_5",), ("i3_0",))
+    assert check_equivalence(n, proven).equivalent
+    assert check_equivalence(n, bad2).counterexample == {
+        p: int(p in ("i2_5", "i3_0")) for p in n.inputs}
+    assert list(proven._lowered) == list(bad2._lowered) == []
+    for net in (n, other, bad, proven, bad2):
         wide = [obj.bit_length() for obj in _reachable(net)
                 if isinstance(obj, int) and obj.bit_length() > 64]
         assert not wide, wide

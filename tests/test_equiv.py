@@ -1,16 +1,19 @@
+import random
+
 import pytest
 
+from htforge import equiv
 from htforge.equiv import (
     CheckConfig,
     InterfaceMismatchError,
     check_equivalence,
     check_trojan_semantics,
 )
-from htforge.netlist import Gate, Netlist, parse_netlist, simulate
+from htforge.netlist import Gate, Netlist, NetlistError, parse_netlist, simulate
 from htforge.restructure import RECIPES, apply_recipe
-from htforge.trojan import TrojanSpec, insert_trojan
+from htforge.trojan import TrojanRecord, TrojanSpec, insert_trojan
 
-from conftest import random_netlist, truth_signature
+from conftest import random_netlist, rarity_netlist, truth_signature
 
 
 def test_check_equivalence_interface_mismatch():
@@ -20,6 +23,13 @@ def test_check_equivalence_interface_mismatch():
         "module m(a,b,z); input a,b; output z; and g(z,a,b); endmodule")
     with pytest.raises(InterfaceMismatchError):
         check_equivalence(a, b)
+    # a repeated input is refused below the crossover and above it, where
+    # the outputs would be proven before any sweep
+    for n_pis in (3, 21):
+        pis = tuple(f"i{k}" for k in range(n_pis - 1)) + ("i0",)
+        n = Netlist("dup", pis, ("y",), (Gate("AND", "y", pis[-2:]),))
+        with pytest.raises(NetlistError, match="distinct primary inputs"):
+            check_equivalence(n, n)
 
 
 def test_check_equivalence_after_recipe(full_adder):
@@ -167,3 +177,110 @@ def test_trojan_semantics_trigger_net_the_infected_lacks(full_adder):
     verdict = check_trojan_semantics(full_adder, infected, rec)
     assert not verdict.ok
     assert verdict.reason == "infected lacks trigger nets ['nope']"
+
+
+# ---------------------------------------------------------------------------
+# exhaustive checks that prove merges first (more than SWEEP_CHUNKS chunks)
+
+# each gate kind's two single-gate mutations: its dual and its complement
+_FLIPS = {"AND": ("OR", "NAND"), "OR": ("AND", "NOR"), "NAND": ("NOR", "AND"),
+          "NOR": ("NAND", "OR"), "XOR": ("AND", "XNOR"),
+          "XNOR": ("OR", "XOR"), "BUF": ("NOT",), "NOT": ("BUF",)}
+
+
+def _wide_case(name):
+    """(golden, the netlist its mutants are planted in) of 22-24 PIs."""
+    if name == "rar22":
+        n = rarity_netlist(29, n_branches=2, pis_per_branch=11)
+        return n, n
+    n = rarity_netlist(7)
+    return n, apply_recipe(n, RECIPES[int(name[len("rar24-recipe"):])],
+                           seed=7)[0]
+
+
+def _swept(a, b, monkeypatch, cfg):
+    """_first_divergence of a plain vector sweep over every PO."""
+    with monkeypatch.context() as m:
+        m.setattr(equiv, "SWEEP_CHUNKS", 1 << 30)
+        return equiv._first_divergence(a, b, cfg)
+
+
+@pytest.mark.parametrize("name", ["rar24-recipe1", "rar24-recipe10", "rar22"])
+def test_no_planted_mutant_is_proven(name, monkeypatch):
+    # a mutated gate changes its output function; the PO pairs that differ
+    # on the first counterexample stay unproven, so proving first finds the
+    # same first counterexample as a sweep of every PO
+    golden, host = _wide_case(name)
+    assert len(golden.inputs) in (22, 24)
+    cfg = CheckConfig(seed=3)
+    flips = [(k, kind) for k, g in enumerate(host.gates)
+             for kind in _FLIPS[g.kind]]
+    random.Random(name).shuffle(flips)
+    mutants = 0
+    for k, kind in flips:
+        gates = list(host.gates)
+        gates[k] = gates[k]._replace(kind=kind)
+        mutant = Netlist(host.name, host.inputs, host.outputs, tuple(gates))
+        mode, total, stim = _swept(golden, mutant, monkeypatch, cfg)
+        if stim is None:
+            continue   # the mutation is masked: no mutant
+        _, pairs = equiv._unproven(golden, mutant, cfg.seed)
+        vg, vm = simulate(golden, stim), simulate(mutant, stim)
+        assert {po for po in golden.outputs if vg[po] != vm[po]} <= set(pairs)
+        assert equiv._first_divergence(golden, mutant, cfg) == (
+            mode, total, stim)
+        verdict = check_equivalence(golden, mutant, cfg)
+        assert (verdict.mode, verdict.result, verdict.counterexample,
+                verdict.vectors) == ("exhaustive", "counterexample", stim,
+                                     1 << len(golden.inputs))
+        mutants += 1
+        if mutants == 20:
+            break
+    assert mutants == 20
+
+
+@pytest.mark.parametrize("name", ["rar24-recipe1", "rar24-recipe10", "rar22"])
+def test_wide_equivalent_pairs_keep_their_verdict(name, monkeypatch):
+    golden, variant = _wide_case(name)
+    if variant is golden:
+        variant = apply_recipe(golden, RECIPES[3], seed=5)[0]
+    built = []
+    joint = equiv._joint
+    monkeypatch.setattr(equiv, "_joint", lambda a, b: built.append(1)
+                        or joint(a, b))
+    verdict = check_equivalence(golden, variant)
+    assert built == [1]
+    assert (verdict.mode, verdict.result, verdict.counterexample,
+            verdict.vectors) == ("exhaustive", "equivalent", None,
+                                 1 << len(golden.inputs))
+
+
+def test_checks_at_or_below_the_crossover_never_build_the_joint_graph(
+        monkeypatch):
+    # SWEEP_CHUNKS chunks of 2^CHUNK_VARS vectors are swept as before, as
+    # are sampled checks and the trigger-masked sweep of a Trojan check
+    def joint(a, b):
+        raise AssertionError("joint graph built")
+
+    monkeypatch.setattr(equiv, "_joint", joint)
+    rar20 = rarity_netlist(11, pis_per_branch=5)
+    assert 1 << len(rar20.inputs) == equiv.SWEEP_CHUNKS << equiv.CHUNK_VARS
+    variant = apply_recipe(rar20, RECIPES[10], seed=1)[0]
+    assert check_equivalence(rar20, variant).equivalent
+    rar24 = rarity_netlist(7)
+    sampled = check_equivalence(rar24, rar24, CheckConfig(exhaustive_bound=20))
+    assert (sampled.mode, sampled.result) == ("sampled", "no-mismatch-found")
+    gates = [g._replace(output="pre") if g.output == "po0" else g
+             for g in rar24.gates]
+    gates += [Gate("AND", "t", ("i0_0", "i1_0", "i2_0"), "gt"),
+              Gate("XOR", "po0", ("pre", "t"), "gp")]
+    infected = Netlist(rar24.name, rar24.inputs, rar24.outputs, tuple(gates))
+    rec = TrojanRecord(trigger=(("t", 1),), trigger_net="t", victim="po0",
+                       victim_pre="pre", payload_gate="gp",
+                       witness=dict.fromkeys(rar24.inputs, 1),
+                       added_gates=())
+    verdict = check_trojan_semantics(rar24, infected, rec)
+    assert verdict.ok and verdict.mode == "exhaustive"
+    rar21 = rarity_netlist(11, n_branches=3, pis_per_branch=7)
+    with pytest.raises(AssertionError, match="joint graph built"):
+        check_equivalence(rar21, rar21)

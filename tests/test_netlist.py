@@ -40,6 +40,7 @@ from htforge.netlist import (
     validate,
     write_netlist,
 )
+from htforge.restructure import RECIPES, apply_recipe
 
 from conftest import (C17, FULL_ADDER, all_stimuli, array_multiplier, brute_eval,
                       random_netlist, rarity_netlist)
@@ -776,6 +777,31 @@ def test_written_netlists_are_split_without_the_regex(make, monkeypatch):
     bad = text.replace("endmodule", "wire")
     assert _outcome(lambda s: _Parser(s).parse_module(), bad) == \
         _outcome(lambda s: _RefParser(s).parse_module(), bad)
+
+
+def test_constant_connections_are_split_without_the_regex(acceptance_entries,
+                                                         monkeypatch):
+    # the writer connects a constant as a standalone 1'b0 or 1'b1; such a
+    # text is split with str methods like one without constants, and the
+    # fuzzed sources of test_fuzz_cli still give the regex's tokens
+    from test_digests import RECIPE_DIGESTS, _golden
+    from test_fuzz_cli import VERILOG_SNIPPETS
+    rng = random.Random(29)
+    for _ in range(5000):
+        src = FULL_ADDER
+        for _ in range(rng.randint(1, 4)):
+            pos = rng.randint(0, 300) % (len(src) + 1)
+            src = (src[:pos] + rng.choice(VERILOG_SNIPPETS)
+                   + src[pos + rng.randint(0, 6):])
+        assert _tokens(src) == _TOKEN_RE.findall(src), src
+    texts = [t for _, t in acceptance_entries if "1'b" in t]
+    pinned = [write_netlist(apply_recipe(_golden(name), RECIPES[r], seed=7)[0])
+              for name in sorted(RECIPE_DIGESTS) for r in sorted(RECIPES)]
+    pinned = [t for t in pinned if "1'b" in t]
+    assert (len(texts), len(pinned)) == (8, 14)
+    want = [_TOKEN_RE.findall(t) for t in texts + pinned]
+    monkeypatch.setattr(netlist, "_TOKEN_RE", _RegexSplitsNothing())
+    assert [_tokens(t) for t in texts + pinned] == want
 
 
 def test_write_round_trip_two_gates():

@@ -281,3 +281,34 @@ def test_pi_bounds_are_named():
                     for s in sides):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not found, found
+
+
+def _imported_modules(tree):
+    """The module names an AST imports, relative ones without their dots,
+    with each ``from . import x`` name counted as a module."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+            if not node.module:
+                names += [alias.name for alias in node.names]
+    return names
+
+
+def test_equiv_imports_nothing_from_restructure():
+    # the checker proves merges with aig's cone_tt, the truth-table walk
+    # the restructuring passes share; it sits below restructure, which
+    # imports it to check every recipe
+    tree = ast.parse((SRC / "equiv.py").read_text())
+    found = [m for m in _imported_modules(tree)
+             if m.split(".")[-1] == "restructure"]
+    assert not found, found
+    walks = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name == "cone_tt"
+             and not any(isinstance(c, ast.Call)
+                         and getattr(c.func, "id", None) == "cone_tt"
+                         for c in ast.walk(node))]
+    assert len(walks) == 1 and walks[0].startswith("aig.py:"), walks
