@@ -9,6 +9,7 @@ strictly smaller than the node's own index).
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from operator import and_, or_, xor
 
@@ -260,6 +261,58 @@ def aig_simulate(g: AigGraph, pi_words, width):
         b_ = sigs[f1 >> 1] ^ (mask if f1 & 1 else 0)
         sigs.append(a & b_)
     return sigs
+
+
+def merge_proven(g: AigGraph, width, seed, prove, tries=None,
+                 max_pis=math.inf):
+    """Functional reduction (Mishchenko et al., "FRAIGs", 2005): rebuild
+    each AND of ``g``, in node order, over its fanins' representatives in
+    a hashing AigBuilder.  A new node whose signature under ``width``
+    random vectors (one ``getrandbits(width)`` per PI from ``seed``)
+    matches a class member's, up to complement, merges into the first of
+    the first ``tries`` members (all when None) that ``prove(fan0, fan1,
+    first, dead, support, x, c, phase)`` accepts as equal to node ``x``,
+    complemented when ``phase``, in the builder; ``support`` holds each
+    builder node's PI bitmask.  A member is passed over when the two nodes
+    of ``g`` the pair was built for span more than ``max_pis`` PIs of
+    ``g``.  Returns the builder and each node's literal in it."""
+    first = 1 + g.n_pis
+    rng = random.Random(seed)
+    mask = (1 << width) - 1
+    sigs = aig_simulate(g, [rng.getrandbits(width) for _ in g.pi_names], width)
+    b = AigBuilder(g.pi_names)
+    fan0, fan1, dead = b.fan0, b.fan1, bytes(g.n_nodes)
+    rep = [lit(v) for v in range(first)]   # builder node -> representative
+    rsig = sigs[:first]
+    support = [0] + [1 << k for k in range(g.n_pis)]
+    wide = list(support)   # node of g -> its PI bitmask in g
+    span = list(support)   # builder node -> wide[] of the node it was built for
+    classes = {}
+    for v, s in enumerate(rsig):
+        classes.setdefault(s ^ mask if s & 1 else s, []).append(v)
+    node_map = list(rep)
+    for s, f0, f1 in zip(sigs[first:], g.fan0, g.fan1):
+        wide.append(wide[f0 >> 1] | wide[f1 >> 1])
+        l = b.and2(node_map[f0 >> 1] ^ (f0 & 1), node_map[f1 >> 1] ^ (f1 & 1))
+        x = l >> 1
+        if x == len(rep):   # a new node
+            rsig.append(s)
+            support.append(support[fan0[x] >> 1] | support[fan1[x] >> 1])
+            span.append(wide[-1])
+            members = classes.setdefault(s ^ mask if s & 1 else s, [])
+            to = lit(x)
+            for c in members[:tries]:
+                if (span[x] | span[c]).bit_count() > max_pis:
+                    continue
+                phase = rsig[c] != s
+                if prove(fan0, fan1, first, dead, support, x, c, phase):
+                    to = lit(c, phase)
+                    break
+            else:
+                members.append(x)
+            rep.append(to)
+        node_map.append(rep[x] ^ (l & 1))
+    return b, node_map
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import and_, or_, xor
 
 from .netlist import (CONST0, CONST1, EXHAUSTIVE_PIS, GATE_OPS, Netlist,
-                      _check, prologue_nets, sweep)
+                      _check, sweep)
 
 SCOAP_CAP = 2**31 - 1
 
@@ -126,24 +126,12 @@ def exact_signal_prob(n: Netlist) -> NetStats:
 
 
 def _ones_fraction(n, vectors, seed):
-    """Per-net share of ones over sweep([(n, None)], vectors, seed).  A
-    prologue net holds one word in every chunk of an exhaustive sweep, so
-    only the first chunk counts it, once per chunk.  Each chunk's words
-    are popped, so they are freed before the next chunk."""
+    """Per-net share of ones over sweep([(n, None)], vectors, seed).  Each
+    chunk's words are popped, so they are freed before the next chunk."""
     ones = dict.fromkeys(n.nets, 0)
-    chunks = sweep([(n, None)], vectors, seed, chunk_bits=16)
-    for net, v in next(chunks)[2].pop().items():
-        ones[net] += v.bit_count()
-    fixed = prologue_nets(n) if vectors is None else ()
-    varying = [net for net in n.nets if net not in fixed] if fixed else n.nets
-    count = 1
-    for _, _, vals in chunks:
-        v = vals.pop()
-        for net in varying:
-            ones[net] += v[net].bit_count()
-        count += 1
-    for net in fixed:
-        ones[net] *= count
+    for _, _, vals in sweep([(n, None)], vectors, seed, chunk_bits=16):
+        for net, v in vals.pop().items():
+            ones[net] += v.bit_count()
     total = 1 << len(n.inputs) if vectors is None else vectors
     return NetStats({net: c / total for net, c in ones.items()})
 

@@ -12,12 +12,10 @@ simulation before being returned.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .aig import (AigBuilder, AigGraph, add_netlist, aig_simulate, cone_tt,
-                  from_aig, lit)
+from .aig import AigBuilder, add_netlist, cone_tt, from_aig, merge_proven
 from .netlist import (CHUNK_VARS, EXHAUSTIVE_PIS, MAX_TT_INPUTS,
                       SWEEP_CHUNKS, Netlist, NetlistError, _check, decode,
                       simulate, sweep, trigger_word)
@@ -108,61 +106,28 @@ def _joint(a: Netlist, b: Netlist):
 
 
 def _unproven(a: Netlist, b: Netlist, seed):
-    """Sweep the joint AIG of ``a`` and ``b`` in order, rebuilding each
-    node over its fanins' representatives; a node whose signature under
-    SIG_BITS random vectors (drawn from ``seed``) matches a class member's,
-    up to complement, merges into it when _same() proves them equal.
-    Returns the netlist of the rebuilt graph cut down to the PO pairs whose
+    """Merge the joint AIG of ``a`` and ``b`` with aig.merge_proven, under
+    SIG_BITS signature bits drawn from ``seed`` and _same() as the proof.
+    Returns the netlist of the merged graph cut down to the PO pairs whose
     two literals still differ, and a dict from each such PO of ``a`` to
     its pair of outputs in that netlist, which are named by their
     literals."""
     g, pos_a, pos_b = _joint(a, b)
-    first = 1 + g.n_pis
-    rng = random.Random(seed)
-    mask = (1 << SIG_BITS) - 1
-    sigs = aig_simulate(g, [rng.getrandbits(SIG_BITS) for _ in a.inputs],
-                        SIG_BITS)
-    r = AigBuilder(a.inputs)
-    fan0, fan1, dead = r.fan0, r.fan1, bytes(g.n_nodes)
-    rep = [lit(v) for v in range(first)]   # rebuilt node -> representative
-    rsig = sigs[:first]
-    support = [0] + [1 << k for k in range(g.n_pis)]   # PI bitmask
-    classes = {}
-    for v, s in enumerate(rsig):
-        classes.setdefault(s ^ mask if s & 1 else s, []).append(v)
-    node_map = list(rep)   # joint node -> rebuilt literal
-    for s, f0, f1 in zip(sigs[first:], g.fan0, g.fan1):
-        l = r.and2(node_map[f0 >> 1] ^ (f0 & 1), node_map[f1 >> 1] ^ (f1 & 1))
-        x = l >> 1
-        if x == len(rep):   # a new node
-            rsig.append(s)
-            support.append(support[fan0[x] >> 1] | support[fan1[x] >> 1])
-            members = classes.setdefault(s ^ mask if s & 1 else s, [])
-            to = lit(x)
-            for c in members[:PROOF_TRIES]:
-                phase = rsig[c] != s
-                if _same(fan0, fan1, first, dead, support, x, c, phase):
-                    to = lit(c, phase)
-                    break
-            else:
-                members.append(x)
-            rep.append(to)
-        node_map.append(rep[x] ^ (l & 1))
+    r, node_map = merge_proven(g, SIG_BITS, seed, _same, PROOF_TRIES)
     pairs = {}
     for po, la, lb in zip(a.outputs, pos_a, pos_b):
         x = node_map[la >> 1] ^ (la & 1)
         y = node_map[lb >> 1] ^ (lb & 1)
         if x != y:
             pairs[po] = x, y
-    lits = dict.fromkeys(l for pair in pairs.values() for l in pair)
-    miter = from_aig(AigGraph(a.inputs, fan0[first:], fan1[first:],
-                              [(l, l) for l in lits]), name=a.name)
-    return miter, pairs
+    for l in dict.fromkeys(l for pair in pairs.values() for l in pair):
+        r.add_po(l, l)
+    return from_aig(r.build(), name=a.name), pairs
 
 
 def _same(fan0, fan1, first, dead, support, x, c, phase):
     """Whether node ``x`` equals node ``c`` (complemented when ``phase``)
-    in the rebuilt graph: their truth tables agree over the pair's PI
+    in the merged graph: their truth tables agree over the pair's PI
     support when it has at most MAX_TT_INPUTS PIs, else over a cut where
     their cones meet, deepened by _deepen() on each mismatch while it has
     at most MAX_TT_INPUTS leaves.  Agreement over a cut implies equality;

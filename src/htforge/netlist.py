@@ -365,18 +365,6 @@ def simulate_packed(n: Netlist, patterns: dict, width: int, keep=None,
     return {net: v[r] for net, r in kept}
 
 
-def prologue_nets(n: Netlist) -> frozenset:
-    """The nets that the program keeping every net computes before its
-    rest: constants, the first CHUNK_VARS PIs and the prologue's gates.
-    Each holds the same word in every chunk of an exhaustive sweep.  A
-    kept net never gives its register up, so these are the nets whose
-    registers neither the rest writes nor a rerun loads."""
-    _, steps, cut, kept, loads = n._program()
-    varying = set(loads)
-    varying.update(steps[cut + 1::4])
-    return frozenset([net for net, r in kept if r not in varying])
-
-
 # the widest truth table tt_var caches its patterns for, synthesis takes
 # (restructure._factored counts literals in 16-bit fields) and a cone
 # truth table proves a merge over (equiv._unproven)
@@ -565,27 +553,14 @@ _CLASSES = bytes(
     else ord("!") for c in map(chr, range(256)))
 
 
-# A constant connection standing alone between blanks or (),; as the
-# writer emits it: the one token outside identifiers and (),; that _tokens
-# still splits with str methods.  The pattern starts with the literal, so
-# re searches for 1' first; a lookbehind then tests the byte before it.
-_LITERAL_RE = re.compile(r"1'[bB][01](?<![^\s(),;]1'[bB][01])(?![^\s(),;])")
-
-
 def _tokens(source):
     """``_TOKEN_RE.findall(source)``.  An ASCII source with no "!" byte and
     no blank before a digit or $ (which would start a number or a lone $)
-    holds only identifiers and (),;, so str methods split it; so does one
-    that passes the same test with its standalone 1'b0/1'b1 literals
-    blanked out.  Any other source goes through the regex."""
+    holds only identifiers and (),;, so str methods split it; any other
+    source goes through the regex."""
     if source.isascii():
         classes = (" " + source).encode().translate(_CLASSES)
-        bang = b"!" in classes
-        if bang and "1'" in source:
-            bare = _LITERAL_RE.sub("    ", source)
-            classes = (" " + bare).encode().translate(_CLASSES)
-            bang = b"!" in classes
-        if not bang and b" 0" not in classes:
+        if b"!" not in classes and b" 0" not in classes:
             text = source
             for p in "(),;":
                 text = text.replace(p, f" {p} ")

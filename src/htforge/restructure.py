@@ -28,6 +28,7 @@ from .aig import (
     enumerate_cuts,
     from_aig,
     lit,
+    merge_proven,
     strash,
     strip_unreachable,
     to_aig,
@@ -204,22 +205,21 @@ class _Work:
                     stack.append(u)
         return out
 
-    def cone_tt(self, root, leaves, max_steps=512):
+    def cone_tt(self, root, leaves):
         """aig.cone_tt of root over the leaf nodes in this graph: None when
-        the cone escapes the leaves (stale cut) or takes more than
-        ``max_steps`` walk steps.  Local passes keep the default cap;
-        fraig's proofs pass ``math.inf``."""
+        the cone escapes the leaves (stale cut) or takes more than 512 walk
+        steps."""
         return cone_tt(self.fan0, self.fan1, self.first_and, self.dead,
-                       root, leaves, max_steps)
+                       root, leaves, 512)
 
     def support(self, node):
         """PI-index bitmask of the structural support of a node.  Every
         node the walk passes is memoized as the union of its fanins'
-        supports, and replace() does not refresh the memo.  fraig never
-        mutates its graph.  resubstitute asks in node order, and a
-        replace() rewires only the fanout of the node it visits, which no
-        earlier walk has passed unless it started at a divisor inside that
-        fanout; tests compare every answer with a fresh walk."""
+        supports, and replace() does not refresh the memo.  resubstitute
+        asks in node order, and a replace() rewires only the fanout of the
+        node it visits, which no earlier walk has passed unless it started
+        at a divisor inside that fanout; tests compare every answer with a
+        fresh walk."""
         memo = self._supports
         stack = [node]
         while stack:
@@ -776,6 +776,7 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
     node count.  Candidates are filtered by simulation signatures and
     validated by an exact check over the local PI support; a divisor pair
     of positive gain ends a node's search even when commit() refuses it."""
+    _check(max_divisors, "max_divisors", "int")
     _check(seed, "seed", "int")
     g = strash(g)
     rng = random.Random(seed ^ 0x5EED)
@@ -824,76 +825,29 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
     return w.rebuild()
 
 
+def _exact(fan0, fan1, first, dead, support, x, c, phase):
+    """fraig's proof for aig.merge_proven, which has already passed over
+    pairs wider than MAX_PROOF_PIS in the input: the truth tables of ``x``
+    and ``c`` agree over their PI support in the merged graph."""
+    leaves = [1 + k for k in _bits(support[x] | support[c])]
+    tx = cone_tt(fan0, fan1, first, dead, x, leaves)
+    tc = cone_tt(fan0, fan1, first, dead, c, leaves)
+    return tx == (tc ^ (1 << (1 << len(leaves))) - 1 if phase else tc)
+
+
 def fraig(g: AigGraph, sim_words=16, seed=0) -> AigGraph:
-    """Functionally reduce: group nodes into candidate classes by random
-    simulation, prove merges exactly over the pair's PI support, and rebuild
-    with proven-equivalent nodes shared.  Pairs over more than MAX_PROOF_PIS
-    PIs are left unresolved and never merged."""
+    """Functionally reduce: merge nodes that random simulation puts in one
+    class and exact truth tables over the pair's PI support prove equal
+    (aig.merge_proven, trying every class member).  A pair whose nodes
+    span more than MAX_PROOF_PIS PIs of the strashed input is never
+    merged."""
+    _check(sim_words, "sim_words", "int")
     _check(seed, "seed", "int")
     g = strash(g)
-    rng = random.Random(seed)
-    width = 64 * max(1, sim_words)
-    mask = (1 << width) - 1
-    pi_words = [rng.getrandbits(width) for _ in range(g.n_pis)]
-    sigs = aig_simulate(g, pi_words, width)
-    w = _Work(g)
-
-    def proven_equal(a, b_, comp):
-        """True / False for f_a == f_b ^ comp, None (unresolved) when the
-        pair's PI support exceeds MAX_PROOF_PIS."""
-        pis = tuple(1 + k for k in _bits(w.support(a) | w.support(b_)))
-        if len(pis) > MAX_PROOF_PIS:
-            return None
-        ta = w.cone_tt(a, pis, max_steps=math.inf)
-        tb = w.cone_tt(b_, pis, max_steps=math.inf)
-        full = (1 << (1 << len(pis))) - 1
-        return ta == (tb ^ (full if comp else 0))
-
-    def canon(s):
-        return s if not (s & 1) else (~s & mask)
-
-    # decide every merge first: the proofs read only g
-    classes = {canon(sigs[0]): [0]}
-    for k in range(g.n_pis):
-        classes.setdefault(canon(sigs[1 + k]), []).append(1 + k)
-    base = 1 + g.n_pis
-    rep_of = [(v, 0) for v in range(g.n_nodes)]
-    roots = [l >> 1 for _, l in g.pos]
-    for node in range(base, g.n_nodes):
-        s = sigs[node]
-        unresolved = []
-        for rep in classes.get(canon(s), ()):
-            comp = 0 if sigs[rep] == s else 1
-            verdict = proven_equal(rep, node, comp)
-            if verdict:
-                rep_of[node] = (rep, comp)
-                break
-            if verdict is None:
-                unresolved.append(rep)
-        else:
-            classes.setdefault(canon(s), []).append(node)
-            # node may hash onto an unresolved rep: build that rep too, so
-            # the AND they share keeps its place in the builder's order
-            roots += unresolved
-    # then build, in node order, only the unmerged nodes the POs can reach
-    need = set()
-    while roots:
-        v = rep_of[roots.pop()][0]
-        if v >= base and v not in need:
-            need.add(v)
-            roots += (g.fan0[v - base] >> 1, g.fan1[v - base] >> 1)
-    b = AigBuilder(g.pi_names, hashing=True)
-    node_map = [TRUE] + [b.pi(k) for k in range(g.n_pis)] + [None] * g.n_ands
-
-    def mapped(l):
-        rep, comp = rep_of[l >> 1]
-        return node_map[rep] ^ comp ^ (l & 1)
-
-    for node in sorted(need):
-        node_map[node] = b.and2(mapped(g.fan0[node - base]),
-                                mapped(g.fan1[node - base]))
+    b, node_map = merge_proven(g, 64 * max(1, sim_words), seed, _exact,
+                               max_pis=MAX_PROOF_PIS)
     for nm, l in g.pos:
-        b.add_po(nm, mapped(l))
+        b.add_po(nm, node_map[l >> 1] ^ (l & 1))
     out = strip_unreachable(b.build())
     if out.n_ands > g.n_ands:
         raise RestructureError("fraig grew the AND count")

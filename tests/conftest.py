@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from htforge.aig import AigGraph, aig_simulate
+from htforge.aig import AigGraph, aig_simulate, strash, to_aig
 from htforge.netlist import CONST0, CONST1, Gate, Netlist, parse_netlist, tt_var
+from htforge.restructure import RECIPES, apply_recipe
 from htforge.trojan import TrojanRecord
 
 FULL_ADDER = """
@@ -177,14 +178,27 @@ def array_multiplier(n):
 
 def twin_netlist(n, copy):
     """``n`` and a function-preserving ``copy`` of it side by side on the
-    same PIs; the copy's nets, gates and POs get a ``c_`` prefix."""
+    same PIs; the copy's nets, gates and POs get a ``c_`` prefix, and
+    its constant connections stay constants."""
     def ren(x):
-        return x if x in n.inputs else "c_" + x
+        return x if x in n.inputs or x in (CONST0, CONST1) else "c_" + x
     gates = n.gates + tuple(Gate(g.kind, ren(g.output),
                                  tuple(ren(i) for i in g.inputs), "c_" + g.name)
                             for g in copy.gates)
     return Netlist(n.name + "_twin", n.inputs,
                    n.outputs + tuple(ren(o) for o in copy.outputs), gates)
+
+
+def wide_fraig_graph(name):
+    """A strashed graph on which fraig meets candidate pairs over more than
+    MAX_PROOF_PIS PIs: "twin40", a 40-PI random golden beside its recipe-3
+    copy, or "rand30", a 30-PI random golden."""
+    if name == "twin40":
+        n = random_netlist(301, n_pis=40, n_gates=500)
+        n = twin_netlist(n, apply_recipe(n, RECIPES[3], seed=7)[0])
+    else:
+        n = random_netlist(3, n_pis=30, n_gates=300)
+    return strash(to_aig(n))
 
 
 def brute_eval(n, stimulus):

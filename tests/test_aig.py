@@ -1,4 +1,3 @@
-import math
 import signal
 
 import pytest
@@ -6,6 +5,7 @@ import pytest
 from htforge.aig import (
     AigBuilder,
     aig_simulate,
+    cone_tt,
     enumerate_cuts,
     export_aiger,
     from_aig,
@@ -245,10 +245,11 @@ def test_cone_walk_returns_none_when_leaves_miss_a_pi():
                 continue
             pis = tuple(1 + k for k in range(g.n_pis)
                         if w.support(root) >> k & 1)
-            assert w.cone_tt(root, pis, max_steps=math.inf) is not None
+            walk = (w.fan0, w.fan1, w.first_and, w.dead, root)
+            assert cone_tt(*walk, pis) is not None
             for drop in pis:
                 leaves = tuple(p for p in pis if p != drop)
-                assert w.cone_tt(root, leaves, max_steps=math.inf) is None
+                assert cone_tt(*walk, leaves) is None
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)

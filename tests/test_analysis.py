@@ -15,8 +15,7 @@ from htforge.analysis import (
     signal_prob,
 )
 from htforge.netlist import (CONST0, CONST1, GATE_OPS, Gate, Netlist,
-                             parse_netlist, prologue_nets, simulate_packed,
-                             stimuli)
+                             parse_netlist, simulate_packed, stimuli)
 
 from conftest import C17, random_netlist, rarity_netlist
 from test_netlist import _SPLIT_NETLISTS
@@ -228,37 +227,18 @@ def test_exact_signal_prob_pi_bound():
         exact_signal_prob(big)
 
 
-@pytest.mark.parametrize("name", sorted(_SPLIT_NETLISTS))
+_EXACT_NETLISTS = {**_SPLIT_NETLISTS, "rar24": lambda: rarity_netlist(7)}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_NETLISTS))
 def test_exact_signal_prob_equals_the_per_chunk_count(name):
-    # the sweep runs the prologue on its first chunk only; counting every
-    # word of every stateless chunk must give the same p
-    n = _SPLIT_NETLISTS[name]()
+    # the sweep runs the prologue on its first chunk only (256 chunks at 24
+    # PIs); counting every word of every stateless chunk must give the same p
+    n = _EXACT_NETLISTS[name]()
     ones = dict.fromkeys(n.nets, 0)
     for patterns, width in stimuli(n.inputs):
         for net, v in simulate_packed(n, patterns, width).items():
             ones[net] += v.bit_count()
-    want = {net: c / (1 << len(n.inputs)) for net, c in ones.items()}
-    assert exact_signal_prob(n).p == want
-
-
-def test_exact_signal_prob_counts_prologue_nets_once_per_sweep():
-    # on a 24-PI rarity netlist a prologue net is counted in the first of
-    # 256 chunks only; the p of every net must still equal a count of
-    # every word of every stateless chunk, and a net prologue_nets names
-    # must hold one word in all of them
-    n = rarity_netlist(7)
-    assert len(n.inputs) == 24
-    fixed = prologue_nets(n)
-    assert CONST1 in fixed and n.inputs[0] in fixed
-    assert n.inputs[-1] not in fixed and not fixed.issuperset(n.outputs)
-    ones = dict.fromkeys(n.nets, 0)
-    first = None
-    for patterns, width in stimuli(n.inputs):
-        vals = simulate_packed(n, patterns, width)
-        first = first or vals
-        for net, v in vals.items():
-            ones[net] += v.bit_count()
-        assert all(vals[net] == first[net] for net in fixed)
     want = {net: c / (1 << len(n.inputs)) for net, c in ones.items()}
     assert exact_signal_prob(n).p == want
 

@@ -4,9 +4,10 @@ A given config must keep producing byte-identical set and key files, so
 the bytes each recipe emits are pinned here, on one random and one
 rarity golden and, for the recipes that refactor wide cones, on a 6x6
 multiplier, together with the graph fraig leaves behind on an 8x8
-multiplier paired with its recipe-3 copy.  The files and the key that the
-acceptance forge config emits are pinned too.  A digest that moves means a
-pass changed behaviour, not just its speed.
+multiplier and a 40-PI random golden, each paired with its recipe-3
+copy, and on a 30-PI random golden.  The files and the key that the
+acceptance forge config emits are pinned too.  A digest that moves means
+a pass changed behaviour, not just its speed.
 """
 
 import hashlib
@@ -22,7 +23,8 @@ import htforge.trojan
 from htforge.judge import ForgeConfig, forge_benchmark
 from htforge.netlist import EXHAUSTIVE_PIS
 
-from conftest import array_multiplier, random_netlist, rarity_netlist, twin_netlist
+from conftest import (array_multiplier, random_netlist, rarity_netlist,
+                      twin_netlist, wide_fraig_graph)
 from test_acceptance import _acceptance_forge_cfg
 
 # recipe r's digest is entry r - 1
@@ -85,6 +87,14 @@ MULTIPLIER_DIGESTS = {
 }
 
 FRAIG_TWIN_DIGEST = "75e5972cf390c20c9299abbab5c8e04562c0097718d0462e6150fda3307321f9"
+# fraig where some candidate pairs span more than MAX_PROOF_PIS PIs and
+# are never merged: (ANDs in, ANDs out, digest).  On "rand30" the merged
+# graph's supports are narrower than the input's, so a bound read on the
+# merged graph would merge more.
+FRAIG_WIDE_DIGESTS = {
+    "twin40": (1290, 688, "ee2f1de83c6a07a0c6da7c3cd5608e8841d7eb940771ac4172c8afc659b539a5"),
+    "rand30": (419, 356, "0e0101a5ff6d3d239d30c87a525d6a028e8f96b9f5720f2ceabc6217a8066835"),
+}
 
 # every file BenchmarkSet.write_dir emits for the acceptance forge config:
 # the circuits (under circuits/) and the manifest
@@ -190,6 +200,14 @@ def test_fraig_twin_bytes_pinned():
     f = fraig(g)
     assert (g.n_ands, f.n_ands) == (929, 528)
     assert _sha(export_aiger(f)) == FRAIG_TWIN_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(FRAIG_WIDE_DIGESTS))
+def test_fraig_wide_bytes_pinned(name):
+    # test_restructure checks that these reach pairs over MAX_PROOF_PIS
+    g = wide_fraig_graph(name)
+    f = fraig(g)
+    assert (g.n_ands, f.n_ands, _sha(export_aiger(f))) == FRAIG_WIDE_DIGESTS[name]
 
 
 def test_acceptance_set_and_key_bytes_pinned(tmp_path):

