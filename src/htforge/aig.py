@@ -41,11 +41,13 @@ def and_key(a, b):
 
 
 class AigGraph:
-    """Immutable AND-inverter graph."""
+    """Immutable AND-inverter graph; ``hashed`` if a hashing builder built it."""
 
-    __slots__ = ("pi_names", "fan0", "fan1", "pos", "levels", "max_level")
+    __slots__ = ("pi_names", "fan0", "fan1", "pos", "levels", "max_level",
+                 "hashed")
 
-    def __init__(self, pi_names, fan0, fan1, pos):
+    def __init__(self, pi_names, fan0, fan1, pos, hashed=False):
+        self.hashed = hashed
         self.pi_names = tuple(pi_names)
         self.fan0 = tuple(fan0)
         self.fan1 = tuple(fan1)
@@ -132,7 +134,7 @@ class AigBuilder:
     def build(self):
         base = 1 + len(self.pi_names)
         return AigGraph(self.pi_names, self.fan0[base:], self.fan1[base:],
-                        self.pos)
+                        self.pos, self.table is not None)
 
 
 def add_netlist(b: AigBuilder, n: Netlist):
@@ -232,7 +234,10 @@ def tree_leaves(g: AigGraph, node, roots):
 
 def strash(g: AigGraph) -> AigGraph:
     """Structurally hash: merge identical ordered-fanin nodes, normalize
-    fanin order, and propagate constants.  Idempotent."""
+    fanin order, and propagate constants.  Idempotent, so a graph a hashing
+    builder built comes back as it is."""
+    if g.hashed:
+        return g
     base = 1 + g.n_pis
     return _rehash(g.pi_names, g.fan0, g.fan1, base, range(base, g.n_nodes), g.pos)
 

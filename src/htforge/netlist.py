@@ -366,7 +366,7 @@ def simulate_packed(n: Netlist, patterns: dict, width: int, keep=None,
 
 
 # the widest truth table tt_var caches its patterns for, synthesis takes
-# (restructure._factored counts literals in 16-bit fields) and a cone
+# (restructure._count counts literals in 16-bit fields) and a cone
 # truth table proves a merge over (equiv._unproven)
 MAX_TT_INPUTS = 16
 _TT_VAR_CACHE = {}

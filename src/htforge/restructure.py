@@ -218,8 +218,8 @@ class _Work:
         supports, and replace() does not refresh the memo.  resubstitute
         asks in node order, and a replace() rewires only the fanout of the
         node it visits, which no earlier walk has passed unless it started
-        at a divisor inside that fanout; tests compare every answer with a
-        fresh walk."""
+        at a divisor inside that fanout; _divisors reads the memo in place.
+        Tests compare every value read with a fresh walk."""
         memo = self._supports
         stack = [node]
         while stack:
@@ -251,7 +251,7 @@ class _Work:
         ``cap`` at ``len(self.mffc(root))``, that gain would be negative.
 
         A plan is (inverted, program, leaf literals), the program as
-        _program compiles it.  ``overlay`` maps the fanin pairs of the nodes
+        _emit writes it.  ``overlay`` maps the fanin pairs of the nodes
         and2 would add, in that order, to literals from ``2 * len(self.fan0)``
         up; ``out`` is the plan's literal.  References they place on
         existing nodes pin those nodes when computing the freed count.
@@ -473,43 +473,41 @@ _LIT_LO = tuple(sum(1 << 16 * v for v in range(8) if x >> v & 1)
 _LIT_HI = tuple(c << 128 for c in _LIT_LO)
 
 
-def _factor_distinct(cubes, memo):
-    """Algebraic factoring of a cube list into a ('literal'|'and'|'or') tree:
-    divides by the most frequent literal, the lowest variable on a tie and
-    then the positive one.  Returns (tree, AND count); ``memo`` maps each
-    cube list met, as a tuple in its order, to that pair."""
+def _count(cubes, memo):
+    """Count the algebraic factoring of a cube tuple (divide by the most
+    frequent literal, the lowest variable on a tie, then the positive one)
+    without building it.  Returns the tuple's entry in ``memo``: (ANDs,
+    cubes) for an OR of the cubes' ANDs, else (ANDs, literal slot as in
+    _emit, quotient entry or None, remainder entry or None)."""
     # cubes: distinct, non-empty and without the tautology (0, 0); the
     # quotients and remainders of distinct cubes stay distinct
-    key = tuple(cubes)
-    hit = memo.get(key)
+    hit = memo.get(cubes)
     if hit is not None:
         return hit
-    if len(cubes) == 1:
-        p, q = cubes[0]
-        out = memo[key] = _cube_tree(p, q), p.bit_count() + q.bit_count() - 1
-        return out
-    lo, hi = _LIT_LO, _LIT_HI
-    pos = neg = 0
-    for p, q in cubes:
-        pos += lo[p & 255] + hi[p >> 8]
-        neg += lo[q & 255] + hi[q >> 8]
-    # fields for v = 0, 1, ..., positive before negative: the first largest
-    # count is the lowest variable on a tie, and then the positive one
-    best = v = 0
-    while pos or neg:
-        c, d = pos & 0xFFFF, neg & 0xFFFF
-        if c > best:
-            best, bit, neg_lit = c, 1 << v, 0
-        if d > best:
-            best, bit, neg_lit = d, 1 << v, 1
-        pos >>= 16
-        neg >>= 16
-        v += 1
+    best = 0
+    if len(cubes) > 1:
+        lo, hi = _LIT_LO, _LIT_HI
+        pos = neg = 0
+        for p, q in cubes:
+            pos += lo[p & 255] + hi[p >> 8]
+            neg += lo[q & 255] + hi[q >> 8]
+        # fields for v = 0, 1, ..., positive first: the first largest count
+        # is the lowest variable on a tie, and then the positive one
+        v = 0
+        while pos or neg:
+            c, d = pos & 0xFFFF, neg & 0xFFFF
+            if c > best:
+                best, var, neg_lit = c, v, 0
+            if d > best:
+                best, var, neg_lit = d, v, 1
+            pos >>= 16
+            neg >>= 16
+            v += 1
     if best < 2:  # no literal is shared: each is in one AND of the OR
-        out = memo[key] = (
-            _balanced("or", [_cube_tree(p, q) for p, q in cubes]),
-            sum([p.bit_count() + q.bit_count() for p, q in cubes]) - 1)
+        out = memo[cubes] = (
+            sum([p.bit_count() + q.bit_count() for p, q in cubes]) - 1, cubes)
         return out
+    bit = 1 << var
     quot, rest = [], []
     for p, q in cubes:
         if neg_lit and q & bit:
@@ -518,69 +516,80 @@ def _factor_distinct(cubes, memo):
             quot.append((p ^ bit, q))
         else:
             rest.append((p, q))
-    tree, n = ("literal", bit.bit_length() - 1, 1 - neg_lit), 0
-    if (0, 0) not in quot:
-        sub, k = _factor_distinct(quot, memo)
-        tree, n = ("and", tree, sub), k + 1
-    if rest:
-        sub, k = _factor_distinct(rest, memo)
-        tree, n = ("or", tree, sub), n + k + 1
-    out = memo[key] = tree, n
+    quot = None if (0, 0) in quot else _count(tuple(quot), memo)
+    rest = _count(tuple(rest), memo) if rest else None
+    out = memo[cubes] = ((quot[0] + 1 if quot else 0)
+                         + (rest[0] + 1 if rest else 0),
+                         2 + 2 * var + neg_lit, quot, rest)
     return out
 
 
-def _cube_tree(p, q):
-    return _balanced("and", [("literal", v, 1) for v in _bits(p)]
-                     + [("literal", v, 0) for v in _bits(q)])
+# the literal slots of a byte of a cube's masks, _SLOTS[k][x] for byte x:
+# low (k = 0) and high (k = 1) byte of the positive mask, then the negative
+_SLOTS = tuple(tuple(tuple(2 + 2 * v + 16 * (k & 1) + (k >> 1)
+                           for v in range(8) if x >> v & 1) for x in range(256))
+               for k in range(4))
 
 
-def _balanced(op, items):
-    if len(items) == 1:
-        return items[0]
-    mid = len(items) // 2
-    return (op, _balanced(op, items[:mid]), _balanced(op, items[mid:]))
+def _emit(entry, m):
+    """The program of a _count entry over m leaves: steps (a, b, c) in the
+    factored form's left-first post-order, each cube a balanced AND and
+    each undivided cover a balanced OR.  Slots 0 and 1 hold TRUE and FALSE,
+    slot 2 + 2j + p leaf j complemented p times, and a step appends AND(slot
+    a ^ c, slot b ^ c) ^ c, c = 1 for an OR; the last slot is the value."""
+    steps = []
+    base = 2 * m + 1
+    lo, hi, nlo, nhi = _SLOTS
+
+    def conj(slots):  # a balanced AND of literal slots
+        if len(slots) == 1:
+            return slots[0]
+        mid = len(slots) // 2
+        steps.append((conj(slots[:mid]), conj(slots[mid:]), False))
+        return base + len(steps)
+
+    def cover(cubes):  # a balanced OR of the cubes' ANDs
+        if len(cubes) > 1:
+            mid = len(cubes) // 2
+            steps.append((cover(cubes[:mid]), cover(cubes[mid:]), True))
+            return base + len(steps)
+        p, q = cubes[0]
+        return conj(lo[p & 255] + hi[p >> 8] + nlo[q & 255] + nhi[q >> 8])
+
+    def walk(entry):
+        if len(entry) == 2:
+            return cover(entry[1])
+        _, top, quot, rest = entry   # AND(literal, quot), then OR rest
+        if quot:
+            steps.append((top, walk(quot), False))
+            top = base + len(steps)
+        if rest:
+            steps.append((top, walk(rest), True))
+            top = base + len(steps)
+        return top
+
+    top = walk(entry)
+    return tuple(steps) or ((top, top, 0),)
 
 
-def _factored(tt, m):
-    """(inverted, tree over leaf indices): the cheaper of the factored ISOP
-    of tt and of its complement, the positive one on a tie (so a literal
-    comes back as itself).  A pass keeps one memo of it per (tt, m), so
-    each function it meets is synthesized once."""
+def _synth(tt, m):
+    """(inverted, program) over m leaves of the factored ISOP of tt or of
+    its complement, whichever has fewer ANDs, tt's on a tie (so a literal
+    comes back as itself).  Both covers are counted in one memo that dies
+    with the call, and only the kept one is emitted."""
     if m > MAX_TT_INPUTS:
         raise RestructureError(f"cannot synthesize {m} inputs, "
                                f"the most is {MAX_TT_INPUTS}")
     full = _LEAF_TTS[m][0]
-    if tt == 0:
-        return False, ("const", 0)
-    if tt == full:
-        return False, ("const", 1)
-    memo = {}  # sub-cover -> (tree, AND count), shared by both polarities
-    pos, n_pos = _factor_distinct(isop(tt, m), memo)
-    neg, n_neg = _factor_distinct(isop(~tt & full, m), memo)
-    if n_neg < n_pos:
-        return True, neg
-    return False, pos
-
-
-def _program(tree, m):
-    """A factored tree over m leaves as flat steps (a, b, c) in its left-first
-    post-order: slots 0 and 1 hold TRUE and FALSE, slot 2 + 2j + p leaf j
-    complemented p times, and each step appends AND(slot a ^ c, slot b ^ c)
-    ^ c, c = 1 for an 'or'.  The last slot is the tree's value."""
-    steps = []
-    append = steps.append
-
-    def slot(t):
-        kind = t[0]
-        if kind == "literal":
-            return 3 + 2 * t[1] - t[2]
-        if kind == "const":
-            return 1 - t[1]
-        append((slot(t[1]), slot(t[2]), kind == "or"))  # after both fanins
-        return 2 * m + 1 + len(steps)
-
-    top = slot(tree)
-    return tuple(steps) or ((top, top, 0),)
+    if tt == 0 or tt == full:
+        top = int(tt == 0)
+        return False, ((top, top, 0),)
+    memo = {}
+    pos = _count(tuple(isop(tt, m)), memo)
+    neg = _count(tuple(isop(~tt & full, m)), memo)
+    if neg[0] < pos[0]:
+        return True, _emit(neg, m)
+    return False, _emit(pos, m)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +648,7 @@ def _resynthesize(g: AigGraph, seed, name, leaf_sets) -> AigGraph:
     rng = random.Random(seed)
     w = _Work(g)
     before = w.live
-    memo = {}  # (tt, m) -> (inverted, _program), for this pass only
+    memo = {}  # (tt, m) -> _synth(tt, m), for this pass only
     for node in range(w.first_and, g.n_nodes):
         if w.dead[node] or w.nref[node] == 0:
             continue
@@ -658,8 +667,7 @@ def _resynthesize(g: AigGraph, seed, name, leaf_sets) -> AigGraph:
             key = (tt, len(leaves))
             hit = memo.get(key)
             if hit is None:
-                inverted, tree = _factored(tt, len(leaves))
-                hit = memo[key] = inverted, _program(tree, len(leaves))
+                hit = memo[key] = _synth(*key)
             res = w.trial(node, (*hit, [lit(v) for v in leaves]), cap)
             if res is not None and res[0] >= 0:
                 cand.append((*res, leaves))
@@ -722,13 +730,13 @@ def refactor(g: AigGraph, max_cone_inputs=10, seed=0) -> AigGraph:
 
 
 def _resub_candidates(divs, sig, s_node, mask, pairs):
-    """resubstitute's (inverted, tree, leaf literals) for a node of signature
-    ``s_node``, in the order it tries them: each divisor whose signature
-    matches the node's or its complement, then, with ``pairs``, for each
-    divisor pair the first complement choice (c1, c2) whose AND matches."""
+    """resubstitute's plans (inverted, program, leaf literals) for a node of
+    signature ``s_node``, in the order it tries them: each divisor whose
+    signature matches the node's or its complement, then, with ``pairs``,
+    each divisor pair's first complement choice (c1, c2) whose AND matches."""
     for d in divs:
         if sig[d] == s_node or sig[d] ^ mask == s_node:
-            yield sig[d] != s_node, ("literal", 0, 1), (lit(d),)
+            yield sig[d] != s_node, ((2, 2, 0),), (lit(d),)
     if not pairs:
         return
     # an AND equals a target only if both operands cover it: per divisor and
@@ -748,10 +756,27 @@ def _resub_candidates(divs, sig, s_node, mask, pairs):
                     continue
                 v = s1[c1] & s2[c2]
                 if v == s_node or v == n_node:
-                    yield (v != s_node, ("and", ("literal", 0, 1 - c1),
-                                         ("literal", 1, 1 - c2)),
+                    yield (v != s_node, ((2 + c1, 4 + c2, False),),
                            (lit(d1), lit(d2)))
                     break
+
+
+def _divisors(w, node, mffc, s_node, most):
+    """resubstitute's divisors: the first ``most`` live nodes below ``node``
+    and outside its MFFC whose PI support lies within ``s_node``, read from
+    the support memo in place; only a miss walks (_Work.support)."""
+    supports, dead, nref, first = w._supports, w.dead, w.nref, w.first_and
+    divs = []
+    for d in range(1, node):
+        if d >= first and (dead[d] or nref[d] == 0) or d in mffc:
+            continue
+        s = supports.get(d)
+        if (w.support(d) if s is None else s) & ~s_node:
+            continue
+        divs.append(d)
+        if len(divs) >= most:
+            break
+    return divs
 
 
 def _plan_tt(plan, tables, full):
@@ -793,22 +818,11 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
         if not pi_nodes or len(pi_nodes) > MAX_PROOF_PIS:
             continue
         full = (1 << (1 << len(pi_nodes))) - 1
-        divs = []
-        for d in range(1, node):
-            if d >= w.first_and and (w.dead[d] or w.nref[d] == 0):
-                continue
-            if d in mffc:
-                continue
-            if w.support(d) & ~s_node:
-                continue
-            divs.append(d)
-            if len(divs) >= max_divisors:
-                break
+        divs = _divisors(w, node, mffc, s_node, max_divisors)
         tts = {}  # cone_tt over pi_nodes; valid until a commit replaces
-        for inverted, tree, lits in _resub_candidates(divs, sig, sig[node],
-                                                      mask, len(mffc) >= 2):
-            plan = inverted, _program(tree, len(lits)), lits
-            for v in (node, *(l >> 1 for l in lits)):
+        for plan in _resub_candidates(divs, sig, sig[node], mask,
+                                      len(mffc) >= 2):
+            for v in (node, *(l >> 1 for l in plan[2])):
                 if v not in tts:
                     tts[v] = w.cone_tt(v, pi_nodes)
             if tts[node] is None or _plan_tt(plan, tts, full) != tts[node]:
@@ -818,7 +832,7 @@ def resubstitute(g: AigGraph, max_divisors=20, seed=0) -> AigGraph:
                 continue
             # after a replace() a divisor may lie in node's fanout, so the
             # cone check walks down to the PIs
-            if w.commit(node, res[1]) or len(lits) > 1:
+            if w.commit(node, res[1]) or len(plan[2]) > 1:
                 break
     if w.live > before:
         raise RestructureError("resubstitute grew the AND count")

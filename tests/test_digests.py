@@ -17,7 +17,8 @@ import pytest
 
 from htforge.aig import export_aiger, strash, to_aig
 from htforge.netlist import write_netlist
-from htforge.restructure import RECIPES, apply_recipe, fraig
+from htforge.restructure import (RECIPES, apply_recipe, fraig,
+                                  resubstitute, rewrite)
 
 import htforge.trojan
 from htforge.judge import ForgeConfig, forge_benchmark
@@ -94,6 +95,50 @@ FRAIG_TWIN_DIGEST = "75e5972cf390c20c9299abbab5c8e04562c0097718d0462e6150fda3307
 FRAIG_WIDE_DIGESTS = {
     "twin40": (1290, 688, "ee2f1de83c6a07a0c6da7c3cd5608e8841d7eb940771ac4172c8afc659b539a5"),
     "rand30": (419, 356, "0e0101a5ff6d3d239d30c87a525d6a028e8f96b9f5720f2ceabc6217a8066835"),
+}
+
+# resubstitute on random goldens of 12, 14 and 16 PIs (seed and PI count,
+# gate count), strashed and after rewrite, where the divisor scan stops at
+# max_divisors: (golden, stage, max_divisors, seed) -> (ANDs in, ANDs out,
+# digest)
+RESUB_GOLDENS = {"rand12": (12, 120), "rand14": (14, 150), "rand16": (16, 180)}
+RESUB_DIGESTS = {
+    ("rand12", "strash", 5, 0): (169, 153, "5ef6fbe9df9ea74b0d6677c5f5e816d76e2b88c0159c81dbf5245b2509cb18d2"),
+    ("rand12", "strash", 5, 3): (169, 153, "5ef6fbe9df9ea74b0d6677c5f5e816d76e2b88c0159c81dbf5245b2509cb18d2"),
+    ("rand12", "strash", 20, 0): (169, 125, "3480ee42e826abeaaae39c839f1f85123423b90ce1c8718ff7ea53ccd57b8e05"),
+    ("rand12", "strash", 20, 3): (169, 125, "3480ee42e826abeaaae39c839f1f85123423b90ce1c8718ff7ea53ccd57b8e05"),
+    ("rand12", "strash", 24, 0): (169, 125, "3480ee42e826abeaaae39c839f1f85123423b90ce1c8718ff7ea53ccd57b8e05"),
+    ("rand12", "strash", 24, 3): (169, 125, "3480ee42e826abeaaae39c839f1f85123423b90ce1c8718ff7ea53ccd57b8e05"),
+    ("rand12", "rewrite", 5, 0): (119, 119, "ac7c9bb051337698cd1833e934666939d8d04d1aa2fb202b5d328f246001df1d"),
+    ("rand12", "rewrite", 5, 3): (119, 119, "ac7c9bb051337698cd1833e934666939d8d04d1aa2fb202b5d328f246001df1d"),
+    ("rand12", "rewrite", 20, 0): (119, 110, "d634ae491071d5f6e0fadc282a0cd4f4100a4b7b0cd9a54456304e52f5fd4669"),
+    ("rand12", "rewrite", 20, 3): (119, 110, "d634ae491071d5f6e0fadc282a0cd4f4100a4b7b0cd9a54456304e52f5fd4669"),
+    ("rand12", "rewrite", 24, 0): (119, 110, "d634ae491071d5f6e0fadc282a0cd4f4100a4b7b0cd9a54456304e52f5fd4669"),
+    ("rand12", "rewrite", 24, 3): (119, 110, "d634ae491071d5f6e0fadc282a0cd4f4100a4b7b0cd9a54456304e52f5fd4669"),
+    ("rand14", "strash", 5, 0): (204, 200, "75a8d5cc48c1c95110e20e137ec1e31c4324ab8808d45883e2d7a346f236ad33"),
+    ("rand14", "strash", 5, 3): (204, 200, "75a8d5cc48c1c95110e20e137ec1e31c4324ab8808d45883e2d7a346f236ad33"),
+    ("rand14", "strash", 20, 0): (204, 183, "f3dc2fdd335609b8babf226f068e7cdfa90227c90d376821e671120590d1fa8c"),
+    ("rand14", "strash", 20, 3): (204, 183, "f3dc2fdd335609b8babf226f068e7cdfa90227c90d376821e671120590d1fa8c"),
+    ("rand14", "strash", 24, 0): (204, 183, "f3dc2fdd335609b8babf226f068e7cdfa90227c90d376821e671120590d1fa8c"),
+    ("rand14", "strash", 24, 3): (204, 183, "f3dc2fdd335609b8babf226f068e7cdfa90227c90d376821e671120590d1fa8c"),
+    ("rand14", "rewrite", 5, 0): (190, 189, "e9e537ce27ec1512a2a0f5a4ab2387762ced7f922600b611b82df710553a2ab8"),
+    ("rand14", "rewrite", 5, 3): (190, 189, "e9e537ce27ec1512a2a0f5a4ab2387762ced7f922600b611b82df710553a2ab8"),
+    ("rand14", "rewrite", 20, 0): (190, 177, "f2c5c8c91f137d2fb424040b23c4581940867bd4736a2917fd86f027ae251c7e"),
+    ("rand14", "rewrite", 20, 3): (190, 177, "f2c5c8c91f137d2fb424040b23c4581940867bd4736a2917fd86f027ae251c7e"),
+    ("rand14", "rewrite", 24, 0): (190, 177, "f2c5c8c91f137d2fb424040b23c4581940867bd4736a2917fd86f027ae251c7e"),
+    ("rand14", "rewrite", 24, 3): (190, 177, "f2c5c8c91f137d2fb424040b23c4581940867bd4736a2917fd86f027ae251c7e"),
+    ("rand16", "strash", 5, 0): (272, 266, "cf0915d447260106dc465fd951ae370197cb932663c57ee5c35661fa285ebea6"),
+    ("rand16", "strash", 5, 3): (272, 266, "cf0915d447260106dc465fd951ae370197cb932663c57ee5c35661fa285ebea6"),
+    ("rand16", "strash", 20, 0): (272, 243, "1f5d6849210713fd4764cf1e625052079556d041a9eed765a50ee222353394fc"),
+    ("rand16", "strash", 20, 3): (272, 243, "1f5d6849210713fd4764cf1e625052079556d041a9eed765a50ee222353394fc"),
+    ("rand16", "strash", 24, 0): (272, 241, "e23b13319d89ef05fa62875e74fb48237e2bffee2695aea75bd56559e91784b5"),
+    ("rand16", "strash", 24, 3): (272, 241, "e23b13319d89ef05fa62875e74fb48237e2bffee2695aea75bd56559e91784b5"),
+    ("rand16", "rewrite", 5, 0): (245, 242, "136c139c245d02e3af22b08c4afcdf48c9824c8984eaecc1412c6a42d998e515"),
+    ("rand16", "rewrite", 5, 3): (245, 242, "136c139c245d02e3af22b08c4afcdf48c9824c8984eaecc1412c6a42d998e515"),
+    ("rand16", "rewrite", 20, 0): (245, 234, "42a110d534a6188b68aacb283880a8f839e2d09f5c7263d77f81ff09b12ecaf0"),
+    ("rand16", "rewrite", 20, 3): (245, 234, "42a110d534a6188b68aacb283880a8f839e2d09f5c7263d77f81ff09b12ecaf0"),
+    ("rand16", "rewrite", 24, 0): (245, 232, "f6f7152ff173eadf33f6f1b5f97e95d82e42263676636f4fe93b0c7562855f56"),
+    ("rand16", "rewrite", 24, 3): (245, 232, "f6f7152ff173eadf33f6f1b5f97e95d82e42263676636f4fe93b0c7562855f56"),
 }
 
 # every file BenchmarkSet.write_dir emits for the acceptance forge config:
@@ -208,6 +253,30 @@ def test_fraig_wide_bytes_pinned(name):
     g = wide_fraig_graph(name)
     f = fraig(g)
     assert (g.n_ands, f.n_ands, _sha(export_aiger(f))) == FRAIG_WIDE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RESUB_GOLDENS))
+def test_resub_bytes_pinned(name, monkeypatch):
+    import htforge.restructure as rs
+    plain = rs._divisors
+    capped = []
+
+    def scan(w, node, mffc, s_node, most):
+        divs = plain(w, node, mffc, s_node, most)
+        capped.append(len(divs) >= most)
+        return divs
+
+    monkeypatch.setattr(rs, "_divisors", scan)
+    pis, gates = RESUB_GOLDENS[name]
+    g = strash(to_aig(random_netlist(pis, n_pis=pis, n_gates=gates)))
+    for stage, h in (("strash", g), ("rewrite", rewrite(g))):
+        for max_divisors in (5, 20, 24):
+            for seed in (0, 3):
+                capped.clear()
+                out = resubstitute(h, max_divisors=max_divisors, seed=seed)
+                assert any(capped), (stage, max_divisors, seed)
+                assert ((h.n_ands, out.n_ands, _sha(export_aiger(out)))
+                        == RESUB_DIGESTS[name, stage, max_divisors, seed])
 
 
 def test_acceptance_set_and_key_bytes_pinned(tmp_path):

@@ -28,11 +28,10 @@ from htforge.restructure import (
     Recipe,
     RestructureError,
     _Work,
-    _balanced,
+    _count,
+    _emit,
     _exact,
-    _factor_distinct,
-    _factored,
-    _program,
+    _synth,
     apply_recipe,
     balance,
     fraig,
@@ -366,6 +365,38 @@ def test_fraig_never_merges_a_pair_over_max_proof_pis(name):
 
 
 # ---------------------------------------------------------------------------
+# strash
+
+def test_strash_returns_a_hashed_graph_as_it_is():
+    # a graph a hashing builder built, which every pass returns, is its own
+    # strash: rehashing all its nodes gives the same bytes, and strash hands
+    # back the graph itself; a graph built without hashing is rebuilt
+    from htforge.aig import _rehash, add_netlist
+    graphs = []
+    for n in _loop_corpus():
+        raw = to_aig(n)
+        g = strash(raw)
+        assert not raw.hashed and g is not raw
+        assert export_aiger(g) == export_aiger(_rehash(
+            raw.pi_names, raw.fan0, raw.fan1, 1 + raw.n_pis,
+            range(1 + raw.n_pis, raw.n_nodes), raw.pos))
+        b = AigBuilder(n.inputs, hashing=True)
+        for o, l in zip(n.outputs, add_netlist(b, n)):
+            b.add_po(o, l)
+        graphs += [g, b.build(), strip_unreachable(raw), balance(g, seed=1),
+                   rewrite(g, seed=1), refactor(g, seed=1),
+                   resubstitute(g, seed=1), fraig(g, seed=1),
+                   merge_proven(g, 64, 1, _exact)[0].build()]
+    for g in graphs:
+        assert g.hashed and strash(g) is g
+        base = 1 + g.n_pis
+        again = _rehash(g.pi_names, g.fan0, g.fan1, base,
+                        range(base, g.n_nodes), g.pos)
+        assert export_aiger(again) == export_aiger(g)
+    assert not AigBuilder(["a"], hashing=False).build().hashed
+
+
+# ---------------------------------------------------------------------------
 # ISOP / synthesis helpers
 
 def _cover(cubes, m):
@@ -397,18 +428,23 @@ def test_isop_covers_function_exactly():
             assert _cover(isop(f, m), m) == f
 
 
+def _synthesizes_as(tt, m, inverted, tree):
+    return _synth(tt, m) == (inverted, _ref_program(tree, m))
+
+
 def test_factored_constant_and_literal_shortcuts():
-    assert _factored(0, 2) == (False, ("const", 0))
-    assert _factored(0b1111, 2) == (False, ("const", 1))
-    assert _factored(0b1010, 2) == (False, ("literal", 0, 1))
-    assert _factored(0b0101, 2) == (False, ("literal", 0, 0))
+    assert _synthesizes_as(0, 2, False, ("const", 0))
+    assert _synthesizes_as(0b1111, 2, False, ("const", 1))
+    assert _synthesizes_as(0b1010, 2, False, ("literal", 0, 1))
+    assert _synthesizes_as(0b0101, 2, False, ("literal", 0, 0))
     # a literal is synthesized like any table, and the tie between its two
     # polarities (no AND either way) keeps the positive one
     for m in (5, MAX_TT_INPUTS):
         full = (1 << (1 << m)) - 1
         for v in (0, m // 2, m - 1):
-            assert _factored(tt_var(v, m), m) == (False, ("literal", v, 1))
-            assert _factored(~tt_var(v, m) & full, m) == (False, ("literal", v, 0))
+            assert _synthesizes_as(tt_var(v, m), m, False, ("literal", v, 1))
+            assert _synthesizes_as(~tt_var(v, m) & full, m, False,
+                                   ("literal", v, 0))
 
 
 def test_factored_memo_gives_the_uncached_plan(monkeypatch):
@@ -421,17 +457,16 @@ def test_factored_memo_gives_the_uncached_plan(monkeypatch):
 
     def recording(tt, m):
         calls.append((tt, m))
-        return _factored(tt, m)
+        return _synth(tt, m)
 
     def trial(self, root, plan, cap=math.inf):
         leaves = [l >> 1 for l in plan[2]]
         tt = self.cone_tt(root, leaves)
-        inverted, tree = _factored(tt, len(leaves))
-        assert plan[:2] == (inverted, _program(tree, len(leaves)))
+        assert plan[:2] == _synth(tt, len(leaves))
         tables.append((tt, len(leaves)))
         return plain(self, root, plan, cap)
 
-    monkeypatch.setattr(rs, "_factored", recording)
+    monkeypatch.setattr(rs, "_synth", recording)
     monkeypatch.setattr(_Work, "trial", trial)
     g = strash(to_aig(array_multiplier(6)))
     for cap in (10, 12):
@@ -463,22 +498,23 @@ def test_factored_memo_maps_onto_each_calls_leaves(monkeypatch):
 
     def recording(tt, m):
         calls.append((tt, m))
-        return _factored(tt, m)
+        return _synth(tt, m)
 
     def trial(self, root, plan, cap=math.inf):
         if root == g.pos[0][1] >> 1 or root == g.pos[1][1] >> 1:
             plans.append(plan)
         return plain(self, root, plan, cap)
 
-    monkeypatch.setattr(rs, "_factored", recording)
+    monkeypatch.setattr(rs, "_synth", recording)
     monkeypatch.setattr(_Work, "trial", trial)
     out = refactor(g)
     monkeypatch.undo()
     nmaj = 0b00010111  # each root is the complement of majority
     assert calls.count((nmaj, 3)) == 1
     (i0, t0, l0), (i1, t1, l1) = plans
-    inverted, tree = _factored(nmaj, 3)
-    assert t0 is t1 and i0 == i1 and (i0, t0) == (inverted, _program(tree, 3))
+    inverted, tree = _ref_factored(nmaj, 3)
+    assert t0 is t1 and i0 == i1
+    assert (i0, t0) == (inverted, _ref_program(tree, 3))
     assert (l0, l1) == ([2, 4, 6], [8, 10, 12])
     assert _sig(out) == _sig(g)
     w = _Work(g)
@@ -493,11 +529,12 @@ def test_factored_memo_maps_onto_each_calls_leaves(monkeypatch):
 # synthesis kernels against the full-width reference
 #
 # isop used to cofactor full-width tables, _factor to de-duplicate and rank
-# literals with max() at every level, and _factored to factor every
-# sub-cover it met afresh and then count both trees' ANDs.  Those versions
-# are kept here as the reference: the halving-table isop and the one-pass,
-# memoized _factor_distinct must give the same cubes, the same trees and
-# the trees' own AND counts.
+# literals with max() at every level, _factored to factor every sub-cover
+# it met afresh into a tree for both polarities and then count both trees'
+# ANDs, and _program to compile the kept tree into flat steps.  Those
+# versions are kept here as the reference: the halving-table isop must give
+# the same cubes, the memoized _count the trees' own AND counts, and _emit
+# and _synth the programs of the same trees.
 
 def _ref_cofactors(f, v, m):
     half = 1 << v
@@ -549,13 +586,20 @@ def _ref_bits(mask):
         v += 1
 
 
+def _ref_balanced(op, items):
+    if len(items) == 1:
+        return items[0]
+    mid = len(items) // 2
+    return (op, _ref_balanced(op, items[:mid]), _ref_balanced(op, items[mid:]))
+
+
 def _ref_cube_tree(cube):
     p, q = cube
     lits = ([("literal", v, 1) for v in _ref_bits(p)]
             + [("literal", v, 0) for v in _ref_bits(q)])
     if not lits:
         return ("const", 1)
-    return _balanced("and", lits)
+    return _ref_balanced("and", lits)
 
 
 def _tree_cost(tree):
@@ -581,7 +625,7 @@ def _ref_factor(cubes):
     (v, pol), best = max(counts.items(),
                          key=lambda kv: (kv[1], -kv[0][0], kv[0][1]))
     if best < 2:
-        return _balanced("or", [_ref_cube_tree(c) for c in cubes])
+        return _ref_balanced("or", [_ref_cube_tree(c) for c in cubes])
     bit = 1 << v
     quot, rest = [], []
     for p, q in cubes:
@@ -617,6 +661,26 @@ def _ref_factored(tt, m):
     if _tree_cost(neg) < _tree_cost(pos):
         return True, neg
     return False, pos
+
+
+def _ref_program(tree, m):
+    """A factored tree over m leaves as flat steps (a, b, c) in its left-first
+    post-order: slots 0 and 1 hold TRUE and FALSE, slot 2 + 2j + p leaf j
+    complemented p times, and each step appends AND(slot a ^ c, slot b ^ c)
+    ^ c, c = 1 for an 'or'.  The last slot is the tree's value."""
+    steps = []
+
+    def slot(t):
+        kind = t[0]
+        if kind == "literal":
+            return 3 + 2 * t[1] - t[2]
+        if kind == "const":
+            return 1 - t[1]
+        steps.append((slot(t[1]), slot(t[2]), kind == "or"))  # after both
+        return 2 * m + 1 + len(steps)
+
+    top = slot(tree)
+    return tuple(steps) or ((top, top, 0),)
 
 
 def _over_three_vars(rng, m):
@@ -663,25 +727,27 @@ def _kernel_tables():
     return tables
 
 
-def _check_factor(cubes, memo):
-    # the reference de-duplicates at every level, _factor_distinct only
-    # takes distinct cubes without the tautology; the tree and its AND count
-    # are the same with a fresh memo and with one other lists filled
-    distinct = list(dict.fromkeys(cubes))
+def _check_factor(cubes, memo, m):
+    # the reference de-duplicates at every level, _count only takes distinct
+    # cubes without the tautology; the AND count and the program are the
+    # reference tree's, with a fresh memo and with one other lists filled
+    distinct = tuple(dict.fromkeys(cubes))
     if not distinct or (0, 0) in distinct:
         return
-    tree, n = _factor_distinct(distinct, memo)
-    assert tree == _ref_factor(cubes), cubes
-    assert n == _tree_cost(tree), cubes
-    assert _factor_distinct(distinct, {}) == (tree, n), cubes
+    tree = _ref_factor(cubes)
+    for mm in (memo, {}):
+        entry = _count(distinct, mm)
+        assert entry is mm[distinct] and entry[0] == _tree_cost(tree), cubes
+        assert _emit(entry, m) == _ref_program(tree, m), cubes
 
 
 def _check_kernels(tt, m, memo):
     cubes = _ref_isop(tt, m)
     assert isop(tt, m) == cubes, (tt, m)
     assert len(set(cubes)) == len(cubes), (tt, m)  # isop's cubes are distinct
-    _check_factor(cubes, memo)
-    assert _factored(tt, m) == _ref_factored(tt, m), (tt, m)
+    _check_factor(cubes, memo, m)
+    inverted, tree = _ref_factored(tt, m)
+    assert _synth(tt, m) == (inverted, _ref_program(tree, m)), (tt, m)
 
 
 def test_kernels_match_the_reference_on_seeded_tables():
@@ -699,26 +765,34 @@ def test_kernels_match_the_reference_on_seeded_tables():
             p = rng.getrandbits(m)
             cubes.append((p, rng.getrandbits(m) & ~p))
         cubes += rng.sample(cubes, len(cubes) // 2)
-        _check_factor(cubes, memo)
+        _check_factor(cubes, memo, m)
 
 
 def test_factored_factors_each_sub_cover_once(monkeypatch):
-    # each _factored call keeps one memo for both polarities, factors no
-    # cube list twice, and meets some twice; no memo serves two calls
+    # each _synth call keeps one memo for both polarities, counts no cube
+    # list twice, and meets some twice; no memo serves two calls.  It emits
+    # one program, from that memo, for the cover of the kept polarity
     import htforge.restructure as rs
-    plain = rs._factor_distinct
-    calls, memos = [], []
+    plain, plain_emit = rs._count, rs._emit
+    calls, memos, emitted = [], [], []
 
     def recording(cubes, memo):
-        calls.append((memo, tuple(cubes), tuple(cubes) in memo))
+        calls.append((memo, cubes, cubes in memo))
         return plain(cubes, memo)
 
-    monkeypatch.setattr(rs, "_factor_distinct", recording)
+    def emit(entry, m):
+        emitted.append(entry)
+        return plain_emit(entry, m)
+
+    monkeypatch.setattr(rs, "_count", recording)
+    monkeypatch.setattr(rs, "_emit", emit)
     hits = 0
     for tt, m in _kernel_tables():
         calls.clear()
-        _factored(tt, m)
-        if not calls:  # a constant or a literal
+        emitted.clear()
+        inverted, _ = _synth(tt, m)
+        if not calls:  # a constant
+            assert not emitted
             continue
         memo = calls[0][0]
         assert all(c[0] is memo for c in calls)
@@ -727,6 +801,9 @@ def test_factored_factors_each_sub_cover_once(monkeypatch):
         misses = [key for _, key, hit in calls if not hit]
         assert len(misses) == len(set(misses)) == len(memo)
         hits += len(calls) - len(misses)
+        full = (1 << (1 << m)) - 1
+        kept = tuple(isop(~tt & full if inverted else tt, m))
+        assert len(emitted) == 1 and emitted[0] is memo[kept]
     assert hits > 100
 
 
@@ -736,9 +813,9 @@ def test_kernels_match_the_reference_on_recipe_cones(monkeypatch):
 
     def recording(tt, m):
         seen.append((tt, m))
-        return _factored(tt, m)
+        return _synth(tt, m)
 
-    monkeypatch.setattr(rs, "_factored", recording)
+    monkeypatch.setattr(rs, "_synth", recording)
     apply_recipe(array_multiplier(6), RECIPES[15], seed=7)
     monkeypatch.undo()
     wide = [(tt, m) for tt, m in seen if m >= 10]
@@ -977,10 +1054,15 @@ def _loop_corpus():
 
 
 def test_support_memo_matches_a_fresh_walk(monkeypatch):
-    # every answer resubstitute and fraig get equals a walk of the graph
-    # as it is at that moment, also after resubstitute's replacements
-    plain = _Work.support
-    seen = {"calls": 0}
+    # every support value resubstitute reads equals a walk of the graph as
+    # it is at that moment, also after its replacements: each answer of
+    # _Work.support, and each value the divisor scan reads, memo hits
+    # included.  The scan reads the live nodes below the node and outside
+    # its MFFC in index order, up to its last divisor when it stops at the
+    # cap; a value, once in the memo, never changes
+    import htforge.restructure as rs
+    plain, plain_scan = _Work.support, rs._divisors
+    seen = {"calls": 0, "reads": 0, "capped": 0}
 
     def checked(self, node):
         got = plain(self, node)
@@ -988,14 +1070,33 @@ def test_support_memo_matches_a_fresh_walk(monkeypatch):
         seen["calls"] += 1
         return got
 
+    def scan(w, node, mffc, s_node, most):
+        divs = plain_scan(w, node, mffc, s_node, most)
+        stop = divs[-1] + 1 if len(divs) >= most else node
+        want = []
+        for d in range(1, stop):
+            if d >= w.first_and and (w.dead[d] or w.nref[d] == 0):
+                continue
+            if d in mffc:
+                continue
+            ref = _ref_support(w, d)
+            assert w._supports[d] == ref, d
+            seen["reads"] += 1
+            if not ref & ~s_node:
+                want.append(d)
+        assert divs == want[:most]
+        seen["capped"] += stop < node
+        return divs
+
     monkeypatch.setattr(_Work, "support", checked)
+    monkeypatch.setattr(rs, "_divisors", scan)
     for n in _loop_corpus():
         g = strash(to_aig(n))
-        for fn in (resubstitute, fraig):
-            fn(g, seed=1)
-            fn(rewrite(g, seed=1), seed=2)
+        resubstitute(g, seed=1)
+        resubstitute(rewrite(g, seed=1), seed=2)
     monkeypatch.undo()
-    assert seen["calls"] > 10_000
+    assert seen["reads"] > 10_000 and seen["calls"] > 1000
+    assert seen["capped"] > 100
 
 
 def test_cuts_and_cones_match_the_set_building_reference(monkeypatch):
@@ -1104,9 +1205,11 @@ def test_a_plan_over_a_nodes_own_fanin_pair_trials_to_none(monkeypatch):
                 if w.table.get(pair) != node:
                     continue
                 leaves = [f >> 1 for f in pair]
-                inverted, tree = _factored(w.cone_tt(node, leaves), 2)
+                tt = w.cone_tt(node, leaves)
+                inverted, tree = _ref_factored(tt, 2)
                 lits = [2 * v for v in leaves]
-                plan = (inverted, _program(tree, 2), lits)
+                plan = (*_synth(tt, 2), lits)
+                assert plan[:2] == (inverted, _ref_program(tree, 2))
                 assert w.trial(node, plan) is None
                 assert _ref_trial(w, node, _ref_lit_tree((inverted, tree, lits)),
                                   math.inf) is None
@@ -1196,19 +1299,36 @@ def test_plans_match_the_literal_tree_reference(monkeypatch):
     # recipes 15 and 17; commit adds exactly the nodes its trial planned,
     # after which the literal-tree build gives the trial's literal without
     # adding any; and commit's leaf-bounded cone check agrees with the full
-    # walk.  Each program a pass compiles is kept with its tree, so every
-    # trial is compared with the tree it was compiled from
+    # walk.  Each program a pass synthesizes, or resub tries, is checked
+    # against the reference tree's and kept with that tree, so every trial
+    # is compared with the tree its program comes from
     import htforge.restructure as rs
     plain_trial, plain_commit, plain_in_cone = (_Work.trial, _Work.commit,
                                                 _Work._in_cone)
-    plain_program = rs._program
+    plain_synth, plain_candidates = rs._synth, rs._resub_candidates
     seen = {"trial": 0, "commit": 0, "cone": 0}
     planned, pending, compiled = {}, [], {}
 
-    def program(tree, m):
-        got = plain_program(tree, m)
-        compiled[id(got)] = (got, tree)
+    def keep(program, tree, m):
+        assert program == _ref_program(tree, m)
+        compiled[id(program)] = (program, tree)
+
+    def synth(tt, m):
+        got = plain_synth(tt, m)
+        inverted, tree = _ref_factored(tt, m)
+        assert got[0] == inverted
+        keep(got[1], tree, m)
         return got
+
+    def candidates(divs, sig, s_node, mask, pairs):
+        for plan in plain_candidates(divs, sig, s_node, mask, pairs):
+            if len(plan[2]) == 1:
+                keep(plan[1], ("literal", 0, 1), 1)
+            else:
+                (a, b, _), = plan[1]
+                keep(plan[1], ("and", ("literal", 0, 3 - a),
+                               ("literal", 1, 5 - b)), 2)
+            yield plan
 
     def tree_plan(plan):
         inverted, steps, leaf_lits = plan
@@ -1247,7 +1367,8 @@ def test_plans_match_the_literal_tree_reference(monkeypatch):
             seen["cone"] += 1
         return got
 
-    monkeypatch.setattr(rs, "_program", program)
+    monkeypatch.setattr(rs, "_synth", synth)
+    monkeypatch.setattr(rs, "_resub_candidates", candidates)
     monkeypatch.setattr(_Work, "trial", trial)
     monkeypatch.setattr(_Work, "commit", commit)
     monkeypatch.setattr(_Work, "_in_cone", in_cone)
@@ -1264,7 +1385,7 @@ def test_commit_refuses_a_plan_that_strays_from_its_trial():
     g = strash(to_aig(array_multiplier(3)))
     w = _Work(g)
     root = g.pos[-1][1] >> 1
-    plan = (0, _program(("and", ("literal", 0, 1), ("literal", 1, 1)), 2),
+    plan = (0, _ref_program(("and", ("literal", 0, 1), ("literal", 1, 1)), 2),
             [2, 4])
     gain, cand = w.trial(root, plan)
     assert list(cand[0]) == [(2, 4)] and cand[1] == 2 * len(w.fan0)
@@ -1395,9 +1516,10 @@ def test_resub_candidates_come_in_the_reference_order():
     # complemented, at (1, 0), and only the first choice is a candidate
     from htforge.restructure import _resub_candidates
     sig = [0, 0b0011, 0b1100, 0b0101]
-    singles = [(False, ("literal", 0, 1), (2,)),
-               (True, ("literal", 0, 1), (4,))]
-    pair = (False, ("and", ("literal", 0, 1), ("literal", 1, 0)), (2, 4))
+    one = _ref_program(("literal", 0, 1), 1)
+    singles = [(False, one, (2,)), (True, one, (4,))]
+    pair = (False, _ref_program(("and", ("literal", 0, 1), ("literal", 1, 0)),
+                                2), (2, 4))
     assert list(_resub_candidates([1, 2, 3], sig, 0b0011, 0b1111,
                                   False)) == singles
     assert list(_resub_candidates([1, 2, 3], sig, 0b0011, 0b1111,
@@ -1448,9 +1570,11 @@ def test_resub_candidates_match_the_unscreened_reference():
         for s_node in (0, mask, sig[rng.choice(divs)], pair, pair ^ mask,
                        rng.getrandbits(128)):
             for pairs in (False, True):
+                # the reference yields trees; each program is that tree's
                 got = list(_resub_candidates(divs, sig, s_node, mask, pairs))
-                assert got == list(_ref_resub_candidates(divs, sig, s_node,
-                                                         mask, pairs))
+                assert got == [(inv, _ref_program(tree, len(lits)), lits)
+                               for inv, tree, lits in _ref_resub_candidates(
+                                   divs, sig, s_node, mask, pairs)]
                 for plan in got:
                     found["single" if len(plan[2]) == 1 else "pair"] += 1
     assert found["single"] > 300 and found["pair"] > 1000
@@ -1550,7 +1674,7 @@ def test_recipe_accepts_params_at_their_bound():
 
 def test_passes_reject_the_widths_a_recipe_rejects():
     # the recipe check and each pass read the same named bound; past it
-    # _factored raises instead of overflowing its 16-bit literal counts
+    # _synth raises instead of overflowing _count's 16-bit literal counts
     g = strash(to_aig(_and_chain(4)))
     with pytest.raises(ValueError, match="cut_size must be <= 16"):
         rewrite(g, cut_size=MAX_TT_INPUTS + 1)
@@ -1559,7 +1683,7 @@ def test_passes_reject_the_widths_a_recipe_rejects():
     with pytest.raises(ValueError, match="max_cone_inputs must be <= 16"):
         refactor(g, max_cone_inputs=MAX_TT_INPUTS + 1)
     with pytest.raises(RestructureError, match="17 inputs"):
-        _factored(1, MAX_TT_INPUTS + 1)
+        _synth(1, MAX_TT_INPUTS + 1)
     # fraig's and resub's widths are ints, as a recipe's params are; below
     # 1 they keep their reading (one word, at most one divisor)
     for fn, key in ((fraig, "sim_words"), (resubstitute, "max_divisors")):

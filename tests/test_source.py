@@ -2,9 +2,12 @@
 
 import ast
 import importlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -330,3 +333,96 @@ def test_one_proven_merge_walk():
     walks = [key for key, node in funcs.items()
              if _names(node, "aig_simulate") and _names(node, "AigBuilder")]
     assert walks == [("aig.py", "merge_proven")], walks
+
+
+_PRIVATE = re.compile(r"(?<![\w.])(?:\w+\.)*_[A-Za-z]\w*(?:\.\w+)*")
+
+
+def _scopes(trees):
+    """Names a package defines, by scope: each module name (file stem) maps
+    to its module-level functions, classes and assignments, and each class
+    name to what its body binds, attributes stored on ``self`` included."""
+    scopes = {}
+    for mod, tree in trees.items():
+        top = scopes.setdefault(mod, set())
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                top.add(stmt.name)
+            for node in ast.walk(stmt) if isinstance(
+                    stmt, (ast.Assign, ast.AnnAssign)) else ():
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    top.add(node.id)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                scopes.setdefault(cls.name, set()).update(
+                    getattr(node, "name", None) or getattr(node, "attr", None)
+                    or node.id for node in ast.walk(cls)
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Store))
+    return scopes
+
+
+def _stale(name, scopes):
+    """Whether a dotted name that holds a private part names something the
+    package no longer defines: a leading private part must be defined at
+    some module's top level, and a private part after a module or a class
+    name in that module or class."""
+    parts = name.split(".")   # module scopes are the lower-case keys
+    if parts[0].startswith("_") and not any(
+            parts[0] in scopes[m] for m in scopes if m[:1].islower()):
+        return True
+    return any(b.startswith("_") and a in scopes and b not in scopes[a]
+               for a, b in zip(parts, parts[1:]))
+
+
+def _stale_names(readme, sources, scopes):
+    """Private names README.md backticks, and ``module._name`` references in
+    the comments and docstrings of ``sources`` (file name -> text), that
+    the package no longer defines."""
+    inline = re.sub(r"(?ms)^```.*?^```", "", readme)   # fenced blocks out
+    found = [f"README.md `{name}`" for span in re.findall(r"`([^`]+)`", inline)
+             for name in _PRIVATE.findall(span) if _stale(name, scopes)]
+    mods = "|".join(m for m in scopes if m[:1].islower())
+    for fname, text in sources.items():
+        prose = [t.string for t in tokenize.generate_tokens(
+            io.StringIO(text).readline)
+            if t.type in (tokenize.COMMENT, tokenize.STRING)]
+        found += [f"{fname} {name}" for chunk in prose
+                  for name in re.findall(rf"\b(?:{mods})\._[A-Za-z]\w*", chunk)
+                  if _stale(name, scopes)]
+    return found
+
+
+def test_docs_name_only_defined_private_names():
+    # a deletion or a rename leaves no README or src prose naming the old
+    # private function, class or constant
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    scopes = _scopes({name[:-3]: ast.parse(text)
+                      for name, text in sources.items()})
+    readme = (SRC.parent.parent / "README.md").read_text()
+    found = _stale_names(readme, sources, scopes)
+    assert not found, found
+
+
+@pytest.mark.parametrize("readme, source, stale", [
+    pytest.param("`_f` and `m._C.g` and `_C.meth`", "", [], id="defined"),
+    pytest.param("`_gone()` beside `_f`", "", ["README.md `_gone`"],
+                 id="bare-gone"),
+    pytest.param("`m._gone`", "", ["README.md `m._gone`"], id="module-gone"),
+    pytest.param("`_C._x` and `_C._y`", "", ["README.md `_C._y`"],
+                 id="class-attribute"),
+    pytest.param("`_meth`", "", ["README.md `_meth`"], id="method-is-not-top"),
+    pytest.param("", "# see m._gone and m._f\nx = 1  # n._f\n",
+                 ["s.py m._gone"], id="comment"),
+    pytest.param("", "def h():\n    '''as m._gone does'''\n", ["s.py m._gone"],
+                 id="docstring"),
+    pytest.param("_gone outside backticks", "y = '_gone'\n", [],
+                 id="prose-and-code"),
+    pytest.param("```sh\nrun\n```\n\n`_gone` and `_f`", "",
+                 ["README.md `_gone`"], id="after-a-fenced-block"),
+])
+def test_stale_name_scan_finds_each_kind(readme, source, stale):
+    trees = {"m": ast.parse("def _f():\n    pass\nclass _C:\n    def _meth(self):"
+                            "\n        self._x = 1\n")}
+    assert _stale_names(readme, {"s.py": source}, _scopes(trees)) == stale
