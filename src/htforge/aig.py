@@ -137,25 +137,29 @@ class AigBuilder:
                         self.pos, self.table is not None)
 
 
-def add_netlist(b: AigBuilder, n: Netlist):
+def add_netlist(b: AigBuilder, n: Netlist, tie=None):
     """Decompose the gates of ``n`` into ``b``, whose PIs are ``n``'s
-    inputs in order, and return the literals of ``n``'s outputs.  A k-input
-    AND/OR folds into k-1 and2() calls and an XOR/XNOR input into one
-    xor2(); constant nets are literals TRUE and FALSE."""
+    inputs in order, and return every net's literal by net name.  A
+    k-input AND/OR folds into k-1 and2() calls and an XOR/XNOR input into
+    one xor2(); constant nets are literals TRUE and FALSE.  The net named
+    ``tie`` reads as FALSE everywhere, as if its driver were cut off."""
     net2lit = {CONST1: TRUE, CONST0: FALSE}
     for k, p in enumerate(n.inputs):
         net2lit[p] = b.pi(k)
+    if tie in net2lit:
+        net2lit[tie] = FALSE
     fold = {and_: b.and2, or_: b.or2, xor: b.xor2}
     for g in n.topo_gates:
         op, inv = GATE_OPS[g.kind]
         acc = net2lit[g.inputs[0]]
         for i in g.inputs[1:]:
             acc = fold[op](acc, net2lit[i])
-        net2lit[g.output] = lit_not(acc) if inv else acc
+        net2lit[g.output] = FALSE if g.output == tie else (
+            lit_not(acc) if inv else acc)
     for o in n.outputs:
         if o not in net2lit:
             raise NetlistError(f"primary output '{o}' is undriven")
-    return [net2lit[o] for o in n.outputs]
+    return net2lit
 
 
 def to_aig(n: Netlist) -> AigGraph:
@@ -166,8 +170,9 @@ def to_aig(n: Netlist) -> AigGraph:
     each; run strash() to share structure.
     """
     b = AigBuilder(n.inputs, hashing=False)
-    for o, l in zip(n.outputs, add_netlist(b, n)):
-        b.add_po(o, l)
+    lits = add_netlist(b, n)
+    for o in n.outputs:
+        b.add_po(o, lits[o])
     return b.build()
 
 

@@ -6,8 +6,10 @@ it, randomized sampling gives an explicitly non-definitive
 "no-mismatch-found" verdict.  An exhaustive check that would sweep more
 than SWEEP_CHUNKS chunks first merges the nodes of one joint AIG that
 truth tables over small cuts prove equal, and sweeps only the outputs
-left unproven.  Counterexamples are always re-verified by scalar
-simulation before being returned.
+left unproven.  The Trojan contract's clean side is proven by cofactor
+at any PI count, and swept as above only when that proof does not close.
+Counterexamples are always re-verified by scalar simulation before being
+returned.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .aig import AigBuilder, add_netlist, cone_tt, from_aig, merge_proven
+from .aig import (TRUE, AigBuilder, add_netlist, cone_tt, from_aig,
+                  lit_not, merge_proven)
 from .netlist import (CHUNK_VARS, EXHAUSTIVE_PIS, MAX_TT_INPUTS,
                       SWEEP_CHUNKS, Netlist, NetlistError, _check, decode,
                       simulate, sweep, trigger_word)
@@ -100,9 +103,10 @@ def _joint(a: Netlist, b: Netlist):
     if len(set(a.inputs)) != len(a.inputs):
         raise NetlistError("simulate_packed needs distinct primary inputs")
     jb = AigBuilder(a.inputs)
-    pos_a = add_netlist(jb, a)
-    pos_b = add_netlist(jb, b)
-    return jb.build(), pos_a, pos_b
+    lits_a = add_netlist(jb, a)
+    lits_b = add_netlist(jb, b)
+    return (jb.build(), [lits_a[o] for o in a.outputs],
+            [lits_b[o] for o in b.outputs])
 
 
 def _unproven(a: Netlist, b: Netlist, seed):
@@ -221,21 +225,54 @@ class TrojanVerdict:
     ok: bool
     reason: str = ""
     offending: dict = None
-    mode: str = ""
+    mode: str = ""       # "exhaustive", "proven" or "sampled"
+
+
+def _cofactor_proven(golden: Netlist, infected: Netlist, rec):
+    """Whether clause (i) of the Trojan contract holds by structure, at
+    any PI count.  In one hashing AIG over the golden's PIs,
+    ``rec.trigger_net``'s literal must be the strashed AND of the trigger
+    literals, both as the infected circuit computes them, and with every
+    read of ``trigger_net`` tied to FALSE each infected PO literal must be
+    the golden's.  Wherever the trigger is inactive the net is already
+    FALSE, so there the infected circuit is its tied cofactor, which is
+    the golden.  False leaves the contract to the sweep, also for repeated
+    input names, which the sweep refuses."""
+    if len(set(golden.inputs)) != len(golden.inputs):
+        return False
+    jb = AigBuilder(golden.inputs)
+    lits_g = add_netlist(jb, golden)
+    built = add_netlist(jb, infected)
+    acc = TRUE
+    for net, pol in rec.trigger:
+        acc = jb.and2(acc, built[net] if pol else lit_not(built[net]))
+    if acc != built.get(rec.trigger_net):
+        return False
+    tied = add_netlist(jb, infected, tie=rec.trigger_net)
+    return all(tied[po] == lits_g[po] for po in golden.outputs)
 
 
 def check_trojan_semantics(golden: Netlist, infected: Netlist, rec,
                            config: CheckConfig = None) -> TrojanVerdict:
     """Verify the two-sided contract of an inserted Trojan.
 
-    (i) on every checked input with the trigger inactive, the infected
-    circuit agrees with the golden one; (ii) the stored witness activates
-    the trigger and flips at least one output.  A record without a witness,
-    with one that leaves a PI unbound, or whose trigger names a net the
-    infected circuit lacks fails.
+    (i) on every input with the trigger inactive, the infected circuit
+    agrees with the golden one; (ii) the stored witness activates the
+    trigger and flips at least one output.  A record with an empty
+    trigger, without a witness, with one that leaves a PI unbound, or
+    whose trigger names a net the infected circuit lacks fails.
+
+    Clause (i) is proven by cofactor first (_cofactor_proven), with no
+    sweep; ``mode`` then reads "exhaustive" within the configured PI bound
+    and "proven" above it.  If the proof does not close, a sweep masked by
+    the trigger decides it, exhaustive ("exhaustive") within the bound and
+    sampled ("sampled", not definitive) above it, and supplies the
+    offending input of a failure.
     """
     cfg = config or CheckConfig()
     _check_interface(golden, infected)
+    if not rec.trigger:
+        return TrojanVerdict(False, "record names no trigger nets")
     if rec.witness is None:
         return TrojanVerdict(False, "unproven HT: record carries no witness")
     unbound = [p for p in golden.inputs if p not in rec.witness]
@@ -253,6 +290,10 @@ def check_trojan_semantics(golden: Netlist, infected: Netlist, rec,
     if all(vg[po] == vi[po] for po in golden.outputs):
         return TrojanVerdict(False, "witness does not flip any output", wit)
 
+    if _cofactor_proven(golden, infected, rec):
+        within = len(golden.inputs) <= cfg.exhaustive_bound
+        return TrojanVerdict(True, "", None,
+                             "exhaustive" if within else "proven")
     mode, _, stim = _first_divergence(golden, infected, cfg, rec.trigger)
     if stim is not None:
         return TrojanVerdict(

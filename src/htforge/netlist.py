@@ -465,8 +465,11 @@ def decode(patterns, act, limit):
 
 def trigger_word(vals, trigger, width):
     """Packed word that is 1 where every ``(net, polarity)`` pair holds."""
-    act = (1 << width) - 1
-    for net, pol in trigger:
+    if not trigger:
+        return (1 << width) - 1
+    (net, pol), *rest = trigger
+    act = vals[net] if pol else vals[net] ^ (1 << width) - 1
+    for net, pol in rest:
         act &= vals[net] if pol else ~vals[net]
     return act
 

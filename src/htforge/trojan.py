@@ -126,13 +126,21 @@ def _probe(n: Netlist, triggers, seed, limit=48, vectors=PROBE_VECTORS):
     hold its first ``limit`` activations (see _decode).  The probe is wide
     so candidate ranking can tell truly rare joint triggers from merely
     uncommon ones; memory is bounded by the chunk, plus the kept chunks.
+    Each chunk builds the word of every distinct (net, polarity) pair
+    once and ANDs each trigger from those words.
     """
     hits = [0] * len(triggers)
     kept = [[] for _ in triggers]
-    keep = frozenset(net for trigger in triggers for net, _ in trigger)
+    pairs = dict.fromkeys(pair for trigger in triggers for pair in trigger)
+    keep = frozenset(net for net, _ in pairs)
     for patterns, width, (vals,) in sweep([(n, keep)], vectors, seed):
+        mask = (1 << width) - 1
+        words = {(net, pol): vals[net] if pol else vals[net] ^ mask
+                 for net, pol in pairs}
         for k, trigger in enumerate(triggers):
-            act = trigger_word(vals, trigger, width)
+            act = words[trigger[0]] if trigger else mask
+            for pair in trigger[1:]:
+                act &= words[pair]
             if act and hits[k] < limit:
                 kept[k].append((patterns, act))
             hits[k] += act.bit_count()
@@ -324,8 +332,9 @@ def insert_trojan(n: Netlist, spec: TrojanSpec):
     triggers = list(drawn)
     hits, kept = _probe(n, triggers, spec.seed)
     silent = [t for t, h in zip(triggers, hits) if h == 0]
-    hits2 = (dict(zip(silent, _probe(n, silent, spec.seed ^ 0x7F4A)[0]))
-             if silent else {})
+    confirm = (_probe(n, silent, spec.seed ^ 0x7F4A, limit=0)[0]
+               if silent else ())
+    hits2 = dict(zip(silent, confirm))
     candidates = sorted(
         ((1, h, drawn[t]) if h else (0, hits2[t], drawn[t]), t, pieces)
         for t, h, pieces in zip(triggers, hits, kept))

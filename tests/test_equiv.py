@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -11,9 +12,11 @@ from htforge.equiv import (
 )
 from htforge.netlist import Gate, Netlist, NetlistError, parse_netlist, simulate
 from htforge.restructure import RECIPES, apply_recipe
-from htforge.trojan import TrojanRecord, TrojanSpec, insert_trojan
+from htforge.trojan import (InsertionError, TrojanRecord, TrojanSpec,
+                            insert_trojan)
 
-from conftest import random_netlist, rarity_netlist, truth_signature
+from conftest import (array_multiplier, random_netlist, rarity_netlist,
+                      truth_signature)
 
 
 def test_check_equivalence_interface_mismatch():
@@ -179,6 +182,17 @@ def test_trojan_semantics_trigger_net_the_infected_lacks(full_adder):
     assert verdict.reason == "infected lacks trigger nets ['nope']"
 
 
+def test_trojan_semantics_empty_trigger(full_adder):
+    # an empty trigger is never inactive, so clause (i) would hold vacuously
+    spec = TrojanSpec(q=2, rare_count=0, threshold=0.01, seed=3,
+                      sample_vectors=4096)
+    infected, rec = insert_trojan(full_adder, spec)
+    rec.trigger = ()
+    verdict = check_trojan_semantics(full_adder, infected, rec)
+    assert not verdict.ok
+    assert verdict.reason == "record names no trigger nets"
+
+
 # ---------------------------------------------------------------------------
 # exhaustive checks that prove merges first (more than SWEEP_CHUNKS chunks)
 
@@ -284,3 +298,151 @@ def test_checks_at_or_below_the_crossover_never_build_the_joint_graph(
     rar21 = rarity_netlist(11, n_branches=3, pis_per_branch=7)
     with pytest.raises(AssertionError, match="joint graph built"):
         check_equivalence(rar21, rar21)
+
+
+# ---------------------------------------------------------------------------
+# the Trojan contract by cofactor
+
+def _insertions(n, widths=(2, 3, 4)):
+    """(infected, record) of one seeded insertion into ``n`` per width."""
+    return [insert_trojan(n, TrojanSpec(q=q, rare_count=0, threshold=0.2,
+                                        seed=q)) for q in widths]
+
+
+def _swept_verdict(golden, infected, rec, cfg, monkeypatch):
+    """check_trojan_semantics with the cofactor proof left out, so that
+    clause (i) goes to the trigger-masked sweep."""
+    with monkeypatch.context() as m:
+        m.setattr(equiv, "_cofactor_proven", lambda *args: False)
+        return check_trojan_semantics(golden, infected, rec, cfg)
+
+
+_HOSTS = {"rar20": lambda: rarity_netlist(11, pis_per_branch=5),
+          "rar24": lambda: rarity_netlist(7),
+          "mul8": lambda: array_multiplier(8),
+          "rand16": lambda: random_netlist(5, n_pis=16, n_gates=180)}
+
+
+def test_cofactor_proof_closes_on_every_insertion(monkeypatch):
+    from test_acceptance import _insertion_corpus_12pi
+    cases = []
+    for n, spec in _insertion_corpus_12pi(120):
+        try:
+            cases.append((n, *insert_trojan(n, spec)))
+        except InsertionError:
+            pass
+    for name, make in _HOSTS.items():
+        n = make()
+        cases += [(n, *found) for found in _insertions(n)]
+    assert len(cases) >= 100 + 3 * len(_HOSTS)
+    cfg = CheckConfig(seed=1)
+    for golden, infected, rec in cases:
+        assert equiv._cofactor_proven(golden, infected, rec), golden.name
+        assert equiv._first_divergence(golden, infected, cfg,
+                                       rec.trigger)[2] is None, golden.name
+        verdict = check_trojan_semantics(golden, infected, rec, cfg)
+        assert verdict == _swept_verdict(golden, infected, rec, cfg,
+                                         monkeypatch)
+        assert verdict.ok and verdict.mode == "exhaustive"
+
+
+def _trojan_mutants(golden, infected, rec):
+    """(label, golden, infected, record) of mutants of a valid insertion
+    whose contract the cofactor proof must not establish."""
+    tj = {g.name for g in rec.added_gates}
+
+    def edit(kinds=None, inputs=None, extra=()):
+        gates = [g._replace(kind=(kinds or {}).get(g.name, g.kind),
+                            inputs=(inputs or {}).get(g.name, g.inputs))
+                 for g in infected.gates]
+        return Netlist(infected.name, infected.inputs, infected.outputs,
+                       tuple(gates) + extra)
+
+    yield ("payload: fed by 1'b1", golden,
+           edit(inputs={rec.payload_gate: (rec.victim_pre, "1'b1")}), rec)
+    gate_t = next(g for g in infected.gates if g.output == rec.trigger_net)
+    dropped = edit(kinds={gate_t.name: "AND" if len(gate_t.inputs) > 2
+                          else "BUF"},
+                   inputs={gate_t.name: gate_t.inputs[:-1]})
+    yield "drop: one net of the trigger AND", golden, dropped, rec
+    flips = 0
+    for g in golden.gates:
+        dual = _FLIPS[g.kind][0]
+        flipped = Netlist(golden.name, golden.inputs, golden.outputs, tuple(
+            h._replace(kind=dual) if h.name == g.name else h
+            for h in golden.gates))
+        if g.name in tj or check_equivalence(golden, flipped).equivalent:
+            continue
+        yield (f"flip: golden gate {g.name} to {dual}", golden,
+               edit(kinds={g.name: dual}), rec)
+        flips += 1
+        if flips == 3:
+            break
+    net = rec.trigger[0][0]
+    yield (f"rename: trigger_net names golden net {net}", golden, infected,
+           dataclasses.replace(rec, trigger_net=net))
+    # a net that reads trigger_net joins the trigger: read with the net
+    # tied, it would be TRUE and the AND would match trigger_net's literal
+    side = next(p for p in golden.inputs if rec.witness[p])
+    fan = (Gate("NOT", "tjx_n", (rec.trigger_net,), "tjx_g0"),
+           Gate("OR", "tjx", ("tjx_n", side), "tjx_g1"))
+    yield ("fanout: a trigger net reads trigger_net", golden,
+           edit(extra=fan),
+           dataclasses.replace(rec, trigger=(*rec.trigger, ("tjx", 1))))
+
+
+@pytest.mark.parametrize("name", ["rar20", "mul8"])
+def test_no_planted_trojan_mutant_is_proven(name, monkeypatch):
+    golden = _HOSTS[name]()
+    cfg = CheckConfig(seed=2)
+    seen = set()
+    for infected, rec in _insertions(golden, (3, 4)):
+        for label, g, mutant, r in _trojan_mutants(golden, infected, rec):
+            assert not equiv._cofactor_proven(g, mutant, r), label
+            assert check_trojan_semantics(g, mutant, r, cfg) == \
+                _swept_verdict(g, mutant, r, cfg, monkeypatch), label
+            seen.add(label.split(":")[0])
+    assert seen == {"payload", "drop", "flip", "rename", "fanout"}
+
+
+def test_repeated_input_names_are_refused_as_before():
+    # add_netlist maps a repeated name to its last PI, so the proof leaves
+    # the record to the sweep, which refuses the netlist
+    pis = ("a", "b", "c", "a")
+    golden = Netlist("dup", pis, ("y",), (Gate("OR", "y", ("b", "c"), "g"),))
+    infected = Netlist("dup", pis, ("y",), (
+        Gate("OR", "pre", ("b", "c"), "g"), Gate("AND", "t", ("a", "b"), "gt"),
+        Gate("XOR", "y", ("pre", "t"), "gp")))
+    rec = TrojanRecord(trigger=(("a", 1), ("b", 1)), trigger_net="t",
+                       victim="y", victim_pre="pre", payload_gate="gp",
+                       witness={"a": 1, "b": 1, "c": 0}, added_gates=())
+    assert not equiv._cofactor_proven(golden, infected, rec)
+    with pytest.raises(NetlistError, match="distinct primary inputs"):
+        check_trojan_semantics(golden, infected, rec)
+
+
+def _no_sweep(monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("swept")
+    monkeypatch.setattr(equiv, "sweep", sweep)
+
+
+def test_a_valid_record_is_checked_without_a_sweep(monkeypatch):
+    golden = _HOSTS["rar20"]()
+    found = _insertions(golden)
+    _no_sweep(monkeypatch)
+    for infected, rec in found:
+        verdict = check_trojan_semantics(golden, infected, rec)
+        assert verdict.ok and verdict.mode == "exhaustive"
+
+
+def test_a_wide_insertion_gets_a_definitive_verdict(monkeypatch):
+    # 32 PIs: above the default bound the contract used to be sampled
+    golden = array_multiplier(16)
+    (infected, rec), = _insertions(golden, (3,))
+    _no_sweep(monkeypatch)
+    within = check_trojan_semantics(golden, infected, rec,
+                                    CheckConfig(exhaustive_bound=32))
+    above = check_trojan_semantics(golden, infected, rec)
+    assert (within.ok, within.mode) == (True, "exhaustive")
+    assert (above.ok, above.mode) == (True, "proven")

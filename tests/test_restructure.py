@@ -381,8 +381,9 @@ def test_strash_returns_a_hashed_graph_as_it_is():
             raw.pi_names, raw.fan0, raw.fan1, 1 + raw.n_pis,
             range(1 + raw.n_pis, raw.n_nodes), raw.pos))
         b = AigBuilder(n.inputs, hashing=True)
-        for o, l in zip(n.outputs, add_netlist(b, n)):
-            b.add_po(o, l)
+        lits = add_netlist(b, n)
+        for o in n.outputs:
+            b.add_po(o, lits[o])
         graphs += [g, b.build(), strip_unreachable(raw), balance(g, seed=1),
                    rewrite(g, seed=1), refactor(g, seed=1),
                    resubstitute(g, seed=1), fraig(g, seed=1),

@@ -335,6 +335,54 @@ def test_one_proven_merge_walk():
     assert walks == [("aig.py", "merge_proven")], walks
 
 
+_FOLDS = ("and2", "or2", "xor2", "GATE_OPS")
+
+
+def _gate_folds(tree):
+    """Lines of loops and comprehensions over a netlist's ``gates`` or
+    ``topo_gates`` that decompose gates: their body names and2, or2, xor2
+    or GATE_OPS."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For):
+            iters = [node.iter]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                               ast.GeneratorExp)):
+            iters = [gen.iter for gen in node.generators]
+        else:
+            continue
+        if (any(_names(it, "gates") or _names(it, "topo_gates")
+                for it in iters)
+                and any(_names(node, name) for name in _FOLDS)):
+            found.append(node.lineno)
+    return found
+
+
+def test_equiv_builds_netlists_through_add_netlist():
+    # aig.add_netlist is the one decomposition of gates into AIG nodes:
+    # the joint graph and the cofactor proof of the Trojan contract build
+    # every netlist through it, and the checker folds no gate itself
+    funcs = {(path.name, node.name): node for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef)}
+    assert not _gate_folds(ast.parse((SRC / "equiv.py").read_text()))
+    for key in (("equiv.py", "_joint"), ("equiv.py", "_cofactor_proven")):
+        assert _names(funcs[key], "add_netlist"), key
+    # the scan recognizes the fold it protects
+    assert _gate_folds(funcs["aig.py", "add_netlist"])
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("for g in n.topo_gates:\n    acc = b.and2(x, y)\n", [1]),
+    ("lits = [b.xor2(x, y) for g in n.gates]\n", [1]),
+    ("for g in infected.gates:\n    op, inv = GATE_OPS[g.kind]\n", [1]),
+    ("for g in n.gates:\n    print(g.output)\n", []),
+    ("for net, pol in rec.trigger:\n    acc = jb.and2(acc, lits[net])\n", []),
+    ("lits = add_netlist(jb, n)\n", [])])
+def test_gate_fold_scan_finds_each_kind(text, lines):
+    assert _gate_folds(ast.parse(text)) == lines
+
+
 _PRIVATE = re.compile(r"(?<![\w.])(?:\w+\.)*_[A-Za-z]\w*(?:\.\w+)*")
 
 

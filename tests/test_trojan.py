@@ -7,7 +7,7 @@ from htforge.analysis import exact_signal_prob, signal_prob
 from htforge.equiv import CheckConfig, check_trojan_semantics
 from htforge.netlist import (EXHAUSTIVE_PIS, Gate, Netlist, decode,
                              parse_netlist, simulate, simulate_packed, stimuli,
-                             trigger_word, validate)
+                             sweep, trigger_word, validate)
 from htforge.trojan import (
     PROBE_VECTORS,
     InsertionError,
@@ -305,6 +305,54 @@ def test_streamed_probe_matches_per_cone_simulation(n):
         for stim in got:
             vals = simulate(n, stim)
             assert all(vals[net] == pol for net, pol in trigger)
+
+
+def _ref_probe(n, triggers, seed, limit=48, vectors=PROBE_VECTORS):
+    """_probe as it was: each trigger's word masked net by net from an
+    all-ones word (the old trigger_word loop)."""
+    hits = [0] * len(triggers)
+    kept = [[] for _ in triggers]
+    keep = frozenset(net for trigger in triggers for net, _ in trigger)
+    for patterns, width, (vals,) in sweep([(n, keep)], vectors, seed):
+        for k, trigger in enumerate(triggers):
+            act = (1 << width) - 1
+            for net, pol in trigger:
+                act &= vals[net] if pol else ~vals[net]
+            if act and hits[k] < limit:
+                kept[k].append((patterns, act))
+            hits[k] += act.bit_count()
+    return hits, kept
+
+
+@pytest.mark.parametrize("n", [rarity_netlist(11, pis_per_branch=5),
+                               random_netlist(5, n_pis=16, n_gates=180)],
+                         ids=["rar20", "rand16"])
+def test_probe_matches_the_per_trigger_word_loop(n):
+    triggers = _seeded_triggers(n, 24, seed=7)
+    # one net shared by many triggers, and at both polarities in one
+    shared = triggers[0][0]
+    triggers += [tuple(sorted({shared, *t})) for t in triggers[1:13]]
+    triggers.append(tuple(sorted({shared, (shared[0], 1 - shared[1])})))
+    assert sum(shared in t for t in triggers) > 10
+    assert any(pol == 0 for t in triggers for _, pol in t)
+    hits, kept = _probe(n, triggers, seed=9)
+    want_hits, want_kept = _ref_probe(n, triggers, seed=9)
+    assert hits == want_hits
+    assert 0 in hits and max(hits) > 48
+    assert [_decode(p) for p in kept] == [_decode(p) for p in want_kept]
+    assert _probe(n, triggers, seed=9, limit=0) == (hits, [[]] * len(hits))
+
+
+def test_trigger_word_starts_from_its_first_net():
+    width = 8
+    vals = {"a": 0b10110100, "b": 0b01110110}
+    for trigger in ((("a", 0),), (("a", 1), ("b", 0)), (("a", 0), ("b", 0)),
+                    (("b", 1), ("a", 0), ("b", 1))):
+        want = (1 << width) - 1
+        for net, pol in trigger:
+            want &= vals[net] if pol else ~vals[net]
+        assert trigger_word(vals, trigger, width) == want
+    assert trigger_word(vals, (), width) == (1 << width) - 1
 
 
 def _count_probe_streams(monkeypatch):
